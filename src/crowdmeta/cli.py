@@ -8,7 +8,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -166,7 +165,6 @@ def _evaluate_cell(setup: RunSetup, params: EncoderParams, shots: int, r: int,
         "shots": shots,
         "annotators": r,
         "dist": dist.to_dict(),
-        "_dist_key": _dist_key(dist),
         "mean_acc": result.mean,
         "stderr": result.stderr,
         "n_tasks": len(episodes),
@@ -192,21 +190,8 @@ def cmd_evaluate(args) -> int:
     cells_spec = [
         (shots, r, dist) for shots in shots_list for r in r_list for dist in dists
     ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            cells = list(
-                pool.map(lambda c: _evaluate_cell(setup, params, *c, seed), cells_spec)
-            )
-    else:
-        cells = [_evaluate_cell(setup, params, *c, seed) for c in cells_spec]
-    # deterministic merge: grid order (shots, then annotators, then the
-    # requested distribution order)
-    order = {
-        (shots, r, _dist_key(dist)): i for i, (shots, r, dist) in enumerate(cells_spec)
-    }
-    cells.sort(key=lambda c: order[(c["shots"], c["annotators"], c["_dist_key"])])
-    for cell in cells:
-        del cell["_dist_key"]
+    # grid order: shots, then annotators, then the requested distributions
+    cells = [_evaluate_cell(setup, params, *c, seed) for c in cells_spec]
 
     os.makedirs(args.out, exist_ok=True)
     metrics = {
@@ -327,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dist", default=None, help="expert:hammer:spammer weights")
         p.add_argument("--spammer-ratio", default=None,
                        help="comma list of spammer ratios; expert weight stays 0.1")
-        p.add_argument("--jobs", type=int, default=1)
 
     ev = sub.add_parser("evaluate", help="evaluate a checkpoint on target tasks")
     ev.add_argument("--checkpoint", required=True)

@@ -163,6 +163,13 @@ def build_run_setup(values: dict[str, object], ablation_no_pseudo: bool = False)
         )
     except DataError as exc:
         raise ConfigError(str(exc)) from None
+    ways = int(values["ways"])
+    for name, split in (("train", train), ("validation", val), ("test", test)):
+        if len(split.class_ids) < ways:
+            raise ConfigError(
+                f"{name} split has {len(split.class_ids)} of {len(dataset.class_ids)} "
+                f"classes, fewer than ways = {ways}; add classes or change split_fractions"
+            )
 
     hyper = PriorHyperparams(
         tau=float(values["tau"]),
@@ -178,7 +185,7 @@ def build_run_setup(values: dict[str, object], ablation_no_pseudo: bool = False)
     )
     val_dist = values["val_dist"]
     meta = MetaConfig(
-        ways=int(values["ways"]),
+        ways=ways,
         shots=int(values["shots"]),
         query_per_class=int(values["query_per_class"]),
         num_annotators=int(values["annotators"]),

@@ -1,9 +1,9 @@
 """Shared embedding network: a fully-connected ReLU stack in plain numpy.
 
-The same parameters drive two forward implementations: a fast numpy path
-with a recorded-activation backward (used for evaluation and finite
-differences), and a graph builder over :mod:`crowdmeta.autodiff` tensors
-(used when the training loss is differentiated through the unrolled EM).
+:func:`forward` embeds for adaptation and evaluation.  Meta-training runs
+:func:`forward_recorded`, which keeps the layer inputs and ReLU masks, and
+then :func:`backward`, which pulls an embedding gradient back to the
+flattened parameters.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
 
 CHECKPOINT_MAGIC = b"CMETA1"
 
@@ -174,37 +172,6 @@ def backward(record: ActivationRecord, grad_embeddings: np.ndarray) -> np.ndarra
     for gw, gb in zip(grad_w, grad_b):
         parts.append(gw.ravel())
         parts.append(gb)
-    return np.concatenate(parts)
-
-
-def params_to_tensors(params: EncoderParams) -> tuple[list[ad.Tensor], list[ad.Tensor]]:
-    """Leaf tensors over the current parameter arrays, for graph building."""
-    return [ad.Tensor(w) for w in params.weights], [ad.Tensor(b) for b in params.biases]
-
-
-def forward_graph(
-    x: np.ndarray, weight_ts: list[ad.Tensor], bias_ts: list[ad.Tensor]
-) -> ad.Tensor:
-    """Differentiable forward pass; mirrors :func:`forward` op for op."""
-    h = ad.Tensor(np.asarray(x, dtype=np.float64))
-    last = len(weight_ts) - 1
-    for i, (w, b) in enumerate(zip(weight_ts, bias_ts)):
-        h = ad.matmul(h, w) + ad.reshape(b, (1, b.data.shape[0]))
-        if i < last:
-            h = ad.relu(h)
-    return h
-
-
-def collect_gradient(
-    weight_ts: list[ad.Tensor], bias_ts: list[ad.Tensor]
-) -> np.ndarray:
-    """Flatten tensor gradients in checkpoint layer order; missing grads are 0."""
-    parts = []
-    for w, b in zip(weight_ts, bias_ts):
-        gw = w.grad if w.grad is not None else np.zeros_like(w.data)
-        gb = b.grad if b.grad is not None else np.zeros_like(b.data)
-        parts.append(np.asarray(gw).ravel())
-        parts.append(np.asarray(gb).ravel())
     return np.concatenate(parts)
 
 

@@ -57,8 +57,7 @@ class LabeledDataset:
 class Episode:
     """One task: support and query drawn from the same dataset, disjoint.
 
-    Labels are remapped to 0..K-1 (sorted original class ids).  Support
-    annotations are attached later by the simulator or a caller.
+    Labels are remapped to 0..K-1 (sorted original class ids).
     """
 
     class_ids: tuple[int, ...]
@@ -66,7 +65,6 @@ class Episode:
     support_y: np.ndarray
     query_x: np.ndarray
     query_y: np.ndarray
-    annotations: list[dict[int, int]] | None = None
 
     @property
     def num_classes(self) -> int:
@@ -130,14 +128,12 @@ def sample_episode(
     shots: int | Sequence[int],
     query_per_class: int,
     rng: np.random.Generator,
-    strict: bool = False,
 ) -> Episode:
     """Draw a ways-class episode with disjoint support and query examples.
 
     ``shots`` is either one count for every class or a per-class override
     sequence of length ``ways`` (class-imbalanced support).  Classes with
-    too few examples are skipped when ``strict`` is false and rejected
-    otherwise.
+    too few examples for the largest shot count plus the query are skipped.
     """
     if isinstance(shots, (int, np.integer)):
         per_class_shots = [int(shots)] * ways
@@ -154,9 +150,6 @@ def sample_episode(
 
     need = max(per_class_shots) + query_per_class
     eligible = dataset.eligible_classes(need)
-    if strict and len(eligible) != len(dataset.class_ids):
-        lacking = sorted(set(dataset.class_ids) - set(eligible))
-        raise DataError(f"classes {lacking} have fewer than {need} examples")
     if len(eligible) < ways:
         raise DataError(
             f"only {len(eligible)} classes have {need}+ examples; need {ways}"

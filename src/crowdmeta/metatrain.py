@@ -4,9 +4,10 @@ Each outer iteration samples an episode from a source task, pseudo-annotates
 its support set with freshly drawn annotators, adapts the task-specific
 classifier with the unrolled EM on the embedded support, scores the clean
 query set, and backpropagates the query loss through every EM step into the
-encoder parameters, which an Adam step then updates.  The unrolled graph
-mirrors :mod:`crowdmeta.em` operation for operation, so the differentiable
-forward pass and the plain-numpy adaptation agree to the last bit.
+encoder parameters, which an Adam step then updates.  The forward pass runs
+the closed-form updates of :mod:`crowdmeta.em` itself; the reverse pass is
+a hand-derived vector-Jacobian product chained backwards over the EM steps
+(:func:`episode_loss_and_grad`).
 """
 
 from __future__ import annotations
@@ -18,18 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from . import em
+from . import em, encoder
 from .annotators import AnnotatorDistribution, AnnotatorProfile, annotate, pseudo_annotate, sample_annotator_pool
-from .encoder import (
-    EncoderConfig,
-    EncoderParams,
-    collect_gradient,
-    forward,
-    forward_graph,
-    init_params,
-    params_to_tensors,
-)
+from .encoder import EncoderConfig, EncoderParams, forward, init_params
 from .episodes import Episode, LabeledDataset, sample_episode
 from .seeding import stream
 
@@ -113,8 +105,16 @@ def adam_update(state: TrainState, gradient: np.ndarray, config: MetaConfig) -> 
     return state
 
 
-def _query_log_scores(u: np.ndarray, prototypes: np.ndarray, class_prior: np.ndarray) -> np.ndarray:
-    return -0.5 * em.squared_distances(u, prototypes) + np.log(class_prior)[None, :]
+def _scored_query(
+    u: np.ndarray, labels: np.ndarray, prototypes: np.ndarray, class_prior: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Query log scores, their row log-sum-exp, and the mean label loss."""
+    if u.ndim != 2 or u.shape[0] == 0:
+        raise ValueError("query set must be a nonempty (N, M) array")
+    scores = -0.5 * em.squared_distances(u, prototypes) + np.log(class_prior)[None, :]
+    lse = em.logsumexp(scores, axis=1)
+    picked = scores[np.arange(len(labels)), labels]
+    return scores, lse, float(np.sum(lse - picked)) / len(labels)
 
 
 def query_loss(
@@ -125,96 +125,121 @@ def query_loss(
     """Mean negative log-probability of the true query labels."""
     u = np.asarray(query_embeddings, dtype=np.float64)
     labels = np.asarray(query_labels, dtype=np.intp)
-    if u.ndim != 2 or u.shape[0] == 0:
-        raise ValueError("query set must be a nonempty (N, M) array")
-    scores = _query_log_scores(u, classifier.prototypes, classifier.class_prior)
-    lse = em.logsumexp(scores, axis=1)
-    picked = scores[np.arange(len(labels)), labels]
-    return float(np.sum(lse - picked)) / len(labels)
+    return _scored_query(u, labels, classifier.prototypes, classifier.class_prior)[2]
 
 
-def _sq_dist_graph(u: ad.Tensor, protos: ad.Tensor) -> ad.Tensor:
-    n = u.data.shape[0]
-    k = protos.data.shape[0]
-    sq_u = ad.reshape(ad.tsum(ad.mul(u, u), axis=1), (n, 1))
-    sq_p = ad.reshape(ad.tsum(ad.mul(protos, protos), axis=1), (1, k))
-    cross = ad.mul(ad.matmul(u, ad.transpose(protos)), -2.0)
-    return ad.add(ad.add(sq_u, cross), sq_p)
+def _log_scores_vjp(
+    d_scores: np.ndarray, u: np.ndarray, prototypes: np.ndarray, class_prior: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pull gradients of ``-0.5 |u_n - mu_k|^2 + log pi_k`` back to ``(d_u, d_mu, d_pi)``.
+
+    Every row of ``d_scores`` is the gradient of a softmax input and sums
+    to zero, so the ``|u_n|^2`` term contributes nothing to ``d_u``.
+    """
+    col = d_scores.sum(axis=0)
+    return d_scores @ prototypes, d_scores.T @ u - col[:, None] * prototypes, col / class_prior
 
 
-def unrolled_adapt_graph(
-    u_support: ad.Tensor,
+def _m_step_vjp(
+    lam: np.ndarray,
+    u: np.ndarray,
+    prototypes: np.ndarray,
+    confusions: Sequence[np.ndarray],
+    by_annotator: Sequence[tuple[np.ndarray, np.ndarray]],
+    hyper: em.PriorHyperparams,
+    d_protos: np.ndarray,
+    d_pi: np.ndarray,
+    d_confusions: Sequence[np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pull the M-step output gradients back to ``(d_lam, d_u)``.
+
+    ``mu = lam^T u / (tau + sum lam)``, ``pi = (sum lam + b) / (K b + N)``
+    and ``alpha_r = (counts_r + c) / (sum_{I_r} lam + K c)``.  Classes whose
+    prototype denominator is zero (``tau = 0``, empty class) hold the
+    constant prior mean and pass no gradient.
+    """
+    n, k = lam.shape
+    denom = hyper.tau + lam.sum(axis=0)
+    g = np.divide(d_protos, denom[:, None], out=np.zeros_like(d_protos),
+                  where=denom[:, None] > 0.0)
+    d_u = lam @ g
+    d_lam = u @ g.T - (g * prototypes).sum(axis=1) + d_pi / (k * hyper.b + n)
+    if d_confusions is not None:
+        for (idx, labels), alpha, d_alpha in zip(by_annotator, confusions, d_confusions):
+            if len(idx):
+                d_counts = d_alpha / (lam[idx].sum(axis=0) + k * hyper.c)
+                d_lam[idx] += d_counts[labels] - (d_counts * alpha).sum(axis=0)
+    return d_lam, d_u
+
+
+def episode_loss_and_grad(
+    params: EncoderParams,
+    support_x: np.ndarray,
     annotations: Sequence[dict[int, int]],
     num_classes: int,
     num_annotators: int,
+    query_x: np.ndarray,
+    query_y: np.ndarray,
     hyper: em.PriorHyperparams,
-) -> tuple[ad.Tensor, ad.Tensor, list[ad.Tensor], ad.Tensor]:
-    """Differentiable replica of :func:`crowdmeta.em.adapt`.
+) -> tuple[float, np.ndarray]:
+    """Query loss after the unrolled EM, and its gradient w.r.t. the flat parameters.
 
-    The vote-fraction initialization and the discrete labels enter as
-    constants; prototypes, class prior, and confusions stay on the
-    gradient path through every iteration.  Returns the parameters from
-    the final M step and the responsibilities from the final E step.
+    The forward pass runs :func:`crowdmeta.em.m_step` and
+    :func:`crowdmeta.em.e_step` on the embedded support, keeping every
+    step's responsibilities; the final E step is skipped because the loss
+    reads only the last prototypes and class prior.  The reverse pass is
+    hand-derived: the query log-softmax, then for each step from the last
+    the M-step updates and the E-step softmax, whose output gradient
+    reaches the previous M step through its prototypes, class prior and
+    confusions.  The vote-fraction initialization and the discrete labels
+    are constants.  :func:`crowdmeta.encoder.backward` finishes on the
+    support and query activations.
     """
-    n, k = len(annotations), num_classes
-    lam = ad.Tensor(em.init_responsibilities(annotations, k))
-    grouped = em.group_by_annotator(annotations, num_annotators)
-    onehots = []
-    for idx, labels in grouped:
-        onehot = np.zeros((len(idx), k))
-        onehot[np.arange(len(idx)), labels] = 1.0
-        onehots.append(onehot)
-
-    protos = pi = None
-    confusions: list[ad.Tensor] = []
-    for _ in range(hyper.em_steps):
-        lam_sum = ad.tsum(lam, axis=0)
-        protos = ad.div(
-            ad.matmul(ad.transpose(lam), u_support),
-            ad.reshape(ad.add(lam_sum, hyper.tau), (k, 1)),
-        )
-        pi = ad.div(ad.add(lam_sum, hyper.b), k * hyper.b + n)
-        confusions = []
-        log_a = ad.Tensor(np.zeros((n, k)))
-        for (idx, labels), onehot in zip(grouped, onehots):
-            lam_r = ad.take_rows(lam, idx)
-            counts = ad.matmul(ad.Tensor(onehot.T), lam_r)
-            alpha = ad.div(
-                ad.add(counts, hyper.c),
-                ad.reshape(ad.add(ad.tsum(lam_r, axis=0), k * hyper.c), (1, k)),
-            )
-            confusions.append(alpha)
-            if len(idx):
-                rows = ad.take_rows(ad.log(alpha), labels)
-                log_a = ad.add(log_a, ad.scatter_rows(rows, idx, n))
-        scores = ad.add(
-            ad.add(
-                ad.mul(_sq_dist_graph(u_support, protos), -0.5),
-                ad.reshape(ad.log(pi), (1, k)),
-            ),
-            log_a,
-        )
-        lam = ad.exp(ad.add(scores, ad.mul(ad.logsumexp(scores, axis=1, keepdims=True), -1.0)))
-    return protos, pi, confusions, lam
-
-
-def query_loss_graph(
-    u_query: ad.Tensor,
-    query_labels: np.ndarray,
-    protos: ad.Tensor,
-    pi: ad.Tensor,
-) -> ad.Tensor:
-    labels = np.asarray(query_labels, dtype=np.intp)
-    k = pi.data.shape[0]
-    scores = ad.add(
-        ad.mul(_sq_dist_graph(u_query, protos), -0.5),
-        ad.reshape(ad.log(pi), (1, k)),
+    u_support, support_record = encoder.forward_recorded(support_x, params)
+    u_query, query_record = encoder.forward_recorded(query_x, params)
+    support = em.SupportSet(
+        embeddings=u_support,
+        annotations=annotations,
+        num_classes=num_classes,
+        num_annotators=num_annotators,
     )
-    onehot = np.zeros((len(labels), k))
-    onehot[np.arange(len(labels)), labels] = 1.0
-    picked = ad.tsum(ad.mul(scores, ad.Tensor(onehot)), axis=1)
-    lse = ad.logsumexp(scores, axis=1)
-    return ad.div(ad.tsum(ad.add(lse, ad.mul(picked, -1.0))), float(len(labels)))
+    lam = em.init_responsibilities(support.annotations, num_classes)
+    steps = []  # (responsibilities in, prototypes, class prior, confusions)
+    for t in range(hyper.em_steps):
+        protos, pi, confusions = em.m_step(lam, support, hyper)
+        steps.append((lam, protos, pi, confusions))
+        if t + 1 < hyper.em_steps:
+            lam = em.e_step(support, protos, pi, confusions)
+
+    labels = np.asarray(query_y, dtype=np.intp)
+    scores, lse, loss = _scored_query(u_query, labels, protos, pi)
+
+    d_scores = np.exp(scores - lse[:, None])
+    d_scores[np.arange(len(labels)), labels] -= 1.0
+    d_scores /= len(labels)
+    d_query, d_protos, d_pi = _log_scores_vjp(d_scores, u_query, protos, pi)
+    d_confusions = None
+    d_support = np.zeros_like(u_support)
+    eye = np.eye(num_classes)
+    onehots = [eye[y] for _, y in support.by_annotator]
+    for t in range(hyper.em_steps - 1, -1, -1):
+        lam, protos, pi, confusions = steps[t]
+        d_lam, d_u = _m_step_vjp(lam, u_support, protos, confusions, support.by_annotator,
+                                 hyper, d_protos, d_pi, d_confusions)
+        d_support += d_u
+        if t == 0:
+            break
+        # lam came from the E step on the previous M step's parameters
+        _, protos, pi, confusions = steps[t - 1]
+        d_scores = lam * (d_lam - (lam * d_lam).sum(axis=1, keepdims=True))
+        d_u, d_protos, d_pi = _log_scores_vjp(d_scores, u_support, protos, pi)
+        d_support += d_u
+        d_confusions = [
+            onehot.T @ d_scores[idx] / alpha
+            for (idx, _), onehot, alpha in zip(support.by_annotator, onehots, confusions)
+        ]
+    grad = encoder.backward(support_record, d_support) + encoder.backward(query_record, d_query)
+    return loss, grad
 
 
 def confusion_digest(confusions: Sequence[np.ndarray]) -> str:
@@ -257,19 +282,11 @@ def meta_gradient(
         digest = "clean"
         num_annotators = 1
 
-    weight_ts, bias_ts = params_to_tensors(params)
-    u_support = forward_graph(episode.support_x, weight_ts, bias_ts)
-    u_query = forward_graph(episode.query_x, weight_ts, bias_ts)
-    protos, pi, _, _ = unrolled_adapt_graph(
-        u_support, annotations, k, num_annotators, config.hyper
+    loss, grad = episode_loss_and_grad(
+        params, episode.support_x, annotations, k, num_annotators,
+        episode.query_x, episode.query_y, config.hyper,
     )
-    loss = query_loss_graph(u_query, episode.query_y, protos, pi)
-    ad.backward(loss)
-    return EpisodeGradient(
-        loss=loss.item(),
-        grad=collect_gradient(weight_ts, bias_ts),
-        pseudo_digest=digest,
-    )
+    return EpisodeGradient(loss=loss, grad=grad, pseudo_digest=digest)
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Operations build a dynamic graph of :class:`Tensor` nodes; :func:`backward`
-walks it once in reverse topological order, accumulating exact gradients.
-The op set is just what the unrolled EM pipeline needs: elementwise
-arithmetic with broadcasting, matmul, relu, exp/log, reductions,
-log-sum-exp, and row gather/scatter.
+A test-only oracle: the package computes its gradients with hand-derived
+reverse passes, and the tests check those against this generic tape (and
+against finite differences).  Operations build a dynamic graph of
+:class:`Tensor` nodes; :func:`backward` walks it once in reverse
+topological order, accumulating exact gradients.  The op set covers
+elementwise arithmetic with broadcasting, matmul, relu, exp/log,
+reductions, log-sum-exp, and row gather/scatter.
 """
 
 from __future__ import annotations

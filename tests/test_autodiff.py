@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crowdmeta import autodiff as ad
+import tape as ad
 
 
 def finite_diff(fn, x, step=1e-6):

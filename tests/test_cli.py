@@ -2,12 +2,17 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from crowdmeta.cli import main
 from crowdmeta.config import ConfigError, load_config, parse_config_text, build_run_setup
+from crowdmeta.episodes import sample_episode
+from crowdmeta.seeding import stream
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 TINY_CONFIG = """
 # smoke-scale run
@@ -66,6 +71,21 @@ class TestConfigParsing:
         assert setup.meta.ways == 3
         assert setup.train_data.dim == 5
         assert not (set(setup.train_data.class_ids) & set(setup.test_data.class_ids))
+
+    def test_split_smaller_than_ways_names_the_split(self):
+        values = parse_config_text(TINY_CONFIG + "ways = 4\n")  # 12 classes: 6/3/3
+        with pytest.raises(ConfigError, match="validation split has 3 of 12 classes"):
+            build_run_setup(values)
+
+    def test_readme_example_config_builds(self):
+        text = open(README, encoding="utf-8").read()
+        example = re.search(r"cat > run.cfg <<EOF\n(.*?)\nEOF\n", text, re.S).group(1)
+        setup = build_run_setup(parse_config_text(example, source="README"))
+        meta = setup.meta
+        for i, split in enumerate((setup.train_data, setup.val_data, setup.test_data)):
+            episode = sample_episode(split, meta.ways, meta.shots, meta.query_per_class,
+                                     stream(0, "readme", i))
+            assert episode.num_classes == meta.ways
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -151,16 +171,6 @@ class TestEvaluateCommand:
         assert dists[0]["spammer"] == pytest.approx(0.1)
         assert dists[1]["spammer"] == pytest.approx(0.4)
         assert dists[1]["hammer"] == pytest.approx(0.5)
-
-    def test_jobs_flag_matches_serial(self, config_path, checkpoint, tmp_path):
-        serial, parallel = str(tmp_path / "s"), str(tmp_path / "p")
-        main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,
-              "--out", serial, "--shots", "1,2"])
-        main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,
-              "--out", parallel, "--shots", "1,2", "--jobs", "2"])
-        a = json.load(open(os.path.join(serial, "metrics.json")))
-        b = json.load(open(os.path.join(parallel, "metrics.json")))
-        assert a["cells"] == b["cells"]
 
     def test_metrics_roundtrip(self, config_path, checkpoint, tmp_path):
         out = str(tmp_path / "rt")

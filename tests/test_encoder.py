@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from crowdmeta import autodiff as ad
+import tape as ad
 from crowdmeta.encoder import (
     EncoderConfig,
     EncoderParams,
     backward,
-    collect_gradient,
     forward,
-    forward_graph,
     forward_recorded,
     init_params,
     load_checkpoint,
-    params_to_tensors,
     save_checkpoint,
 )
 
@@ -27,6 +24,18 @@ def fd_gradient(loss_fn, theta, step=1e-5):
         minus[i] -= step
         grad[i] = (loss_fn(plus) - loss_fn(minus)) / (2 * step)
     return grad
+
+
+def tape_forward(x, params):
+    """The encoder on the test tape: output tensor plus the leaf parameters."""
+    weight_ts = [ad.Tensor(w) for w in params.weights]
+    bias_ts = [ad.Tensor(b) for b in params.biases]
+    h = ad.Tensor(np.asarray(x, dtype=np.float64))
+    for i, (w, b) in enumerate(zip(weight_ts, bias_ts)):
+        h = ad.matmul(h, w) + ad.reshape(b, (1, b.data.shape[0]))
+        if i < len(weight_ts) - 1:
+            h = ad.relu(h)
+    return h, weight_ts, bias_ts
 
 
 class TestInit:
@@ -87,10 +96,7 @@ class TestForward:
         params = init_params(EncoderConfig(5, (8, 4), 3, init_seed=3))
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 5))
-        weight_ts, bias_ts = params_to_tensors(params)
-        np.testing.assert_array_equal(
-            forward_graph(x, weight_ts, bias_ts).data, forward(x, params)
-        )
+        np.testing.assert_array_equal(tape_forward(x, params)[0].data, forward(x, params))
 
 
 class TestBackward:
@@ -135,11 +141,11 @@ class TestBackward:
         g = rng.standard_normal((5, 3))
         _, record = forward_recorded(x, params)
         manual = backward(record, g)
-        weight_ts, bias_ts = params_to_tensors(params)
-        out = ad.tsum(ad.mul(forward_graph(x, weight_ts, bias_ts), g))
-        ad.backward(out)
-        np.testing.assert_allclose(manual, collect_gradient(weight_ts, bias_ts),
-                                   rtol=1e-12, atol=1e-15)
+        out, weight_ts, bias_ts = tape_forward(x, params)
+        ad.backward(ad.tsum(ad.mul(out, g)))
+        taped = np.concatenate([t.grad.ravel() for pair in zip(weight_ts, bias_ts)
+                                for t in pair])
+        np.testing.assert_allclose(manual, taped, rtol=1e-12, atol=1e-15)
 
     def test_mismatched_record_rejected(self):
         params = init_params(EncoderConfig(4, (6,), 3, init_seed=8))

@@ -125,14 +125,12 @@ class TestSampleEpisode:
         with pytest.raises(DataError, match="at least one"):
             sample_episode(data, 2, [0, 1], 2, stream(9, "bad"))
 
-    def test_skips_small_classes_unless_strict(self):
+    def test_skips_small_classes(self):
         features = np.vstack([np.zeros((8, 2)), np.ones((8, 2)), 2 * np.ones((2, 2))])
         labels = np.array([0] * 8 + [1] * 8 + [2] * 2)
         data = LabeledDataset(features=features, labels=labels)
         episode = sample_episode(data, 2, 2, 3, stream(10, "skip"))
         assert 2 not in episode.class_ids
-        with pytest.raises(DataError, match="fewer than"):
-            sample_episode(data, 2, 2, 3, stream(10, "strict"), strict=True)
 
     def test_not_enough_classes(self):
         data = generate_synthetic(3, 2, 1.0, 4, seed=15)

@@ -5,18 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from crowdmeta import autodiff as ad
 from crowdmeta import em
 from crowdmeta import metatrain as mt
-from crowdmeta.annotators import AnnotatorDistribution, pseudo_annotate
-from crowdmeta.encoder import (
-    EncoderConfig,
-    EncoderParams,
-    forward,
-    forward_graph,
-    init_params,
-    params_to_tensors,
+from crowdmeta.annotators import (
+    AnnotatorDistribution,
+    annotate,
+    pseudo_annotate,
+    sample_annotator_pool,
 )
+from crowdmeta.encoder import EncoderConfig, EncoderParams, init_params
 from crowdmeta.episodes import Episode, generate_synthetic, sample_episode
 from crowdmeta.seeding import stream
 from crowdmeta.verify import episode_loss_value
@@ -106,60 +103,70 @@ class TestQueryLoss:
             mt.query_loss(classifier, np.zeros((0, 3)), np.array([], dtype=int))
 
 
+def loss_pair(episode, annotations, num_annotators, config, hyper):
+    """``episode_loss_and_grad``'s loss and ``episode_loss_value`` on one episode."""
+    params = init_params(config)
+    args = (episode.support_x, annotations, episode.num_classes, num_annotators,
+            episode.query_x, episode.query_y, hyper)
+    loss, _ = mt.episode_loss_and_grad(params, *args)
+    return loss, episode_loss_value(params.flatten(), config, *args)
+
+
 class TestUnrolledGraph:
+    """The unrolled EM of ``episode_loss_and_grad``: its loss and its gradient."""
+
     def test_forward_matches_plain_adaptation(self):
         for seed in range(5):
             episode = random_episode(seed)
-            rng = stream(seed, "mt-ann")
             annotations, _ = pseudo_annotate(
-                episode.support_y, 3, EHS(0.1, 0.7, 0.2), 3, rng
+                episode.support_y, 3, EHS(0.1, 0.7, 0.2), 3, stream(seed, "mt-ann")
             )
-            params = init_params(EncoderConfig(5, (8,), 4, init_seed=seed))
-            u_support = forward(episode.support_x, params)
-            support = em.SupportSet(u_support, annotations, 3, 3)
-            classifier = em.adapt(support, HYPER)
-
-            weight_ts, bias_ts = params_to_tensors(params)
-            u_t = forward_graph(episode.support_x, weight_ts, bias_ts)
-            protos, pi, confusions, lam = mt.unrolled_adapt_graph(
-                u_t, annotations, 3, 3, HYPER
-            )
-            np.testing.assert_array_equal(protos.data, classifier.prototypes)
-            np.testing.assert_array_equal(pi.data, classifier.class_prior)
-            np.testing.assert_array_equal(lam.data, classifier.responsibilities)
-            for got, want in zip(confusions, classifier.confusions):
-                np.testing.assert_array_equal(got.data, want)
+            config = EncoderConfig(5, (8,), 4, init_seed=seed)
+            loss, value = loss_pair(episode, annotations, 3, config, HYPER)
+            assert loss == value
 
     def test_forward_matches_on_sparse_annotations(self):
         episode = random_episode(11)
         annotations = [dict(list({0: int(y), 1: int(y), 2: 0}.items())[: 1 + n % 3])
                        for n, y in enumerate(episode.support_y)]
-        params = init_params(EncoderConfig(5, (6,), 4, init_seed=3))
-        support = em.SupportSet(forward(episode.support_x, params), annotations, 3, 3)
-        classifier = em.adapt(support, HYPER)
-        weight_ts, bias_ts = params_to_tensors(params)
-        u_t = forward_graph(episode.support_x, weight_ts, bias_ts)
-        protos, pi, _, lam = mt.unrolled_adapt_graph(u_t, annotations, 3, 3, HYPER)
-        np.testing.assert_array_equal(protos.data, classifier.prototypes)
-        np.testing.assert_array_equal(lam.data, classifier.responsibilities)
+        config = EncoderConfig(5, (6,), 4, init_seed=3)
+        loss, value = loss_pair(episode, annotations, 3, config, HYPER)
+        assert loss == value
 
     def test_graph_loss_matches_numpy_loss(self):
+        # one EM step (no E step to reverse) and a deeper unroll
         episode = random_episode(21)
         annotations, _ = pseudo_annotate(
             episode.support_y, 3, EHS(0.1, 0.7, 0.2), 3, stream(21, "ann")
         )
         config = EncoderConfig(5, (8,), 4, init_seed=2)
-        params = init_params(config)
-        value = episode_loss_value(
-            params.flatten(), config, episode.support_x, annotations, 3, 3,
-            episode.query_x, episode.query_y, HYPER,
-        )
-        weight_ts, bias_ts = params_to_tensors(params)
-        u_s = forward_graph(episode.support_x, weight_ts, bias_ts)
-        u_q = forward_graph(episode.query_x, weight_ts, bias_ts)
-        protos, pi, _, _ = mt.unrolled_adapt_graph(u_s, annotations, 3, 3, HYPER)
-        loss = mt.query_loss_graph(u_q, episode.query_y, protos, pi)
-        assert loss.item() == value
+        for em_steps in (1, 3):
+            hyper = em.PriorHyperparams(em_steps=em_steps)
+            loss, value = loss_pair(episode, annotations, 3, config, hyper)
+            assert loss == value
+
+    @pytest.mark.parametrize("em_steps", [1, 3])
+    def test_sparse_labels_match_finite_differences(self, em_steps):
+        # 30% of (example, annotator) pairs kept, plus a fifth annotator who
+        # labels nothing and keeps the uniform prior-mean confusion
+        episode = random_episode(40 + em_steps, ways=4, shots=3, qpc=3)
+        rng = stream(40, "sparse", em_steps)
+        _, confusions = sample_annotator_pool(EHS(0.2, 0.6, 0.2), 4, 4, rng)
+        annotations = annotate(episode.support_y, confusions, rng, label_fraction=0.3)
+        assert any(len(ann) == 1 for ann in annotations)
+        config = EncoderConfig(5, (8,), 4, init_seed=em_steps)
+        hyper = em.PriorHyperparams(em_steps=em_steps)
+        args = (episode.support_x, annotations, 4, 5, episode.query_x, episode.query_y, hyper)
+        theta = init_params(config).flatten()
+        _, grad = mt.episode_loss_and_grad(init_params(config), *args)
+        for c in np.random.default_rng(em_steps).choice(theta.size, size=20, replace=False):
+            step = 1e-5
+            plus, minus = theta.copy(), theta.copy()
+            plus[c] += step
+            minus[c] -= step
+            fd = (episode_loss_value(plus, config, *args)
+                  - episode_loss_value(minus, config, *args)) / (2 * step)
+            assert abs(fd - grad[c]) / max(1e-8, abs(fd), abs(grad[c])) < 1e-4
 
 
 class TestMetaGradient:
