@@ -23,8 +23,14 @@ def majority_vote(
 
     Ties resolve to the lowest class index, so results are reproducible.
     """
-    fractions = em.init_responsibilities(annotations, num_classes)
+    onehot = em.one_hot_annotations(annotations, num_classes, _num_annotators(annotations))
+    fractions = em.init_responsibilities(onehot)
     return np.argmax(fractions, axis=1), fractions
+
+
+def _num_annotators(annotations: Sequence[Mapping[int, int]]) -> int:
+    """One more than the largest annotator index used."""
+    return 1 + max((r for ann in annotations for r in ann), default=0)
 
 
 def dawid_skene(
@@ -32,31 +38,28 @@ def dawid_skene(
     num_classes: int,
     hyper: em.PriorHyperparams,
     num_annotators: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Feature-free EM over annotator confusion matrices.
 
     Starts from vote fractions and runs ``hyper.em_steps`` iterations of
     {update pi and confusions; recompute soft labels from pi_k * a_nk}.
-    Returns the soft labels, class prior, and per-annotator confusions.
+    Returns the soft labels, class prior, and the ``(R, K, K)`` confusions.
     """
-    annotations = em.normalize_annotations(annotations)
     if num_annotators is None:
-        num_annotators = 1 + max(r for ann in annotations for r in ann)
-    grouped = em.group_by_annotator(annotations, num_annotators)
-    lam = em.init_responsibilities(annotations, num_classes)
-
-    # The annotation likelihood helper reads annotations through a support
-    # set; zero embeddings keep the Gaussian term out of the scores here.
+        num_annotators = _num_annotators(annotations)
+    # The support set validates the labels once into the one-hot tensor the
+    # updates read; zero embeddings keep the Gaussian term out of the scores.
     support = em.SupportSet(
         embeddings=np.zeros((len(annotations), 1)),
         annotations=annotations,
         num_classes=num_classes,
         num_annotators=num_annotators,
     )
+    lam = em.init_responsibilities(support.onehot)
     pi = confusions = None
     for _ in range(hyper.em_steps):
         pi = em.class_prior_update(lam, hyper.b)
-        confusions = em.confusion_update(lam, grouped, num_classes, hyper.c)
+        confusions = em.confusion_update(lam, support.onehot, hyper.c)
         scores = np.log(pi)[None, :] + em.annotation_log_likelihood(support, confusions)
         lam = np.exp(scores - em.logsumexp(scores, axis=1, keepdims=True))
     return lam, pi, confusions

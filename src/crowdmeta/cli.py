@@ -128,7 +128,8 @@ def cmd_meta_train(args) -> int:
     log_path = os.path.join(args.out, "training_log.tsv")
     with open(log_path, "w", encoding="utf-8") as fh:
         for row in result.log:
-            fh.write(f"{row.iteration}\t{row.loss:.17g}\t{row.wall_ms:.3f}\n")
+            fh.write(f"{row.iteration}\t{row.loss:.17g}\t{row.wall_ms:.3f}\t"
+                     f"{row.pseudo_digest}\n")
 
     metrics = {
         "command": "meta-train",

@@ -4,19 +4,25 @@ Each support example carries labels from one or more annotators.  The model
 couples three pieces on the embedding space: an isotropic unit-variance
 Gaussian per class (prototypes ``mu_k``), a categorical class prior ``pi``,
 and one column-stochastic confusion matrix per annotator whose ``(l, k)``
-entry is the probability that the annotator reports label ``l`` when the
-true class is ``k``.  Conjugate priors (Gaussian with precision ``tau`` on
-prototypes, Dirichlet with strengths ``b`` and ``c`` on the class prior and
-on confusion columns) make every EM update closed form:
+entry is the probability that annotator ``r`` reports label ``l`` when the
+true class is ``k``; the ``R`` matrices form one ``(R, K, K)`` stack.
+Conjugate priors (Gaussian with precision ``tau`` on prototypes, Dirichlet
+with strengths ``b`` and ``c`` on the class prior and on confusion columns)
+make every EM update closed form.  With the labels held as a one-hot
+``(N, R, K)`` tensor ``Y`` (``Y_nrl = 1`` when annotator ``r`` labeled
+example ``n`` as ``l``), the confusion update is the Dawid & Skene (1979)
+count form:
 
-  M step:  mu_k     = sum_n lam_nk u_n / (tau + sum_n lam_nk)
-           pi_k     = (sum_n lam_nk + b) / (K b + N)
-           alpha_lk = (sum_{n in I_r} lam_nk [y_n = l] + c)
-                      / (sum_{n in I_r} lam_nk + K c)
-  E step:  lam_nk  propto  N(u_n | mu_k, I) pi_k a_nk
+  M step:  mu_k      = sum_n lam_nk u_n / (tau + sum_n lam_nk)
+           pi_k      = (sum_n lam_nk + b) / (K b + N)
+           C_rlk     = sum_n Y_nrl lam_nk
+           alpha_rlk = (C_rlk + c) / (sum_l C_rlk + K c)
+  E step:  lam_nk  propto  N(u_n | mu_k, I) pi_k a_nk,
+           log a_nk = sum_{r,l} Y_nrl log alpha_rlk
 
-where ``a_nk`` is the probability of example ``n``'s annotations given true
-class ``k`` and ``I_r`` indexes the examples annotated by annotator ``r``.
+so the counts ``C`` are one product ``Y^T lam`` and ``log a`` one product
+``Y log alpha``, with ``Y`` flattened to ``(N, R K)``.  An annotator who
+labeled nothing has zero counts and gets the uniform prior-mean matrix.
 All probability products run in log space; E-step normalization uses
 log-sum-exp with a max shift.
 """
@@ -68,34 +74,27 @@ class PriorHyperparams:
             raise ValueError(f"em_steps must be an integer >= 1 (got {self.em_steps})")
 
 
-def normalize_annotations(annotations: Sequence[AnnotationMap]) -> tuple[dict[int, int], ...]:
-    """Copy annotation maps into plain dicts, rejecting unannotated examples."""
-    out = []
+def one_hot_annotations(
+    annotations: Sequence[AnnotationMap], num_classes: int, num_annotators: int
+) -> np.ndarray:
+    """Validated annotation maps as a float one-hot ``(N, R, K)`` label tensor."""
+    if num_classes < 1:
+        raise ValueError("num_classes must be >= 1")
+    if num_annotators < 1:
+        raise ValueError("num_annotators must be >= 1")
+    onehot = np.zeros((len(annotations), num_annotators, num_classes))
+    hits = []  # flat indices of the ones
     for n, ann in enumerate(annotations):
         if len(ann) == 0:
             raise UnannotatedExampleError(f"unannotated example at index {n}")
-        out.append({int(r): int(y) for r, y in ann.items()})
-    return tuple(out)
-
-
-def group_by_annotator(
-    annotations: Sequence[AnnotationMap], num_annotators: int
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per-annotator ``(example_indices, labels)`` arrays.
-
-    Annotators who labeled nothing get empty arrays, which the confusion
-    update turns into the uniform prior-mean matrix.
-    """
-    idx: list[list[int]] = [[] for _ in range(num_annotators)]
-    lab: list[list[int]] = [[] for _ in range(num_annotators)]
-    for n, ann in enumerate(annotations):
         for r, y in ann.items():
-            idx[r].append(n)
-            lab[r].append(y)
-    return tuple(
-        (np.asarray(i, dtype=np.intp), np.asarray(l, dtype=np.intp))
-        for i, l in zip(idx, lab)
-    )
+            if not 0 <= r < num_annotators:
+                raise ValueError(f"annotator index {r} out of range at example {n}")
+            if not 0 <= y < num_classes:
+                raise ValueError(f"label {y} out of range at example {n}")
+            hits.append((n * num_annotators + r) * num_classes + y)
+    onehot.reshape(-1)[hits] = 1.0
+    return onehot
 
 
 @dataclass
@@ -104,16 +103,18 @@ class SupportSet:
 
     ``embeddings`` is ``(N, M)`` float64; ``annotations[n]`` maps annotator
     index to the reported label for example ``n``.  Every example must have
-    at least one annotation.
+    at least one annotation.  The labels are validated once, into the
+    one-hot ``(N, R, K)`` tensor ``onehot`` that every EM update reads, and
+    its ``(N, R)`` mask ``observed`` of the labeled (example, annotator)
+    pairs.
     """
 
     embeddings: np.ndarray
-    annotations: tuple[dict[int, int], ...]
+    annotations: Sequence[AnnotationMap]
     num_classes: int
     num_annotators: int
-    by_annotator: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
-        init=False, repr=False
-    )
+    onehot: np.ndarray = field(init=False, repr=False)
+    observed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.embeddings = np.ascontiguousarray(self.embeddings, dtype=np.float64)
@@ -121,20 +122,12 @@ class SupportSet:
             raise ValueError("embeddings must be a 2-D (N, M) array")
         if not np.all(np.isfinite(self.embeddings)):
             raise ValueError("embeddings contain non-finite values")
-        self.annotations = normalize_annotations(self.annotations)
         if len(self.annotations) != self.embeddings.shape[0]:
             raise ValueError("annotation count does not match embedding count")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
-        if self.num_annotators < 1:
-            raise ValueError("num_annotators must be >= 1")
-        for n, ann in enumerate(self.annotations):
-            for r, y in ann.items():
-                if not 0 <= r < self.num_annotators:
-                    raise ValueError(f"annotator index {r} out of range at example {n}")
-                if not 0 <= y < self.num_classes:
-                    raise ValueError(f"label {y} out of range at example {n}")
-        self.by_annotator = group_by_annotator(self.annotations, self.num_annotators)
+        self.onehot = one_hot_annotations(
+            self.annotations, self.num_classes, self.num_annotators
+        )
+        self.observed = self.onehot.sum(axis=2)
 
     @property
     def size(self) -> int:
@@ -151,7 +144,7 @@ class AdaptedClassifier:
 
     prototypes: np.ndarray  # (K, M)
     class_prior: np.ndarray  # (K,)
-    confusions: tuple[np.ndarray, ...]  # R matrices, each (K, K)
+    confusions: np.ndarray  # (R, K, K); R = 0 for label-free classifiers
     responsibilities: np.ndarray  # (N, K)
     hyper: PriorHyperparams
 
@@ -159,9 +152,10 @@ class AdaptedClassifier:
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         self.class_prior = np.asarray(self.class_prior, dtype=np.float64)
         self.responsibilities = np.asarray(self.responsibilities, dtype=np.float64)
+        k = self.prototypes.shape[0]
+        self.confusions = np.asarray(self.confusions, dtype=np.float64).reshape(-1, k, k)
         check_class_prior(self.class_prior)
-        for alpha in self.confusions:
-            check_confusion(alpha)
+        check_confusion(self.confusions)
         check_responsibilities(self.responsibilities)
 
     @property
@@ -185,27 +179,23 @@ def check_class_prior(pi: np.ndarray, atol: float = 1e-12) -> None:
 
 
 def check_confusion(alpha: np.ndarray, atol: float = 1e-12) -> None:
-    """Confusion matrices are square and column-stochastic."""
+    """Confusion matrices, ``(K, K)`` or stacked ``(..., K, K)``, are column-stochastic."""
     alpha = np.asarray(alpha)
-    if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
+    if alpha.ndim < 2 or alpha.shape[-2] != alpha.shape[-1]:
         raise ValueError("confusion matrix must be square")
     if np.any(alpha < 0.0) or np.any(alpha > 1.0):
         raise ValueError("confusion entries must lie in [0, 1]")
-    if not np.allclose(alpha.sum(axis=0), 1.0, rtol=0.0, atol=atol):
+    if not np.allclose(alpha.sum(axis=-2), 1.0, rtol=0.0, atol=atol):
         raise ValueError("confusion columns do not sum to 1")
 
 
-def init_responsibilities(
-    annotations: Sequence[AnnotationMap], num_classes: int
-) -> np.ndarray:
-    """Vote-fraction initialization: lam_nk = (votes for k) / (labels given to n)."""
-    annotations = normalize_annotations(annotations)
-    lam = np.zeros((len(annotations), num_classes), dtype=np.float64)
-    for n, ann in enumerate(annotations):
-        for y in ann.values():
-            lam[n, y] += 1.0
-        lam[n] /= len(ann)
-    return lam
+def init_responsibilities(onehot: np.ndarray) -> np.ndarray:
+    """Vote-fraction initialization from the ``(N, R, K)`` one-hot labels.
+
+    ``lam_nk = (votes for k) / (labels given to n)``.
+    """
+    votes = onehot.sum(axis=1)
+    return votes / votes.sum(axis=1, keepdims=True)
 
 
 def prototype_update(lam: np.ndarray, embeddings: np.ndarray, tau: float) -> np.ndarray:
@@ -222,31 +212,20 @@ def class_prior_update(lam: np.ndarray, b: float) -> np.ndarray:
     return (lam.sum(axis=0) + b) / (num_classes * b + num_examples)
 
 
-def confusion_update(
-    lam: np.ndarray,
-    by_annotator: Sequence[tuple[np.ndarray, np.ndarray]],
-    num_classes: int,
-    c: float,
-) -> tuple[np.ndarray, ...]:
-    """Smoothed per-annotator confusion estimates.
+def confusion_update(lam: np.ndarray, onehot: np.ndarray, c: float) -> np.ndarray:
+    """Smoothed ``(R, K, K)`` confusion estimates from the ``(N, R, K)`` one-hot labels.
 
     With ``c > 0`` an annotator who labeled nothing gets exactly the
     uniform matrix (the Dirichlet prior mean), since all counts are zero.
     """
-    out = []
-    for idx, labels in by_annotator:
-        lam_r = lam[idx]
-        onehot = np.zeros((len(idx), num_classes), dtype=np.float64)
-        onehot[np.arange(len(idx)), labels] = 1.0
-        counts = onehot.T @ lam_r  # (label l, class k)
-        alpha = (counts + c) / (lam_r.sum(axis=0) + num_classes * c)
-        out.append(alpha)
-    return tuple(out)
+    n, r, k = onehot.shape
+    counts = (onehot.reshape(n, r * k).T @ lam).reshape(r, k, k)  # (r, label l, class k)
+    return (counts + c) / (counts.sum(axis=1, keepdims=True) + k * c)
 
 
 def m_step(
     lam: np.ndarray, support: SupportSet, hyper: PriorHyperparams
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One maximization step: prototypes, class prior, confusion matrices."""
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (support.size, support.num_classes):
@@ -256,29 +235,32 @@ def m_step(
         )
     protos = prototype_update(lam, support.embeddings, hyper.tau)
     pi = class_prior_update(lam, hyper.b)
-    confusions = confusion_update(lam, support.by_annotator, support.num_classes, hyper.c)
+    confusions = confusion_update(lam, support.onehot, hyper.c)
     return protos, pi, confusions
 
 
 def annotation_log_likelihood(
     support: SupportSet, confusions: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """``log a_nk``: log-probability of example n's labels given true class k."""
-    if len(confusions) != support.num_annotators:
-        raise ValueError("one confusion matrix per annotator required")
-    log_a = np.zeros((support.size, support.num_classes), dtype=np.float64)
+    """``log a_nk``: log-probability of example n's labels given true class k.
+
+    Zero confusion entries are allowed in rows no observed label selects.
+    """
+    n, r, k = support.onehot.shape
+    confusions = np.asarray(confusions, dtype=np.float64)
+    if confusions.shape != (r, k, k):
+        raise ValueError("one (K, K) confusion matrix per annotator required")
     with np.errstate(divide="ignore"):
-        for (idx, labels), alpha in zip(support.by_annotator, confusions):
-            if len(idx) == 0:
-                continue
-            rows = np.log(alpha)[labels, :]
-            if np.any(np.isneginf(rows)):
-                raise ValueError(
-                    "zero confusion entry hit by an observed label; "
-                    "annotation likelihood requires strictly positive entries"
-                )
-            log_a[idx] += rows
-    return log_a
+        log_alpha = np.log(confusions)
+    if not np.isfinite(log_alpha).all():
+        zero = confusions == 0.0
+        if np.any(zero & support.onehot.any(axis=0)[:, :, None]):
+            raise ValueError(
+                "zero confusion entry hit by an observed label; "
+                "annotation likelihood requires strictly positive entries"
+            )
+        log_alpha[zero] = 0.0  # never selected: keeps 0 * log 0 out of the product
+    return support.onehot.reshape(n, r * k) @ log_alpha.reshape(r * k, k)
 
 
 def annotation_likelihood(
@@ -349,9 +331,9 @@ def log_prior(
     col_const = math.lgamma(num_classes * (hyper.c + 1.0)) - num_classes * math.lgamma(
         hyper.c + 1.0
     )
-    dir_conf = 0.0
-    for alpha in confusions:
-        dir_conf += num_classes * col_const + hyper.c * float(np.sum(np.log(alpha)))
+    dir_conf = len(confusions) * num_classes * col_const + hyper.c * float(
+        np.sum(np.log(confusions))
+    )
     return gauss + dir_pi + dir_conf
 
 
@@ -391,7 +373,7 @@ def lower_bound_q(
 
 def adapt(support: SupportSet, hyper: PriorHyperparams) -> AdaptedClassifier:
     """Run the full adaptation: vote-fraction init, then em_steps x {M, E}."""
-    lam = init_responsibilities(support.annotations, support.num_classes)
+    lam = init_responsibilities(support.onehot)
     prototypes = pi = confusions = None
     for _ in range(hyper.em_steps):
         prototypes, pi, confusions = m_step(lam, support, hyper)

@@ -144,19 +144,21 @@ def _m_step_vjp(
     lam: np.ndarray,
     u: np.ndarray,
     prototypes: np.ndarray,
-    confusions: Sequence[np.ndarray],
-    by_annotator: Sequence[tuple[np.ndarray, np.ndarray]],
+    confusions: np.ndarray,
+    support: em.SupportSet,
     hyper: em.PriorHyperparams,
     d_protos: np.ndarray,
     d_pi: np.ndarray,
-    d_confusions: Sequence[np.ndarray] | None,
+    d_confusions: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pull the M-step output gradients back to ``(d_lam, d_u)``.
 
     ``mu = lam^T u / (tau + sum lam)``, ``pi = (sum lam + b) / (K b + N)``
-    and ``alpha_r = (counts_r + c) / (sum_{I_r} lam + K c)``.  Classes whose
-    prototype denominator is zero (``tau = 0``, empty class) hold the
-    constant prior mean and pass no gradient.
+    and ``alpha = (C + c) / (sum_l C + K c)`` with counts ``C = Y^T lam``
+    over the flattened one-hot labels ``Y``, whose label sums are
+    ``observed^T lam``.  Classes whose prototype denominator is zero
+    (``tau = 0``, empty class) hold the constant prior mean and pass no
+    gradient.
     """
     n, k = lam.shape
     denom = hyper.tau + lam.sum(axis=0)
@@ -165,10 +167,9 @@ def _m_step_vjp(
     d_u = lam @ g
     d_lam = u @ g.T - (g * prototypes).sum(axis=1) + d_pi / (k * hyper.b + n)
     if d_confusions is not None:
-        for (idx, labels), alpha, d_alpha in zip(by_annotator, confusions, d_confusions):
-            if len(idx):
-                d_counts = d_alpha / (lam[idx].sum(axis=0) + k * hyper.c)
-                d_lam[idx] += d_counts[labels] - (d_counts * alpha).sum(axis=0)
+        d_counts = d_confusions / (support.observed.T @ lam + k * hyper.c)[:, None, :]
+        d_counts -= (d_counts * confusions).sum(axis=1, keepdims=True)
+        d_lam += support.onehot.reshape(n, -1) @ d_counts.reshape(-1, k)
     return d_lam, d_u
 
 
@@ -203,7 +204,7 @@ def episode_loss_and_grad(
         num_classes=num_classes,
         num_annotators=num_annotators,
     )
-    lam = em.init_responsibilities(support.annotations, num_classes)
+    lam = em.init_responsibilities(support.onehot)
     steps = []  # (responsibilities in, prototypes, class prior, confusions)
     for t in range(hyper.em_steps):
         protos, pi, confusions = em.m_step(lam, support, hyper)
@@ -220,11 +221,10 @@ def episode_loss_and_grad(
     d_query, d_protos, d_pi = _log_scores_vjp(d_scores, u_query, protos, pi)
     d_confusions = None
     d_support = np.zeros_like(u_support)
-    eye = np.eye(num_classes)
-    onehots = [eye[y] for _, y in support.by_annotator]
+    labels_flat = support.onehot.reshape(support.size, -1)
     for t in range(hyper.em_steps - 1, -1, -1):
         lam, protos, pi, confusions = steps[t]
-        d_lam, d_u = _m_step_vjp(lam, u_support, protos, confusions, support.by_annotator,
+        d_lam, d_u = _m_step_vjp(lam, u_support, protos, confusions, support,
                                  hyper, d_protos, d_pi, d_confusions)
         d_support += d_u
         if t == 0:
@@ -234,10 +234,7 @@ def episode_loss_and_grad(
         d_scores = lam * (d_lam - (lam * d_lam).sum(axis=1, keepdims=True))
         d_u, d_protos, d_pi = _log_scores_vjp(d_scores, u_support, protos, pi)
         d_support += d_u
-        d_confusions = [
-            onehot.T @ d_scores[idx] / alpha
-            for (idx, _), onehot, alpha in zip(support.by_annotator, onehots, confusions)
-        ]
+        d_confusions = (labels_flat.T @ d_scores).reshape(confusions.shape) / confusions
     grad = encoder.backward(support_record, d_support) + encoder.backward(query_record, d_query)
     return loss, grad
 

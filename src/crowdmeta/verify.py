@@ -65,7 +65,7 @@ def check_em_monotone(
     for t in range(num_tasks):
         k, n, r = grid[t % len(grid)]
         support = _random_task(stream(seed, "monotone-task", t), k, n, r)
-        lam = em.init_responsibilities(support.annotations, k)
+        lam = em.init_responsibilities(support.onehot)
         previous = None
         for _ in range(em_steps):
             protos, pi, confusions = em.m_step(lam, support, hyper)
@@ -87,7 +87,7 @@ def naive_e_step(
     support: em.SupportSet,
     prototypes: np.ndarray,
     class_prior: np.ndarray,
-    confusions: list[np.ndarray],
+    confusions: np.ndarray,
 ) -> np.ndarray:
     """Linear-space Bayes rule with explicit loops; the E-step oracle."""
     n, k = support.size, support.num_classes
@@ -116,10 +116,10 @@ def check_estep_oracle(seed: int = 77, num_tasks: int = 100, tol: float = 1e-12)
         n = int(rng.integers(2, 9))
         r = int(rng.integers(1, 4))
         support = _random_task(rng, k, n, r)
-        lam0 = em.init_responsibilities(support.annotations, k)
+        lam0 = em.init_responsibilities(support.onehot)
         protos, pi, confusions = em.m_step(lam0, support, hyper)
         fast = em.e_step(support, protos, pi, confusions)
-        slow = naive_e_step(support, protos, pi, list(confusions))
+        slow = naive_e_step(support, protos, pi, confusions)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
     return CheckReport(
         name="estep-oracle",

@@ -79,7 +79,7 @@ def test_c3_lower_bound_tightness():
             centers[truth] + rng.standard_normal((size, 3)),
             annotations, num_classes, annotators,
         )
-        lam = em.init_responsibilities(support.annotations, num_classes)
+        lam = em.init_responsibilities(support.onehot)
         for _ in range(hyper.em_steps):
             protos, pi, confusions = em.m_step(lam, support, hyper)
             lp = em.log_posterior(support, protos, pi, confusions, hyper)
@@ -285,14 +285,15 @@ def test_c9_complexity_linear_in_support_size():
         ))
     for support in supports:  # warm-up
         em.adapt(support, hyper)
-    times = []
-    for support in supports:
-        reps = []
-        for _ in range(30):
+    # sizes interleaved within each repeat, so a change in host speed
+    # reaches every size alike rather than one size's block of repeats
+    reps = [[] for _ in supports]
+    for _ in range(30):
+        for support, size_reps in zip(supports, reps):
             t0 = time.perf_counter()
             em.adapt(support, hyper)
-            reps.append(time.perf_counter() - t0)
-        times.append(np.median(reps))
+            size_reps.append(time.perf_counter() - t0)
+    times = [np.median(size_reps) for size_reps in reps]
     x = np.asarray(sizes, dtype=float)
     y = np.asarray(times)
     slope, intercept = np.polyfit(x, y, 1)

@@ -35,7 +35,7 @@ class TestMajorityVote:
             AnnotatorProfile(AnnotatorKind.HAMMER, q=0.7), 3)] * 4
         annotations = annotate(truth, confusions, rng)
         labels, _ = baselines.majority_vote(annotations, 3)
-        init = em.init_responsibilities(annotations, 3)
+        init = em.init_responsibilities(em.one_hot_annotations(annotations, 3, 4))
         np.testing.assert_array_equal(labels, np.argmax(init, axis=1))
 
     def test_unannotated_rejected(self):
@@ -49,10 +49,10 @@ class TestDawidSkene:
         hyper = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=1)
         lam, pi, confusions = baselines.dawid_skene(annotations, 2, hyper)
         # closed form: one M step from one-hot votes, one reweighting
-        votes = em.init_responsibilities(annotations, 2)
+        onehot = em.one_hot_annotations(annotations, 2, 1)
+        votes = em.init_responsibilities(onehot)
         pi_expected = em.class_prior_update(votes, 1.0)
-        grouped = em.group_by_annotator(annotations, 1)
-        alpha = em.confusion_update(votes, grouped, 2, 1.0)[0]
+        alpha = em.confusion_update(votes, onehot, 1.0)[0]
         scores = np.log(pi_expected)[None, :] + np.log(alpha)[[0, 0, 1], :]
         expected = np.exp(scores - em.logsumexp(scores, axis=1, keepdims=True))
         np.testing.assert_allclose(lam, expected, rtol=1e-12)
@@ -73,7 +73,7 @@ class TestDawidSkene:
             hyper = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=steps)
             lam, pi, confusions = baselines.dawid_skene(annotations, 2, hyper)
             # replay the same EM with explicit loops
-            lam_ref = em.init_responsibilities(annotations, 2)
+            lam_ref = em.init_responsibilities(em.one_hot_annotations(annotations, 2, 3))
             for _ in range(steps):
                 pi_ref = (lam_ref.sum(0) + 1.0) / (2.0 + 6.0)
                 alphas = []

@@ -103,7 +103,9 @@ class TestMetaTrainCommand:
         assert metrics["iterations_run"] == 25
         log_lines = open(os.path.join(out, "training_log.tsv")).read().splitlines()
         assert len(log_lines) == 25
-        assert len(log_lines[0].split("\t")) == 3
+        iteration, _, _, digest = log_lines[0].split("\t")
+        assert iteration == "1"
+        assert len(digest) == 12 and int(digest, 16) >= 0  # pseudo-annotation digest
 
     def test_ablation_flag_recorded(self, config_path, tmp_path):
         out = str(tmp_path / "ablate")

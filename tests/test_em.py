@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_em
 from crowdmeta import em
-from crowdmeta.annotators import AnnotatorDistribution, pseudo_annotate
+from crowdmeta.annotators import (
+    AnnotatorDistribution,
+    AnnotatorKind,
+    AnnotatorProfile,
+    annotate,
+    profile_to_confusion,
+    pseudo_annotate,
+    sample_annotator_pool,
+)
 from crowdmeta.seeding import stream
 
 
@@ -34,28 +43,33 @@ def random_task(seed, num_classes=3, size=6, num_annotators=2, dim=3, spread=1.0
 HYPER = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=3)
 
 
+def vote_fractions(annotations, num_classes, num_annotators=5):
+    onehot = em.one_hot_annotations(annotations, num_classes, num_annotators)
+    return em.init_responsibilities(onehot)
+
+
 class TestInitResponsibilities:
     def test_split_votes(self):
-        lam = em.init_responsibilities([{0: 0, 1: 2}], 3)
+        lam = vote_fractions([{0: 0, 1: 2}], 3)
         np.testing.assert_allclose(lam, [[0.5, 0.0, 0.5]])
 
     def test_unanimous(self):
-        lam = em.init_responsibilities([{0: 1, 1: 1, 2: 1}], 2)
+        lam = vote_fractions([{0: 1, 1: 1, 2: 1}], 2)
         np.testing.assert_allclose(lam, [[0.0, 1.0]])
 
     def test_four_way_split(self):
-        lam = em.init_responsibilities([{0: 0, 1: 1, 2: 2, 3: 3}], 4)
+        lam = vote_fractions([{0: 0, 1: 1, 2: 2, 3: 3}], 4)
         np.testing.assert_allclose(lam, [[0.25, 0.25, 0.25, 0.25]])
 
     def test_unannotated_example_rejected(self):
         with pytest.raises(em.UnannotatedExampleError, match="unannotated example"):
-            em.init_responsibilities([{0: 1}, {}], 2)
+            vote_fractions([{0: 1}, {}], 2)
 
     @given(st.lists(st.dictionaries(st.integers(0, 4), st.integers(0, 3),
                                     min_size=1, max_size=5),
                     min_size=1, max_size=8))
     def test_rows_are_distributions(self, annotations):
-        lam = em.init_responsibilities(annotations, 4)
+        lam = vote_fractions(annotations, 4)
         assert np.all(lam >= 0.0)
         np.testing.assert_allclose(lam.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -84,7 +98,7 @@ class TestMStep:
     def test_unlabeled_annotator_gets_uniform_confusion(self):
         # annotator 1 never labels anything in this task
         support = make_support(np.zeros((2, 2)), [{0: 0}, {0: 1}], 2, 2)
-        lam = em.init_responsibilities(support.annotations, 2)
+        lam = em.init_responsibilities(support.onehot)
         _, _, confusions = em.m_step(lam, support, HYPER)
         np.testing.assert_allclose(confusions[1], 0.5)
 
@@ -95,14 +109,14 @@ class TestMStep:
 
     def test_dirichlet_limit_flattens_class_prior(self):
         support = random_task(1, num_classes=4, size=10)
-        lam = em.init_responsibilities(support.annotations, 4)
+        lam = em.init_responsibilities(support.onehot)
         _, pi, _ = em.m_step(lam, support, em.PriorHyperparams(b=1e9))
         np.testing.assert_allclose(pi, 0.25, rtol=0, atol=1e-6)
 
     def test_smoothing_floors(self):
         # all of one class, single annotator always voting 0
         support = make_support(np.zeros((5, 2)), [{0: 0}] * 5, 3, 1)
-        lam = em.init_responsibilities(support.annotations, 3)
+        lam = em.init_responsibilities(support.onehot)
         _, pi, confusions = em.m_step(lam, support, HYPER)
         assert np.all(pi > 0.0)
         assert all(np.all(alpha > 0.0) for alpha in confusions)
@@ -131,6 +145,81 @@ class TestAnnotationLikelihood:
         support = make_support(np.zeros((1, 2)), [{0: 0}], 2, 1)
         with pytest.raises(ValueError, match="zero confusion entry"):
             em.annotation_likelihood(support, [np.eye(2)])
+
+
+class TestDenseMatchesLoops:
+    """The one-hot tensor products against the per-annotator loops of ``loop_em``."""
+
+    FLIPPER = profile_to_confusion(  # rows 1 and 2 hold zeros, row 0 none
+        AnnotatorProfile(AnnotatorKind.PAIRWISE_FLIPPER, q=0.7, flip_targets=(1, 0, 0)), 3
+    )
+    HAMMER = profile_to_confusion(AnnotatorProfile(AnnotatorKind.HAMMER, q=0.7), 3)
+
+    def compare(self, support, lam, c=1.0):
+        k, r = support.num_classes, support.num_annotators
+        protos, pi, confusions = em.m_step(lam, support, em.PriorHyperparams(c=c))
+        loops = loop_em.confusion_update(lam, support.annotations, r, k, c)
+        np.testing.assert_allclose(confusions, loops, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(
+            em.annotation_log_likelihood(support, confusions),
+            loop_em.annotation_log_likelihood(support.annotations, loops, k),
+            rtol=1e-13, atol=1e-15,
+        )
+        np.testing.assert_allclose(
+            em.e_step(support, protos, pi, confusions),
+            loop_em.e_step(support.embeddings, support.annotations, protos, pi, loops),
+            rtol=1e-12, atol=1e-15,
+        )
+        return confusions
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sparse_labels(self, seed):
+        rng = stream(seed, "dense-sparse")
+        truth = rng.integers(4, size=30)
+        _, true_confusions = sample_annotator_pool(
+            AnnotatorDistribution.expert_hammer_spammer(0.2, 0.6, 0.2), 6, 4, rng
+        )
+        annotations = annotate(truth, true_confusions, rng, label_fraction=0.3)
+        assert any(len(ann) == 1 for ann in annotations)
+        support = make_support(rng.standard_normal((30, 3)), annotations, 4, 6)
+        self.compare(support, rng.dirichlet(np.ones(4), size=30), c=0.5)
+
+    def test_silent_annotator_gets_exact_uniform(self):
+        rng = stream(7, "dense-silent")
+        truth = rng.integers(3, size=12)
+        annotations = annotate(truth, [self.HAMMER] * 3, rng, label_fraction=0.5)
+        support = make_support(rng.standard_normal((12, 2)), annotations, 3, 4)
+        confusions = self.compare(support, em.init_responsibilities(support.onehot))
+        np.testing.assert_array_equal(confusions[3], np.full((3, 3), 1.0 / 3.0))
+
+    def test_unhit_zero_entries_stay_finite(self):
+        # the flipper only ever reports label 0, whose row has no zero
+        annotations = [{0: 0, 1: 0}, {0: 1, 1: 0}, {0: 2}, {0: 1, 1: 0}]
+        support = make_support(np.zeros((4, 2)), annotations, 3, 2)
+        confusions = np.stack([self.HAMMER, self.FLIPPER])
+        log_a = em.annotation_log_likelihood(support, confusions)
+        assert np.all(np.isfinite(log_a))
+        np.testing.assert_allclose(
+            log_a, loop_em.annotation_log_likelihood(annotations, confusions, 3),
+            rtol=1e-15, atol=0,
+        )
+        protos = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        pi = np.array([0.2, 0.3, 0.5])
+        lam = em.e_step(support, protos, pi, confusions)
+        assert np.all(np.isfinite(lam))
+        np.testing.assert_allclose(
+            lam, loop_em.e_step(support.embeddings, annotations, protos, pi, confusions),
+            rtol=1e-13, atol=1e-15,
+        )
+
+    def test_hit_zero_entry_raises(self):
+        annotations = [{0: 0, 1: 0}, {0: 1, 1: 2}]  # label 2 selects a row with zeros
+        support = make_support(np.zeros((2, 2)), annotations, 3, 2)
+        confusions = np.stack([self.HAMMER, self.FLIPPER])
+        with pytest.raises(ValueError, match="zero confusion entry"):
+            loop_em.annotation_log_likelihood(annotations, confusions, 3)
+        with pytest.raises(ValueError, match="zero confusion entry"):
+            em.annotation_log_likelihood(support, confusions)
 
 
 class TestEStep:
@@ -162,7 +251,7 @@ class TestEStep:
     def test_matches_naive_linear_space(self):
         for t in range(20):
             support = random_task(100 + t, num_classes=4, size=8, num_annotators=3)
-            lam0 = em.init_responsibilities(support.annotations, 4)
+            lam0 = em.init_responsibilities(support.onehot)
             protos, pi, confusions = em.m_step(lam0, support, HYPER)
             fast = em.e_step(support, protos, pi, confusions)
             norm = (2 * math.pi) ** (-support.dim / 2)
@@ -181,7 +270,7 @@ class TestEStep:
 
     def test_rows_stochastic_along_trajectory(self):
         support = random_task(4, num_classes=4, size=12, num_annotators=3)
-        lam = em.init_responsibilities(support.annotations, 4)
+        lam = em.init_responsibilities(support.onehot)
         for _ in range(5):
             protos, pi, confusions = em.m_step(lam, support, HYPER)
             np.testing.assert_allclose(pi.sum(), 1.0, rtol=0, atol=1e-12)
@@ -223,7 +312,7 @@ def naive_lower_bound(lam, support, protos, pi, confusions, hyper):
 class TestLowerBound:
     def test_tight_after_e_step(self):
         support = random_task(5, num_classes=3, size=8, num_annotators=2)
-        lam = em.init_responsibilities(support.annotations, 3)
+        lam = em.init_responsibilities(support.onehot)
         protos, pi, confusions = em.m_step(lam, support, HYPER)
         lam = em.e_step(support, protos, pi, confusions)
         q = em.lower_bound_q(lam, support, protos, pi, confusions, HYPER)
@@ -232,7 +321,7 @@ class TestLowerBound:
 
     def test_jensen_gap_away_from_posterior(self):
         support = random_task(6, num_classes=3, size=8, num_annotators=2)
-        lam = em.init_responsibilities(support.annotations, 3)
+        lam = em.init_responsibilities(support.onehot)
         protos, pi, confusions = em.m_step(lam, support, HYPER)
         posterior = em.e_step(support, protos, pi, confusions)
         off = 0.5 * posterior + 0.5 / 3.0  # pulled toward uniform
@@ -242,7 +331,7 @@ class TestLowerBound:
 
     def test_matches_naive_summation(self):
         support = random_task(7, num_classes=3, size=6, num_annotators=2)
-        lam = em.init_responsibilities(support.annotations, 3)
+        lam = em.init_responsibilities(support.onehot)
         protos, pi, confusions = em.m_step(lam, support, HYPER)
         q = em.lower_bound_q(lam, support, protos, pi, confusions, HYPER)
         naive = naive_lower_bound(lam, support, protos, pi, confusions, HYPER)
@@ -275,7 +364,7 @@ class TestLogPosterior:
 
     def test_matches_exhaustive_enumeration(self):
         support = random_task(8, num_classes=2, size=3, num_annotators=2)
-        lam = em.init_responsibilities(support.annotations, 2)
+        lam = em.init_responsibilities(support.onehot)
         protos, pi, confusions = em.m_step(lam, support, HYPER)
         got = em.log_posterior(support, protos, pi, confusions, HYPER)
         # enumerate all 2^3 joint label assignments
@@ -299,7 +388,7 @@ class TestLogPosterior:
         hyper = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=8)
         for t in range(40):
             support = random_task(200 + t, num_classes=3, size=10, num_annotators=3)
-            lam = em.init_responsibilities(support.annotations, 3)
+            lam = em.init_responsibilities(support.onehot)
             previous = None
             for _ in range(hyper.em_steps):
                 protos, pi, confusions = em.m_step(lam, support, hyper)
@@ -315,7 +404,7 @@ class TestAdapt:
         support = random_task(9, num_classes=3, size=9, num_annotators=2)
         hyper = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=2)
         classifier = em.adapt(support, hyper)
-        lam = em.init_responsibilities(support.annotations, 3)
+        lam = em.init_responsibilities(support.onehot)
         for _ in range(2):
             protos, pi, confusions = em.m_step(lam, support, hyper)
             lam = em.e_step(support, protos, pi, confusions)
