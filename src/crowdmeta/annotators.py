@@ -11,7 +11,7 @@ annotators for evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -80,9 +80,13 @@ class AnnotatorProfile:
 
 @dataclass(frozen=True)
 class AnnotatorDistribution:
-    """Sampling weights over annotator kinds."""
+    """Sampling weights over annotator kinds.
+
+    ``cdf`` is the normalized CDF that ``Generator.choice(p=...)`` builds per call.
+    """
 
     weights: tuple[tuple[AnnotatorKind, float], ...]
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         total = 0.0
@@ -92,6 +96,9 @@ class AnnotatorDistribution:
             total += w
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"annotator weights must sum to 1, got {total}")
+        cdf = self.probabilities().cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "cdf", cdf)
 
     @classmethod
     def expert_hammer_spammer(cls, p_expert: float, p_hammer: float, p_spammer: float):
@@ -106,9 +113,6 @@ class AnnotatorDistribution:
     @classmethod
     def from_mapping(cls, weights: dict[AnnotatorKind, float]):
         return cls(tuple(weights.items()))
-
-    def kinds(self) -> tuple[AnnotatorKind, ...]:
-        return tuple(kind for kind, _ in self.weights)
 
     def probabilities(self) -> np.ndarray:
         return np.asarray([w for _, w in self.weights], dtype=np.float64)
@@ -129,8 +133,8 @@ def sample_profile(
     """Draw one annotator: kind from the distribution, then its parameters."""
     if num_classes < 2:
         raise ValueError("annotator simulation needs at least 2 classes")
-    kinds = dist.kinds()
-    kind = kinds[rng.choice(len(kinds), p=dist.probabilities())]
+    # the draw and the index of rng.choice(len(dist.weights), p=dist.probabilities())
+    kind = dist.weights[dist.cdf.searchsorted(rng.random(), side="right")][0]
     if kind is AnnotatorKind.SPAMMER:
         return AnnotatorProfile(kind=kind)
     if kind is AnnotatorKind.PAIRWISE_FLIPPER:
@@ -188,24 +192,21 @@ def annotate(
     true_labels = np.asarray(true_labels, dtype=np.intp)
     n = len(true_labels)
     num_annotators = len(confusions)
-    sampled = np.empty((n, num_annotators), dtype=np.intp)
-    for r, alpha in enumerate(confusions):
-        cum = np.cumsum(alpha[:, true_labels], axis=0)  # (K, n)
-        draws = rng.random(n)
-        sampled[:, r] = np.minimum(
-            (draws[None, :] > cum).sum(axis=0), alpha.shape[0] - 1
-        )
+    alpha = np.asarray(confusions, dtype=np.float64)  # (R, K, K)
+    cum = np.cumsum(alpha, axis=1)[:, :, true_labels]  # (R, K, n)
+    draws = rng.random((num_annotators, n))  # annotator r takes the r-th n draws
+    sampled = np.minimum((draws[:, None, :] > cum).sum(axis=1), alpha.shape[1] - 1)
+    rows = sampled.T.tolist()
     if label_fraction >= 1.0:
-        keep = np.ones((n, num_annotators), dtype=bool)
-    else:
-        if label_fraction <= 0.0:
-            raise ValueError("label_fraction must be in (0, 1]")
-        keep = rng.random((n, num_annotators)) < label_fraction
-        for i in np.flatnonzero(~keep.any(axis=1)):
-            keep[i, rng.integers(num_annotators)] = True
+        return [dict(enumerate(row)) for row in rows]
+    if label_fraction <= 0.0:
+        raise ValueError("label_fraction must be in (0, 1]")
+    keep = rng.random((n, num_annotators)) < label_fraction
+    for i in np.flatnonzero(~keep.any(axis=1)):
+        keep[i, rng.integers(num_annotators)] = True
     return [
-        {r: int(sampled[i, r]) for r in range(num_annotators) if keep[i, r]}
-        for i in range(n)
+        {r: y for r, (y, kept) in enumerate(zip(row, kept_row)) if kept}
+        for row, kept_row in zip(rows, keep.tolist())
     ]
 
 

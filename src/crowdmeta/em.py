@@ -25,6 +25,10 @@ so the counts ``C`` are one product ``Y^T lam`` and ``log a`` one product
 labeled nothing has zero counts and gets the uniform prior-mean matrix.
 All probability products run in log space; E-step normalization uses
 log-sum-exp with a max shift.
+
+The updates, the E step and :func:`adapt` take an optional leading task
+axis: B episodes of equal shape, stacked as ``(B, N, ...)`` arrays in one
+:class:`SupportSet`, run as one call whose every result gains that axis.
 """
 
 from __future__ import annotations
@@ -106,7 +110,8 @@ class SupportSet:
     at least one annotation.  The labels are validated once, into the
     one-hot ``(N, R, K)`` tensor ``onehot`` that every EM update reads, and
     its ``(N, R)`` mask ``observed`` of the labeled (example, annotator)
-    pairs.
+    pairs.  ``(B, N, M)`` embeddings with B annotation lists stack B
+    episodes; ``onehot`` is then ``(B, N, R, K)``.
     """
 
     embeddings: np.ndarray
@@ -118,24 +123,25 @@ class SupportSet:
 
     def __post_init__(self) -> None:
         self.embeddings = np.ascontiguousarray(self.embeddings, dtype=np.float64)
-        if self.embeddings.ndim != 2:
-            raise ValueError("embeddings must be a 2-D (N, M) array")
+        if not 2 <= self.embeddings.ndim <= 3:
+            raise ValueError("embeddings must be an (N, M) or a (B, N, M) array")
         if not np.all(np.isfinite(self.embeddings)):
             raise ValueError("embeddings contain non-finite values")
-        if len(self.annotations) != self.embeddings.shape[0]:
+        stacked = self.embeddings.ndim == 3
+        lists = self.annotations if stacked else [self.annotations]
+        if list(map(len, lists)) != [self.size] * (len(self.embeddings) if stacked else 1):
             raise ValueError("annotation count does not match embedding count")
-        self.onehot = one_hot_annotations(
-            self.annotations, self.num_classes, self.num_annotators
-        )
-        self.observed = self.onehot.sum(axis=2)
+        onehot = [one_hot_annotations(a, self.num_classes, self.num_annotators) for a in lists]
+        self.onehot = np.stack(onehot) if stacked else onehot[0]
+        self.observed = self.onehot.sum(axis=-1)
 
     @property
     def size(self) -> int:
-        return self.embeddings.shape[0]
+        return self.embeddings.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.embeddings.shape[1]
+        return self.embeddings.shape[-1]
 
 
 @dataclass
@@ -152,29 +158,29 @@ class AdaptedClassifier:
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         self.class_prior = np.asarray(self.class_prior, dtype=np.float64)
         self.responsibilities = np.asarray(self.responsibilities, dtype=np.float64)
-        k = self.prototypes.shape[0]
-        self.confusions = np.asarray(self.confusions, dtype=np.float64).reshape(-1, k, k)
+        *lead, k, _ = self.prototypes.shape
+        self.confusions = np.asarray(self.confusions, dtype=np.float64).reshape(*lead, -1, k, k)
         check_class_prior(self.class_prior)
         check_confusion(self.confusions)
         check_responsibilities(self.responsibilities)
 
     @property
     def num_classes(self) -> int:
-        return self.prototypes.shape[0]
+        return self.prototypes.shape[-2]
 
 
 def check_responsibilities(lam: np.ndarray, atol: float = 1e-12) -> None:
     """Rows of a responsibility matrix are distributions over classes."""
     if np.any(lam < 0.0):
         raise ValueError("responsibilities contain negative entries")
-    if not np.allclose(lam.sum(axis=1), 1.0, rtol=0.0, atol=atol):
+    if not np.allclose(lam.sum(axis=-1), 1.0, rtol=0.0, atol=atol):
         raise ValueError("responsibility rows do not sum to 1")
 
 
 def check_class_prior(pi: np.ndarray, atol: float = 1e-12) -> None:
     if np.any(pi < 0.0):
         raise ValueError("class prior contains negative entries")
-    if abs(float(pi.sum()) - 1.0) > atol:
+    if (np.abs(pi.sum(axis=-1) - 1.0) > atol).any():
         raise ValueError("class prior does not sum to 1")
 
 
@@ -194,22 +200,22 @@ def init_responsibilities(onehot: np.ndarray) -> np.ndarray:
 
     ``lam_nk = (votes for k) / (labels given to n)``.
     """
-    votes = onehot.sum(axis=1)
-    return votes / votes.sum(axis=1, keepdims=True)
+    votes = onehot.sum(axis=-2)
+    return votes / votes.sum(axis=-1, keepdims=True)
 
 
 def prototype_update(lam: np.ndarray, embeddings: np.ndarray, tau: float) -> np.ndarray:
     """Closed-form prototype maximizer; empty classes fall back to the prior mean 0."""
-    denom = tau + lam.sum(axis=0)
-    protos = np.zeros((lam.shape[1], embeddings.shape[1]), dtype=np.float64)
+    denom = tau + lam.sum(axis=-2)
+    protos = np.zeros(denom.shape + embeddings.shape[-1:], dtype=np.float64)
     nz = denom > 0.0
-    protos[nz] = (lam.T @ embeddings)[nz] / denom[nz, None]
+    protos[nz] = (lam.swapaxes(-1, -2) @ embeddings)[nz] / denom[nz, None]
     return protos
 
 
 def class_prior_update(lam: np.ndarray, b: float) -> np.ndarray:
-    num_examples, num_classes = lam.shape
-    return (lam.sum(axis=0) + b) / (num_classes * b + num_examples)
+    num_examples, num_classes = lam.shape[-2:]
+    return (lam.sum(axis=-2) + b) / (num_classes * b + num_examples)
 
 
 def confusion_update(lam: np.ndarray, onehot: np.ndarray, c: float) -> np.ndarray:
@@ -218,9 +224,10 @@ def confusion_update(lam: np.ndarray, onehot: np.ndarray, c: float) -> np.ndarra
     With ``c > 0`` an annotator who labeled nothing gets exactly the
     uniform matrix (the Dirichlet prior mean), since all counts are zero.
     """
-    n, r, k = onehot.shape
-    counts = (onehot.reshape(n, r * k).T @ lam).reshape(r, k, k)  # (r, label l, class k)
-    return (counts + c) / (counts.sum(axis=1, keepdims=True) + k * c)
+    k = onehot.shape[-1]
+    counts = onehot.reshape(onehot.shape[:-2] + (-1,)).swapaxes(-1, -2) @ lam
+    counts = counts.reshape(onehot.shape[:-3] + (-1, k, k))  # (..., r, label l, class k)
+    return (counts + c) / (counts.sum(axis=-2, keepdims=True) + k * c)
 
 
 def m_step(
@@ -228,10 +235,10 @@ def m_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One maximization step: prototypes, class prior, confusion matrices."""
     lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (support.size, support.num_classes):
+    if lam.shape != support.embeddings.shape[:-1] + (support.num_classes,):
         raise ValueError(
             f"responsibilities shape {lam.shape} does not match "
-            f"({support.size}, {support.num_classes})"
+            f"{support.embeddings.shape[:-1] + (support.num_classes,)}"
         )
     protos = prototype_update(lam, support.embeddings, hyper.tau)
     pi = class_prior_update(lam, hyper.b)
@@ -246,21 +253,23 @@ def annotation_log_likelihood(
 
     Zero confusion entries are allowed in rows no observed label selects.
     """
-    n, r, k = support.onehot.shape
+    shape = support.onehot.shape  # (..., n, r, k)
+    r, k = shape[-2:]
     confusions = np.asarray(confusions, dtype=np.float64)
-    if confusions.shape != (r, k, k):
+    if confusions.shape != shape[:-3] + (r, k, k):
         raise ValueError("one (K, K) confusion matrix per annotator required")
     with np.errstate(divide="ignore"):
         log_alpha = np.log(confusions)
     if not np.isfinite(log_alpha).all():
         zero = confusions == 0.0
-        if np.any(zero & support.onehot.any(axis=0)[:, :, None]):
+        if np.any(zero & support.onehot.any(axis=-3)[..., None]):
             raise ValueError(
                 "zero confusion entry hit by an observed label; "
                 "annotation likelihood requires strictly positive entries"
             )
         log_alpha[zero] = 0.0  # never selected: keeps 0 * log 0 out of the product
-    return support.onehot.reshape(n, r * k) @ log_alpha.reshape(r * k, k)
+    labels = support.onehot.reshape(shape[:-2] + (r * k,))
+    return labels @ log_alpha.reshape(shape[:-3] + (r * k, k))
 
 
 def annotation_likelihood(
@@ -271,10 +280,10 @@ def annotation_likelihood(
 
 
 def squared_distances(u: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (n, K)."""
-    sq_u = np.sum(u * u, axis=1)[:, None]
-    sq_p = np.sum(prototypes * prototypes, axis=1)[None, :]
-    return sq_u - 2.0 * (u @ prototypes.T) + sq_p
+    """Pairwise squared Euclidean distances, (..., n, K)."""
+    sq_u = np.sum(u * u, axis=-1)[..., None]
+    sq_p = np.sum(prototypes * prototypes, axis=-1)[..., None, :]
+    return sq_u - 2.0 * (u @ prototypes.swapaxes(-1, -2)) + sq_p
 
 
 def logsumexp(scores: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
@@ -293,7 +302,7 @@ def _posterior_log_scores(
 ) -> np.ndarray:
     """Unnormalized per-example class log scores (Gaussian constant dropped)."""
     sq = squared_distances(support.embeddings, prototypes)
-    return -0.5 * sq + np.log(class_prior)[None, :] + annotation_log_likelihood(
+    return -0.5 * sq + np.log(class_prior)[..., None, :] + annotation_log_likelihood(
         support, confusions
     )
 
@@ -306,9 +315,9 @@ def e_step(
 ) -> np.ndarray:
     """Exact posterior responsibilities, normalized row-wise in log space."""
     scores = _posterior_log_scores(support, prototypes, class_prior, confusions)
-    if not np.all(np.isfinite(np.max(scores, axis=1))):
+    if not np.all(np.isfinite(np.max(scores, axis=-1))):
         raise RuntimeError("no class has positive posterior mass for some example")
-    return np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
+    return np.exp(scores - logsumexp(scores, axis=-1, keepdims=True))
 
 
 def log_prior(

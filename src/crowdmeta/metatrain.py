@@ -1,13 +1,14 @@
 """Episodic bi-level training loop.
 
-Each outer iteration samples an episode from a source task, pseudo-annotates
-its support set with freshly drawn annotators, adapts the task-specific
-classifier with the unrolled EM on the embedded support, scores the clean
-query set, and backpropagates the query loss through every EM step into the
-encoder parameters, which an Adam step then updates.  The forward pass runs
-the closed-form updates of :mod:`crowdmeta.em` itself; the reverse pass is
-a hand-derived vector-Jacobian product chained backwards over the EM steps
-(:func:`episode_loss_and_grad`).
+Each outer iteration samples a meta-batch of episodes from the source
+tasks, pseudo-annotates each support set with freshly drawn annotators,
+adapts the task-specific classifiers with the unrolled EM on the embedded
+supports, scores the clean query sets, and backpropagates the mean query
+loss through every EM step into the encoder parameters, which an Adam step
+then updates.  The whole meta-batch is one pass: the episodes are stacked
+along a leading task axis through the encoder, the closed-form updates of
+:mod:`crowdmeta.em` and the reverse pass, a hand-derived vector-Jacobian
+product chained backwards over the EM steps (:func:`episode_loss_and_grad`).
 """
 
 from __future__ import annotations
@@ -108,13 +109,13 @@ def adam_update(state: TrainState, gradient: np.ndarray, config: MetaConfig) -> 
 def _scored_query(
     u: np.ndarray, labels: np.ndarray, prototypes: np.ndarray, class_prior: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Query log scores, their row log-sum-exp, and the mean label loss."""
-    if u.ndim != 2 or u.shape[0] == 0:
+    """Query log scores, their row log-sum-exp, and the mean label loss over all episodes."""
+    if u.ndim < 2 or u.shape[-2] == 0:
         raise ValueError("query set must be a nonempty (N, M) array")
-    scores = -0.5 * em.squared_distances(u, prototypes) + np.log(class_prior)[None, :]
-    lse = em.logsumexp(scores, axis=1)
-    picked = scores[np.arange(len(labels)), labels]
-    return scores, lse, float(np.sum(lse - picked)) / len(labels)
+    scores = -0.5 * em.squared_distances(u, prototypes) + np.log(class_prior)[..., None, :]
+    lse = em.logsumexp(scores, axis=-1)
+    picked = np.take_along_axis(scores, labels[..., None], axis=-1)[..., 0]
+    return scores, lse, float(np.sum(lse - picked)) / labels.size
 
 
 def query_loss(
@@ -136,8 +137,9 @@ def _log_scores_vjp(
     Every row of ``d_scores`` is the gradient of a softmax input and sums
     to zero, so the ``|u_n|^2`` term contributes nothing to ``d_u``.
     """
-    col = d_scores.sum(axis=0)
-    return d_scores @ prototypes, d_scores.T @ u - col[:, None] * prototypes, col / class_prior
+    col = d_scores.sum(axis=-2)
+    d_protos = d_scores.swapaxes(-1, -2) @ u - col[..., None] * prototypes
+    return d_scores @ prototypes, d_protos, col / class_prior
 
 
 def _m_step_vjp(
@@ -160,44 +162,58 @@ def _m_step_vjp(
     (``tau = 0``, empty class) hold the constant prior mean and pass no
     gradient.
     """
-    n, k = lam.shape
-    denom = hyper.tau + lam.sum(axis=0)
-    g = np.divide(d_protos, denom[:, None], out=np.zeros_like(d_protos),
-                  where=denom[:, None] > 0.0)
+    *lead, n, k = lam.shape
+    denom = (hyper.tau + lam.sum(axis=-2))[..., None]
+    g = np.divide(d_protos, denom, out=np.zeros_like(d_protos), where=denom > 0.0)
     d_u = lam @ g
-    d_lam = u @ g.T - (g * prototypes).sum(axis=1) + d_pi / (k * hyper.b + n)
+    d_lam = u @ g.swapaxes(-1, -2) - (g * prototypes).sum(axis=-1)[..., None, :]
+    d_lam += (d_pi / (k * hyper.b + n))[..., None, :]
     if d_confusions is not None:
-        d_counts = d_confusions / (support.observed.T @ lam + k * hyper.c)[:, None, :]
-        d_counts -= (d_counts * confusions).sum(axis=1, keepdims=True)
-        d_lam += support.onehot.reshape(n, -1) @ d_counts.reshape(-1, k)
+        label_sums = support.observed.swapaxes(-1, -2) @ lam
+        d_counts = d_confusions / (label_sums + k * hyper.c)[..., None, :]
+        d_counts -= (d_counts * confusions).sum(axis=-2, keepdims=True)
+        d_lam += support.onehot.reshape(*lead, n, -1) @ d_counts.reshape(*lead, -1, k)
     return d_lam, d_u
 
 
 def episode_loss_and_grad(
     params: EncoderParams,
     support_x: np.ndarray,
-    annotations: Sequence[dict[int, int]],
+    annotations: Sequence,
     num_classes: int,
     num_annotators: int,
     query_x: np.ndarray,
     query_y: np.ndarray,
     hyper: em.PriorHyperparams,
 ) -> tuple[float, np.ndarray]:
-    """Query loss after the unrolled EM, and its gradient w.r.t. the flat parameters.
+    """Mean query loss after the unrolled EM, and its gradient w.r.t. the flat parameters.
 
-    The forward pass runs :func:`crowdmeta.em.m_step` and
-    :func:`crowdmeta.em.e_step` on the embedded support, keeping every
+    ``support_x`` is ``(B, N, D)`` with B annotation lists, ``query_x``
+    ``(B, Q, D)`` and ``query_y`` ``(B, Q)``: B episodes of equal shape,
+    whose loss is the mean of theirs.  Two-dimensional inputs with one
+    annotation list are a single episode.  One encoder pass embeds every
+    support and query row.  The forward pass runs :func:`crowdmeta.em.m_step`
+    and :func:`crowdmeta.em.e_step` on the stacked supports, keeping every
     step's responsibilities; the final E step is skipped because the loss
     reads only the last prototypes and class prior.  The reverse pass is
     hand-derived: the query log-softmax, then for each step from the last
     the M-step updates and the E-step softmax, whose output gradient
     reaches the previous M step through its prototypes, class prior and
     confusions.  The vote-fraction initialization and the discrete labels
-    are constants.  :func:`crowdmeta.encoder.backward` finishes on the
-    support and query activations.
+    are constants.  One :func:`crowdmeta.encoder.backward` finishes on the
+    recorded activations.
     """
-    u_support, support_record = encoder.forward_recorded(support_x, params)
-    u_query, query_record = encoder.forward_recorded(query_x, params)
+    support_x = np.asarray(support_x, dtype=np.float64)
+    query_x = np.asarray(query_x, dtype=np.float64)
+    labels = np.asarray(query_y, dtype=np.intp)
+    if support_x.ndim == 2:  # one episode
+        support_x, query_x, labels = support_x[None], query_x[None], labels[None]
+        annotations = [annotations]
+    (b, n, width), q = support_x.shape, labels.shape[1]
+    x = np.concatenate([support_x.reshape(b * n, width), query_x.reshape(b * q, width)])
+    u, record = encoder.forward_recorded(x, params)
+    u_support = u[: b * n].reshape(b, n, -1)
+    u_query = u[b * n :].reshape(b, q, -1)
     support = em.SupportSet(
         embeddings=u_support,
         annotations=annotations,
@@ -212,16 +228,15 @@ def episode_loss_and_grad(
         if t + 1 < hyper.em_steps:
             lam = em.e_step(support, protos, pi, confusions)
 
-    labels = np.asarray(query_y, dtype=np.intp)
     scores, lse, loss = _scored_query(u_query, labels, protos, pi)
 
-    d_scores = np.exp(scores - lse[:, None])
-    d_scores[np.arange(len(labels)), labels] -= 1.0
-    d_scores /= len(labels)
+    d_scores = np.exp(scores - lse[..., None])
+    d_scores[np.arange(b)[:, None], np.arange(q), labels] -= 1.0
+    d_scores /= labels.size
     d_query, d_protos, d_pi = _log_scores_vjp(d_scores, u_query, protos, pi)
     d_confusions = None
     d_support = np.zeros_like(u_support)
-    labels_flat = support.onehot.reshape(support.size, -1)
+    labels_t = support.onehot.reshape(b, n, -1).swapaxes(-1, -2)
     for t in range(hyper.em_steps - 1, -1, -1):
         lam, protos, pi, confusions = steps[t]
         d_lam, d_u = _m_step_vjp(lam, u_support, protos, confusions, support,
@@ -231,12 +246,12 @@ def episode_loss_and_grad(
             break
         # lam came from the E step on the previous M step's parameters
         _, protos, pi, confusions = steps[t - 1]
-        d_scores = lam * (d_lam - (lam * d_lam).sum(axis=1, keepdims=True))
+        d_scores = lam * (d_lam - (lam * d_lam).sum(axis=-1, keepdims=True))
         d_u, d_protos, d_pi = _log_scores_vjp(d_scores, u_support, protos, pi)
         d_support += d_u
-        d_confusions = (labels_flat.T @ d_scores).reshape(confusions.shape) / confusions
-    grad = encoder.backward(support_record, d_support) + encoder.backward(query_record, d_query)
-    return loss, grad
+        d_confusions = (labels_t @ d_scores).reshape(confusions.shape) / confusions
+    d_u = np.concatenate([d_support.reshape(b * n, -1), d_query.reshape(b * q, -1)])
+    return loss, encoder.backward(record, d_u)
 
 
 def confusion_digest(confusions: Sequence[np.ndarray]) -> str:
@@ -255,33 +270,36 @@ class EpisodeGradient:
 
 def meta_gradient(
     params: EncoderParams,
-    episode: Episode,
+    episodes: Sequence[Episode],
     config: MetaConfig,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> EpisodeGradient:
-    """Loss and exact reverse-mode gradient for one episode.
+    """Mean loss and exact reverse-mode gradient over a meta-batch of episodes.
 
-    Support labels are pseudo-annotated from the configured distribution
-    (fresh draw per call); with pseudo-annotation disabled the support
-    keeps its clean labels as a single perfect annotator.  The sampled
-    labels themselves are constants of the episode; gradients flow through
-    the embeddings and through every EM quantity that depends on them.
+    Each support set is pseudo-annotated from the configured distribution
+    with its own generator (a fresh draw per call); with pseudo-annotation
+    disabled a support keeps its clean labels as a single perfect
+    annotator.  The sampled labels themselves are constants of the episode;
+    gradients flow through the embeddings and through every EM quantity
+    that depends on them.  The episodes then share one pass of
+    :func:`episode_loss_and_grad`.  The digest is the last episode's.
     """
-    k = episode.num_classes
+    k = episodes[0].num_classes
     if config.pseudo_annotation:
-        annotations, confusions = pseudo_annotate(
-            episode.support_y, config.num_annotators, config.pseudo_dist, k, rng
-        )
-        digest = confusion_digest(confusions)
+        drawn = [pseudo_annotate(e.support_y, config.num_annotators, config.pseudo_dist, k, rng)
+                 for e, rng in zip(episodes, rngs, strict=True)]
+        annotations = [labels for labels, _ in drawn]
+        digest = confusion_digest(drawn[-1][1])
         num_annotators = config.num_annotators
     else:
-        annotations = [{0: int(y)} for y in episode.support_y]
+        annotations = [[{0: int(y)} for y in episode.support_y] for episode in episodes]
         digest = "clean"
         num_annotators = 1
 
     loss, grad = episode_loss_and_grad(
-        params, episode.support_x, annotations, k, num_annotators,
-        episode.query_x, episode.query_y, config.hyper,
+        params, np.stack([e.support_x for e in episodes]), annotations, k, num_annotators,
+        np.stack([e.query_x for e in episodes]), np.stack([e.query_y for e in episodes]),
+        config.hyper,
     )
     return EpisodeGradient(loss=loss, grad=grad, pseudo_digest=digest)
 
@@ -433,35 +451,28 @@ def meta_train(
     for iteration in range(1, config.max_iterations + 1):
         tic = time.perf_counter()
         params = EncoderParams.unflatten(config.encoder, state.theta)
-        losses, grads, digest = [], [], "clean"
+        episodes, rngs = [], []
         for b in range(config.meta_batch):
             task_rng = stream(config.master_seed, "task-choice", iteration, b)
             d = int(task_rng.integers(len(source_tasks)))
-            episode = sample_episode(
+            episodes.append(sample_episode(
                 source_tasks[d],
                 config.ways,
                 config.shots,
                 config.query_per_class,
                 stream(config.master_seed, "episode", iteration, b),
-            )
-            result = meta_gradient(
-                params, episode, config,
-                stream(config.master_seed, "pseudo-annotate", iteration, b),
-            )
-            losses.append(result.loss)
-            grads.append(result.grad)
-            digest = result.pseudo_digest
-        loss = float(np.mean(losses))
-        gradient = np.mean(grads, axis=0)
+            ))
+            rngs.append(stream(config.master_seed, "pseudo-annotate", iteration, b))
+        result = meta_gradient(params, episodes, config, rngs)
         try:
-            adam_update(state, gradient, config)
+            adam_update(state, result.grad, config)
         except NonFiniteGradientError as exc:
             log.append(TrainingLogRow(iteration, float("nan"), 0.0, f"skipped:{exc}"))
             continue
         iterations_run = iteration
-        log.append(
-            TrainingLogRow(iteration, loss, (time.perf_counter() - tic) * 1e3, digest)
-        )
+        log.append(TrainingLogRow(
+            iteration, result.loss, (time.perf_counter() - tic) * 1e3, result.pseudo_digest
+        ))
 
         if val_episodes and iteration % config.validation_interval == 0:
             current = EncoderParams.unflatten(config.encoder, state.theta)

@@ -156,15 +156,16 @@ def episode_loss_value(
 def check_gradcheck(
     seed: int = 9, num_coords: int = 20, step: float = 1e-5, tol: float = 1e-4
 ) -> CheckReport:
-    """Analytic episode gradient vs central finite differences."""
+    """Analytic episode gradient vs central finite differences; the last case stacks episodes."""
     worst = 0.0
-    cases = [
-        (1, (6,), 2, 1),
-        (2, (8,), 4, 3),
-        (3, (8, 6), 4, 3),
-        (2, (10, 5), 2, 3),
+    cases = [  # (em_steps, hidden widths, ways, annotators, episodes)
+        (1, (6,), 2, 1, 1),
+        (2, (8,), 4, 3, 1),
+        (3, (8, 6), 4, 3, 1),
+        (2, (10, 5), 2, 3, 1),
+        (3, (8,), 3, 3, 3),
     ]
-    for case_idx, (em_steps, hidden, ways, annotators) in enumerate(cases):
+    for case_idx, (em_steps, hidden, ways, annotators, batch) in enumerate(cases):
         rng = stream(seed, "gradcheck", case_idx)
         dim, embed = 4, 3
         shots, qpc = 2, 3
@@ -172,17 +173,28 @@ def check_gradcheck(
             input_dim=dim, hidden_dims=hidden, output_dim=embed, init_seed=case_idx
         )
         params = init_params(config)
-        support_x = rng.standard_normal((ways * shots, dim))
         support_y = np.repeat(np.arange(ways), shots)
-        query_x = rng.standard_normal((ways * qpc, dim))
         query_y = np.repeat(np.arange(ways), qpc)
         dist = AnnotatorDistribution.expert_hammer_spammer(0.2, 0.6, 0.2)
-        annotations, _ = pseudo_annotate(support_y, annotators, dist, ways, rng)
+        episodes = []  # (support_x, annotations, query_x)
+        for _ in range(batch):
+            support_x = rng.standard_normal((ways * shots, dim))
+            query_x = rng.standard_normal((ways * qpc, dim))
+            annotations, _ = pseudo_annotate(support_y, annotators, dist, ways, rng)
+            episodes.append((support_x, annotations, query_x))
         hyper = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=em_steps)
 
+        support_x, annotations, query_x = zip(*episodes)
         _, grad = mt.episode_loss_and_grad(
-            params, support_x, annotations, ways, annotators, query_x, query_y, hyper
+            params, np.stack(support_x), annotations, ways, annotators,
+            np.stack(query_x), np.tile(query_y, (batch, 1)), hyper,
         )
+
+        def loss(theta: np.ndarray) -> float:
+            return float(np.mean([
+                episode_loss_value(theta, config, sx, ann, ways, annotators, qx, query_y, hyper)
+                for sx, ann, qx in episodes
+            ]))
 
         theta = params.flatten()
         coords = rng.choice(theta.size, size=min(num_coords, theta.size), replace=False)
@@ -190,12 +202,7 @@ def check_gradcheck(
             plus, minus = theta.copy(), theta.copy()
             plus[c] += step
             minus[c] -= step
-            fd = (
-                episode_loss_value(plus, config, support_x, annotations, ways,
-                                   annotators, query_x, query_y, hyper)
-                - episode_loss_value(minus, config, support_x, annotations, ways,
-                                     annotators, query_x, query_y, hyper)
-            ) / (2.0 * step)
+            fd = (loss(plus) - loss(minus)) / (2.0 * step)
             rel = abs(fd - grad[c]) / max(1e-8, abs(fd), abs(grad[c]))
             worst = max(worst, rel)
     return CheckReport(

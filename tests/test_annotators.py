@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import loop_annotators
 from crowdmeta import em
 from crowdmeta.annotators import (
     ACCURACY_RANGES,
@@ -211,3 +212,39 @@ class TestPseudoAnnotate:
         for profile in profiles:
             d = profile.to_dict()
             assert d["kind"] in {k.value for k in AnnotatorKind}
+
+
+class TestMatchesLoops:
+    """Sampling against the ``Generator.choice`` / per-annotator loops of ``loop_annotators``."""
+
+    DISTS = (
+        AnnotatorDistribution.from_mapping({kind: 0.2 for kind in AnnotatorKind}),
+        EHS(0.1, 0.7, 0.2),
+        AnnotatorDistribution.from_mapping({  # zero weights leave flat CDF steps
+            AnnotatorKind.EXPERT: 0.0,
+            AnnotatorKind.PAIRWISE_FLIPPER: 0.5,
+            AnnotatorKind.SPAMMER: 0.0,
+            AnnotatorKind.CLASSWISE_SPAMMER: 0.5,
+        }),
+    )
+
+    @pytest.mark.parametrize("label_fraction", [1.0, 0.3, 0.05])
+    def test_same_draws(self, label_fraction):
+        kinds = set()
+        for seed in range(300):
+            dist = self.DISTS[seed % len(self.DISTS)]
+            k, r, n = 2 + seed % 5, 1 + seed % 7, 1 + seed % 15
+            fast, slow = stream(seed, "oracle"), stream(seed, "oracle")
+            profiles, confusions = sample_annotator_pool(dist, r, k, fast)
+            expected = [loop_annotators.sample_profile(dist, k, slow) for _ in range(r)]
+            assert list(profiles) == expected
+            for alpha, profile in zip(confusions, expected):
+                np.testing.assert_array_equal(alpha, profile_to_confusion(profile, k))
+            truth = fast.integers(k, size=n)
+            np.testing.assert_array_equal(truth, slow.integers(k, size=n))
+            labels = annotate(truth, confusions, fast, label_fraction=label_fraction)
+            assert labels == loop_annotators.annotate(truth, confusions, slow, label_fraction)
+            assert all(type(y) is int for ann in labels for y in ann.values())
+            assert fast.random() == slow.random()
+            kinds.update(p.kind for p in profiles)
+        assert kinds == set(AnnotatorKind)

@@ -432,6 +432,69 @@ class TestAdapt:
             em.PriorHyperparams(tau=0.0)
 
 
+class TestStackedSupport:
+    """B episodes stacked on a leading axis against each episode run alone."""
+
+    def episodes(self, seed, ways=4, size=12, num_annotators=5):
+        # dense labels, 30% kept with a fifth annotator who labels nothing,
+        # and an episode in which no annotator ever reports the last class
+        rng = stream(seed, "stacked")
+        dist = AnnotatorDistribution.expert_hammer_spammer(0.2, 0.6, 0.2)
+        truth = np.repeat(np.arange(ways), size // ways)
+        _, confusions = sample_annotator_pool(dist, num_annotators, ways, rng)
+        _, sparse = sample_annotator_pool(dist, num_annotators - 1, ways, rng)
+        annotations = [
+            annotate(truth, confusions, rng),
+            annotate(truth, sparse, rng, label_fraction=0.3),
+            [{0: int(y) % (ways - 1), 2: 0} for y in truth],
+        ]
+        embeddings = rng.standard_normal((len(annotations), size, 3))
+        return embeddings, annotations, ways, num_annotators
+
+    def test_adapt_matches_each_episode(self):
+        embeddings, annotations, k, r = self.episodes(1)
+        stacked = em.SupportSet(embeddings, annotations, k, r)
+        assert stacked.onehot.shape == (3, 12, r, k)
+        for hyper in (em.PriorHyperparams(em_steps=3),
+                      em.PriorHyperparams(tau=0.0, em_steps=1, allow_zero_tau=True)):
+            together = em.adapt(stacked, hyper)
+            for b in range(3):
+                alone = em.adapt(em.SupportSet(embeddings[b], annotations[b], k, r), hyper)
+                for name in ("prototypes", "class_prior", "confusions", "responsibilities"):
+                    np.testing.assert_allclose(
+                        getattr(together, name)[b], getattr(alone, name), rtol=1e-13, atol=0
+                    )
+
+    def test_m_and_e_steps_match_each_episode(self):
+        embeddings, annotations, k, r = self.episodes(2)
+        stacked = em.SupportSet(embeddings, annotations, k, r)
+        lam = stream(2, "stacked-lam").dirichlet(np.ones(k), size=(3, 12))
+        hyper = em.PriorHyperparams(tau=0.5, b=2.0, c=0.5)
+        together = em.m_step(lam, stacked, hyper)
+        responsibilities = em.e_step(stacked, *together)
+        for b in range(3):
+            support = em.SupportSet(embeddings[b], annotations[b], k, r)
+            alone = em.m_step(lam[b], support, hyper)
+            for got, expected in zip(together, alone):
+                np.testing.assert_allclose(got[b], expected, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(
+                responsibilities[b], em.e_step(support, *alone), rtol=1e-13, atol=0
+            )
+
+    def test_annotation_count_mismatch_rejected(self):
+        embeddings, annotations, k, r = self.episodes(3)
+        with pytest.raises(ValueError, match="annotation count"):
+            em.SupportSet(embeddings, annotations[:2], k, r)
+        with pytest.raises(ValueError, match="annotation count"):
+            em.SupportSet(embeddings, [annotations[0], annotations[1][:-1], annotations[2]], k, r)
+
+    def test_out_of_range_label_rejected(self):
+        embeddings, annotations, k, r = self.episodes(4)
+        annotations[2][5] = {0: k}
+        with pytest.raises(ValueError, match=f"label {k} out of range at example 5"):
+            em.SupportSet(embeddings, annotations, k, r)
+
+
 class TestPredict:
     def build(self, protos, pi):
         return em.AdaptedClassifier(

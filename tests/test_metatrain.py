@@ -169,12 +169,52 @@ class TestUnrolledGraph:
             assert abs(fd - grad[c]) / max(1e-8, abs(fd), abs(grad[c])) < 1e-4
 
 
+class TestBatchedGradient:
+    """Four stacked episodes against the mean of four single-episode calls."""
+
+    @staticmethod
+    def batch(labels):
+        episodes = [random_episode(60 + b, ways=4, shots=3, qpc=3) for b in range(4)]
+        annotations = []
+        for b, episode in enumerate(episodes):
+            rng = stream(60, f"batched-{labels}", b)
+            if labels == "clean":
+                annotations.append([{0: int(y)} for y in episode.support_y])
+                continue
+            # at 30% a fifth annotator labels nothing
+            _, confusions = sample_annotator_pool(EHS(0.2, 0.6, 0.2), 4, 4, rng)
+            fraction = 1.0 if labels == "dense" else 0.3
+            annotations.append(annotate(episode.support_y, confusions, rng, label_fraction=fraction))
+        return episodes, annotations, 1 if labels == "clean" else 5
+
+    @pytest.mark.parametrize("em_steps", [1, 3])
+    @pytest.mark.parametrize("labels", ["dense", "sparse", "clean"])
+    def test_matches_mean_of_single_episodes(self, labels, em_steps):
+        episodes, annotations, num_annotators = self.batch(labels)
+        params = init_params(EncoderConfig(5, (8,), 4, init_seed=em_steps))
+        hyper = em.PriorHyperparams(em_steps=em_steps)
+        singles = [
+            mt.episode_loss_and_grad(params, e.support_x, ann, 4, num_annotators,
+                                     e.query_x, e.query_y, hyper)
+            for e, ann in zip(episodes, annotations)
+        ]
+        loss, grad = mt.episode_loss_and_grad(
+            params, np.stack([e.support_x for e in episodes]), annotations, 4, num_annotators,
+            np.stack([e.query_x for e in episodes]), np.stack([e.query_y for e in episodes]),
+            hyper,
+        )
+        mean_loss = np.mean([single[0] for single in singles])
+        mean_grad = np.mean([single[1] for single in singles], axis=0)
+        assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
+        assert np.linalg.norm(grad - mean_grad) <= 1e-12 * np.linalg.norm(mean_grad)
+
+
 class TestMetaGradient:
     def test_matches_finite_differences(self):
         episode = random_episode(31)
         config = small_config(hyper=em.PriorHyperparams(em_steps=2))
         params = init_params(config.encoder)
-        result = mt.meta_gradient(params, episode, config, stream(31, "pa"))
+        result = mt.meta_gradient(params, [episode], config, [stream(31, "pa")])
         # recover the exact annotations the gradient call used
         annotations, _ = pseudo_annotate(
             episode.support_y, config.num_annotators, config.pseudo_dist, 3,
@@ -203,7 +243,7 @@ class TestMetaGradient:
         episode = random_episode(32)
         config = small_config(hyper=em.PriorHyperparams(em_steps=8))
         params = init_params(config.encoder)
-        result = mt.meta_gradient(params, episode, config, stream(32, "pa"))
+        result = mt.meta_gradient(params, [episode], config, [stream(32, "pa")])
         annotations, _ = pseudo_annotate(
             episode.support_y, config.num_annotators, config.pseudo_dist, 3,
             stream(32, "pa"),
@@ -230,7 +270,7 @@ class TestMetaGradient:
         episode = random_episode(33)
         config = small_config(encoder=EncoderConfig(5, (), 4, init_seed=0))
         params = EncoderParams(weights=[np.zeros((5, 4))], biases=[np.zeros(4)])
-        result = mt.meta_gradient(params, episode, config, stream(33, "pa"))
+        result = mt.meta_gradient(params, [episode], config, [stream(33, "pa")])
         bias_grad = result.grad[-4:]
         np.testing.assert_array_equal(bias_grad, 0.0)
         assert result.loss == pytest.approx(math.log(3), abs=0.3)
@@ -239,8 +279,8 @@ class TestMetaGradient:
         episode = random_episode(34)
         config = small_config()
         params = init_params(config.encoder)
-        a = mt.meta_gradient(params, episode, config, stream(34, "pa"))
-        b = mt.meta_gradient(params, episode, config, stream(34, "pa"))
+        a = mt.meta_gradient(params, [episode], config, [stream(34, "pa")])
+        b = mt.meta_gradient(params, [episode], config, [stream(34, "pa")])
         assert a.loss == b.loss
         np.testing.assert_array_equal(a.grad, b.grad)
         assert a.pseudo_digest == b.pseudo_digest
@@ -249,7 +289,7 @@ class TestMetaGradient:
         episode = random_episode(35)
         config = small_config(pseudo_annotation=False)
         params = init_params(config.encoder)
-        result = mt.meta_gradient(params, episode, config, stream(35, "pa"))
+        result = mt.meta_gradient(params, [episode], config, [stream(35, "pa")])
         assert result.pseudo_digest == "clean"
 
 
