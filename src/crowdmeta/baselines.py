@@ -82,25 +82,32 @@ def prototype_from_labels(
     """Prototypes from hard (one-hot) or soft label weights.
 
     Uses the same shrinkage and smoothing rules as the EM's M step, so a
-    soft-label fit coincides with one M step of the full model.
+    soft-label fit coincides with one M step of the full model.  Each row
+    of ``label_weights`` is one example's distribution over the classes:
+    finite, non-negative and summing to 1, which the class prior needs.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     weights = np.asarray(label_weights, dtype=np.float64)
     if weights.ndim != 2 or weights.shape[0] != embeddings.shape[0]:
         raise ValueError("label weights must be (N, K) matching the embeddings")
-    prototypes = em.prototype_update(weights, embeddings, tau)
-    class_prior = em.class_prior_update(weights, b)
-    empty = tuple(int(k) for k in np.flatnonzero(weights.sum(axis=0) == 0.0))
-    hyper = em.PriorHyperparams(
-        tau=tau, b=b, c=1.0, em_steps=1, allow_zero_tau=(tau == 0.0)
-    )
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("label weights contain non-finite values")
+    if np.any(weights < 0.0):
+        raise ValueError("label weights contain negative entries")
+    sums = weights.sum(axis=1)
+    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    if off.size:
+        raise ValueError(f"label weights of example {off[0]} sum to {sums[off[0]]:g}, not 1")
+    if tau < 0.0 or b <= 0.0:
+        raise ValueError(f"prototype fit needs tau >= 0 and b > 0 (got tau={tau}, b={b})")
+    num_classes = weights.shape[1]
     classifier = em.AdaptedClassifier(
-        prototypes=prototypes,
-        class_prior=class_prior,
-        confusions=(),
-        responsibilities=weights / weights.sum(axis=1, keepdims=True),
-        hyper=hyper,
+        prototypes=em.prototype_update(weights, embeddings, tau),
+        class_prior=em.class_prior_update(weights, b),
+        confusions=np.zeros((0, num_classes, num_classes)),
+        responsibilities=weights,
     )
+    empty = tuple(int(k) for k in np.flatnonzero(weights.sum(axis=0) == 0.0))
     return PrototypeFit(classifier=classifier, empty_classes=empty)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import baselines, em
 from . import metatrain as mt
-from .annotators import AnnotatorDistribution, annotate, sample_annotator_pool
+from .annotators import AnnotatorDistribution, pseudo_annotate
 from .config import ConfigError, RunSetup, build_run_setup, load_config
 from .encoder import EncoderParams, forward, load_checkpoint, save_checkpoint
 from .episodes import DataError, Episode, sample_episode
@@ -63,21 +63,24 @@ def _parse_dist_flag(text: str) -> AnnotatorDistribution:
         raise UsageError(f"--dist: {exc}") from None
 
 
-def _dist_key(dist: AnnotatorDistribution) -> str:
-    return "-".join(f"{kind.value[0]}{weight:g}" for kind, weight in dist.weights)
+def _annotator_stream(shots: int, r: int, dist: AnnotatorDistribution) -> str:
+    """Label of the streams a grid cell's target-task annotators are drawn from."""
+    key = "-".join(f"{kind.value[0]}{weight:g}" for kind, weight in dist.weights)
+    return f"eval-annotators-s{shots}-r{r}-{key}"
 
 
-def _int_list_flag(text: str, flag: str) -> list[int]:
+def _list_flag(text: str, flag: str, parse=int) -> list:
     try:
-        return [int(p) for p in text.split(",") if p.strip()]
+        return [parse(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        what = "integers" if parse is int else "numbers"
+        raise UsageError(f"{flag} expects comma-separated {what}, got {text!r}") from None
 
 
 def _eval_grid(args, setup: RunSetup) -> tuple[list[int], list[int], list[AnnotatorDistribution]]:
-    shots_list = _int_list_flag(args.shots, "--shots") if args.shots else [setup.meta.shots]
+    shots_list = _list_flag(args.shots, "--shots") if args.shots else [setup.meta.shots]
     r_list = (
-        _int_list_flag(args.annotators, "--annotators")
+        _list_flag(args.annotators, "--annotators")
         if args.annotators
         else [setup.meta.num_annotators]
     )
@@ -87,8 +90,7 @@ def _eval_grid(args, setup: RunSetup) -> tuple[list[int], list[int], list[Annota
         dists = [_parse_dist_flag(args.dist)]
     elif args.spammer_ratio:
         dists = []
-        for part in args.spammer_ratio.split(","):
-            ratio = float(part)
+        for ratio in _list_flag(args.spammer_ratio, "--spammer-ratio", float):
             if not 0.0 <= ratio <= 0.9:
                 raise UsageError(f"--spammer-ratio must lie in [0, 0.9], got {ratio}")
             dists.append(
@@ -160,7 +162,7 @@ def _evaluate_cell(setup: RunSetup, params: EncoderParams, shots: int, r: int,
         setup.meta.hyper,
         r,
         seed,
-        stream_label=f"eval-annotators-s{shots}-r{r}-{_dist_key(dist)}",
+        stream_label=_annotator_stream(shots, r, dist),
     )
     return {
         "shots": shots,
@@ -175,17 +177,22 @@ def _evaluate_cell(setup: RunSetup, params: EncoderParams, shots: int, r: int,
     }
 
 
-def cmd_evaluate(args) -> int:
-    values = load_config(args.config)
-    if args.seed is not None:
-        values["seed"] = args.seed
-    setup = build_run_setup(values)
-    encoder_config, params = load_checkpoint(args.checkpoint)
+def _load_checkpoint(path: str, setup: RunSetup) -> EncoderParams:
+    encoder_config, params = load_checkpoint(path)
     if encoder_config.input_dim != setup.train_data.dim:
         raise ConfigError(
             f"checkpoint input dim {encoder_config.input_dim} does not match "
             f"data dim {setup.train_data.dim}"
         )
+    return params
+
+
+def cmd_evaluate(args) -> int:
+    values = load_config(args.config)
+    if args.seed is not None:
+        values["seed"] = args.seed
+    setup = build_run_setup(values)
+    params = _load_checkpoint(args.checkpoint, setup)
     shots_list, r_list, dists = _eval_grid(args, setup)
     seed = int(values["seed"])
     cells_spec = [
@@ -215,11 +222,10 @@ def _baseline_cell(setup: RunSetup, params: EncoderParams | None, method: str,
     hyper = setup.meta.hyper
     recovery = np.empty(len(episodes))
     accuracy = np.empty(len(episodes))
+    label = _annotator_stream(shots, r, dist)
     for i, episode in enumerate(episodes):
-        rng = stream(seed, f"eval-annotators-s{shots}-r{r}-{_dist_key(dist)}", i)
         k = episode.num_classes
-        _, confusions = sample_annotator_pool(dist, r, k, rng)
-        annotations = annotate(episode.support_y, confusions, rng)
+        annotations, _ = pseudo_annotate(episode.support_y, r, dist, k, stream(seed, label, i))
         if method.endswith("ds"):
             weights, _, _ = baselines.dawid_skene(annotations, k, hyper, num_annotators=r)
             estimated = np.argmax(weights, axis=1)
@@ -232,13 +238,13 @@ def _baseline_cell(setup: RunSetup, params: EncoderParams | None, method: str,
         fit = baselines.prototype_from_labels(support_u, weights, hyper.tau, hyper.b)
         predicted = em.predict_labels(query_u, fit.classifier)
         accuracy[i] = float(np.mean(predicted == episode.query_y))
-    stderr = float(np.std(accuracy, ddof=1) / np.sqrt(len(accuracy))) if len(accuracy) > 1 else 0.0
+    mean, stderr = mt.mean_and_stderr(accuracy)
     return {
         "method": method,
         "shots": shots,
         "annotators": r,
         "dist": dist.to_dict(),
-        "mean_acc": float(np.mean(accuracy)),
+        "mean_acc": mean,
         "stderr": stderr,
         "label_recovery_acc": float(np.mean(recovery)),
         "n_tasks": len(episodes),
@@ -252,13 +258,9 @@ def cmd_baseline(args) -> int:
     if args.seed is not None:
         values["seed"] = args.seed
     setup = build_run_setup(values)
-    params = None
-    if args.method.startswith("proto-"):
-        if not args.checkpoint:
-            raise UsageError(f"method {args.method} requires --checkpoint")
-        _, params = load_checkpoint(args.checkpoint)
-    elif args.checkpoint:
-        _, params = load_checkpoint(args.checkpoint)
+    if args.method.startswith("proto-") and not args.checkpoint:
+        raise UsageError(f"method {args.method} requires --checkpoint")
+    params = _load_checkpoint(args.checkpoint, setup) if args.checkpoint else None
     shots_list, r_list, dists = _eval_grid(args, setup)
     seed = int(values["seed"])
     cells = [

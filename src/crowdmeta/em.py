@@ -146,42 +146,22 @@ class SupportSet:
 
 @dataclass
 class AdaptedClassifier:
-    """Task-specific parameters produced by EM adaptation."""
+    """Task-specific parameters produced by EM adaptation.
+
+    A plain record that checks nothing: :func:`adapt` builds it from
+    updates whose outputs are distributions by construction, and a caller
+    that assembles one from its own numbers validates them first, as
+    :func:`crowdmeta.baselines.prototype_from_labels` does.
+    """
 
     prototypes: np.ndarray  # (K, M)
     class_prior: np.ndarray  # (K,)
     confusions: np.ndarray  # (R, K, K); R = 0 for label-free classifiers
     responsibilities: np.ndarray  # (N, K)
-    hyper: PriorHyperparams
-
-    def __post_init__(self) -> None:
-        self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
-        self.class_prior = np.asarray(self.class_prior, dtype=np.float64)
-        self.responsibilities = np.asarray(self.responsibilities, dtype=np.float64)
-        *lead, k, _ = self.prototypes.shape
-        self.confusions = np.asarray(self.confusions, dtype=np.float64).reshape(*lead, -1, k, k)
-        check_class_prior(self.class_prior)
-        check_confusion(self.confusions)
-        check_responsibilities(self.responsibilities)
 
     @property
     def num_classes(self) -> int:
         return self.prototypes.shape[-2]
-
-
-def check_responsibilities(lam: np.ndarray, atol: float = 1e-12) -> None:
-    """Rows of a responsibility matrix are distributions over classes."""
-    if np.any(lam < 0.0):
-        raise ValueError("responsibilities contain negative entries")
-    if not np.allclose(lam.sum(axis=-1), 1.0, rtol=0.0, atol=atol):
-        raise ValueError("responsibility rows do not sum to 1")
-
-
-def check_class_prior(pi: np.ndarray, atol: float = 1e-12) -> None:
-    if np.any(pi < 0.0):
-        raise ValueError("class prior contains negative entries")
-    if (np.abs(pi.sum(axis=-1) - 1.0) > atol).any():
-        raise ValueError("class prior does not sum to 1")
 
 
 def check_confusion(alpha: np.ndarray, atol: float = 1e-12) -> None:
@@ -294,6 +274,13 @@ def logsumexp(scores: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
+def class_log_scores(
+    u: np.ndarray, prototypes: np.ndarray, class_prior: np.ndarray
+) -> np.ndarray:
+    """``-0.5 |u_n - mu_k|^2 + log pi_k``, (..., n, K): the label-free class scores."""
+    return -0.5 * squared_distances(u, prototypes) + np.log(class_prior)[..., None, :]
+
+
 def _posterior_log_scores(
     support: SupportSet,
     prototypes: np.ndarray,
@@ -301,10 +288,8 @@ def _posterior_log_scores(
     confusions: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Unnormalized per-example class log scores (Gaussian constant dropped)."""
-    sq = squared_distances(support.embeddings, prototypes)
-    return -0.5 * sq + np.log(class_prior)[..., None, :] + annotation_log_likelihood(
-        support, confusions
-    )
+    scores = class_log_scores(support.embeddings, prototypes, class_prior)
+    return scores + annotation_log_likelihood(support, confusions)
 
 
 def e_step(
@@ -388,11 +373,7 @@ def adapt(support: SupportSet, hyper: PriorHyperparams) -> AdaptedClassifier:
         prototypes, pi, confusions = m_step(lam, support, hyper)
         lam = e_step(support, prototypes, pi, confusions)
     return AdaptedClassifier(
-        prototypes=prototypes,
-        class_prior=pi,
-        confusions=confusions,
-        responsibilities=lam,
-        hyper=hyper,
+        prototypes=prototypes, class_prior=pi, confusions=confusions, responsibilities=lam
     )
 
 
@@ -410,8 +391,7 @@ def predict_log_probs(u: np.ndarray, classifier: AdaptedClassifier) -> np.ndarra
             f"embedding dimension {u2.shape[1]} does not match prototypes "
             f"({classifier.prototypes.shape[1]})"
         )
-    scores = -0.5 * squared_distances(u2, classifier.prototypes)
-    scores += np.log(classifier.class_prior)[None, :]
+    scores = class_log_scores(u2, classifier.prototypes, classifier.class_prior)
     log_probs = scores - logsumexp(scores, axis=1, keepdims=True)
     return log_probs[0] if single else log_probs
 

@@ -59,6 +59,9 @@ class MetaConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be > 0")
+        for name in ("beta1", "beta2"):  # Adam's bias correction divides by 1 - beta^t
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"Adam {name} must lie in [0, 1) (got {getattr(self, name)})")
 
     @property
     def validation_dist(self) -> AnnotatorDistribution:
@@ -112,7 +115,7 @@ def _scored_query(
     """Query log scores, their row log-sum-exp, and the mean label loss over all episodes."""
     if u.ndim < 2 or u.shape[-2] == 0:
         raise ValueError("query set must be a nonempty (N, M) array")
-    scores = -0.5 * em.squared_distances(u, prototypes) + np.log(class_prior)[..., None, :]
+    scores = em.class_log_scores(u, prototypes, class_prior)
     lse = em.logsumexp(scores, axis=-1)
     picked = np.take_along_axis(scores, labels[..., None], axis=-1)[..., 0]
     return scores, lse, float(np.sum(lse - picked)) / labels.size
@@ -304,6 +307,32 @@ def meta_gradient(
     return EpisodeGradient(loss=loss, grad=grad, pseudo_digest=digest)
 
 
+def mean_and_stderr(accuracies: Sequence[float]) -> tuple[float, float]:
+    """Mean accuracy over tasks and its standard error (0 for a single task)."""
+    n = len(accuracies)
+    stderr = float(np.std(accuracies, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(accuracies)), stderr
+
+
+def adapt_and_score(
+    params: EncoderParams,
+    episode: Episode,
+    annotations: Sequence[em.AnnotationMap],
+    num_annotators: int,
+    hyper: em.PriorHyperparams,
+) -> float:
+    """Query accuracy of the classifier EM adapts to the annotated, embedded support."""
+    support = em.SupportSet(
+        embeddings=forward(episode.support_x, params),
+        annotations=annotations,
+        num_classes=episode.num_classes,
+        num_annotators=num_annotators,
+    )
+    classifier = em.adapt(support, hyper)
+    predicted = em.predict_labels(forward(episode.query_x, params), classifier)
+    return float(np.mean(predicted == episode.query_y))
+
+
 @dataclass
 class EvalResult:
     accuracies: np.ndarray
@@ -321,34 +350,18 @@ def evaluate(
     master_seed: int,
     stream_label: str = "eval-annotators",
 ) -> EvalResult:
-    """Simulate annotators per task, adapt, and score query accuracy."""
+    """Simulate annotators per task from its own stream, adapt, and score query accuracy."""
     accuracies = np.empty(len(episodes))
     all_profiles: list[list[AnnotatorProfile]] = []
     for i, episode in enumerate(episodes):
         rng = stream(master_seed, stream_label, i)
-        k = episode.num_classes
-        profiles, confusions = sample_annotator_pool(dist, num_annotators, k, rng)
+        profiles, confusions = sample_annotator_pool(dist, num_annotators, episode.num_classes, rng)
         annotations = annotate(episode.support_y, confusions, rng)
-        support = em.SupportSet(
-            embeddings=forward(episode.support_x, params),
-            annotations=annotations,
-            num_classes=k,
-            num_annotators=num_annotators,
-        )
-        classifier = em.adapt(support, hyper)
-        predicted = em.predict_labels(forward(episode.query_x, params), classifier)
-        accuracies[i] = float(np.mean(predicted == episode.query_y))
+        accuracies[i] = adapt_and_score(params, episode, annotations, num_annotators, hyper)
         all_profiles.append(list(profiles))
-    stderr = (
-        float(np.std(accuracies, ddof=1) / np.sqrt(len(accuracies)))
-        if len(accuracies) > 1
-        else 0.0
-    )
+    mean, stderr = mean_and_stderr(accuracies)
     return EvalResult(
-        accuracies=accuracies,
-        mean=float(np.mean(accuracies)),
-        stderr=stderr,
-        annotator_profiles=all_profiles,
+        accuracies=accuracies, mean=mean, stderr=stderr, annotator_profiles=all_profiles
     )
 
 
@@ -383,19 +396,10 @@ def _validation_accuracy(
     (unless a validation distribution is set explicitly).
     """
     if not config.pseudo_annotation and config.val_dist is None:
-        accuracies = []
-        for episode in val_episodes:
-            annotations = [{0: int(y)} for y in episode.support_y]
-            support = em.SupportSet(
-                embeddings=forward(episode.support_x, params),
-                annotations=annotations,
-                num_classes=episode.num_classes,
-                num_annotators=1,
-            )
-            classifier = em.adapt(support, config.hyper)
-            predicted = em.predict_labels(forward(episode.query_x, params), classifier)
-            accuracies.append(float(np.mean(predicted == episode.query_y)))
-        return float(np.mean(accuracies))
+        return float(np.mean([
+            adapt_and_score(params, e, [{0: int(y)} for y in e.support_y], 1, config.hyper)
+            for e in val_episodes
+        ]))
     return evaluate(
         params,
         val_episodes,

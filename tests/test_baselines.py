@@ -1,5 +1,7 @@
 """Majority voting, the labels-only confusion EM, and prototype fits."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,7 @@ class TestPrototypeFromLabels:
                 rtol=0, atol=1e-12,
             )
         assert fit.empty_classes == ()
+        assert fit.classifier.confusions.shape == (0, 3, 3)  # label-free
 
     def test_soft_weights_match_m_step_prototypes(self):
         rng = stream(5, "proto-soft")
@@ -177,3 +180,18 @@ class TestPrototypeFromLabels:
     def test_weight_shape_validated(self):
         with pytest.raises(ValueError, match="label weights"):
             baselines.prototype_from_labels(np.ones((3, 2)), np.ones((4, 2)), tau=1.0)
+
+    @pytest.mark.parametrize("row, message", [
+        ([1.5, -0.5], "label weights contain negative entries"),
+        ([0.0, 0.0], "label weights of example 1 sum to 0, not 1"),
+        ([0.5, 1.0], "label weights of example 1 sum to 1.5, not 1"),
+        ([np.nan, 1.0], "label weights contain non-finite values"),
+    ])
+    def test_weight_rows_validated(self, row, message):
+        weights = np.array([[1.0, 0.0], row, [0.0, 1.0]])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            baselines.prototype_from_labels(np.ones((3, 2)), weights, tau=1.0)
+
+    def test_prior_strengths_validated(self):
+        with pytest.raises(ValueError, match=r"tau >= 0 and b > 0 \(got tau=-1.0, b=1.0\)"):
+            baselines.prototype_from_labels(np.ones((2, 2)), np.eye(2), tau=-1.0)

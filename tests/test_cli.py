@@ -9,6 +9,7 @@ import pytest
 
 from crowdmeta.cli import main
 from crowdmeta.config import ConfigError, load_config, parse_config_text, build_run_setup
+from crowdmeta.encoder import EncoderConfig, init_params, save_checkpoint
 from crowdmeta.episodes import sample_episode
 from crowdmeta.seeding import stream
 
@@ -173,6 +174,22 @@ class TestEvaluateCommand:
         assert dists[0]["spammer"] == pytest.approx(0.1)
         assert dists[1]["spammer"] == pytest.approx(0.4)
         assert dists[1]["hammer"] == pytest.approx(0.5)
+
+    def test_bad_spammer_ratio_is_usage_error(self, config_path, checkpoint, tmp_path, capsys):
+        code = main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,
+                     "--out", str(tmp_path / "x"), "--spammer-ratio", "0.1,abc"])
+        assert code == 1
+        assert "--spammer-ratio expects comma-separated numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["baseline", "--method", "proto-mv"]])
+    def test_checkpoint_dim_mismatch(self, command, config_path, tmp_path, capsys):
+        path = str(tmp_path / "wide.bin")
+        wide = EncoderConfig(8, (4,), 3, init_seed=0)  # the config's data are 5-dim
+        save_checkpoint(path, wide, init_params(wide))
+        code = main([*command, "--checkpoint", path, "--config", config_path,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "checkpoint input dim 8 does not match data dim 5" in capsys.readouterr().err
 
     def test_metrics_roundtrip(self, config_path, checkpoint, tmp_path):
         out = str(tmp_path / "rt")

@@ -502,7 +502,6 @@ class TestPredict:
             class_prior=np.asarray(pi, dtype=float),
             confusions=(),
             responsibilities=np.ones((1, len(pi))) / len(pi),
-            hyper=HYPER,
         )
 
     def test_equidistant_uniform_prior(self):
@@ -540,17 +539,21 @@ class TestPredict:
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_em_outputs_always_stochastic(seed):
+    # AdaptedClassifier checks nothing at run time; these are the invariants
+    # it used to check on every classifier adapt built, one episode or stacked
     rng = stream(seed, "prop-task")
     num_classes = int(rng.integers(2, 5))
     size = int(rng.integers(2, 10))
     num_annotators = int(rng.integers(1, 4))
-    support = random_task(seed, num_classes, size, num_annotators)
-    classifier = em.adapt(support, HYPER)
-    np.testing.assert_allclose(
-        classifier.responsibilities.sum(axis=1), 1.0, rtol=0, atol=1e-12
-    )
-    np.testing.assert_allclose(classifier.class_prior.sum(), 1.0, rtol=0, atol=1e-12)
-    for alpha in classifier.confusions:
-        np.testing.assert_allclose(alpha.sum(axis=0), 1.0, rtol=0, atol=1e-12)
-        assert np.all(alpha > 0.0)
-    assert np.all(classifier.class_prior > 0.0)
+    tasks = [random_task(seed + t, num_classes, size, num_annotators) for t in range(3)]
+    stacked = make_support(np.stack([t.embeddings for t in tasks]),
+                           [t.annotations for t in tasks], num_classes, num_annotators)
+    for support in (tasks[0], stacked):
+        classifier = em.adapt(support, HYPER)
+        lam, pi, alpha = classifier.responsibilities, classifier.class_prior, classifier.confusions
+        assert lam.shape == support.embeddings.shape[:-1] + (num_classes,)
+        assert alpha.shape == support.onehot.shape[:-3] + (num_annotators, num_classes, num_classes)
+        np.testing.assert_allclose(lam.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pi.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(alpha.sum(axis=-2), 1.0, rtol=0, atol=1e-12)
+        assert np.all(lam >= 0.0) and np.all(pi > 0.0) and np.all(alpha > 0.0)

@@ -13,7 +13,7 @@ from crowdmeta.annotators import (
     pseudo_annotate,
     sample_annotator_pool,
 )
-from crowdmeta.encoder import EncoderConfig, EncoderParams, init_params
+from crowdmeta.encoder import EncoderConfig, EncoderParams, forward, init_params
 from crowdmeta.episodes import Episode, generate_synthetic, sample_episode
 from crowdmeta.seeding import stream
 from crowdmeta.verify import episode_loss_value
@@ -47,7 +47,6 @@ def toy_classifier(prototypes, class_prior):
         class_prior=np.asarray(class_prior, dtype=float),
         confusions=(),
         responsibilities=np.ones((1, len(class_prior))) / len(class_prior),
-        hyper=HYPER,
     )
 
 
@@ -363,11 +362,37 @@ class TestMetaTrain:
         with pytest.raises(ValueError, match="learning_rate"):
             small_config(learning_rate=-1.0)
 
+    @pytest.mark.parametrize("name", ["beta1", "beta2"])
+    @pytest.mark.parametrize("value", [1.0, -0.1])
+    def test_adam_beta_outside_unit_interval_forbidden(self, name, value):
+        with pytest.raises(ValueError, match=rf"Adam {name} must lie in \[0, 1\) \(got {value}\)"):
+            small_config(**{name: value})
+
     def test_ablation_runs_clean(self):
         train, val = make_tasks()
         config = small_config(max_iterations=10, pseudo_annotation=False)
         result = mt.meta_train([train], [val], config)
         assert all(row.pseudo_digest == "clean" for row in result.log)
+
+    def test_clean_validation_scores_one_perfect_annotator(self):
+        # without pseudo-annotation, validation adapts to the clean support
+        # labels as the only annotator's and scores the query
+        train, val = make_tasks()
+        config = small_config(max_iterations=10, validation_interval=10,
+                              val_episodes_per_task=5, pseudo_annotation=False)
+        result = mt.meta_train([train], [val], config)
+        params = result.final_params  # the parameters validated at iteration 10
+        accuracies = []
+        for j in range(config.val_episodes_per_task):
+            episode = sample_episode(val, config.ways, config.shots, config.query_per_class,
+                                     stream(config.master_seed, "val-episode", 0, j))
+            support = em.SupportSet(forward(episode.support_x, params),
+                                    [{0: int(y)} for y in episode.support_y],
+                                    episode.num_classes, 1)
+            classifier = em.adapt(support, config.hyper)
+            predicted = em.predict_labels(forward(episode.query_x, params), classifier)
+            accuracies.append(float(np.mean(predicted == episode.query_y)))
+        assert result.val_history == [(10, float(np.mean(accuracies)))]
 
     def test_pseudo_annotations_fresh_each_iteration(self):
         train, val = make_tasks()
