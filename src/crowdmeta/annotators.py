@@ -127,52 +127,83 @@ def _sample_q(kind: AnnotatorKind, rng: np.random.Generator) -> float:
     return hi - rng.random() * (hi - lo)
 
 
-def sample_profile(
+def _draw_annotator(
     dist: AnnotatorDistribution, num_classes: int, rng: np.random.Generator
-) -> AnnotatorProfile:
-    """Draw one annotator: kind from the distribution, then its parameters."""
+) -> tuple[AnnotatorKind, float | None, tuple[int, ...], frozenset[int]]:
+    """Draw one annotator's kind, then its parameters: the fields of its profile."""
     if num_classes < 2:
         raise ValueError("annotator simulation needs at least 2 classes")
     # the draw and the index of rng.choice(len(dist.weights), p=dist.probabilities())
     kind = dist.weights[dist.cdf.searchsorted(rng.random(), side="right")][0]
     if kind is AnnotatorKind.SPAMMER:
-        return AnnotatorProfile(kind=kind)
+        return kind, None, (), frozenset()
     if kind is AnnotatorKind.PAIRWISE_FLIPPER:
         q = _sample_q(kind, rng)
         targets = []
         for k in range(num_classes):
             t = int(rng.integers(num_classes - 1))
             targets.append(t + 1 if t >= k else t)
-        return AnnotatorProfile(kind=kind, q=q, flip_targets=tuple(targets))
+        return kind, q, tuple(targets), frozenset()
     if kind is AnnotatorKind.CLASSWISE_SPAMMER:
         spam = rng.choice(num_classes, size=num_classes // 2, replace=False)
-        return AnnotatorProfile(kind=kind, spam_classes=frozenset(int(s) for s in spam))
-    return AnnotatorProfile(kind=kind, q=_sample_q(kind, rng))
+        return kind, None, (), frozenset(int(s) for s in spam)
+    return kind, _sample_q(kind, rng), (), frozenset()
+
+
+def _fill_confusion(
+    alpha: np.ndarray,
+    kind: AnnotatorKind,
+    q: float | None,
+    flip_targets: tuple[int, ...],
+    spam_classes: frozenset[int],
+) -> None:
+    """Write the column-stochastic matrix of an annotator's behavior into ``(K, K)`` ``alpha``."""
+    K = len(alpha)
+    if kind is AnnotatorKind.SPAMMER:
+        alpha.fill(1.0 / K)
+    elif kind is AnnotatorKind.PAIRWISE_FLIPPER:
+        classes = np.arange(K)
+        alpha.fill(0.0)
+        alpha[classes, classes] = q
+        alpha[list(flip_targets), classes] = 1.0 - q
+    elif kind is AnnotatorKind.CLASSWISE_SPAMMER:
+        alpha.fill(0.0)
+        np.fill_diagonal(alpha, 1.0)
+        alpha[:, sorted(spam_classes)] = 1.0 / K
+    else:
+        # expert / hammer: correct with probability q, otherwise uniform over
+        # the K - 1 wrong labels
+        alpha.fill((1.0 - q) / (K - 1))
+        np.fill_diagonal(alpha, q)
+
+
+def _draw_pool(
+    dist: AnnotatorDistribution,
+    num_annotators: int,
+    num_classes: int,
+    rng: np.random.Generator,
+) -> tuple[list[tuple], np.ndarray]:
+    """Profile fields of ``num_annotators`` fresh annotators and their ``(R, K, K)`` confusions."""
+    draws = [_draw_annotator(dist, num_classes, rng) for _ in range(num_annotators)]
+    confusions = np.empty((num_annotators, num_classes, num_classes))
+    for alpha, draw in zip(confusions, draws):
+        _fill_confusion(alpha, *draw)
+    return draws, confusions
+
+
+def sample_profile(
+    dist: AnnotatorDistribution, num_classes: int, rng: np.random.Generator
+) -> AnnotatorProfile:
+    """Draw one annotator: kind from the distribution, then its parameters."""
+    return AnnotatorProfile(*_draw_annotator(dist, num_classes, rng))
 
 
 def profile_to_confusion(profile: AnnotatorProfile, num_classes: int) -> np.ndarray:
     """Column-stochastic (K, K) matrix realizing the profile's behavior."""
-    K = num_classes
-    kind = profile.kind
-    if kind is AnnotatorKind.SPAMMER:
-        return np.full((K, K), 1.0 / K, dtype=np.float64)
-    if kind is AnnotatorKind.PAIRWISE_FLIPPER:
-        if len(profile.flip_targets) != K:
-            raise ValueError("flip targets do not match the class count")
-        alpha = np.zeros((K, K), dtype=np.float64)
-        for k, target in enumerate(profile.flip_targets):
-            alpha[k, k] = profile.q
-            alpha[target, k] = 1.0 - profile.q
-        return alpha
-    if kind is AnnotatorKind.CLASSWISE_SPAMMER:
-        alpha = np.eye(K, dtype=np.float64)
-        for k in profile.spam_classes:
-            alpha[:, k] = 1.0 / K
-        return alpha
-    # expert / hammer: correct with probability q, otherwise uniform over
-    # the K - 1 wrong labels
-    alpha = np.full((K, K), (1.0 - profile.q) / (K - 1), dtype=np.float64)
-    np.fill_diagonal(alpha, profile.q)
+    if profile.kind is AnnotatorKind.PAIRWISE_FLIPPER and len(profile.flip_targets) != num_classes:
+        raise ValueError("flip targets do not match the class count")
+    alpha = np.empty((num_classes, num_classes))
+    _fill_confusion(alpha, profile.kind, profile.q, profile.flip_targets, profile.spam_classes)
     return alpha
 
 
@@ -217,11 +248,8 @@ def sample_annotator_pool(
     rng: np.random.Generator,
 ) -> tuple[tuple[AnnotatorProfile, ...], tuple[np.ndarray, ...]]:
     """Draw a pool of annotators and their true confusion matrices."""
-    profiles = tuple(
-        sample_profile(dist, num_classes, rng) for _ in range(num_annotators)
-    )
-    confusions = tuple(profile_to_confusion(p, num_classes) for p in profiles)
-    return profiles, confusions
+    draws, confusions = _draw_pool(dist, num_annotators, num_classes, rng)
+    return tuple(AnnotatorProfile(*draw) for draw in draws), tuple(confusions)
 
 
 def pseudo_annotate(
@@ -231,7 +259,11 @@ def pseudo_annotate(
     num_classes: int,
     rng: np.random.Generator,
 ) -> tuple[list[dict[int, int]], tuple[np.ndarray, ...]]:
-    """Noisy labels for clean support data from freshly sampled annotators."""
-    _, confusions = sample_annotator_pool(dist, num_annotators, num_classes, rng)
+    """Noisy labels for clean support data from freshly sampled annotators.
+
+    Makes the draws of :func:`sample_annotator_pool` and then
+    :func:`annotate`, without building the profiles.
+    """
+    _, confusions = _draw_pool(dist, num_annotators, num_classes, rng)
     annotations = annotate(support_truth, confusions, rng)
-    return annotations, confusions
+    return annotations, tuple(confusions)

@@ -192,8 +192,8 @@ def cmd_evaluate(args) -> int:
     if args.seed is not None:
         values["seed"] = args.seed
     setup = build_run_setup(values)
+    shots_list, r_list, dists = _eval_grid(args, setup)  # usage errors before any file
     params = _load_checkpoint(args.checkpoint, setup)
-    shots_list, r_list, dists = _eval_grid(args, setup)
     seed = int(values["seed"])
     cells_spec = [
         (shots, r, dist) for shots in shots_list for r in r_list for dist in dists
@@ -260,8 +260,8 @@ def cmd_baseline(args) -> int:
     setup = build_run_setup(values)
     if args.method.startswith("proto-") and not args.checkpoint:
         raise UsageError(f"method {args.method} requires --checkpoint")
-    params = _load_checkpoint(args.checkpoint, setup) if args.checkpoint else None
     shots_list, r_list, dists = _eval_grid(args, setup)
+    params = _load_checkpoint(args.checkpoint, setup) if args.checkpoint else None
     seed = int(values["seed"])
     cells = [
         _baseline_cell(setup, params, args.method, shots, r, dist, seed)

@@ -305,28 +305,39 @@ def e_step(
     return np.exp(scores - logsumexp(scores, axis=-1, keepdims=True))
 
 
+def _episode_sum(values: np.ndarray, axes: int) -> float | np.ndarray:
+    """Sum over the trailing ``axes`` axes: a float for one episode, one value per episode stacked."""
+    total = values.reshape(values.shape[: values.ndim - axes] + (-1,)).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
 def log_prior(
     prototypes: np.ndarray,
     class_prior: np.ndarray,
     confusions: Sequence[np.ndarray],
     hyper: PriorHyperparams,
-) -> float:
-    """Log density of the conjugate priors, normalization constants included."""
+) -> float | np.ndarray:
+    """Log density of the conjugate priors, normalization constants included.
+
+    ``(B, K, M)`` prototypes with their ``(B, K)`` class priors and
+    ``(B, R, K, K)`` confusions give one value per episode.
+    """
     if hyper.tau <= 0.0:
         raise ValueError("log prior requires tau > 0")
-    num_classes, dim = prototypes.shape
+    confusions = np.asarray(confusions, dtype=np.float64)
+    num_classes, dim = prototypes.shape[-2:]
     gauss = num_classes * 0.5 * dim * (math.log(hyper.tau) - LOG_2PI)
-    gauss -= 0.5 * hyper.tau * float(np.sum(prototypes * prototypes))
+    gauss -= 0.5 * hyper.tau * _episode_sum(prototypes * prototypes, 2)
     dir_pi = (
         math.lgamma(num_classes * (hyper.b + 1.0))
         - num_classes * math.lgamma(hyper.b + 1.0)
-        + hyper.b * float(np.sum(np.log(class_prior)))
+        + hyper.b * _episode_sum(np.log(class_prior), 1)
     )
     col_const = math.lgamma(num_classes * (hyper.c + 1.0)) - num_classes * math.lgamma(
         hyper.c + 1.0
     )
-    dir_conf = len(confusions) * num_classes * col_const + hyper.c * float(
-        np.sum(np.log(confusions))
+    dir_conf = confusions.shape[-3] * num_classes * col_const + hyper.c * _episode_sum(
+        np.log(confusions), 3
     )
     return gauss + dir_pi + dir_conf
 
@@ -337,11 +348,14 @@ def log_posterior(
     class_prior: np.ndarray,
     confusions: Sequence[np.ndarray],
     hyper: PriorHyperparams,
-) -> float:
-    """Unnormalized log posterior: marginal log likelihood plus log prior."""
+) -> float | np.ndarray:
+    """Unnormalized log posterior: marginal log likelihood plus log prior.
+
+    A stacked support gives one value per episode.
+    """
     scores = _posterior_log_scores(support, prototypes, class_prior, confusions)
     scores -= 0.5 * support.dim * LOG_2PI  # Gaussian normalization constant
-    loglik = float(np.sum(logsumexp(scores, axis=1)))
+    loglik = _episode_sum(logsumexp(scores, axis=-1), 1)
     return loglik + log_prior(prototypes, class_prior, confusions, hyper)
 
 
@@ -352,17 +366,18 @@ def lower_bound_q(
     class_prior: np.ndarray,
     confusions: Sequence[np.ndarray],
     hyper: PriorHyperparams,
-) -> float:
+) -> float | np.ndarray:
     """Jensen lower bound on :func:`log_posterior`, tight after an E step.
 
     Entries with ``lam_nk == 0`` contribute zero by the usual convention.
+    A stacked support gives one value per episode.
     """
     lam = np.asarray(lam, dtype=np.float64)
     scores = _posterior_log_scores(support, prototypes, class_prior, confusions)
     scores -= 0.5 * support.dim * LOG_2PI
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = np.where(lam > 0.0, lam * (scores - np.log(lam)), 0.0)
-    return float(np.sum(inner)) + log_prior(prototypes, class_prior, confusions, hyper)
+    return _episode_sum(inner, 2) + log_prior(prototypes, class_prior, confusions, hyper)
 
 
 def adapt(support: SupportSet, hyper: PriorHyperparams) -> AdaptedClassifier:
@@ -381,19 +396,19 @@ def predict_log_probs(u: np.ndarray, classifier: AdaptedClassifier) -> np.ndarra
     """Log class probabilities for new embeddings.
 
     Accepts a single ``(M,)`` vector or an ``(n, M)`` batch; returns the
-    matching ``(K,)`` or ``(n, K)`` log-softmax scores.
+    matching ``(K,)`` or ``(n, K)`` log-softmax scores.  A classifier
+    adapted on B stacked episodes takes ``(B, n, M)`` embeddings and
+    returns ``(B, n, K)``.
     """
     u = np.asarray(u, dtype=np.float64)
+    dim = classifier.prototypes.shape[-1]
+    if u.shape[-1] != dim:
+        raise ValueError(f"embedding dimension {u.shape[-1]} does not match prototypes ({dim})")
     single = u.ndim == 1
-    u2 = u[None, :] if single else u
-    if u2.shape[1] != classifier.prototypes.shape[1]:
-        raise ValueError(
-            f"embedding dimension {u2.shape[1]} does not match prototypes "
-            f"({classifier.prototypes.shape[1]})"
-        )
-    scores = class_log_scores(u2, classifier.prototypes, classifier.class_prior)
-    log_probs = scores - logsumexp(scores, axis=1, keepdims=True)
-    return log_probs[0] if single else log_probs
+    scores = class_log_scores(u[None, :] if single else u, classifier.prototypes,
+                              classifier.class_prior)
+    log_probs = scores - logsumexp(scores, axis=-1, keepdims=True)
+    return log_probs[..., 0, :] if single else log_probs
 
 
 def predict_labels(u: np.ndarray, classifier: AdaptedClassifier) -> np.ndarray:

@@ -15,11 +15,18 @@ class DataError(ValueError):
 
 @dataclass
 class LabeledDataset:
-    """Feature vectors with dense integer class labels."""
+    """Feature vectors with dense integer class labels.
+
+    A dataset is not mutated after construction: the per-class example
+    index, the sorted class ids and the eligible classes of each size
+    threshold are computed once and cached.
+    """
 
     features: np.ndarray  # (N, D) float64
     labels: np.ndarray  # (N,) intp
-    _class_index: dict[int, np.ndarray] = field(init=False, repr=False)
+    _class_index: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
+    _class_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _eligible: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -31,6 +38,8 @@ class LabeledDataset:
         self._class_index = {
             int(c): np.flatnonzero(self.labels == c) for c in np.unique(self.labels)
         }
+        self._class_ids = tuple(sorted(self._class_index))
+        self._eligible = {}
 
     @property
     def size(self) -> int:
@@ -42,15 +51,19 @@ class LabeledDataset:
 
     @property
     def class_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._class_index))
+        return self._class_ids
 
     def examples_of(self, class_id: int) -> np.ndarray:
         return self._class_index[class_id]
 
     def eligible_classes(self, min_examples: int) -> tuple[int, ...]:
-        return tuple(
-            c for c in self.class_ids if len(self._class_index[c]) >= min_examples
-        )
+        """Sorted ids of the classes with at least ``min_examples`` examples."""
+        eligible = self._eligible.get(min_examples)
+        if eligible is None:
+            eligible = self._eligible[min_examples] = tuple(
+                c for c in self._class_ids if len(self._class_index[c]) >= min_examples
+            )
+        return eligible
 
 
 @dataclass
@@ -156,24 +169,21 @@ def sample_episode(
         )
 
     chosen = rng.choice(len(eligible), size=ways, replace=False)
-    class_ids = tuple(sorted(eligible[i] for i in chosen))
+    class_ids = tuple(sorted(eligible[i] for i in chosen.tolist()))
 
-    support_x, support_y, query_x, query_y = [], [], [], []
-    for new_label, class_id in enumerate(class_ids):
+    support_rows, query_rows = [], []
+    for class_id, n_support in zip(class_ids, per_class_shots):
         pool = dataset.examples_of(class_id)
-        n_support = per_class_shots[new_label]
-        picked = rng.choice(len(pool), size=n_support + query_per_class, replace=False)
-        picked = pool[picked]
-        support_x.append(dataset.features[picked[:n_support]])
-        query_x.append(dataset.features[picked[n_support:]])
-        support_y.append(np.full(n_support, new_label, dtype=np.intp))
-        query_y.append(np.full(query_per_class, new_label, dtype=np.intp))
+        picked = pool[rng.choice(len(pool), size=n_support + query_per_class, replace=False)]
+        support_rows.append(picked[:n_support])
+        query_rows.append(picked[n_support:])
+    new_labels = np.arange(ways, dtype=np.intp)
     return Episode(
         class_ids=class_ids,
-        support_x=np.concatenate(support_x),
-        support_y=np.concatenate(support_y),
-        query_x=np.concatenate(query_x),
-        query_y=np.concatenate(query_y),
+        support_x=dataset.features[np.concatenate(support_rows)],
+        support_y=np.repeat(new_labels, per_class_shots),
+        query_x=dataset.features[np.concatenate(query_rows)],
+        query_y=np.repeat(new_labels, query_per_class),
     )
 
 

@@ -457,10 +457,12 @@ def meta_train(
         params = EncoderParams.unflatten(config.encoder, state.theta)
         episodes, rngs = [], []
         for b in range(config.meta_batch):
-            task_rng = stream(config.master_seed, "task-choice", iteration, b)
-            d = int(task_rng.integers(len(source_tasks)))
+            task = source_tasks[0]
+            if len(source_tasks) > 1:  # a choice among one task draws nothing
+                task_rng = stream(config.master_seed, "task-choice", iteration, b)
+                task = source_tasks[int(task_rng.integers(len(source_tasks)))]
             episodes.append(sample_episode(
-                source_tasks[d],
+                task,
                 config.ways,
                 config.shots,
                 config.query_per_class,

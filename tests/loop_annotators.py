@@ -5,7 +5,9 @@ distribution's precomputed CDF and every annotator's labels from one
 ``(R, N)`` block of uniforms.  These are the earlier forms, one
 ``Generator.choice`` call per kind and one ``Generator.random(N)`` call per
 annotator, so the tests can check that both consume the same draws and
-produce the same profiles and labels.
+produce the same profiles and labels.  ``profile_to_confusion`` builds
+each matrix kind by kind, and ``pseudo_annotate`` goes through profiles,
+where the package fills one confusion stack from the drawn parameters.
 """
 
 from __future__ import annotations
@@ -60,3 +62,37 @@ def annotate(true_labels, confusions, rng, label_fraction=1.0):
         {r: int(sampled[i, r]) for r in range(num_annotators) if keep[i, r]}
         for i in range(n)
     ]
+
+
+def profile_to_confusion(profile, num_classes):
+    """Column-stochastic (K, K) matrix of one profile, built kind by kind."""
+    K = num_classes
+    kind = profile.kind
+    if kind is AnnotatorKind.SPAMMER:
+        return np.full((K, K), 1.0 / K, dtype=np.float64)
+    if kind is AnnotatorKind.PAIRWISE_FLIPPER:
+        alpha = np.zeros((K, K), dtype=np.float64)
+        for k, target in enumerate(profile.flip_targets):
+            alpha[k, k] = profile.q
+            alpha[target, k] = 1.0 - profile.q
+        return alpha
+    if kind is AnnotatorKind.CLASSWISE_SPAMMER:
+        alpha = np.eye(K, dtype=np.float64)
+        for k in profile.spam_classes:
+            alpha[:, k] = 1.0 / K
+        return alpha
+    alpha = np.full((K, K), (1.0 - profile.q) / (K - 1), dtype=np.float64)
+    np.fill_diagonal(alpha, profile.q)
+    return alpha
+
+
+def sample_annotator_pool(dist, num_annotators, num_classes, rng):
+    """Profiles drawn one at a time, each turned into its confusion matrix."""
+    profiles = tuple(sample_profile(dist, num_classes, rng) for _ in range(num_annotators))
+    return profiles, tuple(profile_to_confusion(p, num_classes) for p in profiles)
+
+
+def pseudo_annotate(support_truth, num_annotators, dist, num_classes, rng):
+    """A pool's labels for the support, and its confusions."""
+    _, confusions = sample_annotator_pool(dist, num_annotators, num_classes, rng)
+    return annotate(support_truth, confusions, rng), confusions

@@ -1,0 +1,60 @@
+"""Loop form of episode sampling; a test-only oracle.
+
+The package caches each dataset's eligible classes per size threshold,
+gathers every class's support rows and query rows with one index array
+each and builds the labels with ``np.repeat``.  This is the earlier form:
+it re-sorts and re-filters the class ids on every call and assembles the
+episode one class at a time, so the tests can check that both consume the
+same draws and produce the same episodes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from crowdmeta.episodes import DataError, Episode
+
+
+def sample_episode(dataset, ways, shots, query_per_class, rng):
+    """A ways-class episode, built class by class."""
+    if isinstance(shots, (int, np.integer)):
+        per_class_shots = [int(shots)] * ways
+    else:
+        per_class_shots = [int(s) for s in shots]
+        if len(per_class_shots) != ways:
+            raise DataError(
+                f"{len(per_class_shots)} shot overrides for {ways}-way episode"
+            )
+    if any(s < 1 for s in per_class_shots):
+        raise DataError("every class needs at least one support example")
+    if query_per_class < 1:
+        raise DataError("query_per_class must be >= 1")
+
+    need = max(per_class_shots) + query_per_class
+    pools = {int(c): np.flatnonzero(dataset.labels == c) for c in np.unique(dataset.labels)}
+    eligible = tuple(c for c in sorted(pools) if len(pools[c]) >= need)
+    if len(eligible) < ways:
+        raise DataError(
+            f"only {len(eligible)} classes have {need}+ examples; need {ways}"
+        )
+
+    chosen = rng.choice(len(eligible), size=ways, replace=False)
+    class_ids = tuple(sorted(eligible[i] for i in chosen))
+
+    support_x, support_y, query_x, query_y = [], [], [], []
+    for new_label, class_id in enumerate(class_ids):
+        pool = pools[class_id]
+        n_support = per_class_shots[new_label]
+        picked = rng.choice(len(pool), size=n_support + query_per_class, replace=False)
+        picked = pool[picked]
+        support_x.append(dataset.features[picked[:n_support]])
+        query_x.append(dataset.features[picked[n_support:]])
+        support_y.append(np.full(n_support, new_label, dtype=np.intp))
+        query_y.append(np.full(query_per_class, new_label, dtype=np.intp))
+    return Episode(
+        class_ids=class_ids,
+        support_x=np.concatenate(support_x),
+        support_y=np.concatenate(support_y),
+        query_x=np.concatenate(query_x),
+        query_y=np.concatenate(query_y),
+    )

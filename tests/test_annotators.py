@@ -248,3 +248,22 @@ class TestMatchesLoops:
             assert fast.random() == slow.random()
             kinds.update(p.kind for p in profiles)
         assert kinds == set(AnnotatorKind)
+
+    def test_pseudo_annotate_same_draws(self):
+        kinds = set()
+        for seed in range(300):
+            dist = self.DISTS[seed % len(self.DISTS)]
+            k, r = 2 + seed % 5, 1 + seed % 7
+            truth = np.arange(1 + seed % 15) % k
+            fast, slow = stream(seed, "pseudo-oracle"), stream(seed, "pseudo-oracle")
+            labels, confusions = pseudo_annotate(truth, r, dist, k, fast)
+            expected_labels, expected = loop_annotators.pseudo_annotate(truth, r, dist, k, slow)
+            assert labels == expected_labels
+            assert type(confusions) is tuple and len(confusions) == r
+            for alpha, oracle in zip(confusions, expected):
+                assert alpha.dtype == oracle.dtype and alpha.shape == oracle.shape
+                assert alpha.tobytes() == oracle.tobytes()
+            assert fast.random() == slow.random()
+            probe = stream(seed, "pseudo-oracle")  # the annotators both drew
+            kinds.update(loop_annotators.sample_profile(dist, k, probe).kind for _ in range(r))
+        assert kinds == set(AnnotatorKind)

@@ -191,6 +191,13 @@ class TestEvaluateCommand:
         assert code == 2
         assert "checkpoint input dim 8 does not match data dim 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["evaluate"], ["baseline", "--method", "proto-mv"]])
+    def test_usage_error_before_checkpoint(self, command, config_path, tmp_path, capsys):
+        code = main([*command, "--checkpoint", str(tmp_path / "nope.bin"), "--config",
+                     config_path, "--out", str(tmp_path / "x"), "--shots", "abc"])
+        assert code == 1
+        assert "--shots expects comma-separated integers, got 'abc'" in capsys.readouterr().err
+
     def test_metrics_roundtrip(self, config_path, checkpoint, tmp_path):
         out = str(tmp_path / "rt")
         main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,

@@ -481,6 +481,44 @@ class TestStackedSupport:
                 responsibilities[b], em.e_step(support, *alone), rtol=1e-13, atol=0
             )
 
+    def test_log_posterior_per_episode(self):
+        # C1 on the stacked EM: one value per episode, never decreasing and
+        # equal to that episode's value alone
+        embeddings, annotations, k, r = self.episodes(5)
+        stacked = em.SupportSet(embeddings, annotations, k, r)
+        alone = [em.SupportSet(embeddings[b], annotations[b], k, r) for b in range(3)]
+        hyper = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=8)
+        lam = em.init_responsibilities(stacked.onehot)
+        previous = None
+        for _ in range(hyper.em_steps):
+            protos, pi, confusions = em.m_step(lam, stacked, hyper)
+            values = em.log_posterior(stacked, protos, pi, confusions, hyper)
+            assert values.shape == (3,)
+            for b, support in enumerate(alone):
+                single = em.log_posterior(support, protos[b], pi[b], confusions[b], hyper)
+                assert isinstance(single, float)
+                assert values[b] == pytest.approx(single, rel=1e-13, abs=0)
+            if previous is not None:
+                assert np.all(values >= previous - 1e-9)
+            previous = values
+            lam = em.e_step(stacked, protos, pi, confusions)
+
+    def test_predict_matches_each_episode(self):
+        embeddings, annotations, k, r = self.episodes(6)
+        classifier = em.adapt(em.SupportSet(embeddings, annotations, k, r), HYPER)
+        queries = stream(12, "predict-stacked").standard_normal((3, 5, 3))
+        log_probs = em.predict_log_probs(queries, classifier)
+        labels = em.predict_labels(queries, classifier)
+        assert log_probs.shape == (3, 5, k) and labels.shape == (3, 5)
+        for b in range(3):
+            alone = em.AdaptedClassifier(*(getattr(classifier, name)[b] for name in (
+                "prototypes", "class_prior", "confusions", "responsibilities")))
+            np.testing.assert_allclose(log_probs[b], em.predict_log_probs(queries[b], alone),
+                                       rtol=1e-13, atol=0)
+            np.testing.assert_array_equal(labels[b], em.predict_labels(queries[b], alone))
+        with pytest.raises(ValueError, match=r"dimension 4 does not match prototypes \(3\)"):
+            em.predict_labels(np.zeros((3, 5, 4)), classifier)
+
     def test_annotation_count_mismatch_rejected(self):
         embeddings, annotations, k, r = self.episodes(3)
         with pytest.raises(ValueError, match="annotation count"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import loop_episodes
 from crowdmeta.episodes import (
     DataError,
     LabeledDataset,
@@ -136,6 +137,46 @@ class TestSampleEpisode:
         data = generate_synthetic(3, 2, 1.0, 4, seed=15)
         with pytest.raises(DataError, match="need 4"):
             sample_episode(data, 4, 1, 2, stream(11, "few"))
+
+
+class TestMatchesLoop:
+    """Sampling against the class-by-class loop of ``loop_episodes``."""
+
+    @staticmethod
+    def uneven_dataset():
+        # 7 classes of 4 to 16 examples: thresholds of 5 and 10 keep 6 and 3 of them
+        sizes = [16, 4, 12, 5, 10, 7, 9]
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        features = stream(0, "uneven").standard_normal((len(labels), 3))
+        return LabeledDataset(features=features, labels=labels)
+
+    def test_same_draws(self):
+        data = self.uneven_dataset()
+        # (ways, shots, query): fixed shots and per-class overrides, with the
+        # two thresholds 5 and 10 alternating on one dataset's cache
+        cases = [(3, 2, 3), (3, [1, 4, 2], 6), (4, [2, 1, 1, 2], 3), (2, 7, 3)]
+        for seed in range(200):
+            ways, shots, query = cases[seed % len(cases)]
+            fast, slow = stream(seed, "oracle"), stream(seed, "oracle")
+            got = sample_episode(data, ways, shots, query, fast)
+            expected = loop_episodes.sample_episode(data, ways, shots, query, slow)
+            assert got.class_ids == expected.class_ids
+            for name in ("support_x", "support_y", "query_x", "query_y"):
+                a, b = getattr(got, name), getattr(expected, name)
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+            assert fast.random() == slow.random()
+        assert data.eligible_classes(5) == (0, 2, 3, 4, 5, 6)
+        assert data.eligible_classes(10) == (0, 2, 4)
+
+    def test_same_errors(self):
+        data = self.uneven_dataset()
+        for args in [(4, 7, 3), (3, [1, 2], 2), (2, [0, 1], 2), (2, 1, 0)]:
+            with pytest.raises(DataError) as fast:
+                sample_episode(data, *args, stream(1, "err"))
+            with pytest.raises(DataError) as slow:
+                loop_episodes.sample_episode(data, *args, stream(1, "err"))
+            assert str(fast.value) == str(slow.value)
 
 
 class TestLoadCsv:

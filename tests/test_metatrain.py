@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import loop_annotators
+import loop_episodes
+import loop_seeding
 from crowdmeta import em
 from crowdmeta import metatrain as mt
 from crowdmeta.annotators import (
@@ -411,6 +414,45 @@ class TestMetaTrain:
             (r.iteration, r.loss, r.pseudo_digest) for r in b.log
         ]
         assert a.val_history == b.val_history
+
+    @pytest.mark.parametrize("num_sources", [1, 2])
+    def test_oracles_give_identical_theta(self, num_sources, monkeypatch):
+        # every draw of the loop against the loop forms of episode sampling,
+        # stream derivation and annotator simulation
+        train, val = make_tasks()
+        sources = [train, generate_synthetic(6, 5, 0.4, 30, seed=102)][:num_sources]
+        config = small_config(max_iterations=20, validation_interval=10, meta_batch=2,
+                              patience=1000, val_dist=EHS(0.3, 0.4, 0.3))
+        fast = mt.meta_train(sources, [val], config)
+        monkeypatch.setattr(mt, "sample_episode", loop_episodes.sample_episode)
+        monkeypatch.setattr(mt, "stream", loop_seeding.stream)
+        monkeypatch.setattr(mt, "pseudo_annotate", loop_annotators.pseudo_annotate)
+        monkeypatch.setattr(mt, "sample_annotator_pool", loop_annotators.sample_annotator_pool)
+        monkeypatch.setattr(mt, "annotate", loop_annotators.annotate)
+        slow = mt.meta_train(sources, [val], config)
+        assert fast.final_params.flatten().tobytes() == slow.final_params.flatten().tobytes()
+        assert [(r.loss, r.pseudo_digest) for r in fast.log] == [
+            (r.loss, r.pseudo_digest) for r in slow.log
+        ]
+        assert fast.val_history == slow.val_history and len(fast.val_history) == 2
+
+    def test_task_choice_stream_picks_the_source(self, monkeypatch):
+        # with two or more source tasks, episode b of iteration i comes from
+        # the task its "task-choice" stream draws
+        train, _ = make_tasks()
+        sources = [train, generate_synthetic(6, 5, 0.4, 30, seed=102)]
+        config = small_config(max_iterations=6, meta_batch=3)
+        picked = []
+
+        def recording(task, *args):
+            picked.append(next(i for i, t in enumerate(sources) if t is task))
+            return sample_episode(task, *args)
+
+        monkeypatch.setattr(mt, "sample_episode", recording)
+        mt.meta_train(sources, [], config)
+        expected = [int(stream(config.master_seed, "task-choice", i, b).integers(2))
+                    for i in range(1, 7) for b in range(3)]
+        assert picked == expected and len(set(expected)) == 2
 
 
 class TestEvaluate:
