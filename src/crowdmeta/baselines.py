@@ -8,8 +8,8 @@ models.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ def _num_annotators(annotations: Sequence[Mapping[int, int]]) -> int:
 
 
 def dawid_skene(
-    annotations: Sequence[Mapping[int, int]],
+    annotations: Sequence[Mapping[int, int]] | Sequence[Sequence[Mapping[int, int]]],
     num_classes: int,
     hyper: em.PriorHyperparams,
     num_annotators: int | None = None,
@@ -44,13 +44,19 @@ def dawid_skene(
     Starts from vote fractions and runs ``hyper.em_steps`` iterations of
     {update pi and confusions; recompute soft labels from pi_k * a_nk}.
     Returns the soft labels, class prior, and the ``(R, K, K)`` confusions.
+    B annotation lists of equal length stack B tasks, run as one call
+    whose every result gains a leading task axis.
     """
+    stacked = len(annotations) > 0 and not isinstance(annotations[0], Mapping)
     if num_annotators is None:
-        num_annotators = _num_annotators(annotations)
+        num_annotators = _num_annotators(
+            [ann for task in annotations for ann in task] if stacked else annotations
+        )
     # The support set validates the labels once into the one-hot tensor the
     # updates read; zero embeddings keep the Gaussian term out of the scores.
     support = em.SupportSet(
-        embeddings=np.zeros((len(annotations), 1)),
+        embeddings=np.zeros((len(annotations), len(annotations[0]), 1) if stacked
+                            else (len(annotations), 1)),
         annotations=annotations,
         num_classes=num_classes,
         num_annotators=num_annotators,
@@ -60,8 +66,8 @@ def dawid_skene(
     for _ in range(hyper.em_steps):
         pi = em.class_prior_update(lam, hyper.b)
         confusions = em.confusion_update(lam, support.onehot, hyper.c)
-        scores = np.log(pi)[None, :] + em.annotation_log_likelihood(support, confusions)
-        lam = np.exp(scores - em.logsumexp(scores, axis=1, keepdims=True))
+        scores = np.log(pi)[..., None, :] + em.annotation_log_likelihood(support, confusions)
+        lam = np.exp(scores - em.logsumexp(scores, axis=-1, keepdims=True))
     return lam, pi, confusions
 
 
@@ -70,7 +76,12 @@ class PrototypeFit:
     """Prototype classifier built from externally estimated labels."""
 
     classifier: em.AdaptedClassifier
-    empty_classes: tuple[int, ...]  # classes with zero label weight (prototype = 0)
+    # classes with zero label weight (prototype = 0); one tuple per task when stacked
+    empty_classes: tuple[int, ...] | tuple[tuple[int, ...], ...]
+
+
+def _class_indices(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(k) for k in np.flatnonzero(mask))
 
 
 def prototype_from_labels(
@@ -85,30 +96,34 @@ def prototype_from_labels(
     soft-label fit coincides with one M step of the full model.  Each row
     of ``label_weights`` is one example's distribution over the classes:
     finite, non-negative and summing to 1, which the class prior needs.
+    ``(B, N, M)`` embeddings with ``(B, N, K)`` weights fit B tasks at once.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     weights = np.asarray(label_weights, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[0] != embeddings.shape[0]:
-        raise ValueError("label weights must be (N, K) matching the embeddings")
+    if weights.ndim not in (2, 3) or weights.shape[:-1] != embeddings.shape[:-1]:
+        raise ValueError("label weights must be (N, K) or (B, N, K) matching the embeddings")
     if not np.all(np.isfinite(weights)):
         raise ValueError("label weights contain non-finite values")
     if np.any(weights < 0.0):
         raise ValueError("label weights contain negative entries")
-    sums = weights.sum(axis=1)
-    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    sums = weights.sum(axis=-1)
+    off = np.argwhere(np.abs(sums - 1.0) > 1e-9)
     if off.size:
-        raise ValueError(f"label weights of example {off[0]} sum to {sums[off[0]]:g}, not 1")
+        *task, n = off[0]
+        where = f"example {n}" + (f" of task {task[0]}" if task else "")
+        raise ValueError(f"label weights of {where} sum to {sums[tuple(off[0])]:g}, not 1")
     if tau < 0.0 or b <= 0.0:
         raise ValueError(f"prototype fit needs tau >= 0 and b > 0 (got tau={tau}, b={b})")
-    num_classes = weights.shape[1]
+    num_classes = weights.shape[-1]
     classifier = em.AdaptedClassifier(
         prototypes=em.prototype_update(weights, embeddings, tau),
         class_prior=em.class_prior_update(weights, b),
-        confusions=np.zeros((0, num_classes, num_classes)),
+        confusions=np.zeros(weights.shape[:-2] + (0, num_classes, num_classes)),
         responsibilities=weights,
     )
-    empty = tuple(int(k) for k in np.flatnonzero(weights.sum(axis=0) == 0.0))
-    return PrototypeFit(classifier=classifier, empty_classes=empty)
+    empty = weights.sum(axis=-2) == 0.0
+    per_task = tuple(map(_class_indices, empty)) if empty.ndim == 2 else _class_indices(empty)
+    return PrototypeFit(classifier=classifier, empty_classes=per_task)
 
 
 def onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:

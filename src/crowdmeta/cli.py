@@ -15,7 +15,7 @@ from . import baselines, em
 from . import metatrain as mt
 from .annotators import AnnotatorDistribution, pseudo_annotate
 from .config import ConfigError, RunSetup, build_run_setup, load_config
-from .encoder import EncoderParams, forward, load_checkpoint, save_checkpoint
+from .encoder import EncoderParams, load_checkpoint, save_checkpoint
 from .episodes import DataError, Episode, sample_episode
 from .seeding import stream
 from .verify import SUITES
@@ -216,28 +216,41 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _baseline_scores(params: EncoderParams | None, episodes: list[Episode], method: str,
+                     r: int, dist: AnnotatorDistribution, hyper: em.PriorHyperparams,
+                     seed: int, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-task query accuracy and support-label recovery of one baseline method.
+
+    Each task's annotators come from its own stream; the tasks are then
+    scored in the chunks :func:`crowdmeta.metatrain.evaluate` uses.
+    """
+    accuracy = np.empty(len(episodes))
+    recovery = np.empty(len(episodes))
+    for chunk in mt.task_chunks(episodes):
+        tasks = episodes[chunk]
+        k = tasks[0].num_classes
+        annotations = [pseudo_annotate(e.support_y, r, dist, k, stream(seed, label, i))[0]
+                       for i, e in enumerate(tasks, chunk.start)]
+        support_y = np.stack([e.support_y for e in tasks])
+        if method.endswith("ds"):
+            weights, _, _ = baselines.dawid_skene(annotations, k, hyper, num_annotators=r)
+            estimated = np.argmax(weights, axis=-1)
+        else:  # voting is per example, so the chunk's supports are one list
+            estimated, _ = baselines.majority_vote([a for task in annotations for a in task], k)
+            weights = baselines.onehot(estimated, k).reshape(support_y.shape + (k,))
+            estimated = estimated.reshape(support_y.shape)
+        recovery[chunk] = np.mean(estimated == support_y, axis=-1)
+        support_u, query_u = mt.embed_episodes(params, tasks)
+        fit = baselines.prototype_from_labels(support_u, weights, hyper.tau, hyper.b)
+        accuracy[chunk] = mt.query_accuracies(em.predict_labels(query_u, fit.classifier), tasks)
+    return accuracy, recovery
+
+
 def _baseline_cell(setup: RunSetup, params: EncoderParams | None, method: str,
                    shots: int, r: int, dist: AnnotatorDistribution, seed: int) -> dict:
     episodes = _test_episodes(setup, shots, seed)
-    hyper = setup.meta.hyper
-    recovery = np.empty(len(episodes))
-    accuracy = np.empty(len(episodes))
-    label = _annotator_stream(shots, r, dist)
-    for i, episode in enumerate(episodes):
-        k = episode.num_classes
-        annotations, _ = pseudo_annotate(episode.support_y, r, dist, k, stream(seed, label, i))
-        if method.endswith("ds"):
-            weights, _, _ = baselines.dawid_skene(annotations, k, hyper, num_annotators=r)
-            estimated = np.argmax(weights, axis=1)
-        else:
-            estimated, weights = baselines.majority_vote(annotations, k)
-            weights = baselines.onehot(estimated, k)
-        recovery[i] = float(np.mean(estimated == episode.support_y))
-        support_u = forward(episode.support_x, params) if params is not None else episode.support_x
-        query_u = forward(episode.query_x, params) if params is not None else episode.query_x
-        fit = baselines.prototype_from_labels(support_u, weights, hyper.tau, hyper.b)
-        predicted = em.predict_labels(query_u, fit.classifier)
-        accuracy[i] = float(np.mean(predicted == episode.query_y))
+    accuracy, recovery = _baseline_scores(params, episodes, method, r, dist, setup.meta.hyper,
+                                          seed, _annotator_stream(shots, r, dist))
     mean, stderr = mt.mean_and_stderr(accuracy)
     return {
         "method": method,

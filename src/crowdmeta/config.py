@@ -144,6 +144,9 @@ class RunSetup:
 
 def build_run_setup(values: dict[str, object], ablation_no_pseudo: bool = False) -> RunSetup:
     seed = int(values["seed"])
+    eval_tasks = int(values["eval_tasks"])
+    if eval_tasks < 1:
+        raise ConfigError(f"eval_tasks must be >= 1 (got {eval_tasks})")
     if values["csv_path"]:
         dataset = load_csv(str(values["csv_path"]), str(values["label_column"]))
     else:
@@ -211,6 +214,6 @@ def build_run_setup(values: dict[str, object], ablation_no_pseudo: bool = False)
         val_data=val,
         test_data=test,
         meta=meta,
-        eval_tasks=int(values["eval_tasks"]),
+        eval_tasks=eval_tasks,
         eval_dist=_distribution(tuple(values["eval_dist"]), "eval_dist"),
     )

@@ -9,6 +9,13 @@ then updates.  The whole meta-batch is one pass: the episodes are stacked
 along a leading task axis through the encoder, the closed-form updates of
 :mod:`crowdmeta.em` and the reverse pass, a hand-derived vector-Jacobian
 product chained backwards over the EM steps (:func:`episode_loss_and_grad`).
+
+Evaluation and validation draw each task's annotators from the task's own
+stream, then adapt and score the tasks in chunks of up to
+:data:`EVAL_CHUNK` consecutive equal-shape episodes: one encoder pass, one
+stacked support set, one :func:`crowdmeta.em.adapt` and one prediction per
+chunk (:func:`adapt_and_score`).  The chunk bounds the memory a scoring
+pass holds, whatever the task count.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -314,23 +321,68 @@ def mean_and_stderr(accuracies: Sequence[float]) -> tuple[float, float]:
     return float(np.mean(accuracies)), stderr
 
 
+EVAL_CHUNK = 32  # tasks per stacked adaptation; keeps evaluation memory flat in the task count
+
+
+def _episode_shape(episode: Episode) -> tuple:
+    return episode.support_x.shape, episode.query_x.shape, episode.num_classes
+
+
+def task_chunks(episodes: Sequence[Episode]) -> Iterator[slice]:
+    """Consecutive runs of at most :data:`EVAL_CHUNK` episodes of one shape, as slices."""
+    start = 0
+    while start < len(episodes):
+        shape = _episode_shape(episodes[start])
+        stop = start + 1
+        while (stop < len(episodes) and stop - start < EVAL_CHUNK
+               and _episode_shape(episodes[stop]) == shape):
+            stop += 1
+        yield slice(start, stop)
+        start = stop
+
+
+def embed_episodes(
+    params: EncoderParams | None, episodes: Sequence[Episode]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``(B, N, M)`` support and ``(B, Q, M)`` query embeddings of equal-shape episodes.
+
+    One encoder pass embeds every support and query row; ``params=None``
+    keeps the raw features.
+    """
+    if params is None:
+        return np.stack([e.support_x for e in episodes]), np.stack([e.query_x for e in episodes])
+    b, n, q = len(episodes), len(episodes[0].support_x), len(episodes[0].query_x)
+    u = forward(np.concatenate([e.support_x for e in episodes] + [e.query_x for e in episodes]),
+                params)
+    return u[: b * n].reshape(b, n, -1), u[b * n :].reshape(b, q, -1)
+
+
+def query_accuracies(predicted: np.ndarray, episodes: Sequence[Episode]) -> np.ndarray:
+    """Fraction of each episode's query labels that ``(B, Q)`` predictions get right."""
+    return np.mean(predicted == np.stack([e.query_y for e in episodes]), axis=-1)
+
+
 def adapt_and_score(
     params: EncoderParams,
-    episode: Episode,
-    annotations: Sequence[em.AnnotationMap],
+    episodes: Sequence[Episode],
+    annotations: Sequence[Sequence[em.AnnotationMap]],
     num_annotators: int,
     hyper: em.PriorHyperparams,
-) -> float:
-    """Query accuracy of the classifier EM adapts to the annotated, embedded support."""
+) -> np.ndarray:
+    """Query accuracy of each classifier EM adapts to an annotated, embedded support.
+
+    The episodes share one shape and ``annotations`` holds one annotation
+    list per episode; one stacked :func:`crowdmeta.em.adapt` adapts them all.
+    """
+    support_u, query_u = embed_episodes(params, episodes)
     support = em.SupportSet(
-        embeddings=forward(episode.support_x, params),
+        embeddings=support_u,
         annotations=annotations,
-        num_classes=episode.num_classes,
+        num_classes=episodes[0].num_classes,
         num_annotators=num_annotators,
     )
     classifier = em.adapt(support, hyper)
-    predicted = em.predict_labels(forward(episode.query_x, params), classifier)
-    return float(np.mean(predicted == episode.query_y))
+    return query_accuracies(em.predict_labels(query_u, classifier), episodes)
 
 
 @dataclass
@@ -350,15 +402,22 @@ def evaluate(
     master_seed: int,
     stream_label: str = "eval-annotators",
 ) -> EvalResult:
-    """Simulate annotators per task from its own stream, adapt, and score query accuracy."""
+    """Simulate annotators per task from its own stream, adapt, and score query accuracy.
+
+    Tasks are adapted and scored in chunks (:func:`task_chunks`), one
+    :func:`adapt_and_score` call each.
+    """
     accuracies = np.empty(len(episodes))
     all_profiles: list[list[AnnotatorProfile]] = []
-    for i, episode in enumerate(episodes):
-        rng = stream(master_seed, stream_label, i)
-        profiles, confusions = sample_annotator_pool(dist, num_annotators, episode.num_classes, rng)
-        annotations = annotate(episode.support_y, confusions, rng)
-        accuracies[i] = adapt_and_score(params, episode, annotations, num_annotators, hyper)
-        all_profiles.append(list(profiles))
+    for chunk in task_chunks(episodes):
+        tasks, annotations = episodes[chunk], []
+        for i, episode in enumerate(tasks, chunk.start):
+            rng = stream(master_seed, stream_label, i)
+            profiles, confusions = sample_annotator_pool(dist, num_annotators,
+                                                         episode.num_classes, rng)
+            annotations.append(annotate(episode.support_y, confusions, rng))
+            all_profiles.append(list(profiles))
+        accuracies[chunk] = adapt_and_score(params, tasks, annotations, num_annotators, hyper)
     mean, stderr = mean_and_stderr(accuracies)
     return EvalResult(
         accuracies=accuracies, mean=mean, stderr=stderr, annotator_profiles=all_profiles
@@ -396,10 +455,12 @@ def _validation_accuracy(
     (unless a validation distribution is set explicitly).
     """
     if not config.pseudo_annotation and config.val_dist is None:
-        return float(np.mean([
-            adapt_and_score(params, e, [{0: int(y)} for y in e.support_y], 1, config.hyper)
-            for e in val_episodes
-        ]))
+        scores = []
+        for chunk in task_chunks(val_episodes):
+            tasks = val_episodes[chunk]
+            clean = [[{0: int(y)} for y in e.support_y] for e in tasks]
+            scores.append(adapt_and_score(params, tasks, clean, 1, config.hyper))
+        return float(np.mean(np.concatenate(scores)))
     return evaluate(
         params,
         val_episodes,

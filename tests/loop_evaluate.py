@@ -1,0 +1,75 @@
+"""Per-task forms of evaluation, clean validation and the baseline cell; a test-only oracle.
+
+The package scores evaluation tasks in chunks of equal-shape episodes:
+one encoder pass, one stacked ``SupportSet`` and one ``em.adapt`` per
+chunk, and the baseline cell one stacked Dawid-Skene or majority-vote call
+and one stacked prototype fit.  These are the earlier forms, one encoder
+call per support and per query set and one adaptation per task, so the
+tests can check that both make the same draws and the same scores.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from crowdmeta import baselines, em
+from crowdmeta.annotators import annotate, pseudo_annotate, sample_annotator_pool
+from crowdmeta.encoder import forward
+from crowdmeta.seeding import stream
+
+
+def adapt_and_score(params, episode, annotations, num_annotators, hyper):
+    """Query accuracy of the classifier EM adapts to one annotated, embedded support."""
+    support = em.SupportSet(
+        embeddings=forward(episode.support_x, params),
+        annotations=annotations,
+        num_classes=episode.num_classes,
+        num_annotators=num_annotators,
+    )
+    classifier = em.adapt(support, hyper)
+    predicted = em.predict_labels(forward(episode.query_x, params), classifier)
+    return float(np.mean(predicted == episode.query_y))
+
+
+def evaluate(params, episodes, dist, hyper, num_annotators, master_seed,
+             stream_label="eval-annotators"):
+    """Per-task accuracies and annotator profiles, one adaptation per task."""
+    accuracies = np.empty(len(episodes))
+    all_profiles = []
+    for i, episode in enumerate(episodes):
+        rng = stream(master_seed, stream_label, i)
+        profiles, confusions = sample_annotator_pool(dist, num_annotators, episode.num_classes, rng)
+        annotations = annotate(episode.support_y, confusions, rng)
+        accuracies[i] = adapt_and_score(params, episode, annotations, num_annotators, hyper)
+        all_profiles.append(list(profiles))
+    return accuracies, all_profiles
+
+
+def clean_validation_accuracy(params, val_episodes, hyper):
+    """Mean accuracy with each support's clean labels as one perfect annotator."""
+    return float(np.mean([
+        adapt_and_score(params, e, [{0: int(y)} for y in e.support_y], 1, hyper)
+        for e in val_episodes
+    ]))
+
+
+def baseline_scores(params, episodes, method, r, dist, hyper, seed, label):
+    """Per-task query accuracy and support-label recovery of one baseline method."""
+    recovery = np.empty(len(episodes))
+    accuracy = np.empty(len(episodes))
+    for i, episode in enumerate(episodes):
+        k = episode.num_classes
+        annotations, _ = pseudo_annotate(episode.support_y, r, dist, k, stream(seed, label, i))
+        if method.endswith("ds"):
+            weights, _, _ = baselines.dawid_skene(annotations, k, hyper, num_annotators=r)
+            estimated = np.argmax(weights, axis=1)
+        else:
+            estimated, weights = baselines.majority_vote(annotations, k)
+            weights = baselines.onehot(estimated, k)
+        recovery[i] = float(np.mean(estimated == episode.support_y))
+        support_u = forward(episode.support_x, params) if params is not None else episode.support_x
+        query_u = forward(episode.query_x, params) if params is not None else episode.query_x
+        fit = baselines.prototype_from_labels(support_u, weights, hyper.tau, hyper.b)
+        predicted = em.predict_labels(query_u, fit.classifier)
+        accuracy[i] = float(np.mean(predicted == episode.query_y))
+    return accuracy, recovery

@@ -140,6 +140,19 @@ class TestDawidSkene:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
+    def test_stacked_tasks_match_each_task(self):
+        rng = stream(6, "ds-stacked")
+        pool = [profile_to_confusion(AnnotatorProfile(AnnotatorKind.HAMMER, q=0.7), 3),
+                np.full((3, 3), 1.0 / 3.0)]
+        tasks = [annotate(rng.integers(3, size=9), pool, rng, label_fraction=0.8)
+                 for _ in range(4)]
+        lam, pi, confusions = baselines.dawid_skene(tasks, 3, HYPER, num_annotators=2)
+        assert lam.shape == (4, 9, 3) and confusions.shape == (4, 2, 3, 3)
+        for b, annotations in enumerate(tasks):
+            one = baselines.dawid_skene(annotations, 3, HYPER, num_annotators=2)
+            for stacked, single in zip((lam, pi, confusions), one):
+                assert stacked[b].tobytes() == single.tobytes()
+
 class TestPrototypeFromLabels:
     def test_hard_correct_labels_zero_tau_gives_class_means(self):
         rng = stream(4, "proto")
@@ -195,3 +208,26 @@ class TestPrototypeFromLabels:
     def test_prior_strengths_validated(self):
         with pytest.raises(ValueError, match=r"tau >= 0 and b > 0 \(got tau=-1.0, b=1.0\)"):
             baselines.prototype_from_labels(np.ones((2, 2)), np.eye(2), tau=-1.0)
+
+    def test_stacked_tasks_match_each_task(self):
+        rng = stream(7, "proto-stacked")
+        embeddings = rng.standard_normal((3, 6, 4))
+        weights = rng.dirichlet(np.ones(3), size=(3, 6))
+        weights[1, :, 2] = 0.0  # task 1 leaves class 2 empty
+        weights[1] /= weights[1].sum(axis=1, keepdims=True)
+        fit = baselines.prototype_from_labels(embeddings, weights, tau=1.0, b=2.0)
+        assert fit.empty_classes == ((), (2,), ())
+        assert fit.classifier.confusions.shape == (3, 0, 3, 3)
+        for b in range(3):
+            one = baselines.prototype_from_labels(embeddings[b], weights[b], tau=1.0, b=2.0)
+            assert fit.classifier.prototypes[b].tobytes() == one.classifier.prototypes.tobytes()
+            assert fit.classifier.class_prior[b].tobytes() == one.classifier.class_prior.tobytes()
+
+    def test_stacked_rows_validated(self):
+        weights = np.tile(np.eye(2), (2, 1, 1))
+        weights[1, 1] = [0.5, 1.0]
+        with pytest.raises(ValueError, match=re.escape(
+                "label weights of example 1 of task 1 sum to 1.5, not 1")):
+            baselines.prototype_from_labels(np.ones((2, 2, 3)), weights, tau=1.0)
+        with pytest.raises(ValueError, match="label weights must be"):
+            baselines.prototype_from_labels(np.ones((2, 3)), weights, tau=1.0)

@@ -88,6 +88,17 @@ class TestConfigParsing:
                                      stream(0, "readme", i))
             assert episode.num_classes == meta.ways
 
+    @pytest.mark.parametrize("command", [["evaluate", "--checkpoint", "nope.bin"],
+                                         ["baseline", "--method", "mv"]])
+    @pytest.mark.parametrize("tasks", [0, -3])
+    def test_non_positive_eval_tasks_is_config_error(self, command, tasks, tmp_path, capsys):
+        path = tmp_path / "few.cfg"
+        path.write_text(TINY_CONFIG + f"eval_tasks = {tasks}\n", encoding="utf-8")
+        out = tmp_path / "x"
+        assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+        assert f"eval_tasks must be >= 1 (got {tasks})" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/path.cfg")
