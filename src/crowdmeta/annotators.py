@@ -212,13 +212,12 @@ def annotate(
     confusions: Sequence[np.ndarray],
     rng: np.random.Generator,
     label_fraction: float = 1.0,
-) -> list[dict[int, int]]:
+) -> np.ndarray:
     """Sample annotator labels from confusion columns of the true classes.
 
-    By default every annotator labels every example.  ``label_fraction``
-    below 1 keeps each (example, annotator) pair independently with that
-    probability, forcing at least one label per example so downstream EM
-    never sees an unannotated example.
+    Returns the int ``(N, R)`` label matrix, -1 where annotator r gave no
+    label for example n.  ``label_fraction`` below 1 keeps each pair
+    independently with that probability, but at least one per example.
     """
     true_labels = np.asarray(true_labels, dtype=np.intp)
     n = len(true_labels)
@@ -226,19 +225,15 @@ def annotate(
     alpha = np.asarray(confusions, dtype=np.float64)  # (R, K, K)
     cum = np.cumsum(alpha, axis=1)[:, :, true_labels]  # (R, K, n)
     draws = rng.random((num_annotators, n))  # annotator r takes the r-th n draws
-    sampled = np.minimum((draws[:, None, :] > cum).sum(axis=1), alpha.shape[1] - 1)
-    rows = sampled.T.tolist()
+    labels = np.minimum((draws[:, None, :] > cum).sum(axis=1), alpha.shape[1] - 1).T
     if label_fraction >= 1.0:
-        return [dict(enumerate(row)) for row in rows]
+        return labels
     if label_fraction <= 0.0:
         raise ValueError("label_fraction must be in (0, 1]")
     keep = rng.random((n, num_annotators)) < label_fraction
     for i in np.flatnonzero(~keep.any(axis=1)):
         keep[i, rng.integers(num_annotators)] = True
-    return [
-        {r: y for r, (y, kept) in enumerate(zip(row, kept_row)) if kept}
-        for row, kept_row in zip(rows, keep.tolist())
-    ]
+    return np.where(keep, labels, -1)
 
 
 def sample_annotator_pool(
@@ -258,8 +253,8 @@ def pseudo_annotate(
     dist: AnnotatorDistribution,
     num_classes: int,
     rng: np.random.Generator,
-) -> tuple[list[dict[int, int]], tuple[np.ndarray, ...]]:
-    """Noisy labels for clean support data from freshly sampled annotators.
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Noisy ``(N, R)`` labels for clean support data from freshly sampled annotators.
 
     Makes the draws of :func:`sample_annotator_pool` and then
     :func:`annotate`, without building the profiles.

@@ -8,7 +8,6 @@ models.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,25 +15,17 @@ import numpy as np
 from . import em
 
 
-def majority_vote(
-    annotations: Sequence[Mapping[int, int]], num_classes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plurality labels and the underlying vote fractions.
+def majority_vote(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Plurality labels and the underlying vote fractions of an ``(N, R)`` label matrix.
 
     Ties resolve to the lowest class index, so results are reproducible.
     """
-    onehot = em.one_hot_annotations(annotations, num_classes, _num_annotators(annotations))
-    fractions = em.init_responsibilities(onehot)
-    return np.argmax(fractions, axis=1), fractions
-
-
-def _num_annotators(annotations: Sequence[Mapping[int, int]]) -> int:
-    """One more than the largest annotator index used."""
-    return 1 + max((r for ann in annotations for r in ann), default=0)
+    fractions = em.init_responsibilities(em.one_hot_labels(np.asarray(labels), num_classes))
+    return np.argmax(fractions, axis=-1), fractions
 
 
 def dawid_skene(
-    annotations: Sequence[Mapping[int, int]] | Sequence[Sequence[Mapping[int, int]]],
+    labels: np.ndarray,
     num_classes: int,
     hyper: em.PriorHyperparams,
     num_annotators: int | None = None,
@@ -44,22 +35,17 @@ def dawid_skene(
     Starts from vote fractions and runs ``hyper.em_steps`` iterations of
     {update pi and confusions; recompute soft labels from pi_k * a_nk}.
     Returns the soft labels, class prior, and the ``(R, K, K)`` confusions.
-    B annotation lists of equal length stack B tasks, run as one call
-    whose every result gains a leading task axis.
+    ``num_annotators``, if given, must be the width of the ``(N, R)`` label
+    matrix; a ``(B, N, R)`` stack runs B tasks, each result gaining that axis.
     """
-    stacked = len(annotations) > 0 and not isinstance(annotations[0], Mapping)
-    if num_annotators is None:
-        num_annotators = _num_annotators(
-            [ann for task in annotations for ann in task] if stacked else annotations
-        )
+    labels = np.asarray(labels)
     # The support set validates the labels once into the one-hot tensor the
     # updates read; zero embeddings keep the Gaussian term out of the scores.
     support = em.SupportSet(
-        embeddings=np.zeros((len(annotations), len(annotations[0]), 1) if stacked
-                            else (len(annotations), 1)),
-        annotations=annotations,
+        embeddings=np.zeros(labels.shape[:-1] + (1,)),
+        annotations=labels,
         num_classes=num_classes,
-        num_annotators=num_annotators,
+        num_annotators=labels.shape[-1] if num_annotators is None else num_annotators,
     )
     lam = em.init_responsibilities(support.onehot)
     pi = confusions = None

@@ -153,7 +153,8 @@ def cmd_meta_train(args) -> int:
 
 
 def _evaluate_cell(setup: RunSetup, params: EncoderParams, shots: int, r: int,
-                   dist: AnnotatorDistribution, seed: int) -> dict:
+                   dist: AnnotatorDistribution, seed: int) -> tuple[dict, list[str]]:
+    """A grid cell's metrics and its audit: one JSON line of annotator profiles per task."""
     episodes = _test_episodes(setup, shots, seed)
     result = mt.evaluate(
         params,
@@ -164,17 +165,14 @@ def _evaluate_cell(setup: RunSetup, params: EncoderParams, shots: int, r: int,
         seed,
         stream_label=_annotator_stream(shots, r, dist),
     )
-    return {
-        "shots": shots,
-        "annotators": r,
-        "dist": dist.to_dict(),
-        "mean_acc": result.mean,
-        "stderr": result.stderr,
-        "n_tasks": len(episodes),
-        "annotator_audit": [
-            [p.to_dict() for p in profiles] for profiles in result.annotator_profiles
-        ],
-    }
+    key = {"shots": shots, "annotators": r, "dist": dist.to_dict()}
+    # compact lines run json's C encoder, which indent turns off; strings
+    # also hold the grid's audit in less memory than the profiles would
+    audit = [json.dumps(key | {"task": i, "profiles": [p.to_dict() for p in profiles]},
+                        sort_keys=True, separators=(",", ":"))
+             for i, profiles in enumerate(result.annotator_profiles)]
+    return key | {"mean_acc": result.mean, "stderr": result.stderr,
+                  "n_tasks": len(episodes)}, audit
 
 
 def _load_checkpoint(path: str, setup: RunSetup) -> EncoderParams:
@@ -199,7 +197,8 @@ def cmd_evaluate(args) -> int:
         (shots, r, dist) for shots in shots_list for r in r_list for dist in dists
     ]
     # grid order: shots, then annotators, then the requested distributions
-    cells = [_evaluate_cell(setup, params, *c, seed) for c in cells_spec]
+    audited = [_evaluate_cell(setup, params, *c, seed) for c in cells_spec]
+    cells = [cell for cell, _ in audited]
 
     os.makedirs(args.out, exist_ok=True)
     metrics = {
@@ -210,6 +209,8 @@ def cmd_evaluate(args) -> int:
         "cells": cells,
     }
     _dump_metrics(os.path.join(args.out, "metrics.json"), metrics)
+    with open(os.path.join(args.out, "annotator_audit.jsonl"), "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for _, audit in audited for line in audit)
     for cell in cells:
         log.info("shots=%d R=%d: acc %.4f +- %.4f",
                  cell["shots"], cell["annotators"], cell["mean_acc"], cell["stderr"])
@@ -229,14 +230,14 @@ def _baseline_scores(params: EncoderParams | None, episodes: list[Episode], meth
     for chunk in mt.task_chunks(episodes):
         tasks = episodes[chunk]
         k = tasks[0].num_classes
-        annotations = [pseudo_annotate(e.support_y, r, dist, k, stream(seed, label, i))[0]
-                       for i, e in enumerate(tasks, chunk.start)]
+        annotations = np.stack([pseudo_annotate(e.support_y, r, dist, k, stream(seed, label, i))[0]
+                                for i, e in enumerate(tasks, chunk.start)])
         support_y = np.stack([e.support_y for e in tasks])
         if method.endswith("ds"):
             weights, _, _ = baselines.dawid_skene(annotations, k, hyper, num_annotators=r)
             estimated = np.argmax(weights, axis=-1)
-        else:  # voting is per example, so the chunk's supports are one list
-            estimated, _ = baselines.majority_vote([a for task in annotations for a in task], k)
+        else:  # voting is per example, so the chunk's supports are one matrix
+            estimated, _ = baselines.majority_vote(annotations.reshape(-1, r), k)
             weights = baselines.onehot(estimated, k).reshape(support_y.shape + (k,))
             estimated = estimated.reshape(support_y.shape)
         recovery[chunk] = np.mean(estimated == support_y, axis=-1)

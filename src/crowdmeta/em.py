@@ -8,10 +8,11 @@ entry is the probability that annotator ``r`` reports label ``l`` when the
 true class is ``k``; the ``R`` matrices form one ``(R, K, K)`` stack.
 Conjugate priors (Gaussian with precision ``tau`` on prototypes, Dirichlet
 with strengths ``b`` and ``c`` on the class prior and on confusion columns)
-make every EM update closed form.  With the labels held as a one-hot
-``(N, R, K)`` tensor ``Y`` (``Y_nrl = 1`` when annotator ``r`` labeled
-example ``n`` as ``l``), the confusion update is the Dawid & Skene (1979)
-count form:
+make every EM update closed form.  The labels arrive as the int ``(N, R)``
+items x workers matrix of Dawid & Skene (1979), -1 marking a missing
+label, and are held as a one-hot ``(N, R, K)`` tensor ``Y`` (``Y_nrl = 1``
+when annotator ``r`` labeled example ``n`` as ``l``), so the confusion
+update is their count form:
 
   M step:  mu_k      = sum_n lam_nk u_n / (tau + sum_n lam_nk)
            pi_k      = (sum_n lam_nk + b) / (K b + N)
@@ -40,9 +41,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# One annotation map per example: annotator index -> reported label.
-AnnotationMap = Mapping[int, int]
 
 
 class UnannotatedExampleError(ValueError):
@@ -78,26 +76,36 @@ class PriorHyperparams:
             raise ValueError(f"em_steps must be an integer >= 1 (got {self.em_steps})")
 
 
-def one_hot_annotations(
-    annotations: Sequence[AnnotationMap], num_classes: int, num_annotators: int
-) -> np.ndarray:
-    """Validated annotation maps as a float one-hot ``(N, R, K)`` label tensor."""
-    if num_classes < 1:
-        raise ValueError("num_classes must be >= 1")
-    if num_annotators < 1:
-        raise ValueError("num_annotators must be >= 1")
-    onehot = np.zeros((len(annotations), num_annotators, num_classes))
-    hits = []  # flat indices of the ones
-    for n, ann in enumerate(annotations):
-        if len(ann) == 0:
-            raise UnannotatedExampleError(f"unannotated example at index {n}")
+def label_matrix(annotation_maps: Sequence[Mapping[int, int]], num_annotators: int) -> np.ndarray:
+    """Per-example maps {annotator: label} as the int ``(N, R)`` label matrix, -1 for no label."""
+    labels = np.full((len(annotation_maps), num_annotators), -1, dtype=np.intp)
+    for n, ann in enumerate(annotation_maps):
         for r, y in ann.items():
             if not 0 <= r < num_annotators:
                 raise ValueError(f"annotator index {r} out of range at example {n}")
-            if not 0 <= y < num_classes:
+            if y < 0 or y != int(y):
                 raise ValueError(f"label {y} out of range at example {n}")
-            hits.append((n * num_annotators + r) * num_classes + y)
-    onehot.reshape(-1)[hits] = 1.0
+            labels[n, r] = y
+    return labels
+
+
+def one_hot_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """A validated ``(..., N, R)`` label matrix as its float one-hot ``(..., N, R, K)`` tensor."""
+    if num_classes < 1:
+        raise ValueError("num_classes must be >= 1")
+    if labels.ndim < 2 or labels.dtype.kind not in "iu":
+        raise ValueError("annotations must be an integer (N, R) label matrix or a stack of them "
+                         "(em.label_matrix converts annotation maps)")
+    row_max = labels.max(axis=-1)
+    if labels.min() < -1 or row_max.max() >= num_classes:
+        where = tuple(np.argwhere((labels < -1) | (labels >= num_classes))[0])
+        raise ValueError(f"label {labels[where]} out of range at example {where[-2]}")
+    if row_max.min() < 0:  # every entry is now -1 or a class, so the row is all -1
+        n = np.argwhere(row_max < 0)[0][-1]
+        raise UnannotatedExampleError(f"unannotated example at index {n}")
+    onehot = np.zeros(labels.shape + (num_classes,))
+    hits = np.flatnonzero(labels >= 0)
+    onehot.reshape(-1)[hits * num_classes + labels.reshape(-1)[hits]] = 1.0
     return onehot
 
 
@@ -105,35 +113,37 @@ def one_hot_annotations(
 class SupportSet:
     """Embedded support examples with their per-annotator labels.
 
-    ``embeddings`` is ``(N, M)`` float64; ``annotations[n]`` maps annotator
-    index to the reported label for example ``n``.  Every example must have
-    at least one annotation.  The labels are validated once, into the
-    one-hot ``(N, R, K)`` tensor ``onehot`` that every EM update reads, and
-    its ``(N, R)`` mask ``observed`` of the labeled (example, annotator)
-    pairs.  ``(B, N, M)`` embeddings with B annotation lists stack B
-    episodes; ``onehot`` is then ``(B, N, R, K)``.
+    ``embeddings`` is ``(N, M)`` float64; ``annotations`` is the int
+    ``(N, R)`` label matrix, -1 where annotator r did not label example n.
+    Every example needs a label.  They are validated once, into the one-hot
+    ``(N, R, K)`` tensor ``onehot`` that every EM update reads and its
+    ``(N, R)`` mask ``observed``.  ``(B, N, M)`` embeddings with
+    ``(B, N, R)`` labels stack B episodes.
     """
 
     embeddings: np.ndarray
-    annotations: Sequence[AnnotationMap]
+    annotations: np.ndarray
     num_classes: int
     num_annotators: int
     onehot: np.ndarray = field(init=False, repr=False)
     observed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.num_annotators < 1:
+            raise ValueError("num_annotators must be >= 1")
+        self.annotations = labels = np.asarray(self.annotations)
+        self.onehot = one_hot_labels(labels, self.num_classes)
+        self.observed = labels >= 0
         self.embeddings = np.ascontiguousarray(self.embeddings, dtype=np.float64)
         if not 2 <= self.embeddings.ndim <= 3:
             raise ValueError("embeddings must be an (N, M) or a (B, N, M) array")
         if not np.all(np.isfinite(self.embeddings)):
             raise ValueError("embeddings contain non-finite values")
-        stacked = self.embeddings.ndim == 3
-        lists = self.annotations if stacked else [self.annotations]
-        if list(map(len, lists)) != [self.size] * (len(self.embeddings) if stacked else 1):
+        if labels.shape[:-1] != self.embeddings.shape[:-1]:
             raise ValueError("annotation count does not match embedding count")
-        onehot = [one_hot_annotations(a, self.num_classes, self.num_annotators) for a in lists]
-        self.onehot = np.stack(onehot) if stacked else onehot[0]
-        self.observed = self.onehot.sum(axis=-1)
+        if labels.shape[-1] != self.num_annotators:
+            raise ValueError(f"label matrix has {labels.shape[-1]} annotator columns, "
+                             f"not num_annotators = {self.num_annotators}")
 
     @property
     def size(self) -> int:

@@ -189,7 +189,7 @@ def _m_step_vjp(
 def episode_loss_and_grad(
     params: EncoderParams,
     support_x: np.ndarray,
-    annotations: Sequence,
+    annotations: np.ndarray,
     num_classes: int,
     num_annotators: int,
     query_x: np.ndarray,
@@ -198,12 +198,12 @@ def episode_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean query loss after the unrolled EM, and its gradient w.r.t. the flat parameters.
 
-    ``support_x`` is ``(B, N, D)`` with B annotation lists, ``query_x``
+    ``support_x`` is ``(B, N, D)`` with ``(B, N, R)`` labels, ``query_x``
     ``(B, Q, D)`` and ``query_y`` ``(B, Q)``: B episodes of equal shape,
-    whose loss is the mean of theirs.  Two-dimensional inputs with one
-    annotation list are a single episode.  One encoder pass embeds every
-    support and query row.  The forward pass runs :func:`crowdmeta.em.m_step`
-    and :func:`crowdmeta.em.e_step` on the stacked supports, keeping every
+    whose loss is the mean of theirs.  Two-dimensional inputs are a single
+    episode.  One encoder pass embeds every support and query row.  The
+    forward pass runs :func:`crowdmeta.em.m_step` and
+    :func:`crowdmeta.em.e_step` on the stacked supports, keeping every
     step's responsibilities; the final E step is skipped because the loss
     reads only the last prototypes and class prior.  The reverse pass is
     hand-derived: the query log-softmax, then for each step from the last
@@ -218,7 +218,7 @@ def episode_loss_and_grad(
     labels = np.asarray(query_y, dtype=np.intp)
     if support_x.ndim == 2:  # one episode
         support_x, query_x, labels = support_x[None], query_x[None], labels[None]
-        annotations = [annotations]
+        annotations = np.asarray(annotations)[None]
     (b, n, width), q = support_x.shape, labels.shape[1]
     x = np.concatenate([support_x.reshape(b * n, width), query_x.reshape(b * q, width)])
     u, record = encoder.forward_recorded(x, params)
@@ -298,16 +298,14 @@ def meta_gradient(
     if config.pseudo_annotation:
         drawn = [pseudo_annotate(e.support_y, config.num_annotators, config.pseudo_dist, k, rng)
                  for e, rng in zip(episodes, rngs, strict=True)]
-        annotations = [labels for labels, _ in drawn]
+        annotations = np.stack([labels for labels, _ in drawn])
         digest = confusion_digest(drawn[-1][1])
-        num_annotators = config.num_annotators
     else:
-        annotations = [[{0: int(y)} for y in episode.support_y] for episode in episodes]
+        annotations = np.stack([e.support_y for e in episodes])[..., None]
         digest = "clean"
-        num_annotators = 1
 
     loss, grad = episode_loss_and_grad(
-        params, np.stack([e.support_x for e in episodes]), annotations, k, num_annotators,
+        params, np.stack([e.support_x for e in episodes]), annotations, k, annotations.shape[-1],
         np.stack([e.query_x for e in episodes]), np.stack([e.query_y for e in episodes]),
         config.hyper,
     )
@@ -365,14 +363,14 @@ def query_accuracies(predicted: np.ndarray, episodes: Sequence[Episode]) -> np.n
 def adapt_and_score(
     params: EncoderParams,
     episodes: Sequence[Episode],
-    annotations: Sequence[Sequence[em.AnnotationMap]],
+    annotations: np.ndarray,
     num_annotators: int,
     hyper: em.PriorHyperparams,
 ) -> np.ndarray:
     """Query accuracy of each classifier EM adapts to an annotated, embedded support.
 
-    The episodes share one shape and ``annotations`` holds one annotation
-    list per episode; one stacked :func:`crowdmeta.em.adapt` adapts them all.
+    The episodes share one shape and ``annotations`` stacks their ``(N, R)``
+    label matrices; one stacked :func:`crowdmeta.em.adapt` adapts them all.
     """
     support_u, query_u = embed_episodes(params, episodes)
     support = em.SupportSet(
@@ -407,6 +405,8 @@ def evaluate(
     Tasks are adapted and scored in chunks (:func:`task_chunks`), one
     :func:`adapt_and_score` call each.
     """
+    if not episodes:
+        raise ValueError("evaluate needs at least one episode (got an empty episode list)")
     accuracies = np.empty(len(episodes))
     all_profiles: list[list[AnnotatorProfile]] = []
     for chunk in task_chunks(episodes):
@@ -458,7 +458,7 @@ def _validation_accuracy(
         scores = []
         for chunk in task_chunks(val_episodes):
             tasks = val_episodes[chunk]
-            clean = [[{0: int(y)} for y in e.support_y] for e in tasks]
+            clean = np.stack([e.support_y for e in tasks])[..., None]
             scores.append(adapt_and_score(params, tasks, clean, 1, config.hyper))
         return float(np.mean(np.concatenate(scores)))
     return evaluate(

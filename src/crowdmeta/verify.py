@@ -89,7 +89,7 @@ def naive_e_step(
     class_prior: np.ndarray,
     confusions: np.ndarray,
 ) -> np.ndarray:
-    """Linear-space Bayes rule with explicit loops; the E-step oracle."""
+    """Linear-space Bayes rule with explicit loops over the label matrix; the E-step oracle."""
     n, k = support.size, support.num_classes
     lam = np.zeros((n, k))
     norm = (2.0 * np.pi) ** (-support.dim / 2.0)
@@ -99,8 +99,8 @@ def naive_e_step(
                 -0.5 * float(np.sum((support.embeddings[i] - prototypes[kk]) ** 2))
             )
             a = 1.0
-            for r, y in support.annotations[i].items():
-                a *= confusions[r][y, kk]
+            for r in np.flatnonzero(support.annotations[i] >= 0):
+                a *= confusions[r][support.annotations[i, r], kk]
             lam[i, kk] = gauss * class_prior[kk] * a
         lam[i] /= lam[i].sum()
     return lam
@@ -134,7 +134,7 @@ def episode_loss_value(
     theta: np.ndarray,
     encoder_config: EncoderConfig,
     support_x: np.ndarray,
-    annotations: list[dict[int, int]],
+    annotations: np.ndarray,
     num_classes: int,
     num_annotators: int,
     query_x: np.ndarray,
@@ -226,9 +226,8 @@ def check_proto_equiv(seed: int = 5, num_queries: int = 1000) -> CheckReport:
     support_y = np.repeat(np.arange(ways), shots)
     centers = rng.standard_normal((ways, dim)) * 3.0
     support_u = centers[support_y] + rng.standard_normal((len(support_y), dim))
-    annotations = [{0: int(y)} for y in support_y]
     hyper = em.PriorHyperparams(tau=0.0, b=1.0, c=1.0, em_steps=1, allow_zero_tau=True)
-    support = em.SupportSet(support_u, annotations, ways, 1)
+    support = em.SupportSet(support_u, support_y[:, None], ways, 1)
     classifier = em.adapt(support, hyper)
 
     query_labels = rng.integers(ways, size=num_queries)

@@ -8,12 +8,16 @@ annotator, so the tests can check that both consume the same draws and
 produce the same profiles and labels.  ``profile_to_confusion`` builds
 each matrix kind by kind, and ``pseudo_annotate`` goes through profiles,
 where the package fills one confusion stack from the drawn parameters.
+The loops return per-example annotation maps where the package returns
+the ``(N, R)`` label matrix; the ``*_matrix`` forms pass them through
+``em.label_matrix``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from crowdmeta import em
 from crowdmeta.annotators import AnnotatorKind, AnnotatorProfile, _sample_q
 
 
@@ -96,3 +100,15 @@ def pseudo_annotate(support_truth, num_annotators, dist, num_classes, rng):
     """A pool's labels for the support, and its confusions."""
     _, confusions = sample_annotator_pool(dist, num_annotators, num_classes, rng)
     return annotate(support_truth, confusions, rng), confusions
+
+
+def annotate_matrix(true_labels, confusions, rng, label_fraction=1.0):
+    """``annotate``'s maps as the label matrix."""
+    labels = annotate(true_labels, confusions, rng, label_fraction)
+    return em.label_matrix(labels, len(confusions))
+
+
+def pseudo_annotate_matrix(support_truth, num_annotators, dist, num_classes, rng):
+    """``pseudo_annotate`` with its maps as the label matrix."""
+    labels, confusions = pseudo_annotate(support_truth, num_annotators, dist, num_classes, rng)
+    return em.label_matrix(labels, num_annotators), confusions

@@ -1,9 +1,12 @@
-"""Per-annotator loop forms of the EM's label updates; a test-only oracle.
+"""Loop forms of the EM's label handling; a test-only oracle.
 
-The package runs the confusion update and the annotation likelihood as
-matrix products over a one-hot ``(N, R, K)`` label tensor.  These are the
-same updates written one annotator at a time over the annotation maps, so
-the tests can check the dense forms against them.
+The package builds the one-hot ``(N, R, K)`` label tensor from the int
+``(N, R)`` label matrix in one vectorized comparison, and runs the
+confusion update and the annotation likelihood as matrix products over
+that tensor.  These are the same steps written one label or one annotator
+at a time: the one-hot tensor from annotation maps, and the updates from
+the label matrix's columns, never from the package's tensor, so the tests
+can check the dense forms against them.
 """
 
 from __future__ import annotations
@@ -13,45 +16,70 @@ import numpy as np
 from crowdmeta import em
 
 
-def group_by_annotator(annotations, num_annotators):
-    """Per-annotator ``(example_indices, labels)`` arrays; silent annotators get empty ones."""
-    idx = [[] for _ in range(num_annotators)]
-    lab = [[] for _ in range(num_annotators)]
+def one_hot_annotations(annotations, num_classes, num_annotators):
+    """Validated annotation maps as a float one-hot ``(N, R, K)`` label tensor, label by label."""
+    if num_classes < 1:
+        raise ValueError("num_classes must be >= 1")
+    if num_annotators < 1:
+        raise ValueError("num_annotators must be >= 1")
+    onehot = np.zeros((len(annotations), num_annotators, num_classes))
     for n, ann in enumerate(annotations):
+        if len(ann) == 0:
+            raise em.UnannotatedExampleError(f"unannotated example at index {n}")
         for r, y in ann.items():
-            idx[r].append(n)
-            lab[r].append(y)
-    return [(np.asarray(i, dtype=np.intp), np.asarray(l, dtype=np.intp))
-            for i, l in zip(idx, lab)]
+            if not 0 <= r < num_annotators:
+                raise ValueError(f"annotator index {r} out of range at example {n}")
+            if not 0 <= y < num_classes:
+                raise ValueError(f"label {y} out of range at example {n}")
+            onehot[n, r, y] = 1.0
+    return onehot
 
 
-def confusion_update(lam, annotations, num_annotators, num_classes, c):
+def label_pairs(row):
+    """``(annotator, label)`` pairs of one example's row of the label matrix, by annotator."""
+    return [(r, int(row[r])) for r in np.flatnonzero(row >= 0)]
+
+
+def group_by_annotator(labels, num_annotators):
+    """Per-annotator ``(example_indices, labels)`` arrays; silent annotators get empty ones."""
+    labels = np.asarray(labels)
+    assert labels.shape[1] == num_annotators
+    return [(np.flatnonzero(column >= 0), column[column >= 0]) for column in labels.T]
+
+
+def confusion_update(lam, labels, num_annotators, num_classes, c):
     """``alpha_r = (counts_r + c) / (sum_{n in I_r} lam_n + K c)``, one annotator at a time."""
     out = []
-    for idx, labels in group_by_annotator(annotations, num_annotators):
+    for idx, given in group_by_annotator(labels, num_annotators):
         lam_r = lam[idx]
         onehot = np.zeros((len(idx), num_classes))
-        onehot[np.arange(len(idx)), labels] = 1.0
+        onehot[np.arange(len(idx)), given] = 1.0
         out.append((onehot.T @ lam_r + c) / (lam_r.sum(axis=0) + num_classes * c))
     return out
 
 
-def annotation_log_likelihood(annotations, confusions, num_classes):
+def annotation_log_likelihood(labels, confusions, num_classes):
     """``log a_nk`` summed over the annotators who labeled example ``n``."""
-    log_a = np.zeros((len(annotations), num_classes))
-    grouped = group_by_annotator(annotations, len(confusions))
+    log_a = np.zeros((len(labels), num_classes))
+    grouped = group_by_annotator(labels, len(confusions))
     with np.errstate(divide="ignore"):
-        for (idx, labels), alpha in zip(grouped, confusions):
-            rows = np.log(alpha)[labels, :]
+        for (idx, given), alpha in zip(grouped, confusions):
+            rows = np.log(alpha)[given, :]
             if np.any(np.isneginf(rows)):
                 raise ValueError("zero confusion entry hit by an observed label")
             log_a[idx] += rows
     return log_a
 
 
-def e_step(embeddings, annotations, prototypes, class_prior, confusions):
+def e_step(embeddings, labels, prototypes, class_prior, confusions):
     """Responsibilities from the loop likelihood, normalized in log space."""
     scores = (-0.5 * em.squared_distances(embeddings, prototypes)
               + np.log(class_prior)[None, :]
-              + annotation_log_likelihood(annotations, confusions, len(class_prior)))
+              + annotation_log_likelihood(labels, confusions, len(class_prior)))
     return np.exp(scores - em.logsumexp(scores, axis=1, keepdims=True))
+
+
+def with_silent_annotators(labels, num_annotators):
+    """The ``(..., N, R)`` label matrix widened to ``num_annotators`` by columns of no labels."""
+    pad = [(0, 0)] * (labels.ndim - 1) + [(0, num_annotators - labels.shape[-1])]
+    return np.pad(labels, pad, constant_values=-1)

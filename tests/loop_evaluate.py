@@ -48,7 +48,7 @@ def evaluate(params, episodes, dist, hyper, num_annotators, master_seed,
 def clean_validation_accuracy(params, val_episodes, hyper):
     """Mean accuracy with each support's clean labels as one perfect annotator."""
     return float(np.mean([
-        adapt_and_score(params, e, [{0: int(y)} for y in e.support_y], 1, hyper)
+        adapt_and_score(params, e, e.support_y[:, None], 1, hyper)
         for e in val_episodes
     ]))
 

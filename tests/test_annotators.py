@@ -148,14 +148,14 @@ class TestAnnotate:
     def test_noiseless_identity(self):
         truth = np.array([0, 1, 2, 1, 0])
         annotations = annotate(truth, [np.eye(3), np.eye(3)], stream(7, "ident"))
-        for n, ann in enumerate(annotations):
-            assert ann == {0: truth[n], 1: truth[n]}
+        assert annotations.dtype == np.intp
+        np.testing.assert_array_equal(annotations, np.stack([truth, truth], axis=1))
 
     def test_spammer_frequencies(self):
         truth = np.zeros(10_000, dtype=int)
         alpha = np.full((4, 4), 0.25)
         annotations = annotate(truth, [alpha], stream(8, "spamfreq"))
-        votes = np.bincount([ann[0] for ann in annotations], minlength=4) / 10_000
+        votes = np.bincount(annotations[:, 0], minlength=4) / 10_000
         np.testing.assert_allclose(votes, 0.25, rtol=0, atol=0.02)
 
     def test_expert_accuracy_frequency(self):
@@ -163,7 +163,7 @@ class TestAnnotate:
         truth = rng.integers(4, size=10_000)
         alpha = profile_to_confusion(AnnotatorProfile(AnnotatorKind.EXPERT, q=0.9), 4)
         annotations = annotate(truth, [alpha], rng)
-        hits = np.mean([ann[0] == t for ann, t in zip(annotations, truth)])
+        hits = np.mean(annotations[:, 0] == truth)
         assert hits == pytest.approx(0.9, abs=0.02)
 
     def test_sparse_labeling_keeps_one_per_example(self):
@@ -171,7 +171,8 @@ class TestAnnotate:
         confusions = [np.eye(2)] * 3
         annotations = annotate(truth, confusions, stream(10, "sparse"),
                                label_fraction=0.2)
-        sizes = [len(ann) for ann in annotations]
+        sizes = (annotations >= 0).sum(axis=1)
+        assert np.all((annotations == -1) | (annotations == 0))
         assert min(sizes) >= 1
         assert np.mean(sizes) < 1.5  # far below the dense 3 labels/example
 
@@ -187,8 +188,8 @@ class TestPseudoAnnotate:
         annotations, confusions = pseudo_annotate(
             truth, 5, EHS(0.1, 0.7, 0.2), 4, stream(12, "shape")
         )
-        assert len(annotations) == 12
-        assert all(len(ann) == 5 for ann in annotations)
+        assert annotations.shape == (12, 5)
+        assert np.all(annotations >= 0)
         assert len(confusions) == 5
 
     def test_deterministic(self):
@@ -196,7 +197,7 @@ class TestPseudoAnnotate:
         dist = EHS(0.1, 0.7, 0.2)
         a1, c1 = pseudo_annotate(truth, 3, dist, 3, stream(13, "det"))
         a2, c2 = pseudo_annotate(truth, 3, dist, 3, stream(13, "det"))
-        assert a1 == a2
+        np.testing.assert_array_equal(a1, a2)
         for x, y in zip(c1, c2):
             np.testing.assert_array_equal(x, y)
 
@@ -243,8 +244,9 @@ class TestMatchesLoops:
             truth = fast.integers(k, size=n)
             np.testing.assert_array_equal(truth, slow.integers(k, size=n))
             labels = annotate(truth, confusions, fast, label_fraction=label_fraction)
-            assert labels == loop_annotators.annotate(truth, confusions, slow, label_fraction)
-            assert all(type(y) is int for ann in labels for y in ann.values())
+            maps = loop_annotators.annotate(truth, confusions, slow, label_fraction)
+            assert labels.dtype == np.intp
+            np.testing.assert_array_equal(labels, em.label_matrix(maps, r))
             assert fast.random() == slow.random()
             kinds.update(p.kind for p in profiles)
         assert kinds == set(AnnotatorKind)
@@ -258,7 +260,7 @@ class TestMatchesLoops:
             fast, slow = stream(seed, "pseudo-oracle"), stream(seed, "pseudo-oracle")
             labels, confusions = pseudo_annotate(truth, r, dist, k, fast)
             expected_labels, expected = loop_annotators.pseudo_annotate(truth, r, dist, k, slow)
-            assert labels == expected_labels
+            np.testing.assert_array_equal(labels, em.label_matrix(expected_labels, r))
             assert type(confusions) is tuple and len(confusions) == r
             for alpha, oracle in zip(confusions, expected):
                 assert alpha.dtype == oracle.dtype and alpha.shape == oracle.shape

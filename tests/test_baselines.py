@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import loop_em
 from crowdmeta import baselines, em
 from crowdmeta.annotators import AnnotatorDistribution, AnnotatorProfile, AnnotatorKind, annotate, profile_to_confusion
 from crowdmeta.seeding import stream
@@ -14,20 +15,19 @@ HYPER = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=10)
 
 class TestMajorityVote:
     def test_plurality(self):
-        labels, fractions = baselines.majority_vote([{0: 0, 1: 0, 2: 1}], 2)
+        labels, fractions = baselines.majority_vote([[0, 0, 1]], 2)
         assert labels[0] == 0
         np.testing.assert_allclose(fractions, [[2 / 3, 1 / 3]])
 
     def test_tie_takes_lowest_index(self):
-        labels, _ = baselines.majority_vote([{0: 0, 1: 1}], 2)
+        labels, _ = baselines.majority_vote([[0, 1]], 2)
         assert labels[0] == 0
-        labels, _ = baselines.majority_vote([{0: 1, 1: 3}], 4)
+        labels, _ = baselines.majority_vote([[1, 3]], 4)
         assert labels[0] == 1
 
     def test_unanimous_recovers_truth(self):
         truth = np.array([2, 0, 1, 1])
-        annotations = [{0: int(t), 1: int(t)} for t in truth]
-        labels, _ = baselines.majority_vote(annotations, 3)
+        labels, _ = baselines.majority_vote(np.stack([truth, truth], axis=1), 3)
         np.testing.assert_array_equal(labels, truth)
 
     def test_hard_labels_equal_argmax_of_ds_init(self):
@@ -37,21 +37,23 @@ class TestMajorityVote:
             AnnotatorProfile(AnnotatorKind.HAMMER, q=0.7), 3)] * 4
         annotations = annotate(truth, confusions, rng)
         labels, _ = baselines.majority_vote(annotations, 3)
-        init = em.init_responsibilities(em.one_hot_annotations(annotations, 3, 4))
+        init = em.init_responsibilities(em.one_hot_labels(annotations, 3))
         np.testing.assert_array_equal(labels, np.argmax(init, axis=1))
 
     def test_unannotated_rejected(self):
-        with pytest.raises(em.UnannotatedExampleError):
-            baselines.majority_vote([{}], 2)
+        with pytest.raises(em.UnannotatedExampleError, match="unannotated example at index 1"):
+            baselines.majority_vote([[0, 1], [-1, -1]], 2)
+        with pytest.raises(ValueError, match="em.label_matrix converts annotation maps"):
+            baselines.majority_vote([{0: 1}], 2)
 
 
 class TestDawidSkene:
     def test_single_annotator_one_step_smoothed_votes(self):
-        annotations = [{0: 0}, {0: 0}, {0: 1}]
+        annotations = em.label_matrix([{0: 0}, {0: 0}, {0: 1}], 1)
         hyper = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=1)
         lam, pi, confusions = baselines.dawid_skene(annotations, 2, hyper)
         # closed form: one M step from one-hot votes, one reweighting
-        onehot = em.one_hot_annotations(annotations, 2, 1)
+        onehot = loop_em.one_hot_annotations([{0: 0}, {0: 0}, {0: 1}], 2, 1)
         votes = em.init_responsibilities(onehot)
         pi_expected = em.class_prior_update(votes, 1.0)
         alpha = em.confusion_update(votes, onehot, 1.0)[0]
@@ -60,6 +62,15 @@ class TestDawidSkene:
         np.testing.assert_allclose(lam, expected, rtol=1e-12)
         assert np.all(np.argmax(lam, axis=1) == [0, 0, 1])
         assert np.all((lam > 0) & (lam < 1))  # smoothed, not one-hot
+
+    def test_num_annotators_is_the_matrix_width(self):
+        labels = np.array([[0, -1, 1], [1, 1, -1]])
+        lam, _, confusions = baselines.dawid_skene(labels, 2, HYPER)
+        assert confusions.shape == (3, 2, 2)
+        again = baselines.dawid_skene(labels, 2, HYPER, num_annotators=3)
+        assert lam.tobytes() == again[0].tobytes()
+        with pytest.raises(ValueError, match="3 annotator columns, not num_annotators = 4"):
+            baselines.dawid_skene(labels, 2, HYPER, num_annotators=4)
 
     def test_matches_brute_force_posterior(self):
         # one EM pass checked against dense linear-space Bayes, K=2 N=6 R=3
@@ -75,7 +86,7 @@ class TestDawidSkene:
             hyper = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=steps)
             lam, pi, confusions = baselines.dawid_skene(annotations, 2, hyper)
             # replay the same EM with explicit loops
-            lam_ref = em.init_responsibilities(em.one_hot_annotations(annotations, 2, 3))
+            lam_ref = em.init_responsibilities(em.one_hot_labels(annotations, 2))
             for _ in range(steps):
                 pi_ref = (lam_ref.sum(0) + 1.0) / (2.0 + 6.0)
                 alphas = []
@@ -83,7 +94,7 @@ class TestDawidSkene:
                     counts = np.full((2, 2), 1.0)
                     denom = np.full(2, 2.0)
                     for n, ann in enumerate(annotations):
-                        if r in ann:
+                        if ann[r] >= 0:
                             counts[ann[r], :] += lam_ref[n]
                             denom += lam_ref[n]
                     alphas.append(counts / denom)
@@ -91,7 +102,7 @@ class TestDawidSkene:
                 for n, ann in enumerate(annotations):
                     for k in range(2):
                         p = pi_ref[k]
-                        for r, y in ann.items():
+                        for r, y in loop_em.label_pairs(ann):
                             p *= alphas[r][y, k]
                         new[n, k] = p
                     new[n] /= new[n].sum()
@@ -146,7 +157,7 @@ class TestDawidSkene:
                 np.full((3, 3), 1.0 / 3.0)]
         tasks = [annotate(rng.integers(3, size=9), pool, rng, label_fraction=0.8)
                  for _ in range(4)]
-        lam, pi, confusions = baselines.dawid_skene(tasks, 3, HYPER, num_annotators=2)
+        lam, pi, confusions = baselines.dawid_skene(np.stack(tasks), 3, HYPER, num_annotators=2)
         assert lam.shape == (4, 9, 3) and confusions.shape == (4, 2, 3, 3)
         for b, annotations in enumerate(tasks):
             one = baselines.dawid_skene(annotations, 3, HYPER, num_annotators=2)

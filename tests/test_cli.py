@@ -164,10 +164,16 @@ class TestEvaluateCommand:
         assert [(c["shots"], c["annotators"]) for c in cells] == [
             (1, 3), (1, 5), (2, 3), (2, 5)
         ]
+        with open(os.path.join(out, "annotator_audit.jsonl"), encoding="utf-8") as fh:
+            audit = [json.loads(line) for line in fh]
         for cell in cells:
             assert 0.0 <= cell["mean_acc"] <= 1.0
             assert cell["n_tasks"] == 6
-            assert len(cell["annotator_audit"]) == 6
+            assert "annotator_audit" not in cell
+            tasks = [line for line in audit if (line["shots"], line["annotators"])
+                     == (cell["shots"], cell["annotators"])]
+            assert [line["task"] for line in tasks] == list(range(6))
+            assert all(len(line["profiles"]) == cell["annotators"] for line in tasks)
 
     def test_single_cell_default(self, config_path, checkpoint, tmp_path):
         out = str(tmp_path / "eval1")

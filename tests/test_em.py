@@ -22,6 +22,9 @@ from crowdmeta.seeding import stream
 
 
 def make_support(embeddings, annotations, num_classes, num_annotators):
+    """A support set from a label matrix, or from hand-written annotation maps."""
+    if not isinstance(annotations, np.ndarray):
+        annotations = em.label_matrix(annotations, num_annotators)
     return em.SupportSet(
         embeddings=np.asarray(embeddings, dtype=float),
         annotations=annotations,
@@ -44,8 +47,12 @@ HYPER = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=3)
 
 
 def vote_fractions(annotations, num_classes, num_annotators=5):
-    onehot = em.one_hot_annotations(annotations, num_classes, num_annotators)
+    onehot = em.one_hot_labels(em.label_matrix(annotations, num_annotators), num_classes)
     return em.init_responsibilities(onehot)
+
+
+ANNOTATION_MAPS = st.lists(st.dictionaries(st.integers(0, 4), st.integers(0, 3),
+                                           min_size=1, max_size=5), min_size=1, max_size=8)
 
 
 class TestInitResponsibilities:
@@ -65,13 +72,71 @@ class TestInitResponsibilities:
         with pytest.raises(em.UnannotatedExampleError, match="unannotated example"):
             vote_fractions([{0: 1}, {}], 2)
 
-    @given(st.lists(st.dictionaries(st.integers(0, 4), st.integers(0, 3),
-                                    min_size=1, max_size=5),
-                    min_size=1, max_size=8))
+    @given(ANNOTATION_MAPS)
     def test_rows_are_distributions(self, annotations):
         lam = vote_fractions(annotations, 4)
         assert np.all(lam >= 0.0)
         np.testing.assert_allclose(lam.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+class TestLabelMatrix:
+    """The label matrix and its one-hot tensor against the annotation-map loop of ``loop_em``."""
+
+    @given(ANNOTATION_MAPS, st.integers(1, 3))
+    def test_onehot_matches_loop_oracle(self, annotations, episodes):
+        labels = em.label_matrix(annotations, 5)
+        oracle = loop_em.one_hot_annotations(annotations, 4, 5)
+        support = make_support(np.zeros((len(annotations), 2)), labels, 4, 5)
+        np.testing.assert_array_equal(support.onehot, oracle)
+        np.testing.assert_array_equal(support.observed, oracle.sum(axis=-1) == 1.0)
+        stacked = make_support(np.zeros((episodes, len(annotations), 2)),
+                               np.stack([labels] * episodes), 4, 5)
+        np.testing.assert_array_equal(stacked.onehot, np.stack([oracle] * episodes))
+
+    def test_missing_labels_are_minus_one(self):
+        labels = em.label_matrix([{1: 2}, {0: 0, 2: 1}], 3)
+        assert labels.dtype == np.intp
+        np.testing.assert_array_equal(labels, [[-1, 2, -1], [0, -1, 1]])
+
+    def test_fractional_label_rejected(self):
+        # the matrix is integer, so a fractional label would otherwise truncate
+        with pytest.raises(ValueError, match="label 0.5 out of range at example 1"):
+            em.label_matrix([{0: 1}, {0: 0.5}], 1)
+
+    @pytest.mark.parametrize("maps, message", [
+        ([{0: 1}, {}], "unannotated example at index 1"),
+        ([{0: 1}, {1: 2}], "label 2 out of range at example 1"),
+        ([{0: 1}, {0: -1}], "label -1 out of range at example 1"),
+        ([{0: 1}, {3: 0}], "annotator index 3 out of range at example 1"),
+        ([{0: 1}, {-1: 0}], "annotator index -1 out of range at example 1"),
+    ])
+    def test_messages_match_loop_oracle(self, maps, message):
+        with pytest.raises(ValueError, match=message):
+            loop_em.one_hot_annotations(maps, 2, 3)
+        with pytest.raises(ValueError, match=message):
+            make_support(np.zeros((2, 2)), maps, 2, 3)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_matrix_messages(self, stacked):
+        labels = np.array([[0, -1], [1, 0], [-1, 1]])
+
+        def support(labels):
+            lead = (2,) if stacked else ()
+            return em.SupportSet(np.zeros(lead + (3, 2)),
+                                 np.broadcast_to(labels, lead + labels.shape), 2, 2)
+
+        support(labels)
+        with pytest.raises(em.UnannotatedExampleError, match="unannotated example at index 2"):
+            support(np.where(np.arange(3)[:, None] == 2, -1, labels))
+        for bad in (2, -2):
+            with pytest.raises(ValueError, match=f"label {bad} out of range at example 1"):
+                support(np.where(labels == 1, bad, labels))
+        with pytest.raises(ValueError, match="3 annotator columns, not num_annotators = 2"):
+            support(loop_em.with_silent_annotators(labels, 3))
+
+    def test_annotation_maps_rejected_by_the_ems_inputs(self):
+        with pytest.raises(ValueError, match="em.label_matrix converts annotation maps"):
+            em.SupportSet(np.zeros((2, 2)), [{0: 0}, {0: 1}], 2, 1)
 
 
 class TestMStep:
@@ -180,7 +245,7 @@ class TestDenseMatchesLoops:
             AnnotatorDistribution.expert_hammer_spammer(0.2, 0.6, 0.2), 6, 4, rng
         )
         annotations = annotate(truth, true_confusions, rng, label_fraction=0.3)
-        assert any(len(ann) == 1 for ann in annotations)
+        assert np.any((annotations >= 0).sum(axis=1) == 1)
         support = make_support(rng.standard_normal((30, 3)), annotations, 4, 6)
         self.compare(support, rng.dirichlet(np.ones(4), size=30), c=0.5)
 
@@ -188,13 +253,14 @@ class TestDenseMatchesLoops:
         rng = stream(7, "dense-silent")
         truth = rng.integers(3, size=12)
         annotations = annotate(truth, [self.HAMMER] * 3, rng, label_fraction=0.5)
+        annotations = loop_em.with_silent_annotators(annotations, 4)
         support = make_support(rng.standard_normal((12, 2)), annotations, 3, 4)
         confusions = self.compare(support, em.init_responsibilities(support.onehot))
         np.testing.assert_array_equal(confusions[3], np.full((3, 3), 1.0 / 3.0))
 
     def test_unhit_zero_entries_stay_finite(self):
         # the flipper only ever reports label 0, whose row has no zero
-        annotations = [{0: 0, 1: 0}, {0: 1, 1: 0}, {0: 2}, {0: 1, 1: 0}]
+        annotations = em.label_matrix([{0: 0, 1: 0}, {0: 1, 1: 0}, {0: 2}, {0: 1, 1: 0}], 2)
         support = make_support(np.zeros((4, 2)), annotations, 3, 2)
         confusions = np.stack([self.HAMMER, self.FLIPPER])
         log_a = em.annotation_log_likelihood(support, confusions)
@@ -213,7 +279,7 @@ class TestDenseMatchesLoops:
         )
 
     def test_hit_zero_entry_raises(self):
-        annotations = [{0: 0, 1: 0}, {0: 1, 1: 2}]  # label 2 selects a row with zeros
+        annotations = em.label_matrix([{0: 0, 1: 0}, {0: 1, 1: 2}], 2)  # label 2 hits zeros
         support = make_support(np.zeros((2, 2)), annotations, 3, 2)
         confusions = np.stack([self.HAMMER, self.FLIPPER])
         with pytest.raises(ValueError, match="zero confusion entry"):
@@ -262,7 +328,7 @@ class TestEStep:
                         -0.5 * float(np.sum((support.embeddings[n] - protos[k]) ** 2))
                     )
                     a = 1.0
-                    for r, y in support.annotations[n].items():
+                    for r, y in loop_em.label_pairs(support.annotations[n]):
                         a *= confusions[r][y, k]
                     slow[n, k] = gauss * pi[k] * a
                 slow[n] /= slow[n].sum()
@@ -291,7 +357,7 @@ def naive_lower_bound(lam, support, protos, pi, confusions, hyper):
             log_joint = norm - 0.5 * float(
                 np.sum((support.embeddings[n] - protos[k]) ** 2)
             ) + math.log(pi[k])
-            for r, y in support.annotations[n].items():
+            for r, y in loop_em.label_pairs(support.annotations[n]):
                 log_joint += math.log(confusions[r][y, k])
             total += lam[n, k] * (log_joint - math.log(lam[n, k]))
     # prior terms
@@ -377,7 +443,7 @@ class TestLogPosterior:
                     -0.5 * float(np.sum((support.embeddings[n] - protos[k]) ** 2))
                 )
                 a = 1.0
-                for r, y in support.annotations[n].items():
+                for r, y in loop_em.label_pairs(support.annotations[n]):
                     a *= confusions[r][y, k]
                 p *= gauss * pi[k] * a
             total += p
@@ -443,11 +509,12 @@ class TestStackedSupport:
         truth = np.repeat(np.arange(ways), size // ways)
         _, confusions = sample_annotator_pool(dist, num_annotators, ways, rng)
         _, sparse = sample_annotator_pool(dist, num_annotators - 1, ways, rng)
-        annotations = [
+        annotations = np.stack([
             annotate(truth, confusions, rng),
-            annotate(truth, sparse, rng, label_fraction=0.3),
-            [{0: int(y) % (ways - 1), 2: 0} for y in truth],
-        ]
+            loop_em.with_silent_annotators(annotate(truth, sparse, rng, label_fraction=0.3),
+                                           num_annotators),
+            em.label_matrix([{0: int(y) % (ways - 1), 2: 0} for y in truth], num_annotators),
+        ])
         embeddings = rng.standard_normal((len(annotations), size, 3))
         return embeddings, annotations, ways, num_annotators
 
@@ -524,11 +591,13 @@ class TestStackedSupport:
         with pytest.raises(ValueError, match="annotation count"):
             em.SupportSet(embeddings, annotations[:2], k, r)
         with pytest.raises(ValueError, match="annotation count"):
-            em.SupportSet(embeddings, [annotations[0], annotations[1][:-1], annotations[2]], k, r)
+            em.SupportSet(embeddings, annotations[:, :-1], k, r)
+        with pytest.raises(ValueError, match=f"{r - 1} annotator columns, not num_annotators = {r}"):
+            em.SupportSet(embeddings, annotations[..., :-1], k, r)
 
     def test_out_of_range_label_rejected(self):
         embeddings, annotations, k, r = self.episodes(4)
-        annotations[2][5] = {0: k}
+        annotations[2, 5, 0] = k
         with pytest.raises(ValueError, match=f"label {k} out of range at example 5"):
             em.SupportSet(embeddings, annotations, k, r)
 
@@ -585,7 +654,7 @@ def test_em_outputs_always_stochastic(seed):
     num_annotators = int(rng.integers(1, 4))
     tasks = [random_task(seed + t, num_classes, size, num_annotators) for t in range(3)]
     stacked = make_support(np.stack([t.embeddings for t in tasks]),
-                           [t.annotations for t in tasks], num_classes, num_annotators)
+                           np.stack([t.annotations for t in tasks]), num_classes, num_annotators)
     for support in (tasks[0], stacked):
         classifier = em.adapt(support, HYPER)
         lam, pi, alpha = classifier.responsibilities, classifier.class_prior, classifier.confusions

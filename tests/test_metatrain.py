@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import loop_annotators
+import loop_em
 import loop_episodes
 import loop_seeding
 from crowdmeta import em
@@ -129,8 +130,9 @@ class TestUnrolledGraph:
 
     def test_forward_matches_on_sparse_annotations(self):
         episode = random_episode(11)
-        annotations = [dict(list({0: int(y), 1: int(y), 2: 0}.items())[: 1 + n % 3])
-                       for n, y in enumerate(episode.support_y)]
+        maps = [dict(list({0: int(y), 1: int(y), 2: 0}.items())[: 1 + n % 3])
+                for n, y in enumerate(episode.support_y)]
+        annotations = em.label_matrix(maps, 3)
         config = EncoderConfig(5, (6,), 4, init_seed=3)
         loss, value = loss_pair(episode, annotations, 3, config, HYPER)
         assert loss == value
@@ -155,7 +157,8 @@ class TestUnrolledGraph:
         rng = stream(40, "sparse", em_steps)
         _, confusions = sample_annotator_pool(EHS(0.2, 0.6, 0.2), 4, 4, rng)
         annotations = annotate(episode.support_y, confusions, rng, label_fraction=0.3)
-        assert any(len(ann) == 1 for ann in annotations)
+        assert np.any((annotations >= 0).sum(axis=1) == 1)
+        annotations = loop_em.with_silent_annotators(annotations, 5)
         config = EncoderConfig(5, (8,), 4, init_seed=em_steps)
         hyper = em.PriorHyperparams(em_steps=em_steps)
         args = (episode.support_x, annotations, 4, 5, episode.query_x, episode.query_y, hyper)
@@ -181,13 +184,14 @@ class TestBatchedGradient:
         for b, episode in enumerate(episodes):
             rng = stream(60, f"batched-{labels}", b)
             if labels == "clean":
-                annotations.append([{0: int(y)} for y in episode.support_y])
+                annotations.append(episode.support_y[:, None])
                 continue
-            # at 30% a fifth annotator labels nothing
+            # a fifth annotator labels nothing
             _, confusions = sample_annotator_pool(EHS(0.2, 0.6, 0.2), 4, 4, rng)
             fraction = 1.0 if labels == "dense" else 0.3
-            annotations.append(annotate(episode.support_y, confusions, rng, label_fraction=fraction))
-        return episodes, annotations, 1 if labels == "clean" else 5
+            labels_given = annotate(episode.support_y, confusions, rng, label_fraction=fraction)
+            annotations.append(loop_em.with_silent_annotators(labels_given, 5))
+        return episodes, np.stack(annotations), 1 if labels == "clean" else 5
 
     @pytest.mark.parametrize("em_steps", [1, 3])
     @pytest.mark.parametrize("labels", ["dense", "sparse", "clean"])
@@ -390,7 +394,7 @@ class TestMetaTrain:
             episode = sample_episode(val, config.ways, config.shots, config.query_per_class,
                                      stream(config.master_seed, "val-episode", 0, j))
             support = em.SupportSet(forward(episode.support_x, params),
-                                    [{0: int(y)} for y in episode.support_y],
+                                    episode.support_y[:, None],
                                     episode.num_classes, 1)
             classifier = em.adapt(support, config.hyper)
             predicted = em.predict_labels(forward(episode.query_x, params), classifier)
@@ -426,9 +430,9 @@ class TestMetaTrain:
         fast = mt.meta_train(sources, [val], config)
         monkeypatch.setattr(mt, "sample_episode", loop_episodes.sample_episode)
         monkeypatch.setattr(mt, "stream", loop_seeding.stream)
-        monkeypatch.setattr(mt, "pseudo_annotate", loop_annotators.pseudo_annotate)
+        monkeypatch.setattr(mt, "pseudo_annotate", loop_annotators.pseudo_annotate_matrix)
         monkeypatch.setattr(mt, "sample_annotator_pool", loop_annotators.sample_annotator_pool)
-        monkeypatch.setattr(mt, "annotate", loop_annotators.annotate)
+        monkeypatch.setattr(mt, "annotate", loop_annotators.annotate_matrix)
         slow = mt.meta_train(sources, [val], config)
         assert fast.final_params.flatten().tobytes() == slow.final_params.flatten().tobytes()
         assert [(r.loss, r.pseudo_digest) for r in fast.log] == [
@@ -512,3 +516,8 @@ class TestEvaluate:
                              em.PriorHyperparams(em_steps=2), 3, master_seed=3)
         expected = np.std(result.accuracies, ddof=1) / np.sqrt(len(result.accuracies))
         assert result.stderr == pytest.approx(expected, rel=1e-12)
+
+    def test_empty_episode_list_rejected(self):
+        params = EncoderParams(weights=[np.eye(3)], biases=[np.zeros(3)])
+        with pytest.raises(ValueError, match="empty episode list"):
+            mt.evaluate(params, [], EHS(0.1, 0.7, 0.2), HYPER, 3, master_seed=3)
