@@ -3,7 +3,8 @@
 Majority voting and the feature-free confusion-matrix EM share the core
 update rules: the EM here is exactly the latent-space adaptation with the
 Gaussian factor switched off, so one tested implementation backs both
-models.
+models.  The two fits are what :func:`crowdmeta.metatrain.evaluate` scores
+in place of the EM adaptation, on the same annotators and chunks.
 """
 
 from __future__ import annotations
@@ -113,7 +114,19 @@ def prototype_from_labels(
 
 
 def onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.intp)
-    out = np.zeros((len(labels), num_classes))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
+    """Float one-hot rows, on a new last axis, of integer labels of any shape."""
+    return np.eye(num_classes)[np.asarray(labels, dtype=np.intp)]
+
+
+def fit_majority_vote(support_u: np.ndarray, labels: np.ndarray, num_classes: int,
+                      hyper: em.PriorHyperparams) -> em.AdaptedClassifier:
+    """Prototypes fitted to the plurality labels of ``(B, N, R)`` label matrices."""
+    weights = onehot(majority_vote(labels, num_classes)[0], num_classes)
+    return prototype_from_labels(support_u, weights, hyper.tau, hyper.b).classifier
+
+
+def fit_dawid_skene(support_u: np.ndarray, labels: np.ndarray, num_classes: int,
+                    hyper: em.PriorHyperparams) -> em.AdaptedClassifier:
+    """Prototypes fitted to the Dawid-Skene soft labels of ``(B, N, R)`` label matrices."""
+    weights, _, _ = dawid_skene(labels, num_classes, hyper)
+    return prototype_from_labels(support_u, weights, hyper.tau, hyper.b).classifier

@@ -11,9 +11,9 @@ import sys
 
 import numpy as np
 
-from . import baselines, em
+from . import baselines
 from . import metatrain as mt
-from .annotators import AnnotatorDistribution, pseudo_annotate
+from .annotators import AnnotatorDistribution
 from .config import ConfigError, RunSetup, build_run_setup, load_config
 from .encoder import EncoderParams, load_checkpoint, save_checkpoint
 from .episodes import DataError, Episode, sample_episode
@@ -49,10 +49,6 @@ def _run_id(command: str, values: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _config_echo(values: dict) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in values.items()}
-
-
 def _parse_dist_flag(text: str) -> AnnotatorDistribution:
     parts = text.split(":")
     if len(parts) != 3:
@@ -70,17 +66,28 @@ def _annotator_stream(shots: int, r: int, dist: AnnotatorDistribution) -> str:
 
 
 def _list_flag(text: str, flag: str, parse=int) -> list:
+    what = "integers" if parse is int else "numbers"
     try:
-        return [parse(p) for p in text.split(",") if p.strip()]
+        values = [parse(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        what = "integers" if parse is int else "numbers"
-        raise UsageError(f"{flag} expects comma-separated {what}, got {text!r}") from None
+        values = []
+    if not values:
+        raise UsageError(f"{flag} expects comma-separated {what}, got {text!r}")
+    return values
 
 
-def _eval_grid(args, setup: RunSetup) -> tuple[list[int], list[int], list[AnnotatorDistribution]]:
-    shots_list = _list_flag(args.shots, "--shots") if args.shots else [setup.meta.shots]
+def _count_flag(text: str, flag: str) -> list[int]:
+    counts = _list_flag(text, flag)
+    if min(counts) < 1:
+        raise UsageError(f"{flag} expects integers >= 1, got {text!r}")
+    return counts
+
+
+def _eval_grid(args, setup: RunSetup) -> list[tuple[int, int, AnnotatorDistribution]]:
+    """The grid cells in order: shots, then annotators, then the requested distributions."""
+    shots_list = _count_flag(args.shots, "--shots") if args.shots else [setup.meta.shots]
     r_list = (
-        _list_flag(args.annotators, "--annotators")
+        _count_flag(args.annotators, "--annotators")
         if args.annotators
         else [setup.meta.num_annotators]
     )
@@ -98,7 +105,7 @@ def _eval_grid(args, setup: RunSetup) -> tuple[list[int], list[int], list[Annota
             )
     else:
         dists = [setup.eval_dist]
-    return shots_list, r_list, dists
+    return [(shots, r, dist) for shots in shots_list for r in r_list for dist in dists]
 
 
 def _test_episodes(setup: RunSetup, shots: int, seed: int) -> list[Episode]:
@@ -135,8 +142,8 @@ def cmd_meta_train(args) -> int:
 
     metrics = {
         "command": "meta-train",
-        "run_id": _run_id("meta-train", _config_echo(values)),
-        "config": _config_echo(values),
+        "run_id": _run_id("meta-train", values),
+        "config": values,
         "ablation": "no-pseudo-annotation" if ablation else None,
         "pseudo_annotation": setup.meta.pseudo_annotation,
         "iterations_run": result.iterations_run,
@@ -152,27 +159,15 @@ def cmd_meta_train(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_cell(setup: RunSetup, params: EncoderParams, shots: int, r: int,
-                   dist: AnnotatorDistribution, seed: int) -> tuple[dict, list[str]]:
-    """A grid cell's metrics and its audit: one JSON line of annotator profiles per task."""
+def _grid_cell(setup: RunSetup, params: EncoderParams | None, shots: int, r: int,
+               dist: AnnotatorDistribution, seed: int, fit: mt.Fit) -> tuple[dict, mt.EvalResult]:
+    """A grid cell's metrics and its evaluation: ``fit`` scored on the cell's test tasks."""
     episodes = _test_episodes(setup, shots, seed)
-    result = mt.evaluate(
-        params,
-        episodes,
-        dist,
-        setup.meta.hyper,
-        r,
-        seed,
-        stream_label=_annotator_stream(shots, r, dist),
-    )
-    key = {"shots": shots, "annotators": r, "dist": dist.to_dict()}
-    # compact lines run json's C encoder, which indent turns off; strings
-    # also hold the grid's audit in less memory than the profiles would
-    audit = [json.dumps(key | {"task": i, "profiles": [p.to_dict() for p in profiles]},
-                        sort_keys=True, separators=(",", ":"))
-             for i, profiles in enumerate(result.annotator_profiles)]
-    return key | {"mean_acc": result.mean, "stderr": result.stderr,
-                  "n_tasks": len(episodes)}, audit
+    result = mt.evaluate(params, episodes, dist, setup.meta.hyper, r, seed,
+                         stream_label=_annotator_stream(shots, r, dist), fit=fit)
+    return {"shots": shots, "annotators": r, "dist": dist.to_dict(), "mean_acc": result.mean,
+            "stderr": result.stderr, "label_recovery_acc": float(np.mean(result.recovery)),
+            "n_tasks": len(episodes)}, result
 
 
 def _load_checkpoint(path: str, setup: RunSetup) -> EncoderParams:
@@ -190,79 +185,36 @@ def cmd_evaluate(args) -> int:
     if args.seed is not None:
         values["seed"] = args.seed
     setup = build_run_setup(values)
-    shots_list, r_list, dists = _eval_grid(args, setup)  # usage errors before any file
+    grid = _eval_grid(args, setup)  # usage errors before any file
     params = _load_checkpoint(args.checkpoint, setup)
     seed = int(values["seed"])
-    cells_spec = [
-        (shots, r, dist) for shots in shots_list for r in r_list for dist in dists
-    ]
-    # grid order: shots, then annotators, then the requested distributions
-    audited = [_evaluate_cell(setup, params, *c, seed) for c in cells_spec]
-    cells = [cell for cell, _ in audited]
+    cells, audit = [], []
+    for spec in grid:
+        cell, result = _grid_cell(setup, params, *spec, seed, mt.fit_em)
+        cells.append(cell)
+        # compact lines run json's C encoder, which indent turns off; strings
+        # also hold the grid's audit in less memory than the profiles would
+        key = {k: cell[k] for k in ("shots", "annotators", "dist")}
+        audit += [json.dumps(key | {"task": i, "profiles": [p.to_dict() for p in profiles]},
+                             sort_keys=True, separators=(",", ":"))
+                  for i, profiles in enumerate(result.annotator_profiles)]
+        del result  # free these profiles before the next cell draws its own: peak memory
 
     os.makedirs(args.out, exist_ok=True)
     metrics = {
         "command": "evaluate",
-        "run_id": _run_id("evaluate", _config_echo(values)),
-        "config": _config_echo(values),
+        "run_id": _run_id("evaluate", values),
+        "config": values,
         "checkpoint": os.path.basename(args.checkpoint),
         "cells": cells,
     }
     _dump_metrics(os.path.join(args.out, "metrics.json"), metrics)
     with open(os.path.join(args.out, "annotator_audit.jsonl"), "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for _, audit in audited for line in audit)
+        fh.writelines(line + "\n" for line in audit)
     for cell in cells:
         log.info("shots=%d R=%d: acc %.4f +- %.4f",
                  cell["shots"], cell["annotators"], cell["mean_acc"], cell["stderr"])
     return EXIT_OK
-
-
-def _baseline_scores(params: EncoderParams | None, episodes: list[Episode], method: str,
-                     r: int, dist: AnnotatorDistribution, hyper: em.PriorHyperparams,
-                     seed: int, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-task query accuracy and support-label recovery of one baseline method.
-
-    Each task's annotators come from its own stream; the tasks are then
-    scored in the chunks :func:`crowdmeta.metatrain.evaluate` uses.
-    """
-    accuracy = np.empty(len(episodes))
-    recovery = np.empty(len(episodes))
-    for chunk in mt.task_chunks(episodes):
-        tasks = episodes[chunk]
-        k = tasks[0].num_classes
-        annotations = np.stack([pseudo_annotate(e.support_y, r, dist, k, stream(seed, label, i))[0]
-                                for i, e in enumerate(tasks, chunk.start)])
-        support_y = np.stack([e.support_y for e in tasks])
-        if method.endswith("ds"):
-            weights, _, _ = baselines.dawid_skene(annotations, k, hyper, num_annotators=r)
-            estimated = np.argmax(weights, axis=-1)
-        else:  # voting is per example, so the chunk's supports are one matrix
-            estimated, _ = baselines.majority_vote(annotations.reshape(-1, r), k)
-            weights = baselines.onehot(estimated, k).reshape(support_y.shape + (k,))
-            estimated = estimated.reshape(support_y.shape)
-        recovery[chunk] = np.mean(estimated == support_y, axis=-1)
-        support_u, query_u = mt.embed_episodes(params, tasks)
-        fit = baselines.prototype_from_labels(support_u, weights, hyper.tau, hyper.b)
-        accuracy[chunk] = mt.query_accuracies(em.predict_labels(query_u, fit.classifier), tasks)
-    return accuracy, recovery
-
-
-def _baseline_cell(setup: RunSetup, params: EncoderParams | None, method: str,
-                   shots: int, r: int, dist: AnnotatorDistribution, seed: int) -> dict:
-    episodes = _test_episodes(setup, shots, seed)
-    accuracy, recovery = _baseline_scores(params, episodes, method, r, dist, setup.meta.hyper,
-                                          seed, _annotator_stream(shots, r, dist))
-    mean, stderr = mt.mean_and_stderr(accuracy)
-    return {
-        "method": method,
-        "shots": shots,
-        "annotators": r,
-        "dist": dist.to_dict(),
-        "mean_acc": mean,
-        "stderr": stderr,
-        "label_recovery_acc": float(np.mean(recovery)),
-        "n_tasks": len(episodes),
-    }
 
 
 def cmd_baseline(args) -> int:
@@ -274,20 +226,17 @@ def cmd_baseline(args) -> int:
     setup = build_run_setup(values)
     if args.method.startswith("proto-") and not args.checkpoint:
         raise UsageError(f"method {args.method} requires --checkpoint")
-    shots_list, r_list, dists = _eval_grid(args, setup)
+    grid = _eval_grid(args, setup)
     params = _load_checkpoint(args.checkpoint, setup) if args.checkpoint else None
     seed = int(values["seed"])
-    cells = [
-        _baseline_cell(setup, params, args.method, shots, r, dist, seed)
-        for shots in shots_list
-        for r in r_list
-        for dist in dists
-    ]
+    fit = baselines.fit_dawid_skene if args.method.endswith("ds") else baselines.fit_majority_vote
+    cells = [{"method": args.method} | _grid_cell(setup, params, *spec, seed, fit)[0]
+             for spec in grid]
     os.makedirs(args.out, exist_ok=True)
     metrics = {
         "command": "baseline",
-        "run_id": _run_id(f"baseline-{args.method}", _config_echo(values)),
-        "config": _config_echo(values),
+        "run_id": _run_id(f"baseline-{args.method}", values),
+        "config": values,
         "method": args.method,
         "cells": cells,
     }

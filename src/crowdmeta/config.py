@@ -1,7 +1,9 @@
 """Flat ``key = value`` run configuration.
 
 Unknown keys are hard errors so typos cannot silently fall back to
-defaults.  Lists are comma-separated; blank values mean "unset".
+defaults.  Lists are comma-separated, and a blank list is empty.  Any
+other blank value means "unset", which only the keys without a default
+(``csv_path``, ``val_dist``) may be.
 """
 
 from __future__ import annotations
@@ -69,9 +71,6 @@ SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "em_steps": (int, 2),
     # training
     "learning_rate": (float, 1e-3),
-    "adam_beta1": (float, 0.9),
-    "adam_beta2": (float, 0.999),
-    "adam_eps": (float, 1e-8),
     "max_iterations": (int, 2000),
     "validation_interval": (int, 200),
     "patience": (int, 5),
@@ -100,11 +99,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
         key = key.strip()
         if key not in SCHEMA:
             raise ConfigError(f"{source}:{line_no}: unknown config key {key!r}")
-        parser, _ = SCHEMA[key]
+        parser, default = SCHEMA[key]
         value = value.strip()
-        if value == "":
+        if value == "" and default is None:
             values[key] = None
             continue
+        if value == "" and not isinstance(default, tuple):  # a blank list is the empty list
+            raise ConfigError(f"{source}:{line_no}: {key} needs a value")
         try:
             values[key] = parser(value)
         except ValueError as exc:
@@ -158,7 +159,7 @@ def build_run_setup(values: dict[str, object], ablation_no_pseudo: bool = False)
             seed=int(stream(seed, "dataset").integers(2**63)),
         )
     fractions = values["split_fractions"]
-    if fractions is None or len(fractions) != 3:
+    if len(fractions) != 3:
         raise ConfigError("split_fractions needs three values")
     try:
         train, val, test = split_classes(
@@ -182,7 +183,7 @@ def build_run_setup(values: dict[str, object], ablation_no_pseudo: bool = False)
     )
     encoder = EncoderConfig(
         input_dim=dataset.dim,
-        hidden_dims=tuple(values["hidden_dims"] or ()),
+        hidden_dims=tuple(values["hidden_dims"]),
         output_dim=int(values["embed_dim"]),
         init_seed=int(stream(seed, "encoder-init").integers(2**31)),
     )
@@ -196,9 +197,6 @@ def build_run_setup(values: dict[str, object], ablation_no_pseudo: bool = False)
         hyper=hyper,
         encoder=encoder,
         learning_rate=float(values["learning_rate"]),
-        beta1=float(values["adam_beta1"]),
-        beta2=float(values["adam_beta2"]),
-        eps=float(values["adam_eps"]),
         max_iterations=int(values["max_iterations"]),
         validation_interval=int(values["validation_interval"]),
         patience=int(values["patience"]),

@@ -35,6 +35,10 @@ class EncoderConfig:
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         return tuple(zip(dims[:-1], dims[1:]))
 
+    @property
+    def num_params(self) -> int:
+        return sum(fi * fo + fo for fi, fo in self.layer_dims)
+
 
 @dataclass
 class EncoderParams:
@@ -69,7 +73,7 @@ class EncoderParams:
     @classmethod
     def unflatten(cls, config: EncoderConfig, vec: np.ndarray) -> "EncoderParams":
         vec = np.asarray(vec, dtype=np.float64)
-        expected = sum(fi * fo + fo for fi, fo in config.layer_dims)
+        expected = config.num_params
         if vec.size != expected:
             raise ValueError(
                 f"parameter vector has {vec.size} entries, config needs {expected}"
@@ -199,17 +203,17 @@ def save_checkpoint(path: str, config: EncoderConfig, params: EncoderParams) -> 
 
 def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams]:
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a crowdmeta checkpoint")
-        input_dim, output_dim, n_hidden = struct.unpack("<III", fh.read(12))
-        hidden = struct.unpack(f"<{n_hidden}I", fh.read(4 * n_hidden)) if n_hidden else ()
-        (init_seed,) = struct.unpack("<q", fh.read(8))
-        config = EncoderConfig(
-            input_dim=input_dim,
-            hidden_dims=tuple(hidden),
-            output_dim=output_dim,
-            init_seed=init_seed,
-        )
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    return config, EncoderParams.unflatten(config, flat)
+        blob = fh.read()
+    if not blob.startswith(CHECKPOINT_MAGIC):
+        raise ValueError(f"{path}: not a crowdmeta checkpoint")
+    start = len(CHECKPOINT_MAGIC)
+    try:
+        input_dim, output_dim, n_hidden = struct.unpack_from("<III", blob, start)
+        *hidden, init_seed = struct.unpack_from(f"<{n_hidden}Iq", blob, start + 12)
+    except struct.error:
+        raise ValueError(f"{path}: truncated checkpoint") from None
+    config = EncoderConfig(input_dim, tuple(hidden), output_dim, init_seed)
+    payload = blob[start + 12 + 4 * n_hidden + 8 :]
+    if len(payload) < 8 * config.num_params:
+        raise ValueError(f"{path}: truncated checkpoint")
+    return config, EncoderParams.unflatten(config, np.frombuffer(payload, dtype="<f8"))

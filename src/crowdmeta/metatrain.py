@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class MetaConfig:
     hyper: em.PriorHyperparams
     encoder: EncoderConfig
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_iterations: int = 1000
     validation_interval: int = 100
     patience: int = 5
@@ -66,9 +63,6 @@ class MetaConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be > 0")
-        for name in ("beta1", "beta2"):  # Adam's bias correction divides by 1 - beta^t
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"Adam {name} must lie in [0, 1) (got {getattr(self, name)})")
 
     @property
     def validation_dist(self) -> AnnotatorDistribution:
@@ -93,6 +87,10 @@ class TrainState:
         return cls(theta=theta, m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
+# Adam's usual moment decay rates and denominator guard (Kingma & Ba, 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class NonFiniteGradientError(RuntimeError):
     """Gradient contained NaN or infinity; the update was aborted."""
 
@@ -108,11 +106,11 @@ def adam_update(state: TrainState, gradient: np.ndarray, config: MetaConfig) -> 
         bad = int(np.sum(~np.isfinite(gradient)))
         raise NonFiniteGradientError(f"{bad} non-finite gradient entries")
     state.step += 1
-    state.m = config.beta1 * state.m + (1.0 - config.beta1) * gradient
-    state.v = config.beta2 * state.v + (1.0 - config.beta2) * gradient * gradient
-    m_hat = state.m / (1.0 - config.beta1**state.step)
-    v_hat = state.v / (1.0 - config.beta2**state.step)
-    state.theta = state.theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * gradient
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * gradient * gradient
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
+    state.theta = state.theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 
@@ -339,48 +337,39 @@ def task_chunks(episodes: Sequence[Episode]) -> Iterator[slice]:
         start = stop
 
 
-def embed_episodes(
-    params: EncoderParams | None, episodes: Sequence[Episode]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked ``(B, N, M)`` support and ``(B, Q, M)`` query embeddings of equal-shape episodes.
+def fit_em(support_u: np.ndarray, labels: np.ndarray, num_classes: int,
+           hyper: em.PriorHyperparams) -> em.AdaptedClassifier:
+    """EM adaptation to ``(B, N, M)`` support embeddings and their ``(B, N, R)`` labels."""
+    support = em.SupportSet(embeddings=support_u, annotations=labels, num_classes=num_classes,
+                            num_annotators=labels.shape[-1])
+    return em.adapt(support, hyper)
 
-    One encoder pass embeds every support and query row; ``params=None``
-    keeps the raw features.
+
+# support embeddings, label matrices, class count, priors -> classifier
+Fit = Callable[[np.ndarray, np.ndarray, int, em.PriorHyperparams], em.AdaptedClassifier]
+
+
+def adapt_and_score(params: EncoderParams | None, episodes: Sequence[Episode],
+                    labels: np.ndarray, hyper: em.PriorHyperparams,
+                    fit: Fit = fit_em) -> tuple[np.ndarray, np.ndarray]:
+    """Per-task query accuracy and support-label recovery of one fit to embedded supports.
+
+    The episodes share one shape and ``labels`` stacks their ``(N, R)``
+    label matrices; one ``fit`` call adapts them all.  Recovery is the
+    fraction of support examples whose most responsible class is their
+    true label.  One encoder pass embeds every support and query row;
+    ``params=None`` keeps the raw features.
     """
-    if params is None:
-        return np.stack([e.support_x for e in episodes]), np.stack([e.query_x for e in episodes])
     b, n, q = len(episodes), len(episodes[0].support_x), len(episodes[0].query_x)
-    u = forward(np.concatenate([e.support_x for e in episodes] + [e.query_x for e in episodes]),
-                params)
-    return u[: b * n].reshape(b, n, -1), u[b * n :].reshape(b, q, -1)
-
-
-def query_accuracies(predicted: np.ndarray, episodes: Sequence[Episode]) -> np.ndarray:
-    """Fraction of each episode's query labels that ``(B, Q)`` predictions get right."""
-    return np.mean(predicted == np.stack([e.query_y for e in episodes]), axis=-1)
-
-
-def adapt_and_score(
-    params: EncoderParams,
-    episodes: Sequence[Episode],
-    annotations: np.ndarray,
-    num_annotators: int,
-    hyper: em.PriorHyperparams,
-) -> np.ndarray:
-    """Query accuracy of each classifier EM adapts to an annotated, embedded support.
-
-    The episodes share one shape and ``annotations`` stacks their ``(N, R)``
-    label matrices; one stacked :func:`crowdmeta.em.adapt` adapts them all.
-    """
-    support_u, query_u = embed_episodes(params, episodes)
-    support = em.SupportSet(
-        embeddings=support_u,
-        annotations=annotations,
-        num_classes=episodes[0].num_classes,
-        num_annotators=num_annotators,
-    )
-    classifier = em.adapt(support, hyper)
-    return query_accuracies(em.predict_labels(query_u, classifier), episodes)
+    x = np.concatenate([e.support_x for e in episodes] + [e.query_x for e in episodes])
+    u = x if params is None else forward(x, params)
+    support_u, query_u = u[: b * n].reshape(b, n, -1), u[b * n :].reshape(b, q, -1)
+    classifier = fit(support_u, labels, episodes[0].num_classes, hyper)
+    support_y = np.stack([e.support_y for e in episodes])
+    query_y = np.stack([e.query_y for e in episodes])
+    recovered = np.argmax(classifier.responsibilities, axis=-1) == support_y
+    predicted = em.predict_labels(query_u, classifier)
+    return np.mean(predicted == query_y, axis=-1), np.mean(recovered, axis=-1)
 
 
 @dataclass
@@ -388,40 +377,47 @@ class EvalResult:
     accuracies: np.ndarray
     mean: float
     stderr: float
+    recovery: np.ndarray  # per-task support-label recovery
     annotator_profiles: list[list[AnnotatorProfile]]
 
 
 def evaluate(
-    params: EncoderParams,
+    params: EncoderParams | None,
     episodes: Sequence[Episode],
-    dist: AnnotatorDistribution,
+    dist: AnnotatorDistribution | None,
     hyper: em.PriorHyperparams,
     num_annotators: int,
     master_seed: int,
     stream_label: str = "eval-annotators",
+    fit: Fit = fit_em,
 ) -> EvalResult:
-    """Simulate annotators per task from its own stream, adapt, and score query accuracy.
+    """Simulate annotators per task from its own stream, fit, and score query accuracy.
 
-    Tasks are adapted and scored in chunks (:func:`task_chunks`), one
-    :func:`adapt_and_score` call each.
+    Task i's annotators come from ``stream(master_seed, stream_label, i)``;
+    ``dist=None`` labels each support with its clean labels as one perfect
+    annotator instead.  The tasks are fitted and scored in chunks
+    (:func:`task_chunks`), one :func:`adapt_and_score` call each.
     """
     if not episodes:
         raise ValueError("evaluate needs at least one episode (got an empty episode list)")
-    accuracies = np.empty(len(episodes))
+    accuracies, recovery = np.empty(len(episodes)), np.empty(len(episodes))
     all_profiles: list[list[AnnotatorProfile]] = []
     for chunk in task_chunks(episodes):
         tasks, annotations = episodes[chunk], []
         for i, episode in enumerate(tasks, chunk.start):
+            if dist is None:
+                annotations.append(episode.support_y[:, None])
+                continue
             rng = stream(master_seed, stream_label, i)
             profiles, confusions = sample_annotator_pool(dist, num_annotators,
                                                          episode.num_classes, rng)
             annotations.append(annotate(episode.support_y, confusions, rng))
             all_profiles.append(list(profiles))
-        accuracies[chunk] = adapt_and_score(params, tasks, annotations, num_annotators, hyper)
+        accuracies[chunk], recovery[chunk] = adapt_and_score(
+            params, tasks, np.stack(annotations), hyper, fit)
     mean, stderr = mean_and_stderr(accuracies)
-    return EvalResult(
-        accuracies=accuracies, mean=mean, stderr=stderr, annotator_profiles=all_profiles
-    )
+    return EvalResult(accuracies=accuracies, mean=mean, stderr=stderr, recovery=recovery,
+                      annotator_profiles=all_profiles)
 
 
 @dataclass
@@ -454,17 +450,11 @@ def _validation_accuracy(
     single-annotator labels to stay a fully noise-free meta-learner
     (unless a validation distribution is set explicitly).
     """
-    if not config.pseudo_annotation and config.val_dist is None:
-        scores = []
-        for chunk in task_chunks(val_episodes):
-            tasks = val_episodes[chunk]
-            clean = np.stack([e.support_y for e in tasks])[..., None]
-            scores.append(adapt_and_score(params, tasks, clean, 1, config.hyper))
-        return float(np.mean(np.concatenate(scores)))
+    clean = not config.pseudo_annotation and config.val_dist is None
     return evaluate(
         params,
         val_episodes,
-        config.validation_dist,
+        None if clean else config.validation_dist,
         config.hyper,
         config.num_annotators,
         config.master_seed,

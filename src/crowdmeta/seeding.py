@@ -53,5 +53,12 @@ def stream_seed(master_seed: int, label: str, *indices: int) -> np.random.SeedSe
 
 
 def stream(master_seed: int, label: str, *indices: int) -> np.random.Generator:
-    """Independent generator for ``(master_seed, label, *indices)``."""
+    """Independent generator for ``(master_seed, label, *indices)``.
+
+    ``SeedSequence`` mixes a missing entropy word as 0, so a trailing zero
+    index is invisible while the entropy has at most four words (a master
+    seed below 2**32, the two tag words, one index): ``stream(m, label)`` is
+    then ``stream(m, label, 0)``.  Never use one label both with and
+    without indices.
+    """
     return np.random.default_rng(stream_seed(master_seed, label, *indices))

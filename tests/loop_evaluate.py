@@ -1,11 +1,13 @@
 """Per-task forms of evaluation, clean validation and the baseline cell; a test-only oracle.
 
 The package scores evaluation tasks in chunks of equal-shape episodes:
-one encoder pass, one stacked ``SupportSet`` and one ``em.adapt`` per
-chunk, and the baseline cell one stacked Dawid-Skene or majority-vote call
-and one stacked prototype fit.  These are the earlier forms, one encoder
-call per support and per query set and one adaptation per task, so the
-tests can check that both make the same draws and the same scores.
+one encoder pass and one fit to the stacked supports per chunk, the EM
+adaptation or a baseline's stacked Dawid-Skene or majority-vote call and
+prototype fit.  These are the earlier forms, one encoder call per support
+and per query set and one adaptation per task, so the tests can check that
+both make the same draws and the same scores.  The baseline cell still
+draws through ``pseudo_annotate``, so it also checks that the package's
+``sample_annotator_pool`` + ``annotate`` make the same draws.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from crowdmeta.seeding import stream
 
 
 def adapt_and_score(params, episode, annotations, num_annotators, hyper):
-    """Query accuracy of the classifier EM adapts to one annotated, embedded support."""
+    """Query accuracy and support-label recovery of the EM classifier of one support."""
     support = em.SupportSet(
         embeddings=forward(episode.support_x, params),
         annotations=annotations,
@@ -28,27 +30,30 @@ def adapt_and_score(params, episode, annotations, num_annotators, hyper):
     )
     classifier = em.adapt(support, hyper)
     predicted = em.predict_labels(forward(episode.query_x, params), classifier)
-    return float(np.mean(predicted == episode.query_y))
+    recovered = np.argmax(classifier.responsibilities, axis=1) == episode.support_y
+    return float(np.mean(predicted == episode.query_y)), float(np.mean(recovered))
 
 
 def evaluate(params, episodes, dist, hyper, num_annotators, master_seed,
              stream_label="eval-annotators"):
-    """Per-task accuracies and annotator profiles, one adaptation per task."""
+    """Per-task accuracies, EM label recovery and annotator profiles, one adaptation per task."""
     accuracies = np.empty(len(episodes))
+    recovery = np.empty(len(episodes))
     all_profiles = []
     for i, episode in enumerate(episodes):
         rng = stream(master_seed, stream_label, i)
         profiles, confusions = sample_annotator_pool(dist, num_annotators, episode.num_classes, rng)
         annotations = annotate(episode.support_y, confusions, rng)
-        accuracies[i] = adapt_and_score(params, episode, annotations, num_annotators, hyper)
+        accuracies[i], recovery[i] = adapt_and_score(params, episode, annotations,
+                                                     num_annotators, hyper)
         all_profiles.append(list(profiles))
-    return accuracies, all_profiles
+    return accuracies, recovery, all_profiles
 
 
 def clean_validation_accuracy(params, val_episodes, hyper):
     """Mean accuracy with each support's clean labels as one perfect annotator."""
     return float(np.mean([
-        adapt_and_score(params, e, e.support_y[:, None], 1, hyper)
+        adapt_and_score(params, e, e.support_y[:, None], 1, hyper)[0]
         for e in val_episodes
     ]))
 

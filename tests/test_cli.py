@@ -67,6 +67,26 @@ class TestConfigParsing:
         values = parse_config_text("val_dist =\n")
         assert values["val_dist"] is None
 
+    @pytest.mark.parametrize("key", ["seed", "ways", "label_column", "pseudo_annotation"])
+    def test_blank_value_with_default_is_config_error(self, key, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=rf"^<config>:2: {key} needs a value$"):
+            parse_config_text(f"# blank\n{key} =\n")
+        path = tmp_path / "blank.cfg"
+        path.write_text(TINY_CONFIG + f"{key} =\n", encoding="utf-8")
+        assert main(["baseline", "--method", "mv", "--config", str(path),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"{key} needs a value" in capsys.readouterr().err
+
+    def test_blank_list_is_empty(self, tmp_path, capsys):
+        values = parse_config_text(TINY_CONFIG + "hidden_dims =\n")
+        assert values["hidden_dims"] == ()
+        assert build_run_setup(values).meta.encoder.hidden_dims == ()
+        path = tmp_path / "blank.cfg"
+        path.write_text(TINY_CONFIG + "pseudo_dist =\n", encoding="utf-8")
+        assert main(["baseline", "--method", "mv", "--config", str(path),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "pseudo_dist needs three weights" in capsys.readouterr().err
+
     def test_setup_builds(self, config_path):
         setup = build_run_setup(load_config(config_path))
         assert setup.meta.ways == 3
@@ -168,6 +188,7 @@ class TestEvaluateCommand:
             audit = [json.loads(line) for line in fh]
         for cell in cells:
             assert 0.0 <= cell["mean_acc"] <= 1.0
+            assert 0.0 <= cell["label_recovery_acc"] <= 1.0
             assert cell["n_tasks"] == 6
             assert "annotator_audit" not in cell
             tasks = [line for line in audit if (line["shots"], line["annotators"])
@@ -215,6 +236,29 @@ class TestEvaluateCommand:
         assert code == 1
         assert "--shots expects comma-separated integers, got 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["evaluate"], ["baseline", "--method", "mv"]])
+    @pytest.mark.parametrize("flag,text", [("--annotators", "0"), ("--annotators", "-2"),
+                                           ("--annotators", "3,0"), ("--shots", ","),
+                                           ("--shots", "0"), ("--spammer-ratio", ",")])
+    def test_grid_flag_is_usage_error(self, command, flag, text, config_path, checkpoint,
+                                      tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main([*command, "--checkpoint", checkpoint, "--config", config_path,
+                     "--out", str(out), flag, text])
+        assert code == 1
+        assert f"error: {flag} expects" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [10, 33])
+    def test_truncated_checkpoint_is_data_error(self, size, config_path, checkpoint,
+                                                tmp_path, capsys):
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(open(checkpoint, "rb").read()[:size])
+        code = main(["evaluate", "--checkpoint", str(cut), "--config", config_path,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{cut}: truncated checkpoint" in capsys.readouterr().err
+
     def test_metrics_roundtrip(self, config_path, checkpoint, tmp_path):
         out = str(tmp_path / "rt")
         main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,
@@ -259,6 +303,15 @@ class TestBaselineCommand:
         out = str(tmp_path / "pds")
         assert main(["baseline", "--method", "proto-ds", "--config", config_path,
                      "--checkpoint", checkpoint, "--out", out]) == 0
+
+    def test_cells_share_the_evaluate_schema(self, config_path, checkpoint, tmp_path):
+        cells = {}
+        for command in (["evaluate"], ["baseline", "--method", "proto-mv"]):
+            out = str(tmp_path / command[0])
+            assert main([*command, "--checkpoint", checkpoint, "--config", config_path,
+                         "--out", out]) == 0
+            cells[command[0]] = json.load(open(os.path.join(out, "metrics.json")))["cells"][0]
+        assert set(cells["baseline"]) == set(cells["evaluate"]) | {"method"}
 
 
 class TestVerifyCommand:

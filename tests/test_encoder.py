@@ -1,5 +1,7 @@
 """Embedding network: init, forward, manual backward, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -196,4 +198,13 @@ class TestFlattenCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTME" + b"\x00" * 40)
         with pytest.raises(ValueError, match="checkpoint"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("cut", [10, 18, 29, 33, -8, -1])
+    def test_truncated_checkpoint_rejected(self, cut, tmp_path):
+        config = EncoderConfig(3, (4,), 2, init_seed=1)  # header ends at byte 30
+        path = tmp_path / "enc.bin"
+        save_checkpoint(str(path), config, init_params(config))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated checkpoint$"):
             load_checkpoint(str(path))

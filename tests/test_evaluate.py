@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import loop_evaluate
-from crowdmeta import cli, em
+from crowdmeta import baselines, em
 from crowdmeta import metatrain as mt
 from crowdmeta.annotators import AnnotatorDistribution
 from crowdmeta.encoder import EncoderConfig, init_params
@@ -54,10 +54,12 @@ class TestMatchesLoop:
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 67])
     def test_evaluate_same_scores_and_profiles(self, n, adapt_batches):
         episodes = make_episodes(n)
-        accuracies, profiles = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER, 3, 5, "t")
+        accuracies, recovery, profiles = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER,
+                                                                3, 5, "t")
         adapt_batches.clear()
         result = mt.evaluate(PARAMS, episodes, DIST, HYPER, 3, master_seed=5, stream_label="t")
         assert result.accuracies.tobytes() == accuracies.tobytes()
+        assert result.recovery.tobytes() == recovery.tobytes()
         assert result.annotator_profiles == profiles
         assert (result.mean, result.stderr) == mt.mean_and_stderr(accuracies)
         full, rest = divmod(n, mt.EVAL_CHUNK)
@@ -65,10 +67,12 @@ class TestMatchesLoop:
 
     def test_mixed_shapes_chunk_at_every_change(self, adapt_batches):
         episodes = mixed_episodes()
-        accuracies, profiles = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER, 3, 5)
+        accuracies, recovery, profiles = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER,
+                                                                3, 5)
         adapt_batches.clear()
         result = mt.evaluate(PARAMS, episodes, DIST, HYPER, 3, master_seed=5)
         assert result.accuracies.tobytes() == accuracies.tobytes()
+        assert result.recovery.tobytes() == recovery.tobytes()
         assert result.annotator_profiles == profiles
         assert adapt_batches == [5, 32, 8, 3, 2, 2]
 
@@ -89,19 +93,24 @@ class TestMatchesLoop:
         params = PARAMS if method.startswith("proto-") else None
         episodes = make_episodes(70, shots=3)
         for r in (1, 4):
-            got = cli._baseline_scores(params, episodes, method, r, DIST, HYPER, 9, "cell")
-            want = loop_evaluate.baseline_scores(params, episodes, method, r, DIST, HYPER, 9,
-                                                 "cell")
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            self.check_baseline(params, episodes, method, r)
 
     def test_baseline_cell_mixed_shapes(self):
         episodes = mixed_episodes()
         for method in ("mv", "proto-ds"):
             params = PARAMS if method.startswith("proto-") else None
-            got = cli._baseline_scores(params, episodes, method, 3, DIST, HYPER, 9, "cell")
-            want = loop_evaluate.baseline_scores(params, episodes, method, 3, DIST, HYPER, 9,
-                                                 "cell")
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            self.check_baseline(params, episodes, method, 3)
+
+    @staticmethod
+    def check_baseline(params, episodes, method, r):
+        """``evaluate`` with a baseline fit scores as the per-task baseline loop."""
+        fit = baselines.fit_dawid_skene if method.endswith("ds") else baselines.fit_majority_vote
+        result = mt.evaluate(params, episodes, DIST, HYPER, r, master_seed=9, stream_label="cell",
+                             fit=fit)
+        accuracy, recovery = loop_evaluate.baseline_scores(params, episodes, method, r, DIST,
+                                                           HYPER, 9, "cell")
+        assert result.accuracies.tobytes() == accuracy.tobytes()
+        assert result.recovery.tobytes() == recovery.tobytes()
 
 
 def transient_peak(num_tasks):

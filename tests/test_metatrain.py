@@ -314,7 +314,7 @@ class TestAdam:
         g = np.random.default_rng(2).standard_normal(state.theta.size)
         before = state.theta.copy()
         mt.adam_update(state, g, config)
-        expected = before - 0.01 * g / (np.abs(g) + config.eps)
+        expected = before - 0.01 * g / (np.abs(g) + mt.ADAM_EPS)
         np.testing.assert_allclose(state.theta, expected, rtol=1e-12)
 
     def test_nonfinite_gradient_rejected(self):
@@ -368,12 +368,6 @@ class TestMetaTrain:
     def test_zero_learning_rate_forbidden(self):
         with pytest.raises(ValueError, match="learning_rate"):
             small_config(learning_rate=-1.0)
-
-    @pytest.mark.parametrize("name", ["beta1", "beta2"])
-    @pytest.mark.parametrize("value", [1.0, -0.1])
-    def test_adam_beta_outside_unit_interval_forbidden(self, name, value):
-        with pytest.raises(ValueError, match=rf"Adam {name} must lie in \[0, 1\) \(got {value}\)"):
-            small_config(**{name: value})
 
     def test_ablation_runs_clean(self):
         train, val = make_tasks()
