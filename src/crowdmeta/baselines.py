@@ -1,10 +1,10 @@
 """Reference label-aggregation methods and prototype classifiers built on them.
 
-Majority voting and the feature-free confusion-matrix EM share the core
-update rules: the EM here is exactly the latent-space adaptation with the
-Gaussian factor switched off, so one tested implementation backs both
-models.  The two fits are what :func:`crowdmeta.metatrain.evaluate` scores
-in place of the EM adaptation, on the same annotators and chunks.
+Majority voting is the EM's vote-fraction initialization, and the
+feature-free confusion-matrix EM of Dawid & Skene is :func:`crowdmeta.em.adapt`
+on a zero-width support, so one tested implementation backs both models.  The
+two fits are what :func:`crowdmeta.metatrain.evaluate` scores in place of the
+EM adaptation, on the same annotators and chunks.
 """
 
 from __future__ import annotations
@@ -31,31 +31,20 @@ def dawid_skene(
     hyper: em.PriorHyperparams,
     num_annotators: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Feature-free EM over annotator confusion matrices.
+    """Feature-free EM over annotator confusion matrices: Dawid & Skene (1979).
 
-    Starts from vote fractions and runs ``hyper.em_steps`` iterations of
-    {update pi and confusions; recompute soft labels from pi_k * a_nk}.
-    Returns the soft labels, class prior, and the ``(R, K, K)`` confusions.
-    ``num_annotators``, if given, must be the width of the ``(N, R)`` label
-    matrix; a ``(B, N, R)`` stack runs B tasks, each result gaining that axis.
+    Runs :func:`crowdmeta.em.adapt` on zero-width embeddings: vote-fraction
+    init, then ``hyper.em_steps`` iterations of {update pi and confusions;
+    recompute soft labels from pi_k * a_nk}.  Returns the soft labels, class
+    prior, and the ``(R, K, K)`` confusions.  ``num_annotators``, if given,
+    must be the width of the ``(N, R)`` label matrix; a ``(B, N, R)`` stack
+    runs B tasks, each result gaining that axis.
     """
     labels = np.asarray(labels)
-    # The support set validates the labels once into the one-hot tensor the
-    # updates read; zero embeddings keep the Gaussian term out of the scores.
-    support = em.SupportSet(
-        embeddings=np.zeros(labels.shape[:-1] + (1,)),
-        annotations=labels,
-        num_classes=num_classes,
-        num_annotators=labels.shape[-1] if num_annotators is None else num_annotators,
-    )
-    lam = em.init_responsibilities(support.onehot)
-    pi = confusions = None
-    for _ in range(hyper.em_steps):
-        pi = em.class_prior_update(lam, hyper.b)
-        confusions = em.confusion_update(lam, support.onehot, hyper.c)
-        scores = np.log(pi)[..., None, :] + em.annotation_log_likelihood(support, confusions)
-        lam = np.exp(scores - em.logsumexp(scores, axis=-1, keepdims=True))
-    return lam, pi, confusions
+    r = labels.shape[-1] if num_annotators is None else num_annotators
+    support = em.SupportSet(np.zeros(labels.shape[:-1] + (0,)), labels, num_classes, r)
+    fit = em.adapt(support, hyper)
+    return fit.responsibilities, fit.class_prior, fit.confusions
 
 
 @dataclass

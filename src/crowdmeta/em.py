@@ -25,7 +25,8 @@ so the counts ``C`` are one product ``Y^T lam`` and ``log a`` one product
 ``Y log alpha``, with ``Y`` flattened to ``(N, R K)``.  An annotator who
 labeled nothing has zero counts and gets the uniform prior-mean matrix.
 All probability products run in log space; E-step normalization uses
-log-sum-exp with a max shift.
+log-sum-exp with a max shift.  On zero-width embeddings the Gaussian factor
+drops out and :func:`adapt` is Dawid & Skene's EM.
 
 The updates, the E step and :func:`adapt` take an optional leading task
 axis: B episodes of equal shape, stacked as ``(B, N, ...)`` arrays in one
@@ -196,11 +197,11 @@ def init_responsibilities(onehot: np.ndarray) -> np.ndarray:
 
 def prototype_update(lam: np.ndarray, embeddings: np.ndarray, tau: float) -> np.ndarray:
     """Closed-form prototype maximizer; empty classes fall back to the prior mean 0."""
-    denom = tau + lam.sum(axis=-2)
-    protos = np.zeros(denom.shape + embeddings.shape[-1:], dtype=np.float64)
-    nz = denom > 0.0
-    protos[nz] = (lam.swapaxes(-1, -2) @ embeddings)[nz] / denom[nz, None]
-    return protos
+    sums = lam.swapaxes(-1, -2) @ embeddings
+    if sums.size == 0:  # zero-width embeddings: empty prototypes, nothing to divide
+        return sums
+    denom = (tau + lam.sum(axis=-2))[..., None]
+    return np.divide(sums, denom, out=np.zeros_like(sums), where=denom > 0.0)
 
 
 def class_prior_update(lam: np.ndarray, b: float) -> np.ndarray:
@@ -298,7 +299,10 @@ def _posterior_log_scores(
     confusions: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Unnormalized per-example class log scores (Gaussian constant dropped)."""
-    scores = class_log_scores(support.embeddings, prototypes, class_prior)
+    if support.dim == 0:  # no Gaussian term: Dawid & Skene's log pi_k + log a_nk
+        scores = np.log(class_prior)[..., None, :]
+    else:
+        scores = class_log_scores(support.embeddings, prototypes, class_prior)
     return scores + annotation_log_likelihood(support, confusions)
 
 
@@ -310,9 +314,11 @@ def e_step(
 ) -> np.ndarray:
     """Exact posterior responsibilities, normalized row-wise in log space."""
     scores = _posterior_log_scores(support, prototypes, class_prior, confusions)
-    if not np.all(np.isfinite(np.max(scores, axis=-1))):
+    shift = scores.max(axis=-1, keepdims=True)  # log-sum-exp shift, finite once checked
+    if not np.isfinite(shift).all():
         raise RuntimeError("no class has positive posterior mass for some example")
-    return np.exp(scores - logsumexp(scores, axis=-1, keepdims=True))
+    log_norm = shift + np.log(np.exp(scores - shift).sum(axis=-1, keepdims=True))
+    return np.exp(scores - log_norm)
 
 
 def _episode_sum(values: np.ndarray, axes: int) -> float | np.ndarray:

@@ -214,6 +214,8 @@ def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams]:
         raise ValueError(f"{path}: truncated checkpoint") from None
     config = EncoderConfig(input_dim, tuple(hidden), output_dim, init_seed)
     payload = blob[start + 12 + 4 * n_hidden + 8 :]
-    if len(payload) < 8 * config.num_params:
-        raise ValueError(f"{path}: truncated checkpoint")
+    extra = len(payload) - 8 * config.num_params
+    if extra:
+        cause = f"{extra} trailing bytes" if extra > 0 else "truncated checkpoint"
+        raise ValueError(f"{path}: {cause}")
     return config, EncoderParams.unflatten(config, np.frombuffer(payload, dtype="<f8"))

@@ -7,6 +7,10 @@ that tensor.  These are the same steps written one label or one annotator
 at a time: the one-hot tensor from annotation maps, and the updates from
 the label matrix's columns, never from the package's tensor, so the tests
 can check the dense forms against them.
+
+:func:`dawid_skene` is the labels-only EM written as its own loop over the
+class prior and confusion updates, which the package runs as
+:func:`crowdmeta.em.adapt` on a zero-width support.
 """
 
 from __future__ import annotations
@@ -83,3 +87,24 @@ def with_silent_annotators(labels, num_annotators):
     """The ``(..., N, R)`` label matrix widened to ``num_annotators`` by columns of no labels."""
     pad = [(0, 0)] * (labels.ndim - 1) + [(0, num_annotators - labels.shape[-1])]
     return np.pad(labels, pad, constant_values=-1)
+
+
+def dawid_skene(labels, num_classes, hyper):
+    """Dawid & Skene's EM as its own loop: {pi and confusions; pi_k * a_nk} per step.
+
+    Returns what :func:`crowdmeta.baselines.dawid_skene` does for a
+    ``(N, R)`` label matrix or a ``(B, N, R)`` stack.  The support set only
+    validates the labels into the one-hot tensor; the loop never reads its
+    zero embeddings and builds the scores from ``log pi`` directly.
+    """
+    labels = np.asarray(labels)
+    support = em.SupportSet(np.zeros(labels.shape[:-1] + (1,)), labels, num_classes,
+                            labels.shape[-1])
+    lam = em.init_responsibilities(support.onehot)
+    pi = confusions = None
+    for _ in range(hyper.em_steps):
+        pi = em.class_prior_update(lam, hyper.b)
+        confusions = em.confusion_update(lam, support.onehot, hyper.c)
+        scores = np.log(pi)[..., None, :] + em.annotation_log_likelihood(support, confusions)
+        lam = np.exp(scores - em.logsumexp(scores, axis=-1, keepdims=True))
+    return lam, pi, confusions

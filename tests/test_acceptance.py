@@ -236,8 +236,8 @@ def test_c7_ds_beats_mv():
     report("C7 DS vs MV", passed, f"DS wins {wins}/100 trials, {elapsed:.1f}s")
     assert elapsed < 30.0
     # Known-red: with one informative annotator among uniform spammers the
-    # annotator joint distribution carries no reliability signal (see the
-    # project notes); kept verbatim rather than weakened.
+    # annotator joint distribution carries no reliability signal (see
+    # studies/c7_identifiability.py); kept verbatim rather than weakened.
     assert wins >= 95, f"DS beat MV in only {wins}/100 trials"
 
 

@@ -1,5 +1,6 @@
 """Majority voting, the labels-only confusion EM, and prototype fits."""
 
+import itertools
 import re
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 import loop_em
 from crowdmeta import baselines, em
-from crowdmeta.annotators import AnnotatorDistribution, AnnotatorProfile, AnnotatorKind, annotate, profile_to_confusion
+from crowdmeta.annotators import (AnnotatorDistribution, AnnotatorProfile, AnnotatorKind, annotate,
+                                   profile_to_confusion, sample_annotator_pool)
 from crowdmeta.seeding import stream
 
 HYPER = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=10)
@@ -163,6 +165,35 @@ class TestDawidSkene:
             one = baselines.dawid_skene(annotations, 3, HYPER, num_annotators=2)
             for stacked, single in zip((lam, pi, confusions), one):
                 assert stacked[b].tobytes() == single.tobytes()
+
+    def test_matches_loop_oracle_bytes(self):
+        # em.adapt on a zero-width support against the labels-only loop of
+        # loop_em in 720 cases: every K in 2..10 with every em_steps in 1..10,
+        # single and stacked, dense and 30% labels, with and without a
+        # silent annotator
+        dist = AnnotatorDistribution.expert_hammer_spammer(0.2, 0.6, 0.2)
+        cases = itertools.product(range(2, 11), range(1, 11), (None, 3), (1.0, 0.3), (False, True))
+        for case, (k, steps, batch, fraction, silent) in enumerate(cases):
+            rng = stream(case, "ds-oracle")
+            r = int(rng.integers(1, 6))
+            hyper = em.PriorHyperparams(b=float(rng.choice([0.5, 1.0, 4.0])),
+                                        c=float(rng.choice([0.5, 1.0, 2.0])), em_steps=steps)
+            tasks = []
+            for _ in range(batch or 1):
+                _, confusions = sample_annotator_pool(dist, r, k, rng)
+                tasks.append(annotate(rng.integers(k, size=int(rng.integers(1, 25))), confusions,
+                                      rng, label_fraction=fraction))
+            if batch:
+                size = min(len(t) for t in tasks)
+                tasks = [t[:size] for t in tasks]
+            labels = np.stack(tasks) if batch else tasks[0]
+            if silent:
+                labels = loop_em.with_silent_annotators(labels, r + 1)
+            got = baselines.dawid_skene(labels, k, hyper, num_annotators=labels.shape[-1])
+            expected = loop_em.dawid_skene(labels, k, hyper)
+            for a, b in zip(got, expected):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), case
+
 
 class TestPrototypeFromLabels:
     def test_hard_correct_labels_zero_tau_gives_class_means(self):

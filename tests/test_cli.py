@@ -259,6 +259,14 @@ class TestEvaluateCommand:
         assert code == 2
         assert f"{cut}: truncated checkpoint" in capsys.readouterr().err
 
+    def test_trailing_bytes_are_data_error(self, config_path, checkpoint, tmp_path, capsys):
+        long = tmp_path / "long.bin"
+        long.write_bytes(open(checkpoint, "rb").read() + b"\x00" * 3)
+        code = main(["evaluate", "--checkpoint", str(long), "--config", config_path,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{long}: 3 trailing bytes" in capsys.readouterr().err
+
     def test_metrics_roundtrip(self, config_path, checkpoint, tmp_path):
         out = str(tmp_path / "rt")
         main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,

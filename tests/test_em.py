@@ -345,6 +345,17 @@ class TestEStep:
             lam = em.e_step(support, protos, pi, confusions)
             np.testing.assert_allclose(lam.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [3, 0])
+    def test_no_positive_mass_rejected(self, dim):
+        # an all-zero class prior puts every score at -inf; normalizing them
+        # would give NaN responsibilities instead of this error
+        support = random_task(6, num_classes=3, size=5, num_annotators=2, dim=dim)
+        protos, _, confusions = em.m_step(em.init_responsibilities(support.onehot), support, HYPER)
+        with np.errstate(divide="ignore"), pytest.raises(
+            RuntimeError, match="no class has positive posterior mass for some example"
+        ):
+            em.e_step(support, protos, np.zeros(3), confusions)
+
 
 def naive_lower_bound(lam, support, protos, pi, confusions, hyper):
     """Term-by-term scalar-arithmetic evaluation of the bound."""
@@ -450,19 +461,35 @@ class TestLogPosterior:
         expected = math.log(total) + em.log_prior(protos, pi, confusions, HYPER)
         assert got == pytest.approx(expected, rel=1e-10)
 
+    @staticmethod
+    def assert_monotone(support, hyper):
+        lam = em.init_responsibilities(support.onehot)
+        previous = None
+        for _ in range(hyper.em_steps):
+            protos, pi, confusions = em.m_step(lam, support, hyper)
+            value = em.log_posterior(support, protos, pi, confusions, hyper)
+            if previous is not None:
+                assert value >= previous - 1e-9
+            previous = value
+            lam = em.e_step(support, protos, pi, confusions)
+
     def test_monotone_across_em_iterations(self):
         hyper = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=8)
         for t in range(40):
-            support = random_task(200 + t, num_classes=3, size=10, num_annotators=3)
-            lam = em.init_responsibilities(support.onehot)
-            previous = None
-            for _ in range(hyper.em_steps):
-                protos, pi, confusions = em.m_step(lam, support, hyper)
-                value = em.log_posterior(support, protos, pi, confusions, hyper)
-                if previous is not None:
-                    assert value >= previous - 1e-9
-                previous = value
-                lam = em.e_step(support, protos, pi, confusions)
+            self.assert_monotone(random_task(200 + t, num_classes=3, size=10, num_annotators=3),
+                                 hyper)
+
+    def test_monotone_at_zero_width(self):
+        # C1 for Dawid-Skene: the EM on a zero-width support, dense and sparse
+        dist = AnnotatorDistribution.expert_hammer_spammer(0.2, 0.6, 0.2)
+        for t in range(200):
+            k, r = 2 + t % 5, 2 + t % 4
+            rng = stream(t, "zero-width-c1")
+            _, confusions = sample_annotator_pool(dist, r, k, rng)
+            labels = annotate(rng.integers(k, size=12), confusions, rng,
+                              label_fraction=(1.0, 0.3)[t % 2])
+            self.assert_monotone(em.SupportSet(np.zeros((12, 0)), labels, k, r),
+                                 em.PriorHyperparams(em_steps=10))
 
 
 class TestAdapt:

@@ -208,3 +208,12 @@ class TestFlattenCheckpoint:
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated checkpoint$"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("extra", [3, 8])
+    def test_trailing_bytes_rejected(self, extra, tmp_path):
+        config = EncoderConfig(3, (4,), 2, init_seed=1)
+        path = tmp_path / "enc.bin"
+        save_checkpoint(str(path), config, init_params(config))
+        path.write_bytes(path.read_bytes() + b"\x01" * extra)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {extra} trailing bytes$"):
+            load_checkpoint(str(path))
