@@ -52,6 +52,7 @@ from .metatrain import (
     MetaTrainResult,
     TrainState,
     adam_update,
+    embed_episodes,
     evaluate,
     meta_gradient,
     meta_train,
@@ -83,6 +84,7 @@ __all__ = [
     "backward",
     "dawid_skene",
     "e_step",
+    "embed_episodes",
     "evaluate",
     "forward",
     "forward_recorded",

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import logging
 import os
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -108,17 +110,28 @@ def _eval_grid(args, setup: RunSetup) -> list[tuple[int, int, AnnotatorDistribut
     return [(shots, r, dist) for shots in shots_list for r in r_list for dist in dists]
 
 
-def _test_episodes(setup: RunSetup, shots: int, seed: int) -> list[Episode]:
-    return [
-        sample_episode(
-            setup.test_data,
-            setup.meta.ways,
-            shots,
-            setup.meta.query_per_class,
-            stream(seed, "test-episode", shots, i),
-        )
-        for i in range(setup.eval_tasks)
-    ]
+def _test_episodes(setup: RunSetup, params: EncoderParams | None, shots: int,
+                   seed: int) -> list[Episode]:
+    """A shots value's test episodes, embedded by ``params`` unless it is None.
+
+    They are drawn and embedded in blocks of :data:`~crowdmeta.metatrain.EVAL_CHUNK`
+    tasks, so that raw copies of one block at most are alive beside the
+    embedded episodes.
+    """
+    episodes = []
+    for start in range(0, setup.eval_tasks, mt.EVAL_CHUNK):
+        block = [
+            sample_episode(
+                setup.test_data,
+                setup.meta.ways,
+                shots,
+                setup.meta.query_per_class,
+                stream(seed, "test-episode", shots, i),
+            )
+            for i in range(start, min(start + mt.EVAL_CHUNK, setup.eval_tasks))
+        ]
+        episodes += block if params is None else mt.embed_episodes(params, block)
+    return episodes
 
 
 def cmd_meta_train(args) -> int:
@@ -159,11 +172,10 @@ def cmd_meta_train(args) -> int:
     return EXIT_OK
 
 
-def _grid_cell(setup: RunSetup, params: EncoderParams | None, shots: int, r: int,
+def _grid_cell(setup: RunSetup, episodes: list[Episode], shots: int, r: int,
                dist: AnnotatorDistribution, seed: int, fit: mt.Fit) -> tuple[dict, mt.EvalResult]:
-    """A grid cell's metrics and its evaluation: ``fit`` scored on the cell's test tasks."""
-    episodes = _test_episodes(setup, shots, seed)
-    result = mt.evaluate(params, episodes, dist, setup.meta.hyper, r, seed,
+    """A grid cell's metrics and its evaluation: ``fit`` scored on its shots value's tasks."""
+    result = mt.evaluate(episodes, dist, setup.meta.hyper, r, seed,
                          stream_label=_annotator_stream(shots, r, dist), fit=fit)
     return {"shots": shots, "annotators": r, "dist": dist.to_dict(), "mean_acc": result.mean,
             "stderr": result.stderr, "label_recovery_acc": float(np.mean(result.recovery)),
@@ -180,17 +192,37 @@ def _load_checkpoint(path: str, setup: RunSetup) -> EncoderParams:
     return params
 
 
-def cmd_evaluate(args) -> int:
+def _run_grid(args, fit: mt.Fit) -> tuple[dict, Iterator[tuple[dict, mt.EvalResult]]]:
+    """The run's config values, and its grid cells' metrics and evaluations in grid order.
+
+    The cells are scored as they are iterated.  Each shots value's test
+    episodes are drawn and embedded once (:func:`_test_episodes`); every
+    (annotators, dist) cell of that shots value is scored on them, and they
+    are freed before the next shots value is drawn.  Without
+    ``--checkpoint`` the raw features are scored.
+    """
     values = load_config(args.config)
     if args.seed is not None:
         values["seed"] = args.seed
     setup = build_run_setup(values)
     grid = _eval_grid(args, setup)  # usage errors before any file
-    params = _load_checkpoint(args.checkpoint, setup)
+    params = None if args.checkpoint is None else _load_checkpoint(args.checkpoint, setup)
     seed = int(values["seed"])
+
+    def cells():
+        for shots, specs in itertools.groupby(grid, key=lambda spec: spec[0]):
+            episodes = _test_episodes(setup, params, shots, seed)
+            for _, r, dist in specs:
+                yield _grid_cell(setup, episodes, shots, r, dist, seed, fit)
+            del episodes  # peak memory: one shots value's episodes at a time
+
+    return values, cells()
+
+
+def cmd_evaluate(args) -> int:
+    values, scored = _run_grid(args, mt.fit_em)
     cells, audit = [], []
-    for spec in grid:
-        cell, result = _grid_cell(setup, params, *spec, seed, mt.fit_em)
+    for cell, result in scored:
         cells.append(cell)
         # compact lines run json's C encoder, which indent turns off; strings
         # also hold the grid's audit in less memory than the profiles would
@@ -220,18 +252,11 @@ def cmd_evaluate(args) -> int:
 def cmd_baseline(args) -> int:
     if args.method not in ("mv", "ds", "proto-mv", "proto-ds"):
         raise UsageError(f"unknown baseline method {args.method!r}")
-    values = load_config(args.config)
-    if args.seed is not None:
-        values["seed"] = args.seed
-    setup = build_run_setup(values)
     if args.method.startswith("proto-") and not args.checkpoint:
         raise UsageError(f"method {args.method} requires --checkpoint")
-    grid = _eval_grid(args, setup)
-    params = _load_checkpoint(args.checkpoint, setup) if args.checkpoint else None
-    seed = int(values["seed"])
     fit = baselines.fit_dawid_skene if args.method.endswith("ds") else baselines.fit_majority_vote
-    cells = [{"method": args.method} | _grid_cell(setup, params, *spec, seed, fit)[0]
-             for spec in grid]
+    values, scored = _run_grid(args, fit)
+    cells = [{"method": args.method} | cell for cell, _ in scored]
     os.makedirs(args.out, exist_ok=True)
     metrics = {
         "command": "baseline",

@@ -195,18 +195,28 @@ def init_responsibilities(onehot: np.ndarray) -> np.ndarray:
     return votes / votes.sum(axis=-1, keepdims=True)
 
 
-def prototype_update(lam: np.ndarray, embeddings: np.ndarray, tau: float) -> np.ndarray:
-    """Closed-form prototype maximizer; empty classes fall back to the prior mean 0."""
+def prototype_update(lam: np.ndarray, embeddings: np.ndarray, tau: float,
+                     class_mass: np.ndarray | None = None) -> np.ndarray:
+    """Closed-form prototype maximizer; empty classes fall back to the prior mean 0.
+
+    ``class_mass`` is ``lam.sum(axis=-2)`` when the caller already has it.
+    """
     sums = lam.swapaxes(-1, -2) @ embeddings
     if sums.size == 0:  # zero-width embeddings: empty prototypes, nothing to divide
         return sums
-    denom = (tau + lam.sum(axis=-2))[..., None]
+    if class_mass is None:
+        class_mass = lam.sum(axis=-2)
+    denom = (tau + class_mass)[..., None]
     return np.divide(sums, denom, out=np.zeros_like(sums), where=denom > 0.0)
 
 
-def class_prior_update(lam: np.ndarray, b: float) -> np.ndarray:
+def class_prior_update(lam: np.ndarray, b: float,
+                       class_mass: np.ndarray | None = None) -> np.ndarray:
+    """Smoothed class prior; ``class_mass`` is ``lam.sum(axis=-2)`` when the caller has it."""
     num_examples, num_classes = lam.shape[-2:]
-    return (lam.sum(axis=-2) + b) / (num_classes * b + num_examples)
+    if class_mass is None:
+        class_mass = lam.sum(axis=-2)
+    return (class_mass + b) / (num_classes * b + num_examples)
 
 
 def confusion_update(lam: np.ndarray, onehot: np.ndarray, c: float) -> np.ndarray:
@@ -231,8 +241,9 @@ def m_step(
             f"responsibilities shape {lam.shape} does not match "
             f"{support.embeddings.shape[:-1] + (support.num_classes,)}"
         )
-    protos = prototype_update(lam, support.embeddings, hyper.tau)
-    pi = class_prior_update(lam, hyper.b)
+    class_mass = lam.sum(axis=-2)  # shared by the prototype and class-prior updates
+    protos = prototype_update(lam, support.embeddings, hyper.tau, class_mass)
+    pi = class_prior_update(lam, hyper.b, class_mass)
     confusions = confusion_update(lam, support.onehot, hyper.c)
     return protos, pi, confusions
 

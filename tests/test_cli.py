@@ -1,12 +1,16 @@
 """Command-line harness: config parsing, artifacts, determinism, exit codes."""
 
 import json
+import math
 import os
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from crowdmeta import cli
+from crowdmeta import metatrain as mt
 from crowdmeta.cli import main
 from crowdmeta.config import ConfigError, load_config, parse_config_text, build_run_setup
 from crowdmeta.encoder import EncoderConfig, init_params, save_checkpoint
@@ -267,6 +271,12 @@ class TestEvaluateCommand:
         assert code == 2
         assert f"{long}: 3 trailing bytes" in capsys.readouterr().err
 
+    def test_empty_checkpoint_path_is_data_error(self, config_path, tmp_path):
+        out = tmp_path / "x"
+        assert main(["evaluate", "--checkpoint", "", "--config", config_path,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_metrics_roundtrip(self, config_path, checkpoint, tmp_path):
         out = str(tmp_path / "rt")
         main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,
@@ -320,6 +330,66 @@ class TestBaselineCommand:
                          "--out", out]) == 0
             cells[command[0]] = json.load(open(os.path.join(out, "metrics.json")))["cells"][0]
         assert set(cells["baseline"]) == set(cells["evaluate"]) | {"method"}
+
+
+@pytest.fixture()
+def grid_run(tmp_path):
+    """A config with more test tasks than one evaluation chunk, and an untrained checkpoint."""
+    config = tmp_path / "grid.cfg"
+    config.write_text(TINY_CONFIG.replace("eval_tasks = 6", "eval_tasks = 40"),
+                      encoding="utf-8")
+    checkpoint = str(tmp_path / "init.bin")
+    encoder = EncoderConfig(5, (12,), 5, init_seed=4)
+    save_checkpoint(checkpoint, encoder, init_params(encoder))
+
+    def run(command, out, *grid):
+        """The cells and audit lines of one run; ``mv`` scores raw features."""
+        argv = [*command, "--config", str(config), "--out", str(out), *grid]
+        if command[-1] != "mv":
+            argv += ["--checkpoint", checkpoint]
+        assert main(argv) == 0
+        audit = out / "annotator_audit.jsonl"
+        return (json.loads((out / "metrics.json").read_text())["cells"],
+                audit.read_text().splitlines() if audit.exists() else [])
+
+    return run
+
+
+class TestGridSharesEpisodes:
+    """A grid draws and embeds each shots value's episodes once for all of its cells."""
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["baseline", "--method", "proto-mv"],
+                                         ["baseline", "--method", "mv"]],
+                             ids=["evaluate", "proto-mv", "mv"])
+    def test_cell_matches_the_cell_run_alone(self, command, grid_run, tmp_path):
+        cells, audit = grid_run(command, tmp_path / "grid", "--shots", "2,1",
+                                "--annotators", "3,5", "--spammer-ratio", "0.2,0.5")
+        specs = [(s, r, ratio) for s in (2, 1) for r in (3, 5) for ratio in (0.2, 0.5)]
+        assert [(c["shots"], c["annotators"]) for c in cells] == [(s, r) for s, r, _ in specs]
+        for i, (s, r, ratio) in enumerate(specs):
+            alone, alone_audit = grid_run(command, tmp_path / f"alone{i}", "--shots", str(s),
+                                          "--annotators", str(r), "--spammer-ratio", str(ratio))
+            assert alone == [cells[i]]
+            key = {k: cells[i][k] for k in ("shots", "annotators", "dist")}
+            mine = [line for line in audit
+                    if {k: json.loads(line)[k] for k in key} == key]
+            assert mine == alone_audit
+            assert len(mine) == (40 if command == ["evaluate"] else 0)
+
+    def test_each_shots_value_drawn_and_embedded_once(self, grid_run, tmp_path, monkeypatch):
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "sample_episode", counted("sample_episode", cli.sample_episode))
+        monkeypatch.setattr(mt, "forward", counted("forward", mt.forward))
+        grid_run(["evaluate"], tmp_path / "grid", "--shots", "2,1,3", "--annotators", "3,5")
+        assert counts == {"sample_episode": 3 * 40,
+                          "forward": 3 * math.ceil(40 / mt.EVAL_CHUNK)}
 
 
 class TestVerifyCommand:

@@ -9,7 +9,7 @@ import loop_evaluate
 from crowdmeta import baselines, em
 from crowdmeta import metatrain as mt
 from crowdmeta.annotators import AnnotatorDistribution
-from crowdmeta.encoder import EncoderConfig, init_params
+from crowdmeta.encoder import EncoderConfig, forward, init_params
 from crowdmeta.episodes import generate_synthetic, sample_episode
 from crowdmeta.seeding import stream
 
@@ -48,6 +48,28 @@ def adapt_batches(monkeypatch):
     return batches
 
 
+class TestEmbedEpisodes:
+    def test_one_pass_per_chunk_and_input_kept(self, monkeypatch):
+        episodes = mixed_episodes()
+        raw = [(e.support_x.copy(), e.query_x.copy()) for e in episodes]
+        passes = []
+
+        def counted(x, params):
+            passes.append(len(x))
+            return forward(x, params)
+
+        monkeypatch.setattr(mt, "forward", counted)
+        embedded = mt.embed_episodes(PARAMS, episodes)
+        assert len(passes) == 6  # the chunks of 5, 32, 8, 3, 2 and 2 tasks
+        for episode, out, (support_x, query_x) in zip(episodes, embedded, raw, strict=True):
+            assert episode.support_x.tobytes() == support_x.tobytes()
+            assert episode.query_x.tobytes() == query_x.tobytes()
+            assert out.support_x.tobytes() == forward(support_x, PARAMS).tobytes()
+            assert out.query_x.tobytes() == forward(query_x, PARAMS).tobytes()
+            assert (out.class_ids, out.support_y.tobytes(), out.query_y.tobytes()) == (
+                episode.class_ids, episode.support_y.tobytes(), episode.query_y.tobytes())
+
+
 class TestMatchesLoop:
     """Scores and draws against the per-task forms of ``loop_evaluate``."""
 
@@ -57,7 +79,8 @@ class TestMatchesLoop:
         accuracies, recovery, profiles = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER,
                                                                 3, 5, "t")
         adapt_batches.clear()
-        result = mt.evaluate(PARAMS, episodes, DIST, HYPER, 3, master_seed=5, stream_label="t")
+        result = mt.evaluate(mt.embed_episodes(PARAMS, episodes), DIST, HYPER, 3, master_seed=5,
+                             stream_label="t")
         assert result.accuracies.tobytes() == accuracies.tobytes()
         assert result.recovery.tobytes() == recovery.tobytes()
         assert result.annotator_profiles == profiles
@@ -70,7 +93,7 @@ class TestMatchesLoop:
         accuracies, recovery, profiles = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER,
                                                                 3, 5)
         adapt_batches.clear()
-        result = mt.evaluate(PARAMS, episodes, DIST, HYPER, 3, master_seed=5)
+        result = mt.evaluate(mt.embed_episodes(PARAMS, episodes), DIST, HYPER, 3, master_seed=5)
         assert result.accuracies.tobytes() == accuracies.tobytes()
         assert result.recovery.tobytes() == recovery.tobytes()
         assert result.annotator_profiles == profiles
@@ -105,7 +128,8 @@ class TestMatchesLoop:
     def check_baseline(params, episodes, method, r):
         """``evaluate`` with a baseline fit scores as the per-task baseline loop."""
         fit = baselines.fit_dawid_skene if method.endswith("ds") else baselines.fit_majority_vote
-        result = mt.evaluate(params, episodes, DIST, HYPER, r, master_seed=9, stream_label="cell",
+        embedded = episodes if params is None else mt.embed_episodes(params, episodes)
+        result = mt.evaluate(embedded, DIST, HYPER, r, master_seed=9, stream_label="cell",
                              fit=fit)
         accuracy, recovery = loop_evaluate.baseline_scores(params, episodes, method, r, DIST,
                                                            HYPER, 9, "cell")
@@ -115,11 +139,11 @@ class TestMatchesLoop:
 
 def transient_peak(num_tasks):
     """Traced peak of one ``evaluate`` call above the memory its result still holds."""
-    episodes = make_episodes(num_tasks, shots=5, query=10)
-    mt.evaluate(PARAMS, episodes[:2], DIST, HYPER, 7, master_seed=5)  # warm any caches
+    episodes = mt.embed_episodes(PARAMS, make_episodes(num_tasks, shots=5, query=10))
+    mt.evaluate(episodes[:2], DIST, HYPER, 7, master_seed=5)  # warm any caches
     tracemalloc.start()
     try:
-        result = mt.evaluate(PARAMS, episodes, DIST, HYPER, 7, master_seed=5)
+        result = mt.evaluate(episodes, DIST, HYPER, 7, master_seed=5)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

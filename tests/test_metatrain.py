@@ -469,7 +469,7 @@ class TestEvaluate:
                 query_y=qy,
             ))
         params = EncoderParams(weights=[np.eye(4)], biases=[np.zeros(4)])
-        result = mt.evaluate(params, episodes, EHS(1.0, 0.0, 0.0),
+        result = mt.evaluate(mt.embed_episodes(params, episodes), EHS(1.0, 0.0, 0.0),
                              em.PriorHyperparams(em_steps=3), 3, master_seed=1)
         assert result.mean == 1.0
 
@@ -487,7 +487,7 @@ class TestEvaluate:
                 query_y=qy,
             ))
         params = EncoderParams(weights=[np.eye(4) * 0.01], biases=[np.zeros(4)])
-        result = mt.evaluate(params, episodes, EHS(0.0, 0.0, 1.0),
+        result = mt.evaluate(mt.embed_episodes(params, episodes), EHS(0.0, 0.0, 1.0),
                              em.PriorHyperparams(em_steps=2), 3, master_seed=2)
         assert result.mean == pytest.approx(0.25, abs=0.06)
 
@@ -506,12 +506,11 @@ class TestEvaluate:
                 query_y=qy,
             ))
         params = EncoderParams(weights=[np.eye(3)], biases=[np.zeros(3)])
-        result = mt.evaluate(params, episodes, EHS(0.1, 0.7, 0.2),
+        result = mt.evaluate(mt.embed_episodes(params, episodes), EHS(0.1, 0.7, 0.2),
                              em.PriorHyperparams(em_steps=2), 3, master_seed=3)
         expected = np.std(result.accuracies, ddof=1) / np.sqrt(len(result.accuracies))
         assert result.stderr == pytest.approx(expected, rel=1e-12)
 
     def test_empty_episode_list_rejected(self):
-        params = EncoderParams(weights=[np.eye(3)], biases=[np.zeros(3)])
         with pytest.raises(ValueError, match="empty episode list"):
-            mt.evaluate(params, [], EHS(0.1, 0.7, 0.2), HYPER, 3, master_seed=3)
+            mt.evaluate([], EHS(0.1, 0.7, 0.2), HYPER, 3, master_seed=3)
