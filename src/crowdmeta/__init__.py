@@ -14,6 +14,7 @@ from .annotators import (
     pseudo_annotate,
     sample_annotator_pool,
     sample_profile,
+    simulate_annotators,
 )
 from .em import (
     AdaptedClassifier,
@@ -108,6 +109,7 @@ __all__ = [
     "sample_annotator_pool",
     "sample_episode",
     "sample_profile",
+    "simulate_annotators",
     "save_checkpoint",
     "split_classes",
     "stream",

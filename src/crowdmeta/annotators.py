@@ -1,16 +1,22 @@
 """Annotator simulation: profiles, confusion matrices, and noisy labels.
 
-Five annotator behaviors are modeled.  Experts and hammers report the true
+Three annotator kinds are modeled.  Experts and hammers report the true
 class with accuracy ``q`` (drawn from disjoint ranges) and otherwise pick a
-wrong label uniformly; spammers label uniformly at random; pairwise
-flippers err onto one fixed target label per class; classwise spammers are
-perfect on some classes and uniform on the rest.  The same machinery
-produces pseudo-annotations for meta-training and simulated target-task
-annotators for evaluation.
+wrong label uniformly; spammers label uniformly at random.  The same
+machinery produces pseudo-annotations for meta-training and simulated
+target-task annotators for evaluation.
+
+A pool of R annotators draws a kind per annotator and an accuracy per
+expert or hammer, R to 2R uniforms, then R·N label uniforms.  Each task's
+generator gives them as one block of ``2R + R·N``, a chunk of tasks'
+blocks is decoded at once, and each generator is moved back over the
+uniforms its pool did not use: every draw is the one a draw per annotator
+would make.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -22,33 +28,28 @@ class AnnotatorKind(str, Enum):
     EXPERT = "expert"
     HAMMER = "hammer"
     SPAMMER = "spammer"
-    PAIRWISE_FLIPPER = "pairwise_flipper"
-    CLASSWISE_SPAMMER = "classwise_spammer"
 
 
-# (low, high] accuracy range per kind; spammers and classwise spammers
-# have fixed mechanics and no sampled accuracy.
+KINDS = tuple(AnnotatorKind)  # a kind code is an index into this
+
+# (low, high] accuracy range per kind; spammers have no sampled accuracy.
 ACCURACY_RANGES: dict[AnnotatorKind, tuple[float, float]] = {
     AnnotatorKind.EXPERT: (0.8, 1.0),
     AnnotatorKind.HAMMER: (0.5, 0.8),
-    AnnotatorKind.PAIRWISE_FLIPPER: (0.5, 0.8),
 }
+
+# accuracy range per kind code, NaN for a kind without an accuracy draw
+_Q_LO, _Q_HI = np.array([ACCURACY_RANGES.get(kind, (np.nan, np.nan)) for kind in KINDS]).T
+# bit generators whose advance(n) moves n 64-bit draws, as one uniform takes
+_REWINDABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 @dataclass(frozen=True)
 class AnnotatorProfile:
-    """One annotator's behavior.
-
-    ``q`` is the accuracy rate for kinds that have one, ``flip_targets``
-    gives the per-class error label for pairwise flippers, and
-    ``spam_classes`` lists the classes a classwise spammer answers at
-    random.
-    """
+    """One annotator's behavior: its kind and, for experts and hammers, its accuracy ``q``."""
 
     kind: AnnotatorKind
     q: float | None = None
-    flip_targets: tuple[int, ...] = ()
-    spam_classes: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         if self.kind in ACCURACY_RANGES:
@@ -57,36 +58,19 @@ class AnnotatorProfile:
                 raise ValueError(
                     f"{self.kind.value} accuracy must lie in ({lo}, {hi}], got {self.q}"
                 )
-        if self.kind is AnnotatorKind.PAIRWISE_FLIPPER:
-            if not self.flip_targets:
-                raise ValueError("pairwise flipper needs flip targets")
-            for k, target in enumerate(self.flip_targets):
-                if target == k:
-                    raise ValueError(f"flip target for class {k} must differ from {k}")
-        if self.kind is AnnotatorKind.CLASSWISE_SPAMMER and not self.spam_classes:
-            raise ValueError("classwise spammer needs a nonempty spam-class set")
-
-    def to_dict(self) -> dict:
-        """JSON-serializable summary for run audit output."""
-        out: dict = {"kind": self.kind.value}
-        if self.q is not None:
-            out["q"] = self.q
-        if self.flip_targets:
-            out["flip_targets"] = list(self.flip_targets)
-        if self.spam_classes:
-            out["spam_classes"] = sorted(self.spam_classes)
-        return out
 
 
 @dataclass(frozen=True)
 class AnnotatorDistribution:
     """Sampling weights over annotator kinds.
 
-    ``cdf`` is the normalized CDF that ``Generator.choice(p=...)`` builds per call.
+    ``cdf`` is the normalized CDF that ``Generator.choice(p=...)`` builds per
+    call, and ``codes`` the kind code of each weight.
     """
 
     weights: tuple[tuple[AnnotatorKind, float], ...]
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         total = 0.0
@@ -99,6 +83,7 @@ class AnnotatorDistribution:
         cdf = self.probabilities().cumsum()
         cdf /= cdf[-1]
         object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "codes", np.array([KINDS.index(k) for k, _ in self.weights]))
 
     @classmethod
     def expert_hammer_spammer(cls, p_expert: float, p_hammer: float, p_spammer: float):
@@ -110,10 +95,6 @@ class AnnotatorDistribution:
             )
         )
 
-    @classmethod
-    def from_mapping(cls, weights: dict[AnnotatorKind, float]):
-        return cls(tuple(weights.items()))
-
     def probabilities(self) -> np.ndarray:
         return np.asarray([w for _, w in self.weights], dtype=np.float64)
 
@@ -121,90 +102,127 @@ class AnnotatorDistribution:
         return {kind.value: w for kind, w in self.weights}
 
 
-def _sample_q(kind: AnnotatorKind, rng: np.random.Generator) -> float:
-    # uniform over (lo, hi]: rng.random() is in [0, 1)
-    lo, hi = ACCURACY_RANGES[kind]
-    return hi - rng.random() * (hi - lo)
+def _move_back(bit_generator: np.random.BitGenerator, delta: int) -> None:
+    """``bit_generator.advance(delta)``, restoring the buffered half of a 64-bit draw
+    that 32-bit draws such as ``Generator.integers`` keep and ``advance`` drops."""
+    state = bit_generator.state
+    bit_generator.advance(delta)
+    if state["has_uint32"]:
+        moved = bit_generator.state
+        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
+        bit_generator.state = moved
 
 
-def _draw_annotator(
-    dist: AnnotatorDistribution, num_classes: int, rng: np.random.Generator
-) -> tuple[AnnotatorKind, float | None, tuple[int, ...], frozenset[int]]:
-    """Draw one annotator's kind, then its parameters: the fields of its profile."""
+def _confusion_stack(q: np.ndarray, num_classes: int) -> np.ndarray:
+    """Column-stochastic ``(..., K, K)`` matrices of annotators with accuracies ``q``.
+
+    An expert or hammer is correct with probability q and otherwise uniform
+    over the K - 1 wrong labels; a spammer (NaN) is uniform.
+    """
+    k = num_classes
+    alpha = np.empty(q.shape + (k, k))
+    alpha[...] = ((1.0 - q) / (k - 1))[..., None, None]
+    alpha.reshape(*q.shape, k * k)[..., :: k + 1] = q[..., None]
+    alpha[np.isnan(q)] = 1.0 / k
+    return alpha
+
+
+def _draw_labels(confusions: np.ndarray, true_labels: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``(B, N, R)`` labels of ``(B, R, K, K)`` confusions for ``(B, N)`` true classes.
+
+    Annotator r labels example n with the first class whose cumulative
+    probability in column ``true_labels[n]`` exceeds ``draws[r, n]``.
+    """
+    cum = np.cumsum(confusions, axis=-2).transpose(0, 3, 1, 2)  # (B, column, R, K)
+    columns = cum[np.arange(len(cum))[:, None], true_labels]  # (B, N, R, K)
+    labels = (draws.swapaxes(-1, -2)[..., None] > columns).sum(axis=-1)
+    return np.minimum(labels, confusions.shape[-1] - 1)
+
+
+@dataclass(frozen=True)
+class SimulatedAnnotators:
+    """B tasks' annotator pools of R and their labels of the tasks' N support examples."""
+
+    kinds: np.ndarray  # (B, R) kind codes, indices into KINDS
+    q: np.ndarray  # (B, R) accuracies, NaN for spammers
+    confusions: np.ndarray  # (B, R, K, K)
+    labels: np.ndarray  # (B, N, R) int
+
+
+def simulate_annotators(
+    true_labels: np.ndarray,
+    num_annotators: int,
+    dist: AnnotatorDistribution,
+    num_classes: int,
+    rngs: Sequence[np.random.Generator],
+) -> SimulatedAnnotators:
+    """Draw each task's annotators and label its support, for a chunk of tasks in one pass.
+
+    ``true_labels`` is ``(B, N)``; task b's pool is drawn from ``dist`` with
+    ``rngs[b]``, which makes exactly the draws of
+    :func:`sample_annotator_pool` followed by :func:`annotate`.
+    """
+    true_labels = np.asarray(true_labels, dtype=np.intp)
+    if true_labels.ndim != 2 or len(true_labels) != len(rngs):
+        raise ValueError(f"true labels {true_labels.shape} do not stack {len(rngs)} tasks")
     if num_classes < 2:
         raise ValueError("annotator simulation needs at least 2 classes")
-    # the draw and the index of rng.choice(len(dist.weights), p=dist.probabilities())
-    kind = dist.weights[dist.cdf.searchsorted(rng.random(), side="right")][0]
-    if kind is AnnotatorKind.SPAMMER:
-        return kind, None, (), frozenset()
-    if kind is AnnotatorKind.PAIRWISE_FLIPPER:
-        q = _sample_q(kind, rng)
-        targets = []
-        for k in range(num_classes):
-            t = int(rng.integers(num_classes - 1))
-            targets.append(t + 1 if t >= k else t)
-        return kind, q, tuple(targets), frozenset()
-    if kind is AnnotatorKind.CLASSWISE_SPAMMER:
-        spam = rng.choice(num_classes, size=num_classes // 2, replace=False)
-        return kind, None, (), frozenset(int(s) for s in spam)
-    return kind, _sample_q(kind, rng), (), frozenset()
+    (b, n), r, head = true_labels.shape, num_annotators, 2 * num_annotators
+    block = np.empty((b, head + r * n))
+    for rng, row in zip(rngs, block):
+        if not isinstance(rng.bit_generator, _REWINDABLE):
+            raise TypeError("annotator simulation needs a PCG64 generator "
+                            f"(numpy.random.default_rng), got {type(rng.bit_generator).__name__}")
+        rng.random(out=row)
+    # the kind each of the first 2R uniforms would give as a kind draw; the
+    # next kind draw comes 1 later, or 2 after an accuracy draw
+    heads = block[:, :head].ravel()
+    kind_at = dist.codes[dist.cdf.searchsorted(heads, side="right")]
+    following = np.arange(len(heads)) + 1 + ~np.isnan(_Q_LO[kind_at])
+    starts = np.arange(b) * head
+    positions = np.empty((b, r), dtype=np.intp)
+    p = starts
+    for a in range(r):
+        positions[:, a] = p
+        p = following[p]
+    used = p - starts
+    kinds = kind_at[positions]
+    hi = _Q_HI[kinds]
+    q = hi - heads[positions + 1] * (hi - _Q_LO[kinds])  # uniform over (lo, hi]
+    # annotator r labels with the r-th n uniforms after its pool's
+    draws = block[np.arange(b)[:, None], used[:, None] + np.arange(r * n)].reshape(b, r, n)
+    for rng, delta in zip(rngs, (used - head).tolist()):
+        if delta:
+            _move_back(rng.bit_generator, delta)
+    confusions = _confusion_stack(q, num_classes)
+    return SimulatedAnnotators(kinds=kinds, q=q, confusions=confusions,
+                               labels=_draw_labels(confusions, true_labels, draws))
 
 
-def _fill_confusion(
-    alpha: np.ndarray,
-    kind: AnnotatorKind,
-    q: float | None,
-    flip_targets: tuple[int, ...],
-    spam_classes: frozenset[int],
-) -> None:
-    """Write the column-stochastic matrix of an annotator's behavior into ``(K, K)`` ``alpha``."""
-    K = len(alpha)
-    if kind is AnnotatorKind.SPAMMER:
-        alpha.fill(1.0 / K)
-    elif kind is AnnotatorKind.PAIRWISE_FLIPPER:
-        classes = np.arange(K)
-        alpha.fill(0.0)
-        alpha[classes, classes] = q
-        alpha[list(flip_targets), classes] = 1.0 - q
-    elif kind is AnnotatorKind.CLASSWISE_SPAMMER:
-        alpha.fill(0.0)
-        np.fill_diagonal(alpha, 1.0)
-        alpha[:, sorted(spam_classes)] = 1.0 / K
-    else:
-        # expert / hammer: correct with probability q, otherwise uniform over
-        # the K - 1 wrong labels
-        alpha.fill((1.0 - q) / (K - 1))
-        np.fill_diagonal(alpha, q)
-
-
-def _draw_pool(
+def sample_annotator_pool(
     dist: AnnotatorDistribution,
     num_annotators: int,
     num_classes: int,
     rng: np.random.Generator,
-) -> tuple[list[tuple], np.ndarray]:
-    """Profile fields of ``num_annotators`` fresh annotators and their ``(R, K, K)`` confusions."""
-    draws = [_draw_annotator(dist, num_classes, rng) for _ in range(num_annotators)]
-    confusions = np.empty((num_annotators, num_classes, num_classes))
-    for alpha, draw in zip(confusions, draws):
-        _fill_confusion(alpha, *draw)
-    return draws, confusions
+) -> tuple[tuple[AnnotatorProfile, ...], tuple[np.ndarray, ...]]:
+    """Draw a pool of annotators and their true confusion matrices."""
+    drawn = simulate_annotators(np.empty((1, 0)), num_annotators, dist, num_classes, [rng])
+    profiles = tuple(AnnotatorProfile(KINDS[c], None if math.isnan(a) else a)
+                     for c, a in zip(drawn.kinds[0].tolist(), drawn.q[0].tolist()))
+    return profiles, tuple(drawn.confusions[0])
 
 
 def sample_profile(
     dist: AnnotatorDistribution, num_classes: int, rng: np.random.Generator
 ) -> AnnotatorProfile:
     """Draw one annotator: kind from the distribution, then its parameters."""
-    return AnnotatorProfile(*_draw_annotator(dist, num_classes, rng))
+    return sample_annotator_pool(dist, 1, num_classes, rng)[0][0]
 
 
 def profile_to_confusion(profile: AnnotatorProfile, num_classes: int) -> np.ndarray:
     """Column-stochastic (K, K) matrix realizing the profile's behavior."""
-    if profile.kind is AnnotatorKind.PAIRWISE_FLIPPER and len(profile.flip_targets) != num_classes:
-        raise ValueError("flip targets do not match the class count")
-    alpha = np.empty((num_classes, num_classes))
-    _fill_confusion(alpha, profile.kind, profile.q, profile.flip_targets, profile.spam_classes)
-    return alpha
+    q = profile.q if profile.kind in ACCURACY_RANGES else np.nan
+    return _confusion_stack(np.array(q), num_classes)
 
 
 def annotate(
@@ -221,11 +239,10 @@ def annotate(
     """
     true_labels = np.asarray(true_labels, dtype=np.intp)
     n = len(true_labels)
-    num_annotators = len(confusions)
     alpha = np.asarray(confusions, dtype=np.float64)  # (R, K, K)
-    cum = np.cumsum(alpha, axis=1)[:, :, true_labels]  # (R, K, n)
-    draws = rng.random((num_annotators, n))  # annotator r takes the r-th n draws
-    labels = np.minimum((draws[:, None, :] > cum).sum(axis=1), alpha.shape[1] - 1).T
+    num_annotators = len(alpha)
+    # annotator r takes the r-th n draws
+    labels = _draw_labels(alpha[None], true_labels[None], rng.random((1, num_annotators, n)))[0]
     if label_fraction >= 1.0:
         return labels
     if label_fraction <= 0.0:
@@ -234,17 +251,6 @@ def annotate(
     for i in np.flatnonzero(~keep.any(axis=1)):
         keep[i, rng.integers(num_annotators)] = True
     return np.where(keep, labels, -1)
-
-
-def sample_annotator_pool(
-    dist: AnnotatorDistribution,
-    num_annotators: int,
-    num_classes: int,
-    rng: np.random.Generator,
-) -> tuple[tuple[AnnotatorProfile, ...], tuple[np.ndarray, ...]]:
-    """Draw a pool of annotators and their true confusion matrices."""
-    draws, confusions = _draw_pool(dist, num_annotators, num_classes, rng)
-    return tuple(AnnotatorProfile(*draw) for draw in draws), tuple(confusions)
 
 
 def pseudo_annotate(
@@ -256,9 +262,8 @@ def pseudo_annotate(
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Noisy ``(N, R)`` labels for clean support data from freshly sampled annotators.
 
-    Makes the draws of :func:`sample_annotator_pool` and then
-    :func:`annotate`, without building the profiles.
+    :func:`simulate_annotators` for one task.
     """
-    _, confusions = _draw_pool(dist, num_annotators, num_classes, rng)
-    annotations = annotate(support_truth, confusions, rng)
-    return annotations, tuple(confusions)
+    drawn = simulate_annotators(np.asarray(support_truth)[None], num_annotators, dist,
+                                num_classes, [rng])
+    return drawn.labels[0], tuple(drawn.confusions[0])

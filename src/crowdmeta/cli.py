@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 from typing import Iterator
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import baselines
 from . import metatrain as mt
-from .annotators import AnnotatorDistribution
+from .annotators import KINDS, AnnotatorDistribution
 from .config import ConfigError, RunSetup, build_run_setup, load_config
 from .encoder import EncoderParams, load_checkpoint, save_checkpoint
 from .episodes import DataError, Episode, sample_episode
@@ -225,12 +226,15 @@ def cmd_evaluate(args) -> int:
     for cell, result in scored:
         cells.append(cell)
         # compact lines run json's C encoder, which indent turns off; strings
-        # also hold the grid's audit in less memory than the profiles would
+        # also hold the grid's audit in less memory than dicts would
         key = {k: cell[k] for k in ("shots", "annotators", "dist")}
-        audit += [json.dumps(key | {"task": i, "profiles": [p.to_dict() for p in profiles]},
-                             sort_keys=True, separators=(",", ":"))
-                  for i, profiles in enumerate(result.annotator_profiles)]
-        del result  # free these profiles before the next cell draws its own: peak memory
+        for i, (codes, accuracies) in enumerate(zip(result.annotator_kinds.tolist(),
+                                                    result.annotator_q.tolist())):
+            profiles = [{"kind": KINDS[c].value} | ({} if math.isnan(q) else {"q": q})
+                        for c, q in zip(codes, accuracies)]
+            audit.append(json.dumps(key | {"task": i, "profiles": profiles},
+                                    sort_keys=True, separators=(",", ":")))
+        del result  # free these arrays before the next cell draws its own: peak memory
 
     os.makedirs(args.out, exist_ok=True)
     metrics = {

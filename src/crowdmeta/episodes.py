@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -138,30 +137,21 @@ def split_classes(
 def sample_episode(
     dataset: LabeledDataset,
     ways: int,
-    shots: int | Sequence[int],
+    shots: int,
     query_per_class: int,
     rng: np.random.Generator,
 ) -> Episode:
     """Draw a ways-class episode with disjoint support and query examples.
 
-    ``shots`` is either one count for every class or a per-class override
-    sequence of length ``ways`` (class-imbalanced support).  Classes with
-    too few examples for the largest shot count plus the query are skipped.
+    Every class gets ``shots`` support examples.  Classes with too few
+    examples for the shots plus the query are skipped.
     """
-    if isinstance(shots, (int, np.integer)):
-        per_class_shots = [int(shots)] * ways
-    else:
-        per_class_shots = [int(s) for s in shots]
-        if len(per_class_shots) != ways:
-            raise DataError(
-                f"{len(per_class_shots)} shot overrides for {ways}-way episode"
-            )
-    if any(s < 1 for s in per_class_shots):
+    if shots < 1:
         raise DataError("every class needs at least one support example")
     if query_per_class < 1:
         raise DataError("query_per_class must be >= 1")
 
-    need = max(per_class_shots) + query_per_class
+    need = shots + query_per_class
     eligible = dataset.eligible_classes(need)
     if len(eligible) < ways:
         raise DataError(
@@ -172,16 +162,16 @@ def sample_episode(
     class_ids = tuple(sorted(eligible[i] for i in chosen.tolist()))
 
     support_rows, query_rows = [], []
-    for class_id, n_support in zip(class_ids, per_class_shots):
+    for class_id in class_ids:
         pool = dataset.examples_of(class_id)
-        picked = pool[rng.choice(len(pool), size=n_support + query_per_class, replace=False)]
-        support_rows.append(picked[:n_support])
-        query_rows.append(picked[n_support:])
+        picked = pool[rng.choice(len(pool), size=need, replace=False)]
+        support_rows.append(picked[:shots])
+        query_rows.append(picked[shots:])
     new_labels = np.arange(ways, dtype=np.intp)
     return Episode(
         class_ids=class_ids,
         support_x=dataset.features[np.concatenate(support_rows)],
-        support_y=np.repeat(new_labels, per_class_shots),
+        support_y=np.repeat(new_labels, shots),
         query_x=dataset.features[np.concatenate(query_rows)],
         query_y=np.repeat(new_labels, query_per_class),
     )

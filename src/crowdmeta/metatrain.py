@@ -1,7 +1,8 @@
 """Episodic bi-level training loop.
 
 Each outer iteration samples a meta-batch of episodes from the source
-tasks, pseudo-annotates each support set with freshly drawn annotators,
+tasks, pseudo-annotates each support set with freshly drawn annotators
+(one :func:`crowdmeta.annotators.simulate_annotators` pass per meta-batch),
 adapts the task-specific classifiers with the unrolled EM on the embedded
 supports, scores the clean query sets, and backpropagates the mean query
 loss through every EM step into the encoder parameters, which an Adam step
@@ -13,8 +14,9 @@ product chained backwards over the EM steps (:func:`episode_loss_and_grad`).
 Evaluation and validation work in chunks of up to :data:`EVAL_CHUNK`
 consecutive equal-shape episodes.  :func:`embed_episodes` embeds the
 episodes with one encoder pass per chunk; :func:`evaluate` then draws each
-task's annotators from the task's own stream and adapts and scores the
-episodes as given, one stacked support set, one
+task's annotators from the task's own stream, one
+:func:`crowdmeta.annotators.simulate_annotators` pass per chunk, and adapts
+and scores the episodes as given, one stacked support set, one
 :func:`crowdmeta.em.adapt` and one prediction per chunk
 (:func:`adapt_and_score`).  Embedding once lets every annotator setting
 of an evaluation grid score the same embedded episodes.  The chunk bounds
@@ -31,7 +33,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import em, encoder
-from .annotators import AnnotatorDistribution, AnnotatorProfile, annotate, pseudo_annotate, sample_annotator_pool
+from .annotators import AnnotatorDistribution, simulate_annotators
 from .encoder import EncoderConfig, EncoderParams, forward, init_params
 from .episodes import Episode, LabeledDataset, sample_episode
 from .seeding import stream
@@ -265,13 +267,6 @@ def episode_loss_and_grad(
     return loss, encoder.backward(record, d_u)
 
 
-def confusion_digest(confusions: Sequence[np.ndarray]) -> str:
-    h = hashlib.sha256()
-    for alpha in confusions:
-        h.update(np.ascontiguousarray(alpha, dtype=np.float64).tobytes())
-    return h.hexdigest()[:12]
-
-
 @dataclass
 class EpisodeGradient:
     loss: float
@@ -288,19 +283,20 @@ def meta_gradient(
     """Mean loss and exact reverse-mode gradient over a meta-batch of episodes.
 
     Each support set is pseudo-annotated from the configured distribution
-    with its own generator (a fresh draw per call); with pseudo-annotation
-    disabled a support keeps its clean labels as a single perfect
-    annotator.  The sampled labels themselves are constants of the episode;
-    gradients flow through the embeddings and through every EM quantity
-    that depends on them.  The episodes then share one pass of
+    with its own generator (a fresh draw per call), in one
+    :func:`~crowdmeta.annotators.simulate_annotators` pass; with
+    pseudo-annotation disabled a support keeps its clean labels as a single
+    perfect annotator.  The sampled labels themselves are constants of the
+    episode; gradients flow through the embeddings and through every EM
+    quantity that depends on them.  The episodes then share one pass of
     :func:`episode_loss_and_grad`.  The digest is the last episode's.
     """
     k = episodes[0].num_classes
     if config.pseudo_annotation:
-        drawn = [pseudo_annotate(e.support_y, config.num_annotators, config.pseudo_dist, k, rng)
-                 for e, rng in zip(episodes, rngs, strict=True)]
-        annotations = np.stack([labels for labels, _ in drawn])
-        digest = confusion_digest(drawn[-1][1])
+        drawn = simulate_annotators(np.stack([e.support_y for e in episodes]),
+                                    config.num_annotators, config.pseudo_dist, k, rngs)
+        annotations = drawn.labels
+        digest = hashlib.sha256(drawn.confusions[-1]).hexdigest()[:12]
     else:
         annotations = np.stack([e.support_y for e in episodes])[..., None]
         digest = "clean"
@@ -399,7 +395,8 @@ class EvalResult:
     mean: float
     stderr: float
     recovery: np.ndarray  # per-task support-label recovery
-    annotator_profiles: list[list[AnnotatorProfile]]
+    annotator_kinds: np.ndarray  # (tasks, R) codes into annotators.KINDS; no rows if clean
+    annotator_q: np.ndarray  # (tasks, R) accuracies, NaN for spammers
 
 
 def evaluate(
@@ -416,29 +413,29 @@ def evaluate(
     Task i's annotators come from ``stream(master_seed, stream_label, i)``;
     ``dist=None`` labels each support with its clean labels as one perfect
     annotator instead.  The episodes are scored as given, embedded or raw.
-    The tasks are fitted and scored in chunks (:func:`task_chunks`), one
+    The tasks are fitted and scored in chunks (:func:`task_chunks`): one
+    :func:`~crowdmeta.annotators.simulate_annotators` pass and one
     :func:`adapt_and_score` call each.
     """
     if not episodes:
         raise ValueError("evaluate needs at least one episode (got an empty episode list)")
     accuracies, recovery = np.empty(len(episodes)), np.empty(len(episodes))
-    all_profiles: list[list[AnnotatorProfile]] = []
+    simulated = 0 if dist is None else len(episodes)
+    kinds = np.empty((simulated, num_annotators), dtype=np.intp)
+    q = np.empty((simulated, num_annotators))
     for chunk in task_chunks(episodes):
-        tasks, annotations = episodes[chunk], []
-        for i, episode in enumerate(tasks, chunk.start):
-            if dist is None:
-                annotations.append(episode.support_y[:, None])
-                continue
-            rng = stream(master_seed, stream_label, i)
-            profiles, confusions = sample_annotator_pool(dist, num_annotators,
-                                                         episode.num_classes, rng)
-            annotations.append(annotate(episode.support_y, confusions, rng))
-            all_profiles.append(list(profiles))
-        accuracies[chunk], recovery[chunk] = adapt_and_score(
-            tasks, np.stack(annotations), hyper, fit)
+        tasks = episodes[chunk]
+        labels = np.stack([e.support_y for e in tasks])
+        if dist is None:
+            labels = labels[..., None]
+        else:
+            rngs = [stream(master_seed, stream_label, i) for i in range(chunk.start, chunk.stop)]
+            drawn = simulate_annotators(labels, num_annotators, dist, tasks[0].num_classes, rngs)
+            labels, kinds[chunk], q[chunk] = drawn.labels, drawn.kinds, drawn.q
+        accuracies[chunk], recovery[chunk] = adapt_and_score(tasks, labels, hyper, fit)
     mean, stderr = mean_and_stderr(accuracies)
     return EvalResult(accuracies=accuracies, mean=mean, stderr=stderr, recovery=recovery,
-                      annotator_profiles=all_profiles)
+                      annotator_kinds=kinds, annotator_q=q)
 
 
 @dataclass

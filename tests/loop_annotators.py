@@ -1,16 +1,16 @@
 """Loop forms of annotator sampling; a test-only oracle.
 
-The package draws an annotator's kind by a binary search in the
-distribution's precomputed CDF and every annotator's labels from one
-``(R, N)`` block of uniforms.  These are the earlier forms, one
-``Generator.choice`` call per kind and one ``Generator.random(N)`` call per
-annotator, so the tests can check that both consume the same draws and
-produce the same profiles and labels.  ``profile_to_confusion`` builds
-each matrix kind by kind, and ``pseudo_annotate`` goes through profiles,
-where the package fills one confusion stack from the drawn parameters.
-The loops return per-example annotation maps where the package returns
-the ``(N, R)`` label matrix; the ``*_matrix`` forms pass them through
-``em.label_matrix``.
+The package draws a whole chunk of tasks' annotators in one pass: one
+block of uniforms per task, decoded into kinds, accuracies and labels with
+array operations, then each generator moved back over the uniforms its
+pool did not use.  These are the earlier forms, one ``Generator.choice``
+call per kind, one ``Generator.random()`` call per accuracy and one
+``Generator.random(N)`` call per annotator's labels, so the tests can check
+that both consume the same draws and produce the same profiles and labels.
+``profile_to_confusion`` builds each matrix kind by kind, and
+``pseudo_annotate`` goes through profiles.  The loops return per-example
+annotation maps where the package returns the ``(N, R)`` label matrix;
+the ``*_matrix`` forms pass them through ``em.label_matrix``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from crowdmeta import em
-from crowdmeta.annotators import AnnotatorKind, AnnotatorProfile, _sample_q
+from crowdmeta.annotators import KINDS, AnnotatorKind, AnnotatorProfile, SimulatedAnnotators
+
+# (low, high] accuracy range per kind
+RANGES = {AnnotatorKind.EXPERT: (0.8, 1.0), AnnotatorKind.HAMMER: (0.5, 0.8)}
 
 
 def sample_profile(dist, num_classes, rng):
@@ -29,17 +32,8 @@ def sample_profile(dist, num_classes, rng):
     kind = kinds[rng.choice(len(kinds), p=dist.probabilities())]
     if kind is AnnotatorKind.SPAMMER:
         return AnnotatorProfile(kind=kind)
-    if kind is AnnotatorKind.PAIRWISE_FLIPPER:
-        q = _sample_q(kind, rng)
-        targets = []
-        for k in range(num_classes):
-            t = int(rng.integers(num_classes - 1))
-            targets.append(t + 1 if t >= k else t)
-        return AnnotatorProfile(kind=kind, q=q, flip_targets=tuple(targets))
-    if kind is AnnotatorKind.CLASSWISE_SPAMMER:
-        spam = rng.choice(num_classes, size=num_classes // 2, replace=False)
-        return AnnotatorProfile(kind=kind, spam_classes=frozenset(int(s) for s in spam))
-    return AnnotatorProfile(kind=kind, q=_sample_q(kind, rng))
+    lo, hi = RANGES[kind]
+    return AnnotatorProfile(kind=kind, q=hi - rng.random() * (hi - lo))
 
 
 def annotate(true_labels, confusions, rng, label_fraction=1.0):
@@ -71,20 +65,8 @@ def annotate(true_labels, confusions, rng, label_fraction=1.0):
 def profile_to_confusion(profile, num_classes):
     """Column-stochastic (K, K) matrix of one profile, built kind by kind."""
     K = num_classes
-    kind = profile.kind
-    if kind is AnnotatorKind.SPAMMER:
+    if profile.kind is AnnotatorKind.SPAMMER:
         return np.full((K, K), 1.0 / K, dtype=np.float64)
-    if kind is AnnotatorKind.PAIRWISE_FLIPPER:
-        alpha = np.zeros((K, K), dtype=np.float64)
-        for k, target in enumerate(profile.flip_targets):
-            alpha[k, k] = profile.q
-            alpha[target, k] = 1.0 - profile.q
-        return alpha
-    if kind is AnnotatorKind.CLASSWISE_SPAMMER:
-        alpha = np.eye(K, dtype=np.float64)
-        for k in profile.spam_classes:
-            alpha[:, k] = 1.0 / K
-        return alpha
     alpha = np.full((K, K), (1.0 - profile.q) / (K - 1), dtype=np.float64)
     np.fill_diagonal(alpha, profile.q)
     return alpha
@@ -112,3 +94,23 @@ def pseudo_annotate_matrix(support_truth, num_annotators, dist, num_classes, rng
     """``pseudo_annotate`` with its maps as the label matrix."""
     labels, confusions = pseudo_annotate(support_truth, num_annotators, dist, num_classes, rng)
     return em.label_matrix(labels, num_annotators), confusions
+
+
+def profile_arrays(pools):
+    """Kind codes and accuracies (NaN for none) of equal-size pools of profiles."""
+    kinds = np.array([[KINDS.index(p.kind) for p in pool] for pool in pools], dtype=np.intp)
+    q = np.array([[np.nan if p.q is None else p.q for p in pool] for pool in pools])
+    return kinds.reshape(len(pools), -1), q.reshape(len(pools), -1)
+
+
+def simulate_annotators(true_labels, num_annotators, dist, num_classes, rngs):
+    """Each task's pool and labels, one task at a time."""
+    pools, confusions, labels = [], [], []
+    for truth, rng in zip(true_labels, rngs, strict=True):
+        profiles, pool = sample_annotator_pool(dist, num_annotators, num_classes, rng)
+        labels.append(annotate_matrix(truth, pool, rng))
+        pools.append(profiles)
+        confusions.append(np.stack(pool))
+    kinds, q = profile_arrays(pools)
+    return SimulatedAnnotators(kinds=kinds, q=q, confusions=np.stack(confusions),
+                               labels=np.stack(labels))

@@ -17,20 +17,12 @@ from crowdmeta.episodes import DataError, Episode
 
 def sample_episode(dataset, ways, shots, query_per_class, rng):
     """A ways-class episode, built class by class."""
-    if isinstance(shots, (int, np.integer)):
-        per_class_shots = [int(shots)] * ways
-    else:
-        per_class_shots = [int(s) for s in shots]
-        if len(per_class_shots) != ways:
-            raise DataError(
-                f"{len(per_class_shots)} shot overrides for {ways}-way episode"
-            )
-    if any(s < 1 for s in per_class_shots):
+    if shots < 1:
         raise DataError("every class needs at least one support example")
     if query_per_class < 1:
         raise DataError("query_per_class must be >= 1")
 
-    need = max(per_class_shots) + query_per_class
+    need = shots + query_per_class
     pools = {int(c): np.flatnonzero(dataset.labels == c) for c in np.unique(dataset.labels)}
     eligible = tuple(c for c in sorted(pools) if len(pools[c]) >= need)
     if len(eligible) < ways:
@@ -44,12 +36,11 @@ def sample_episode(dataset, ways, shots, query_per_class, rng):
     support_x, support_y, query_x, query_y = [], [], [], []
     for new_label, class_id in enumerate(class_ids):
         pool = pools[class_id]
-        n_support = per_class_shots[new_label]
-        picked = rng.choice(len(pool), size=n_support + query_per_class, replace=False)
+        picked = rng.choice(len(pool), size=shots + query_per_class, replace=False)
         picked = pool[picked]
-        support_x.append(dataset.features[picked[:n_support]])
-        query_x.append(dataset.features[picked[n_support:]])
-        support_y.append(np.full(n_support, new_label, dtype=np.intp))
+        support_x.append(dataset.features[picked[:shots]])
+        query_x.append(dataset.features[picked[shots:]])
+        support_y.append(np.full(shots, new_label, dtype=np.intp))
         query_y.append(np.full(query_per_class, new_label, dtype=np.intp))
     return Episode(
         class_ids=class_ids,

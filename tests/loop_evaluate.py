@@ -5,17 +5,17 @@ one encoder pass and one fit to the stacked supports per chunk, the EM
 adaptation or a baseline's stacked Dawid-Skene or majority-vote call and
 prototype fit.  These are the earlier forms, one encoder call per support
 and per query set and one adaptation per task, so the tests can check that
-both make the same draws and the same scores.  The baseline cell still
-draws through ``pseudo_annotate``, so it also checks that the package's
-``sample_annotator_pool`` + ``annotate`` make the same draws.
+both make the same draws and the same scores.  Annotators are drawn by
+the per-annotator loops of ``loop_annotators``, one pool and one labelling
+per task, so the tests also check the package's chunk pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import loop_annotators
 from crowdmeta import baselines, em
-from crowdmeta.annotators import annotate, pseudo_annotate, sample_annotator_pool
 from crowdmeta.encoder import forward
 from crowdmeta.seeding import stream
 
@@ -36,18 +36,22 @@ def adapt_and_score(params, episode, annotations, num_annotators, hyper):
 
 def evaluate(params, episodes, dist, hyper, num_annotators, master_seed,
              stream_label="eval-annotators"):
-    """Per-task accuracies, EM label recovery and annotator profiles, one adaptation per task."""
+    """Per-task accuracies, EM label recovery and annotator kind codes and accuracies.
+
+    One pool, one labelling and one adaptation per task.
+    """
     accuracies = np.empty(len(episodes))
     recovery = np.empty(len(episodes))
-    all_profiles = []
+    pools = []
     for i, episode in enumerate(episodes):
         rng = stream(master_seed, stream_label, i)
-        profiles, confusions = sample_annotator_pool(dist, num_annotators, episode.num_classes, rng)
-        annotations = annotate(episode.support_y, confusions, rng)
+        profiles, confusions = loop_annotators.sample_annotator_pool(
+            dist, num_annotators, episode.num_classes, rng)
+        annotations = loop_annotators.annotate_matrix(episode.support_y, confusions, rng)
         accuracies[i], recovery[i] = adapt_and_score(params, episode, annotations,
                                                      num_annotators, hyper)
-        all_profiles.append(list(profiles))
-    return accuracies, recovery, all_profiles
+        pools.append(profiles)
+    return (accuracies, recovery) + loop_annotators.profile_arrays(pools)
 
 
 def clean_validation_accuracy(params, val_episodes, hyper):
@@ -64,7 +68,8 @@ def baseline_scores(params, episodes, method, r, dist, hyper, seed, label):
     accuracy = np.empty(len(episodes))
     for i, episode in enumerate(episodes):
         k = episode.num_classes
-        annotations, _ = pseudo_annotate(episode.support_y, r, dist, k, stream(seed, label, i))
+        annotations, _ = loop_annotators.pseudo_annotate_matrix(episode.support_y, r, dist, k,
+                                                                 stream(seed, label, i))
         if method.endswith("ds"):
             weights, _, _ = baselines.dawid_skene(annotations, k, hyper, num_annotators=r)
             estimated = np.argmax(weights, axis=1)

@@ -1,5 +1,7 @@
 """Annotator profiles, confusion construction, and label sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import loop_annotators
 from crowdmeta import em
 from crowdmeta.annotators import (
     ACCURACY_RANGES,
+    KINDS,
     AnnotatorDistribution,
     AnnotatorKind,
     AnnotatorProfile,
@@ -15,6 +18,7 @@ from crowdmeta.annotators import (
     pseudo_annotate,
     sample_annotator_pool,
     sample_profile,
+    simulate_annotators,
 )
 from crowdmeta.seeding import stream
 
@@ -65,25 +69,13 @@ class TestSampleProfile:
                 lo, hi = ACCURACY_RANGES[profile.kind]
                 assert lo < profile.q <= hi
 
-    def test_flipper_targets_differ_per_class(self):
-        dist = AnnotatorDistribution.from_mapping(
-            {AnnotatorKind.PAIRWISE_FLIPPER: 1.0}
-        )
-        rng = stream(3, "flip")
-        for _ in range(100):
-            profile = sample_profile(dist, 5, rng)
-            assert len(profile.flip_targets) == 5
-            for k, target in enumerate(profile.flip_targets):
-                assert 0 <= target < 5 and target != k
-
-    def test_classwise_spammer_takes_half_the_classes(self):
-        dist = AnnotatorDistribution.from_mapping(
-            {AnnotatorKind.CLASSWISE_SPAMMER: 1.0}
-        )
-        rng = stream(4, "cw")
-        profile = sample_profile(dist, 4, rng)
-        assert len(profile.spam_classes) == 2
-        assert profile.spam_classes < set(range(4))
+    def test_matches_loop(self):
+        dist = EHS(0.3, 0.4, 0.3)
+        fast, slow = stream(16, "one"), stream(16, "one")
+        for k in range(2, 60):
+            assert sample_profile(dist, 2 + k % 9, fast) == loop_annotators.sample_profile(
+                dist, 2 + k % 9, slow)
+        assert fast.random() == slow.random()
 
     def test_too_few_classes(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -103,31 +95,22 @@ class TestProfileToConfusion:
         alpha = profile_to_confusion(AnnotatorProfile(AnnotatorKind.SPAMMER), 4)
         np.testing.assert_allclose(alpha, 0.25)
 
-    def test_flipper_column_mass(self):
-        profile = AnnotatorProfile(
-            AnnotatorKind.PAIRWISE_FLIPPER, q=0.7, flip_targets=(2, 0, 1)
-        )
-        alpha = profile_to_confusion(profile, 3)
-        np.testing.assert_allclose(alpha[:, 0], [0.7, 0.0, 0.3])
-
-    def test_classwise_spammer_columns(self):
-        profile = AnnotatorProfile(
-            AnnotatorKind.CLASSWISE_SPAMMER, spam_classes=frozenset({1, 3})
-        )
-        alpha = profile_to_confusion(profile, 4)
-        np.testing.assert_allclose(alpha[:, 0], [1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(alpha[:, 1], 0.25)
-        np.testing.assert_allclose(alpha[:, 3], 0.25)
+    def test_matches_loop(self):
+        for k in range(2, 11):
+            for profile in (AnnotatorProfile(AnnotatorKind.SPAMMER),
+                            AnnotatorProfile(AnnotatorKind.HAMMER, q=0.5000001),
+                            AnnotatorProfile(AnnotatorKind.HAMMER, q=0.7),
+                            AnnotatorProfile(AnnotatorKind.EXPERT, q=0.83),
+                            AnnotatorProfile(AnnotatorKind.EXPERT, q=1.0)):
+                alpha = profile_to_confusion(profile, k)
+                oracle = loop_annotators.profile_to_confusion(profile, k)
+                assert alpha.shape == (k, k) and alpha.tobytes() == oracle.tobytes()
 
     def test_every_kind_column_stochastic(self):
         rng = stream(6, "stoch")
         dists = [
             EHS(0.3, 0.3, 0.4),
-            AnnotatorDistribution.from_mapping({
-                AnnotatorKind.HAMMER: 0.4,
-                AnnotatorKind.PAIRWISE_FLIPPER: 0.3,
-                AnnotatorKind.CLASSWISE_SPAMMER: 0.3,
-            }),
+            AnnotatorDistribution(((AnnotatorKind.SPAMMER, 0.4), (AnnotatorKind.HAMMER, 0.6))),
         ]
         for _ in range(200):
             dist = dists[int(rng.integers(2))]
@@ -138,10 +121,10 @@ class TestProfileToConfusion:
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ValueError, match="accuracy"):
             AnnotatorProfile(AnnotatorKind.EXPERT, q=0.5)
-        with pytest.raises(ValueError, match="flip target"):
-            AnnotatorProfile(AnnotatorKind.PAIRWISE_FLIPPER, q=0.7, flip_targets=(0, 0))
-        with pytest.raises(ValueError, match="spam-class"):
-            AnnotatorProfile(AnnotatorKind.CLASSWISE_SPAMMER)
+        with pytest.raises(ValueError, match="accuracy"):
+            AnnotatorProfile(AnnotatorKind.HAMMER, q=0.9)
+        with pytest.raises(ValueError, match="accuracy"):
+            AnnotatorProfile(AnnotatorKind.HAMMER)
 
 
 class TestAnnotate:
@@ -211,22 +194,22 @@ class TestPseudoAnnotate:
     def test_profiles_serialize(self):
         profiles, _ = sample_annotator_pool(EHS(0.3, 0.4, 0.3), 6, 4, stream(15, "ser"))
         for profile in profiles:
-            d = profile.to_dict()
+            d = json.loads(json.dumps(vars(profile)))
             assert d["kind"] in {k.value for k in AnnotatorKind}
+            assert (d["q"] is None) == (profile.kind is AnnotatorKind.SPAMMER)
 
 
 class TestMatchesLoops:
     """Sampling against the ``Generator.choice`` / per-annotator loops of ``loop_annotators``."""
 
     DISTS = (
-        AnnotatorDistribution.from_mapping({kind: 0.2 for kind in AnnotatorKind}),
+        EHS(0.25, 0.25, 0.5),
         EHS(0.1, 0.7, 0.2),
-        AnnotatorDistribution.from_mapping({  # zero weights leave flat CDF steps
-            AnnotatorKind.EXPERT: 0.0,
-            AnnotatorKind.PAIRWISE_FLIPPER: 0.5,
-            AnnotatorKind.SPAMMER: 0.0,
-            AnnotatorKind.CLASSWISE_SPAMMER: 0.5,
-        }),
+        AnnotatorDistribution((  # zero weights leave flat CDF steps
+            (AnnotatorKind.SPAMMER, 0.5),
+            (AnnotatorKind.EXPERT, 0.0),
+            (AnnotatorKind.HAMMER, 0.5),
+        )),
     )
 
     @pytest.mark.parametrize("label_fraction", [1.0, 0.3, 0.05])
@@ -269,3 +252,67 @@ class TestMatchesLoops:
             probe = stream(seed, "pseudo-oracle")  # the annotators both drew
             kinds.update(loop_annotators.sample_profile(dist, k, probe).kind for _ in range(r))
         assert kinds == set(AnnotatorKind)
+
+
+class TestSimulateAnnotators:
+    """The chunk pass against one oracle pool and labelling per task."""
+
+    DISTS = TestMatchesLoops.DISTS + (
+        EHS(0.0, 0.0, 1.0),  # spammers only
+        EHS(1.0, 0.0, 0.0),  # experts only
+        EHS(0.0, 1.0, 0.0),  # hammers only: no spammer, nothing to move back
+    )
+
+    def test_same_draws_as_per_task_loop(self):
+        kinds = set()
+        cases = [(b, r) for b in (1, 31, 32, 33) for r in (*range(1, 9), 25)]
+        for i, (b, r) in enumerate(cases):
+            dist = self.DISTS[i % len(self.DISTS)]
+            k, n = 2 + i % 9, 1 + (i * 7) % 25
+            truth = stream(i, "sim-truth").integers(k, size=(b, n))
+            fast = [stream(i, "sim", t) for t in range(b)]
+            slow = [stream(i, "sim", t) for t in range(b)]
+            got = simulate_annotators(truth, r, dist, k, fast)
+            expected = loop_annotators.simulate_annotators(truth, r, dist, k, slow)
+            for name in ("kinds", "q", "confusions", "labels"):
+                a, e = getattr(got, name), getattr(expected, name)
+                assert a.dtype == e.dtype and a.shape == e.shape, name
+                assert a.tobytes() == np.ascontiguousarray(e).tobytes(), name
+            for f, s in zip(fast, slow):  # each generator ends where the loop leaves it
+                assert f.random(10).tobytes() == s.random(10).tobytes()
+            kinds.update(KINDS[c] for c in got.kinds.ravel().tolist())
+        assert kinds == set(AnnotatorKind)
+
+    def test_pools_and_sparse_labels_share_a_generator(self):
+        # pools, sparse labels and 32-bit integer draws interleaved on one
+        # generator: moving back must keep the half-used 64-bit draw that
+        # Generator.integers buffers
+        for seed in range(60):
+            dist = self.DISTS[seed % len(self.DISTS)]
+            k, r = 2 + seed % 9, (*range(1, 9), 25)[seed % 9]
+            fast, slow = stream(seed, "shared"), stream(seed, "shared")
+            for _ in range(4):
+                n = 1 + int(fast.integers(25))
+                assert n == 1 + int(slow.integers(25))
+                truth = fast.integers(k, size=n)
+                np.testing.assert_array_equal(truth, slow.integers(k, size=n))
+                profiles, confusions = sample_annotator_pool(dist, r, k, fast)
+                expected, oracle = loop_annotators.sample_annotator_pool(dist, r, k, slow)
+                assert profiles == expected
+                assert np.stack(confusions).tobytes() == np.stack(oracle).tobytes()
+                labels = annotate(truth, confusions, fast, label_fraction=0.3)
+                maps = loop_annotators.annotate(truth, oracle, slow, label_fraction=0.3)
+                np.testing.assert_array_equal(labels, em.label_matrix(maps, r))
+            # 32-bit draws read the buffered half first, then whole draws
+            assert fast.integers(1000, size=3).tolist() == slow.integers(1000, size=3).tolist()
+            assert fast.random(3).tobytes() == slow.random(3).tobytes()
+
+    def test_needs_a_pcg64_generator(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="PCG64"):
+            simulate_annotators(np.zeros((1, 3), dtype=int), 2, EHS(0.1, 0.7, 0.2), 2, [rng])
+
+    def test_true_labels_must_stack_the_tasks(self):
+        with pytest.raises(ValueError, match="stack 2 tasks"):
+            simulate_annotators(np.zeros((1, 3), dtype=int), 2, EHS(0.1, 0.7, 0.2), 2,
+                                [stream(0, "a"), stream(0, "b")])

@@ -9,8 +9,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import loop_annotators
 from crowdmeta import cli
 from crowdmeta import metatrain as mt
+from crowdmeta.annotators import AnnotatorDistribution
 from crowdmeta.cli import main
 from crowdmeta.config import ConfigError, load_config, parse_config_text, build_run_setup
 from crowdmeta.encoder import EncoderConfig, init_params, save_checkpoint
@@ -199,6 +201,28 @@ class TestEvaluateCommand:
                      == (cell["shots"], cell["annotators"])]
             assert [line["task"] for line in tasks] == list(range(6))
             assert all(len(line["profiles"]) == cell["annotators"] for line in tasks)
+
+    def test_audit_lines_are_the_drawn_profiles(self, config_path, checkpoint, tmp_path):
+        # each line, byte for byte, as written from the profiles that one
+        # pool per task draws on the cell's stream
+        out = str(tmp_path / "audit")
+        assert main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,
+                     "--out", out, "--shots", "2", "--annotators", "4",
+                     "--spammer-ratio", "0,0.5"]) == 0
+        setup = build_run_setup(load_config(config_path))
+        expected = []
+        for ratio in (0.0, 0.5):
+            dist = AnnotatorDistribution.expert_hammer_spammer(0.1, 0.9 - ratio, ratio)
+            key = {"shots": 2, "annotators": 4, "dist": dist.to_dict()}
+            for i in range(6):
+                rng = stream(3, cli._annotator_stream(2, 4, dist), i)
+                profiles, _ = loop_annotators.sample_annotator_pool(dist, 4, setup.meta.ways, rng)
+                dicts = [{"kind": p.kind.value} | ({} if p.q is None else {"q": p.q})
+                         for p in profiles]
+                expected.append(json.dumps(key | {"task": i, "profiles": dicts},
+                                           sort_keys=True, separators=(",", ":")) + "\n")
+        with open(os.path.join(out, "annotator_audit.jsonl"), encoding="utf-8") as fh:
+            assert fh.readlines() == expected
 
     def test_single_cell_default(self, config_path, checkpoint, tmp_path):
         out = str(tmp_path / "eval1")

@@ -215,9 +215,11 @@ class TestAnnotationLikelihood:
 class TestDenseMatchesLoops:
     """The one-hot tensor products against the per-annotator loops of ``loop_em``."""
 
-    FLIPPER = profile_to_confusion(  # rows 1 and 2 hold zeros, row 0 none
-        AnnotatorProfile(AnnotatorKind.PAIRWISE_FLIPPER, q=0.7, flip_targets=(1, 0, 0)), 3
-    )
+    # an annotator who errs onto one fixed label per class: rows 1 and 2
+    # hold zeros, row 0 none
+    FLIPPER = np.array([[0.7, 1.0 - 0.7, 1.0 - 0.7],
+                        [1.0 - 0.7, 0.7, 0.0],
+                        [0.0, 0.0, 0.7]])
     HAMMER = profile_to_confusion(AnnotatorProfile(AnnotatorKind.HAMMER, q=0.7), 3)
 
     def compare(self, support, lam, c=1.0):

@@ -101,30 +101,15 @@ class TestSampleEpisode:
             for row in episode.support_x[episode.support_y == new_label]:
                 assert any(np.array_equal(row, orig) for orig in original)
 
-    def test_imbalanced_overrides(self):
-        data = generate_synthetic(10, 2, 1.0, 20, seed=11)
-        episode = sample_episode(data, 8, [1, 1, 1, 5, 5, 5, 5, 5], 2, stream(5, "imb"))
-        assert len(episode.support_y) == 28
-        counts = np.bincount(episode.support_y, minlength=8)
-        np.testing.assert_array_equal(counts, [1, 1, 1, 5, 5, 5, 5, 5])
-
-    def test_uniform_override_equals_scalar_shots(self):
-        data = generate_synthetic(5, 2, 1.0, 10, seed=12)
-        a = sample_episode(data, 2, [3, 3], 2, stream(6, "same"))
-        b = sample_episode(data, 2, 3, 2, stream(6, "same"))
-        np.testing.assert_array_equal(a.support_x, b.support_x)
-
     def test_two_class_minimal(self):
         data = generate_synthetic(4, 2, 1.0, 6, seed=13)
-        episode = sample_episode(data, 2, [1, 1], 2, stream(7, "min"))
+        episode = sample_episode(data, 2, 1, 2, stream(7, "min"))
         assert len(episode.support_y) == 2
 
-    def test_override_length_and_floor(self):
+    def test_shots_floor(self):
         data = generate_synthetic(5, 2, 1.0, 10, seed=14)
-        with pytest.raises(DataError, match="overrides"):
-            sample_episode(data, 3, [1, 2], 2, stream(8, "bad"))
         with pytest.raises(DataError, match="at least one"):
-            sample_episode(data, 2, [0, 1], 2, stream(9, "bad"))
+            sample_episode(data, 2, 0, 2, stream(9, "bad"))
 
     def test_skips_small_classes(self):
         features = np.vstack([np.zeros((8, 2)), np.ones((8, 2)), 2 * np.ones((2, 2))])
@@ -152,9 +137,9 @@ class TestMatchesLoop:
 
     def test_same_draws(self):
         data = self.uneven_dataset()
-        # (ways, shots, query): fixed shots and per-class overrides, with the
-        # two thresholds 5 and 10 alternating on one dataset's cache
-        cases = [(3, 2, 3), (3, [1, 4, 2], 6), (4, [2, 1, 1, 2], 3), (2, 7, 3)]
+        # (ways, shots, query), with the two thresholds 5 and 10 alternating
+        # on one dataset's cache
+        cases = [(3, 2, 3), (3, 4, 6), (4, 1, 4), (2, 7, 3)]
         for seed in range(200):
             ways, shots, query = cases[seed % len(cases)]
             fast, slow = stream(seed, "oracle"), stream(seed, "oracle")
@@ -171,7 +156,7 @@ class TestMatchesLoop:
 
     def test_same_errors(self):
         data = self.uneven_dataset()
-        for args in [(4, 7, 3), (3, [1, 2], 2), (2, [0, 1], 2), (2, 1, 0)]:
+        for args in [(4, 7, 3), (2, 0, 2), (2, 1, 0)]:
             with pytest.raises(DataError) as fast:
                 sample_episode(data, *args, stream(1, "err"))
             with pytest.raises(DataError) as slow:

@@ -76,27 +76,29 @@ class TestMatchesLoop:
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 67])
     def test_evaluate_same_scores_and_profiles(self, n, adapt_batches):
         episodes = make_episodes(n)
-        accuracies, recovery, profiles = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER,
+        accuracies, recovery, kinds, q = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER,
                                                                 3, 5, "t")
         adapt_batches.clear()
         result = mt.evaluate(mt.embed_episodes(PARAMS, episodes), DIST, HYPER, 3, master_seed=5,
                              stream_label="t")
         assert result.accuracies.tobytes() == accuracies.tobytes()
         assert result.recovery.tobytes() == recovery.tobytes()
-        assert result.annotator_profiles == profiles
+        assert result.annotator_kinds.tobytes() == kinds.tobytes()
+        assert result.annotator_q.tobytes() == q.tobytes()
         assert (result.mean, result.stderr) == mt.mean_and_stderr(accuracies)
         full, rest = divmod(n, mt.EVAL_CHUNK)
         assert adapt_batches == [mt.EVAL_CHUNK] * full + ([rest] if rest else [])
 
     def test_mixed_shapes_chunk_at_every_change(self, adapt_batches):
         episodes = mixed_episodes()
-        accuracies, recovery, profiles = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER,
+        accuracies, recovery, kinds, q = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER,
                                                                 3, 5)
         adapt_batches.clear()
         result = mt.evaluate(mt.embed_episodes(PARAMS, episodes), DIST, HYPER, 3, master_seed=5)
         assert result.accuracies.tobytes() == accuracies.tobytes()
         assert result.recovery.tobytes() == recovery.tobytes()
-        assert result.annotator_profiles == profiles
+        assert result.annotator_kinds.tobytes() == kinds.tobytes()
+        assert result.annotator_q.tobytes() == q.tobytes()
         assert adapt_batches == [5, 32, 8, 3, 2, 2]
 
     def test_clean_validation_branch(self, adapt_batches):

@@ -424,9 +424,7 @@ class TestMetaTrain:
         fast = mt.meta_train(sources, [val], config)
         monkeypatch.setattr(mt, "sample_episode", loop_episodes.sample_episode)
         monkeypatch.setattr(mt, "stream", loop_seeding.stream)
-        monkeypatch.setattr(mt, "pseudo_annotate", loop_annotators.pseudo_annotate_matrix)
-        monkeypatch.setattr(mt, "sample_annotator_pool", loop_annotators.sample_annotator_pool)
-        monkeypatch.setattr(mt, "annotate", loop_annotators.annotate_matrix)
+        monkeypatch.setattr(mt, "simulate_annotators", loop_annotators.simulate_annotators)
         slow = mt.meta_train(sources, [val], config)
         assert fast.final_params.flatten().tobytes() == slow.final_params.flatten().tobytes()
         assert [(r.loss, r.pseudo_digest) for r in fast.log] == [
