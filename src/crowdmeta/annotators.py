@@ -58,6 +58,8 @@ class AnnotatorProfile:
                 raise ValueError(
                     f"{self.kind.value} accuracy must lie in ({lo}, {hi}], got {self.q}"
                 )
+        elif self.q is not None:
+            raise ValueError(f"{self.kind.value} has no accuracy, got {self.q}")
 
 
 @dataclass(frozen=True)

@@ -113,26 +113,18 @@ def _eval_grid(args, setup: RunSetup) -> list[tuple[int, int, AnnotatorDistribut
 
 def _test_episodes(setup: RunSetup, params: EncoderParams | None, shots: int,
                    seed: int) -> list[Episode]:
-    """A shots value's test episodes, embedded by ``params`` unless it is None.
+    """A shots value's test episodes as stacked chunks, embedded by ``params`` unless it is None.
 
-    They are drawn and embedded in blocks of :data:`~crowdmeta.metatrain.EVAL_CHUNK`
-    tasks, so that raw copies of one block at most are alive beside the
-    embedded episodes.
+    They are drawn, stacked and embedded one chunk at a time
+    (:func:`~crowdmeta.metatrain.stacked_chunks`), so that raw copies of one
+    chunk at most are alive beside the embedded episodes.
     """
-    episodes = []
-    for start in range(0, setup.eval_tasks, mt.EVAL_CHUNK):
-        block = [
-            sample_episode(
-                setup.test_data,
-                setup.meta.ways,
-                shots,
-                setup.meta.query_per_class,
-                stream(seed, "test-episode", shots, i),
-            )
-            for i in range(start, min(start + mt.EVAL_CHUNK, setup.eval_tasks))
-        ]
-        episodes += block if params is None else mt.embed_episodes(params, block)
-    return episodes
+    chunks = mt.stacked_chunks(
+        sample_episode(setup.test_data, setup.meta.ways, shots, setup.meta.query_per_class,
+                       stream(seed, "test-episode", shots, i))
+        for i in range(setup.eval_tasks)
+    )
+    return [chunk if params is None else mt.embed_episodes(params, chunk) for chunk in chunks]
 
 
 def cmd_meta_train(args) -> int:
@@ -173,14 +165,14 @@ def cmd_meta_train(args) -> int:
     return EXIT_OK
 
 
-def _grid_cell(setup: RunSetup, episodes: list[Episode], shots: int, r: int,
+def _grid_cell(setup: RunSetup, chunks: list[Episode], shots: int, r: int,
                dist: AnnotatorDistribution, seed: int, fit: mt.Fit) -> tuple[dict, mt.EvalResult]:
     """A grid cell's metrics and its evaluation: ``fit`` scored on its shots value's tasks."""
-    result = mt.evaluate(episodes, dist, setup.meta.hyper, r, seed,
+    result = mt.evaluate(chunks, dist, setup.meta.hyper, r, seed,
                          stream_label=_annotator_stream(shots, r, dist), fit=fit)
     return {"shots": shots, "annotators": r, "dist": dist.to_dict(), "mean_acc": result.mean,
             "stderr": result.stderr, "label_recovery_acc": float(np.mean(result.recovery)),
-            "n_tasks": len(episodes)}, result
+            "n_tasks": len(result.accuracies)}, result
 
 
 def _load_checkpoint(path: str, setup: RunSetup) -> EncoderParams:
@@ -212,10 +204,10 @@ def _run_grid(args, fit: mt.Fit) -> tuple[dict, Iterator[tuple[dict, mt.EvalResu
 
     def cells():
         for shots, specs in itertools.groupby(grid, key=lambda spec: spec[0]):
-            episodes = _test_episodes(setup, params, shots, seed)
+            chunks = _test_episodes(setup, params, shots, seed)
             for _, r, dist in specs:
-                yield _grid_cell(setup, episodes, shots, r, dist, seed, fit)
-            del episodes  # peak memory: one shots value's episodes at a time
+                yield _grid_cell(setup, chunks, shots, r, dist, seed, fit)
+            del chunks  # peak memory: one shots value's episodes at a time
 
     return values, cells()
 

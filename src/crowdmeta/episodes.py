@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -69,10 +70,14 @@ class LabeledDataset:
 class Episode:
     """One task: support and query drawn from the same dataset, disjoint.
 
-    Labels are remapped to 0..K-1 (sorted original class ids).
+    Labels are remapped to 0..K-1 (sorted original class ids).  Like
+    :class:`crowdmeta.em.SupportSet`, an episode may carry a leading task
+    axis: B equal-shape tasks stacked by :func:`stack_episodes`, with
+    ``(B, K)`` class ids, ``(B, N, D)`` support rows and ``(B, N)`` labels,
+    ``(B, Q, D)`` query rows and ``(B, Q)`` labels.
     """
 
-    class_ids: tuple[int, ...]
+    class_ids: tuple[int, ...] | np.ndarray  # (K,), or (B, K) stacked
     support_x: np.ndarray
     support_y: np.ndarray
     query_x: np.ndarray
@@ -80,7 +85,13 @@ class Episode:
 
     @property
     def num_classes(self) -> int:
-        return len(self.class_ids)
+        return np.shape(self.class_ids)[-1]
+
+
+def stack_episodes(episodes: Sequence[Episode]) -> Episode:
+    """Equal-shape episodes stacked along a leading task axis."""
+    # np.array: a third of np.stack's time on small arrays, and it too rejects unequal shapes
+    return Episode(*(np.array([getattr(e, f.name) for e in episodes]) for f in fields(Episode)))
 
 
 def generate_synthetic(
@@ -107,6 +118,9 @@ def split_classes(
     seed: int,
 ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
     """Shuffle classes and partition them into disjoint train/val/test sets."""
+    for name, f in zip(("train", "validation", "test"), fractions):
+        if not f >= 0.0:
+            raise DataError(f"{name} split fraction is {f:g}; split fractions must be >= 0")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise DataError("split fractions must sum to 1")
     classes = np.asarray(dataset.class_ids)
@@ -209,7 +223,10 @@ def load_csv(path: str, label_column: str) -> LabeledDataset:
             labels.append(label_ids.setdefault(key, len(label_ids)))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return LabeledDataset(
-        features=np.asarray(rows, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.intp),
-    )
+    features = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):
+        row, col = bad[0].tolist()
+        raise DataError(f"{path}: row {row + 2}, column {header[feature_pos[col]]!r}: "
+                        f"non-finite value {features[row, col]}")
+    return LabeledDataset(features=features, labels=np.asarray(labels, dtype=np.intp))

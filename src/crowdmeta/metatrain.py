@@ -11,12 +11,14 @@ along a leading task axis through the encoder, the closed-form updates of
 :mod:`crowdmeta.em` and the reverse pass, a hand-derived vector-Jacobian
 product chained backwards over the EM steps (:func:`episode_loss_and_grad`).
 
-Evaluation and validation work in chunks of up to :data:`EVAL_CHUNK`
-consecutive equal-shape episodes.  :func:`embed_episodes` embeds the
-episodes with one encoder pass per chunk; :func:`evaluate` then draws each
-task's annotators from the task's own stream, one
+Episodes travel as stacked chunks (:func:`crowdmeta.episodes.stack_episodes`):
+the meta-batch is one chunk, and evaluation and validation episodes are
+drawn and stacked in chunks of up to :data:`EVAL_CHUNK` tasks
+(:func:`stacked_chunks`).  :func:`embed_episodes` embeds a chunk with one
+encoder pass; :func:`evaluate` then walks the chunks, draws each task's
+annotators from the task's own stream, one
 :func:`crowdmeta.annotators.simulate_annotators` pass per chunk, and adapts
-and scores the episodes as given, one stacked support set, one
+and scores each chunk as given, one stacked support set, one
 :func:`crowdmeta.em.adapt` and one prediction per chunk
 (:func:`adapt_and_score`).  Embedding once lets every annotator setting
 of an evaluation grid score the same embedded episodes.  The chunk bounds
@@ -26,16 +28,17 @@ the memory a scoring pass holds, whatever the task count.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import em, encoder
 from .annotators import AnnotatorDistribution, simulate_annotators
 from .encoder import EncoderConfig, EncoderParams, forward, init_params
-from .episodes import Episode, LabeledDataset, sample_episode
+from .episodes import Episode, LabeledDataset, sample_episode, stack_episodes
 from .seeding import stream
 
 
@@ -274,13 +277,9 @@ class EpisodeGradient:
     pseudo_digest: str
 
 
-def meta_gradient(
-    params: EncoderParams,
-    episodes: Sequence[Episode],
-    config: MetaConfig,
-    rngs: Sequence[np.random.Generator],
-) -> EpisodeGradient:
-    """Mean loss and exact reverse-mode gradient over a meta-batch of episodes.
+def meta_gradient(params: EncoderParams, episodes: Episode, config: MetaConfig,
+                  rngs: Sequence[np.random.Generator]) -> EpisodeGradient:
+    """Mean loss and exact reverse-mode gradient over a stacked meta-batch of episodes.
 
     Each support set is pseudo-annotated from the configured distribution
     with its own generator (a fresh draw per call), in one
@@ -291,20 +290,19 @@ def meta_gradient(
     quantity that depends on them.  The episodes then share one pass of
     :func:`episode_loss_and_grad`.  The digest is the last episode's.
     """
-    k = episodes[0].num_classes
+    k = episodes.num_classes
     if config.pseudo_annotation:
-        drawn = simulate_annotators(np.stack([e.support_y for e in episodes]),
-                                    config.num_annotators, config.pseudo_dist, k, rngs)
+        drawn = simulate_annotators(episodes.support_y, config.num_annotators,
+                                    config.pseudo_dist, k, rngs)
         annotations = drawn.labels
         digest = hashlib.sha256(drawn.confusions[-1]).hexdigest()[:12]
     else:
-        annotations = np.stack([e.support_y for e in episodes])[..., None]
+        annotations = episodes.support_y[..., None]
         digest = "clean"
 
     loss, grad = episode_loss_and_grad(
-        params, np.stack([e.support_x for e in episodes]), annotations, k, annotations.shape[-1],
-        np.stack([e.query_x for e in episodes]), np.stack([e.query_y for e in episodes]),
-        config.hyper,
+        params, episodes.support_x, annotations, k, annotations.shape[-1],
+        episodes.query_x, episodes.query_y, config.hyper,
     )
     return EpisodeGradient(loss=loss, grad=grad, pseudo_digest=digest)
 
@@ -319,41 +317,28 @@ def mean_and_stderr(accuracies: Sequence[float]) -> tuple[float, float]:
 EVAL_CHUNK = 32  # tasks per stacked adaptation; keeps evaluation memory flat in the task count
 
 
-def _episode_shape(episode: Episode) -> tuple:
-    return episode.support_x.shape, episode.query_x.shape, episode.num_classes
+def stacked_chunks(episodes: Iterable[Episode]) -> Iterator[Episode]:
+    """Consecutive runs of at most :data:`EVAL_CHUNK` equal-shape episodes, each stacked.
 
-
-def task_chunks(episodes: Sequence[Episode]) -> Iterator[slice]:
-    """Consecutive runs of at most :data:`EVAL_CHUNK` episodes of one shape, as slices."""
-    start = 0
-    while start < len(episodes):
-        shape = _episode_shape(episodes[start])
-        stop = start + 1
-        while (stop < len(episodes) and stop - start < EVAL_CHUNK
-               and _episode_shape(episodes[stop]) == shape):
-            stop += 1
-        yield slice(start, stop)
-        start = stop
-
-
-def embed_episodes(params: EncoderParams, episodes: Sequence[Episode]) -> list[Episode]:
-    """New episodes whose ``support_x`` and ``query_x`` hold the embeddings.
-
-    One encoder pass per :func:`task_chunks` chunk embeds its support rows,
-    then its query rows.  The input episodes are left as they are.
+    The episodes are taken from the iterable one chunk at a time.
     """
-    embedded = []
-    for chunk in task_chunks(episodes):
-        tasks = episodes[chunk]
-        b, n, q = len(tasks), len(tasks[0].support_x), len(tasks[0].query_x)
-        u = forward(np.concatenate([e.support_x for e in tasks] + [e.query_x for e in tasks]),
-                    params)
-        support_u, query_u = u[: b * n].reshape(b, n, -1), u[b * n :].reshape(b, q, -1)
-        # copies, not views of u: held views of every chunk's u raised the
-        # eval-grid peak RSS by about 0.2 MB
-        embedded += [replace(e, support_x=s.copy(), query_x=qu.copy())
-                     for e, s, qu in zip(tasks, support_u, query_u)]
-    return embedded
+    episodes = iter(episodes)
+    while chunk := list(itertools.islice(episodes, EVAL_CHUNK)):
+        yield stack_episodes(chunk)
+
+
+def embed_episodes(params: EncoderParams, episodes: Episode) -> Episode:
+    """The stacked episodes with ``support_x`` and ``query_x`` replaced by their embeddings.
+
+    One encoder pass embeds the support rows, then the query rows.
+    """
+    (b, n, width), q = episodes.support_x.shape, episodes.query_x.shape[1]
+    u = forward(np.concatenate([episodes.support_x.reshape(b * n, width),
+                                episodes.query_x.reshape(b * q, width)]), params)
+    # copies, not views of u: holding every chunk's u raised the eval-grid
+    # peak RSS by about 0.35 MB
+    return replace(episodes, support_x=u[: b * n].reshape(b, n, -1).copy(),
+                   query_x=u[b * n :].reshape(b, q, -1).copy())
 
 
 def fit_em(support_u: np.ndarray, labels: np.ndarray, num_classes: int,
@@ -368,25 +353,19 @@ def fit_em(support_u: np.ndarray, labels: np.ndarray, num_classes: int,
 Fit = Callable[[np.ndarray, np.ndarray, int, em.PriorHyperparams], em.AdaptedClassifier]
 
 
-def adapt_and_score(episodes: Sequence[Episode], labels: np.ndarray,
-                    hyper: em.PriorHyperparams,
+def adapt_and_score(episodes: Episode, labels: np.ndarray, hyper: em.PriorHyperparams,
                     fit: Fit = fit_em) -> tuple[np.ndarray, np.ndarray]:
-    """Per-task query accuracy and support-label recovery of one fit to the supports.
+    """Per-task query accuracy and support-label recovery of one fit to the stacked supports.
 
-    The episodes share one shape and ``labels`` stacks their ``(N, R)``
-    label matrices; one ``fit`` call adapts them all.  Recovery is the
-    fraction of support examples whose most responsible class is their
-    true label.  The episodes are scored as given: embedded by
-    :func:`embed_episodes`, or raw features.
+    ``labels`` stacks the tasks' ``(N, R)`` label matrices; one ``fit``
+    call adapts them all.  Recovery is the fraction of support examples
+    whose most responsible class is their true label.  The episodes are
+    scored as given: embedded by :func:`embed_episodes`, or raw features.
     """
-    support_u = np.stack([e.support_x for e in episodes])
-    query_u = np.stack([e.query_x for e in episodes])
-    classifier = fit(support_u, labels, episodes[0].num_classes, hyper)
-    support_y = np.stack([e.support_y for e in episodes])
-    query_y = np.stack([e.query_y for e in episodes])
-    recovered = np.argmax(classifier.responsibilities, axis=-1) == support_y
-    predicted = em.predict_labels(query_u, classifier)
-    return np.mean(predicted == query_y, axis=-1), np.mean(recovered, axis=-1)
+    classifier = fit(episodes.support_x, labels, episodes.num_classes, hyper)
+    recovered = np.argmax(classifier.responsibilities, axis=-1) == episodes.support_y
+    predicted = em.predict_labels(episodes.query_x, classifier)
+    return np.mean(predicted == episodes.query_y, axis=-1), np.mean(recovered, axis=-1)
 
 
 @dataclass
@@ -400,7 +379,7 @@ class EvalResult:
 
 
 def evaluate(
-    episodes: Sequence[Episode],
+    chunks: Sequence[Episode],
     dist: AnnotatorDistribution | None,
     hyper: em.PriorHyperparams,
     num_annotators: int,
@@ -410,29 +389,32 @@ def evaluate(
 ) -> EvalResult:
     """Simulate annotators per task from its own stream, fit, and score query accuracy.
 
-    Task i's annotators come from ``stream(master_seed, stream_label, i)``;
+    ``chunks`` are stacked episodes; the task index runs across them, so
+    task i's annotators come from ``stream(master_seed, stream_label, i)``.
     ``dist=None`` labels each support with its clean labels as one perfect
     annotator instead.  The episodes are scored as given, embedded or raw.
-    The tasks are fitted and scored in chunks (:func:`task_chunks`): one
-    :func:`~crowdmeta.annotators.simulate_annotators` pass and one
-    :func:`adapt_and_score` call each.
+    Each chunk takes one :func:`~crowdmeta.annotators.simulate_annotators`
+    pass and one :func:`adapt_and_score` call.
     """
-    if not episodes:
+    if not chunks:
         raise ValueError("evaluate needs at least one episode (got an empty episode list)")
-    accuracies, recovery = np.empty(len(episodes)), np.empty(len(episodes))
-    simulated = 0 if dist is None else len(episodes)
+    n = sum(len(chunk.support_y) for chunk in chunks)
+    accuracies, recovery = np.empty(n), np.empty(n)
+    simulated = 0 if dist is None else n
     kinds = np.empty((simulated, num_annotators), dtype=np.intp)
     q = np.empty((simulated, num_annotators))
-    for chunk in task_chunks(episodes):
-        tasks = episodes[chunk]
-        labels = np.stack([e.support_y for e in tasks])
+    stop = 0
+    for chunk in chunks:
+        tasks = slice(stop, stop + len(chunk.support_y))
+        stop = tasks.stop
+        labels = chunk.support_y
         if dist is None:
             labels = labels[..., None]
         else:
-            rngs = [stream(master_seed, stream_label, i) for i in range(chunk.start, chunk.stop)]
-            drawn = simulate_annotators(labels, num_annotators, dist, tasks[0].num_classes, rngs)
-            labels, kinds[chunk], q[chunk] = drawn.labels, drawn.kinds, drawn.q
-        accuracies[chunk], recovery[chunk] = adapt_and_score(tasks, labels, hyper, fit)
+            rngs = [stream(master_seed, stream_label, i) for i in range(tasks.start, tasks.stop)]
+            drawn = simulate_annotators(labels, num_annotators, dist, chunk.num_classes, rngs)
+            labels, kinds[tasks], q[tasks] = drawn.labels, drawn.kinds, drawn.q
+        accuracies[tasks], recovery[tasks] = adapt_and_score(chunk, labels, hyper, fit)
     mean, stderr = mean_and_stderr(accuracies)
     return EvalResult(accuracies=accuracies, mean=mean, stderr=stderr, recovery=recovery,
                       annotator_kinds=kinds, annotator_q=q)
@@ -461,7 +443,7 @@ class MetaTrainResult:
 def _validation_accuracy(
     params: EncoderParams, val_episodes: Sequence[Episode], config: MetaConfig
 ) -> float:
-    """Mean adaptation accuracy on the fixed validation episodes.
+    """Mean adaptation accuracy on the fixed, stacked validation episodes.
 
     The main path simulates target annotators from the validation
     distribution; the no-pseudo-annotation ablation validates on clean
@@ -470,7 +452,7 @@ def _validation_accuracy(
     """
     clean = not config.pseudo_annotation and config.val_dist is None
     return evaluate(
-        embed_episodes(params, val_episodes),
+        [embed_episodes(params, chunk) for chunk in val_episodes],
         None if clean else config.validation_dist,
         config.hyper,
         config.num_annotators,
@@ -479,22 +461,12 @@ def _validation_accuracy(
     ).mean
 
 
-def _validation_episodes(
-    val_tasks: Sequence[LabeledDataset], config: MetaConfig
-) -> list[Episode]:
-    episodes = []
-    for ti, task in enumerate(val_tasks):
-        for j in range(config.val_episodes_per_task):
-            episodes.append(
-                sample_episode(
-                    task,
-                    config.ways,
-                    config.shots,
-                    config.query_per_class,
-                    stream(config.master_seed, "val-episode", ti, j),
-                )
-            )
-    return episodes
+def _validation_episodes(val_tasks: Sequence[LabeledDataset], config: MetaConfig) -> list[Episode]:
+    return list(stacked_chunks(
+        sample_episode(task, config.ways, config.shots, config.query_per_class,
+                       stream(config.master_seed, "val-episode", ti, j))
+        for ti, task in enumerate(val_tasks) for j in range(config.val_episodes_per_task)
+    ))
 
 
 def meta_train(
@@ -512,7 +484,7 @@ def meta_train(
         raise ValueError("at least one source task is required")
     params = init_params(config.encoder)
     state = TrainState.from_params(params)
-    val_episodes = _validation_episodes(val_tasks, config) if val_tasks else []
+    val_episodes = _validation_episodes(val_tasks, config)
 
     log: list[TrainingLogRow] = []
     val_history: list[tuple[int, float]] = []
@@ -529,15 +501,10 @@ def meta_train(
             if len(source_tasks) > 1:  # a choice among one task draws nothing
                 task_rng = stream(config.master_seed, "task-choice", iteration, b)
                 task = source_tasks[int(task_rng.integers(len(source_tasks)))]
-            episodes.append(sample_episode(
-                task,
-                config.ways,
-                config.shots,
-                config.query_per_class,
-                stream(config.master_seed, "episode", iteration, b),
-            ))
+            episodes.append(sample_episode(task, config.ways, config.shots, config.query_per_class,
+                                           stream(config.master_seed, "episode", iteration, b)))
             rngs.append(stream(config.master_seed, "pseudo-annotate", iteration, b))
-        result = meta_gradient(params, episodes, config, rngs)
+        result = meta_gradient(params, stack_episodes(episodes), config, rngs)
         try:
             adam_update(state, result.grad, config)
         except NonFiniteGradientError as exc:

@@ -125,6 +125,8 @@ class TestProfileToConfusion:
             AnnotatorProfile(AnnotatorKind.HAMMER, q=0.9)
         with pytest.raises(ValueError, match="accuracy"):
             AnnotatorProfile(AnnotatorKind.HAMMER)
+        with pytest.raises(ValueError, match="spammer has no accuracy"):
+            AnnotatorProfile(AnnotatorKind.SPAMMER, q=0.5)
 
 
 class TestAnnotate:

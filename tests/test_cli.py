@@ -104,6 +104,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="validation split has 3 of 12 classes"):
             build_run_setup(values)
 
+    def test_negative_split_fraction_names_it(self, tmp_path, capsys):
+        path = tmp_path / "neg.cfg"
+        path.write_text(TINY_CONFIG + "split_fractions = 1.2,-0.1,-0.1\n", encoding="utf-8")
+        assert main(["meta-train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "validation split fraction is -0.1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_csv_cell_is_data_error(self, cell, tmp_path, capsys):
+        rows = [f"{c},{c + 0.5 * j}" for c in range(30) for j in range(8)]
+        rows[100] = f"{100 // 8},{cell}"
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("label,x\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        path = tmp_path / "csv.cfg"
+        path.write_text(TINY_CONFIG + f"csv_path = {csv_path}\n", encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["meta-train", "--config", str(path), "--out", str(out)]) == 2
+        assert f"row 102, column 'x': non-finite value {cell}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_example_config_builds(self):
         text = open(README, encoding="utf-8").read()
         example = re.search(r"cat > run.cfg <<EOF\n(.*?)\nEOF\n", text, re.S).group(1)

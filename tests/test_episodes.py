@@ -11,6 +11,7 @@ from crowdmeta.episodes import (
     load_csv,
     sample_episode,
     split_classes,
+    stack_episodes,
 )
 from crowdmeta.seeding import stream
 
@@ -124,6 +125,31 @@ class TestSampleEpisode:
             sample_episode(data, 4, 1, 2, stream(11, "few"))
 
 
+class TestStackEpisodes:
+    def test_leading_task_axis(self):
+        data = generate_synthetic(10, 3, 1.0, 15, seed=7)
+        episodes = [sample_episode(data, 4, 2, 5, stream(0, "stack", i)) for i in range(3)]
+        stacked = stack_episodes(episodes)
+        assert stacked.num_classes == episodes[0].num_classes == 4
+        assert stacked.class_ids.shape == (3, 4)
+        for name, shape in [("support_x", (3, 8, 3)), ("support_y", (3, 8)),
+                            ("query_x", (3, 20, 3)), ("query_y", (3, 20))]:
+            got = getattr(stacked, name)
+            assert got.shape == shape and got.dtype == getattr(episodes[0], name).dtype
+            for i, episode in enumerate(episodes):
+                assert got[i].tobytes() == getattr(episode, name).tobytes()
+        for i, episode in enumerate(episodes):
+            assert tuple(stacked.class_ids[i]) == episode.class_ids
+
+    @pytest.mark.parametrize("ways, shots, query", [(3, 2, 5), (4, 1, 5), (4, 2, 4)])
+    def test_unequal_shapes_rejected(self, ways, shots, query):
+        data = generate_synthetic(10, 3, 1.0, 15, seed=7)
+        episodes = [sample_episode(data, 4, 2, 5, stream(0, "stack")),
+                    sample_episode(data, ways, shots, query, stream(1, "stack"))]
+        with pytest.raises(ValueError):
+            stack_episodes(episodes)
+
+
 class TestMatchesLoop:
     """Sampling against the class-by-class loop of ``loop_episodes``."""
 
@@ -204,6 +230,12 @@ class TestLoadCsv:
     def test_non_numeric_feature_reports_line(self, tmp_path):
         path = self.write(tmp_path, "a,label\noops,x\n")
         with pytest.raises(DataError, match="row 2"):
+            load_csv(path, "label")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_row_and_column(self, tmp_path, cell):
+        path = self.write(tmp_path, f"a,label,b\n1,x,2\n3,y,{cell}\n")
+        with pytest.raises(DataError, match=f"row 3, column 'b': non-finite value {cell}"):
             load_csv(path, "label")
 
     def test_missing_label_column(self, tmp_path):

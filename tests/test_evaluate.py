@@ -1,4 +1,4 @@
-"""Chunked evaluation, clean validation and baseline cells against their per-task loops."""
+"""Evaluation of stacked chunks, clean validation and baseline cells against per-task loops."""
 
 import tracemalloc
 
@@ -10,7 +10,7 @@ from crowdmeta import baselines, em
 from crowdmeta import metatrain as mt
 from crowdmeta.annotators import AnnotatorDistribution
 from crowdmeta.encoder import EncoderConfig, forward, init_params
-from crowdmeta.episodes import generate_synthetic, sample_episode
+from crowdmeta.episodes import generate_synthetic, sample_episode, stack_episodes
 from crowdmeta.seeding import stream
 
 EHS = AnnotatorDistribution.expert_hammer_spammer
@@ -25,13 +25,18 @@ def make_episodes(n, ways=3, shots=2, query=4, label="episode"):
     return [sample_episode(DATA, ways, shots, query, stream(7, label, i)) for i in range(n)]
 
 
-def mixed_episodes():
-    """Runs of different support size, class count and query size."""
-    return (make_episodes(5, label="a")
-            + make_episodes(40, shots=1, label="b")
-            + make_episodes(3, ways=4, label="c")
-            + make_episodes(2, query=5, label="d")
-            + make_episodes(2, label="e"))
+def chunks_of(episodes, params=PARAMS):
+    """The episodes stacked as the producers stack them, embedded unless ``params`` is None."""
+    chunks = mt.stacked_chunks(episodes)
+    return [c if params is None else mt.embed_episodes(params, c) for c in chunks]
+
+
+def mixed_chunks():
+    """A caller's raw chunks of different support size, class count and query size."""
+    runs = [make_episodes(5, label="a"), make_episodes(32, shots=1, label="b"),
+            make_episodes(8, shots=1, label="c"), make_episodes(3, ways=4, label="d"),
+            make_episodes(2, query=5, label="e"), make_episodes(2, label="f")]
+    return [stack_episodes(run) for run in runs], [e for run in runs for e in run]
 
 
 @pytest.fixture()
@@ -49,9 +54,11 @@ def adapt_batches(monkeypatch):
 
 
 class TestEmbedEpisodes:
-    def test_one_pass_per_chunk_and_input_kept(self, monkeypatch):
-        episodes = mixed_episodes()
-        raw = [(e.support_x.copy(), e.query_x.copy()) for e in episodes]
+    @pytest.mark.parametrize("ways, shots, query", [(3, 2, 4), (4, 1, 5)])
+    def test_one_pass_and_input_kept(self, ways, shots, query, monkeypatch):
+        episodes = make_episodes(7, ways=ways, shots=shots, query=query)
+        chunk = stack_episodes(episodes)
+        raw = chunk.support_x.copy(), chunk.query_x.copy()
         passes = []
 
         def counted(x, params):
@@ -59,15 +66,18 @@ class TestEmbedEpisodes:
             return forward(x, params)
 
         monkeypatch.setattr(mt, "forward", counted)
-        embedded = mt.embed_episodes(PARAMS, episodes)
-        assert len(passes) == 6  # the chunks of 5, 32, 8, 3, 2 and 2 tasks
-        for episode, out, (support_x, query_x) in zip(episodes, embedded, raw, strict=True):
-            assert episode.support_x.tobytes() == support_x.tobytes()
-            assert episode.query_x.tobytes() == query_x.tobytes()
-            assert out.support_x.tobytes() == forward(support_x, PARAMS).tobytes()
-            assert out.query_x.tobytes() == forward(query_x, PARAMS).tobytes()
-            assert (out.class_ids, out.support_y.tobytes(), out.query_y.tobytes()) == (
-                episode.class_ids, episode.support_y.tobytes(), episode.query_y.tobytes())
+        out = mt.embed_episodes(PARAMS, chunk)
+        assert passes == [7 * ways * (shots + query)]
+        assert chunk.support_x.tobytes() == raw[0].tobytes()
+        assert chunk.query_x.tobytes() == raw[1].tobytes()
+        assert out.support_x.shape == (7, ways * shots, 4)
+        assert out.query_x.shape == (7, ways * query, 4)
+        for i, episode in enumerate(episodes):
+            assert out.support_x[i].tobytes() == forward(episode.support_x, PARAMS).tobytes()
+            assert out.query_x[i].tobytes() == forward(episode.query_x, PARAMS).tobytes()
+            assert tuple(out.class_ids[i]) == episode.class_ids
+            assert out.support_y[i].tobytes() == episode.support_y.tobytes()
+            assert out.query_y[i].tobytes() == episode.query_y.tobytes()
 
 
 class TestMatchesLoop:
@@ -79,7 +89,7 @@ class TestMatchesLoop:
         accuracies, recovery, kinds, q = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER,
                                                                 3, 5, "t")
         adapt_batches.clear()
-        result = mt.evaluate(mt.embed_episodes(PARAMS, episodes), DIST, HYPER, 3, master_seed=5,
+        result = mt.evaluate(chunks_of(episodes), DIST, HYPER, 3, master_seed=5,
                              stream_label="t")
         assert result.accuracies.tobytes() == accuracies.tobytes()
         assert result.recovery.tobytes() == recovery.tobytes()
@@ -89,12 +99,13 @@ class TestMatchesLoop:
         full, rest = divmod(n, mt.EVAL_CHUNK)
         assert adapt_batches == [mt.EVAL_CHUNK] * full + ([rest] if rest else [])
 
-    def test_mixed_shapes_chunk_at_every_change(self, adapt_batches):
-        episodes = mixed_episodes()
+    def test_chunks_of_different_shapes(self, adapt_batches):
+        chunks, episodes = mixed_chunks()
         accuracies, recovery, kinds, q = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER,
                                                                 3, 5)
         adapt_batches.clear()
-        result = mt.evaluate(mt.embed_episodes(PARAMS, episodes), DIST, HYPER, 3, master_seed=5)
+        result = mt.evaluate([mt.embed_episodes(PARAMS, c) for c in chunks], DIST, HYPER, 3,
+                             master_seed=5)
         assert result.accuracies.tobytes() == accuracies.tobytes()
         assert result.recovery.tobytes() == recovery.tobytes()
         assert result.annotator_kinds.tobytes() == kinds.tobytes()
@@ -103,6 +114,7 @@ class TestMatchesLoop:
 
     def test_clean_validation_branch(self, adapt_batches):
         episodes = make_episodes(40) + make_episodes(3, shots=1, label="b")
+        chunks = chunks_of(episodes[:40], None) + [stack_episodes(episodes[40:])]
         config = mt.MetaConfig(
             ways=3, shots=2, query_per_class=4, num_annotators=3, pseudo_dist=DIST,
             hyper=HYPER, encoder=EncoderConfig(5, (8,), 4, init_seed=3),
@@ -110,27 +122,28 @@ class TestMatchesLoop:
         )
         expected = loop_evaluate.clean_validation_accuracy(PARAMS, episodes, HYPER)
         adapt_batches.clear()
-        assert mt._validation_accuracy(PARAMS, episodes, config) == expected
+        assert mt._validation_accuracy(PARAMS, chunks, config) == expected
         assert adapt_batches == [32, 8, 3]
 
     @pytest.mark.parametrize("method", ["mv", "ds", "proto-mv", "proto-ds"])
     def test_baseline_cell(self, method):
         params = PARAMS if method.startswith("proto-") else None
         episodes = make_episodes(70, shots=3)
+        chunks = chunks_of(episodes, None)
         for r in (1, 4):
-            self.check_baseline(params, episodes, method, r)
+            self.check_baseline(params, chunks, episodes, method, r)
 
-    def test_baseline_cell_mixed_shapes(self):
-        episodes = mixed_episodes()
+    def test_baseline_cell_chunks_of_different_shapes(self):
+        chunks, episodes = mixed_chunks()
         for method in ("mv", "proto-ds"):
             params = PARAMS if method.startswith("proto-") else None
-            self.check_baseline(params, episodes, method, 3)
+            self.check_baseline(params, chunks, episodes, method, 3)
 
     @staticmethod
-    def check_baseline(params, episodes, method, r):
-        """``evaluate`` with a baseline fit scores as the per-task baseline loop."""
+    def check_baseline(params, chunks, episodes, method, r):
+        """``evaluate`` with a baseline fit on the raw ``chunks`` scores as the per-task loop."""
         fit = baselines.fit_dawid_skene if method.endswith("ds") else baselines.fit_majority_vote
-        embedded = episodes if params is None else mt.embed_episodes(params, episodes)
+        embedded = [c if params is None else mt.embed_episodes(params, c) for c in chunks]
         result = mt.evaluate(embedded, DIST, HYPER, r, master_seed=9, stream_label="cell",
                              fit=fit)
         accuracy, recovery = loop_evaluate.baseline_scores(params, episodes, method, r, DIST,
@@ -141,11 +154,11 @@ class TestMatchesLoop:
 
 def transient_peak(num_tasks):
     """Traced peak of one ``evaluate`` call above the memory its result still holds."""
-    episodes = mt.embed_episodes(PARAMS, make_episodes(num_tasks, shots=5, query=10))
-    mt.evaluate(episodes[:2], DIST, HYPER, 7, master_seed=5)  # warm any caches
+    chunks = chunks_of(make_episodes(num_tasks, shots=5, query=10))
+    mt.evaluate(chunks[:1], DIST, HYPER, 7, master_seed=5)  # warm any caches
     tracemalloc.start()
     try:
-        result = mt.evaluate(episodes, DIST, HYPER, 7, master_seed=5)
+        result = mt.evaluate(chunks, DIST, HYPER, 7, master_seed=5)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -18,7 +18,7 @@ from crowdmeta.annotators import (
     sample_annotator_pool,
 )
 from crowdmeta.encoder import EncoderConfig, EncoderParams, forward, init_params
-from crowdmeta.episodes import Episode, generate_synthetic, sample_episode
+from crowdmeta.episodes import Episode, generate_synthetic, sample_episode, stack_episodes
 from crowdmeta.seeding import stream
 from crowdmeta.verify import episode_loss_value
 
@@ -220,7 +220,7 @@ class TestMetaGradient:
         episode = random_episode(31)
         config = small_config(hyper=em.PriorHyperparams(em_steps=2))
         params = init_params(config.encoder)
-        result = mt.meta_gradient(params, [episode], config, [stream(31, "pa")])
+        result = mt.meta_gradient(params, stack_episodes([episode]), config, [stream(31, "pa")])
         # recover the exact annotations the gradient call used
         annotations, _ = pseudo_annotate(
             episode.support_y, config.num_annotators, config.pseudo_dist, 3,
@@ -249,7 +249,7 @@ class TestMetaGradient:
         episode = random_episode(32)
         config = small_config(hyper=em.PriorHyperparams(em_steps=8))
         params = init_params(config.encoder)
-        result = mt.meta_gradient(params, [episode], config, [stream(32, "pa")])
+        result = mt.meta_gradient(params, stack_episodes([episode]), config, [stream(32, "pa")])
         annotations, _ = pseudo_annotate(
             episode.support_y, config.num_annotators, config.pseudo_dist, 3,
             stream(32, "pa"),
@@ -276,7 +276,7 @@ class TestMetaGradient:
         episode = random_episode(33)
         config = small_config(encoder=EncoderConfig(5, (), 4, init_seed=0))
         params = EncoderParams(weights=[np.zeros((5, 4))], biases=[np.zeros(4)])
-        result = mt.meta_gradient(params, [episode], config, [stream(33, "pa")])
+        result = mt.meta_gradient(params, stack_episodes([episode]), config, [stream(33, "pa")])
         bias_grad = result.grad[-4:]
         np.testing.assert_array_equal(bias_grad, 0.0)
         assert result.loss == pytest.approx(math.log(3), abs=0.3)
@@ -285,8 +285,8 @@ class TestMetaGradient:
         episode = random_episode(34)
         config = small_config()
         params = init_params(config.encoder)
-        a = mt.meta_gradient(params, [episode], config, [stream(34, "pa")])
-        b = mt.meta_gradient(params, [episode], config, [stream(34, "pa")])
+        a = mt.meta_gradient(params, stack_episodes([episode]), config, [stream(34, "pa")])
+        b = mt.meta_gradient(params, stack_episodes([episode]), config, [stream(34, "pa")])
         assert a.loss == b.loss
         np.testing.assert_array_equal(a.grad, b.grad)
         assert a.pseudo_digest == b.pseudo_digest
@@ -295,7 +295,7 @@ class TestMetaGradient:
         episode = random_episode(35)
         config = small_config(pseudo_annotation=False)
         params = init_params(config.encoder)
-        result = mt.meta_gradient(params, [episode], config, [stream(35, "pa")])
+        result = mt.meta_gradient(params, stack_episodes([episode]), config, [stream(35, "pa")])
         assert result.pseudo_digest == "clean"
 
 
@@ -467,7 +467,8 @@ class TestEvaluate:
                 query_y=qy,
             ))
         params = EncoderParams(weights=[np.eye(4)], biases=[np.zeros(4)])
-        result = mt.evaluate(mt.embed_episodes(params, episodes), EHS(1.0, 0.0, 0.0),
+        chunk = mt.embed_episodes(params, stack_episodes(episodes))
+        result = mt.evaluate([chunk], EHS(1.0, 0.0, 0.0),
                              em.PriorHyperparams(em_steps=3), 3, master_seed=1)
         assert result.mean == 1.0
 
@@ -485,7 +486,8 @@ class TestEvaluate:
                 query_y=qy,
             ))
         params = EncoderParams(weights=[np.eye(4) * 0.01], biases=[np.zeros(4)])
-        result = mt.evaluate(mt.embed_episodes(params, episodes), EHS(0.0, 0.0, 1.0),
+        chunk = mt.embed_episodes(params, stack_episodes(episodes))
+        result = mt.evaluate([chunk], EHS(0.0, 0.0, 1.0),
                              em.PriorHyperparams(em_steps=2), 3, master_seed=2)
         assert result.mean == pytest.approx(0.25, abs=0.06)
 
@@ -504,7 +506,8 @@ class TestEvaluate:
                 query_y=qy,
             ))
         params = EncoderParams(weights=[np.eye(3)], biases=[np.zeros(3)])
-        result = mt.evaluate(mt.embed_episodes(params, episodes), EHS(0.1, 0.7, 0.2),
+        chunk = mt.embed_episodes(params, stack_episodes(episodes))
+        result = mt.evaluate([chunk], EHS(0.1, 0.7, 0.2),
                              em.PriorHyperparams(em_steps=2), 3, master_seed=3)
         expected = np.std(result.accuracies, ddof=1) / np.sqrt(len(result.accuracies))
         assert result.stderr == pytest.approx(expected, rel=1e-12)
