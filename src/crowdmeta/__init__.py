@@ -21,7 +21,6 @@ from .em import (
     PriorHyperparams,
     SupportSet,
     adapt,
-    annotation_likelihood,
     e_step,
     init_responsibilities,
     log_posterior,
@@ -81,7 +80,6 @@ __all__ = [
     "adam_update",
     "adapt",
     "annotate",
-    "annotation_likelihood",
     "backward",
     "dawid_skene",
     "e_step",

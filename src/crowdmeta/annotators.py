@@ -77,10 +77,10 @@ class AnnotatorDistribution:
     def __post_init__(self) -> None:
         total = 0.0
         for kind, w in self.weights:
-            if w < 0.0:
-                raise ValueError(f"negative weight for {kind.value}")
+            if not w >= 0.0:  # NaN fails this too
+                raise ValueError(f"negative or NaN weight for {kind.value}: {w}")
             total += w
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"annotator weights must sum to 1, got {total}")
         cdf = self.probabilities().cumsum()
         cdf /= cdf[-1]

@@ -8,6 +8,7 @@ other blank value means "unset", which only the keys without a default
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,18 +33,22 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split(","))
+def _parse_list(parse_item: Callable[[str], object]) -> Callable[[str], tuple]:
+    def parse(text: str) -> tuple:
+        text = text.strip()
+        return tuple(parse_item(part) for part in text.split(",")) if text else ()
+    return parse
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(part) for part in text.split(","))
+_parse_int_list = _parse_list(int)
+_parse_float_list = _parse_list(float)
+
+
+def _parse_positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:  # NaN fails this too
+        raise ValueError(f"must be a finite number > 0, got {text.strip()!r}")
+    return value
 
 
 # key -> (parser, default); None defaults mean "optional, unset"
@@ -65,12 +70,12 @@ SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "hidden_dims": (_parse_int_list, (32,)),
     "embed_dim": (int, 8),
     # priors
-    "tau": (float, 1.0),
-    "class_prior_strength": (float, 1.0),
-    "confusion_strength": (float, 1.0),
+    "tau": (_parse_positive_float, 1.0),
+    "class_prior_strength": (_parse_positive_float, 1.0),
+    "confusion_strength": (_parse_positive_float, 1.0),
     "em_steps": (int, 2),
     # training
-    "learning_rate": (float, 1e-3),
+    "learning_rate": (_parse_positive_float, 1e-3),
     "max_iterations": (int, 2000),
     "validation_interval": (int, 200),
     "patience": (int, 5),

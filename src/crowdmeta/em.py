@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -67,12 +67,13 @@ class PriorHyperparams:
     allow_zero_tau: bool = False
 
     def __post_init__(self) -> None:
-        if self.tau < 0.0 or (self.tau == 0.0 and not self.allow_zero_tau):
-            raise ValueError(f"tau must be > 0 (got {self.tau})")
-        if self.b <= 0.0:
-            raise ValueError(f"b must be > 0 (got {self.b})")
-        if self.c <= 0.0:
-            raise ValueError(f"c must be > 0 (got {self.c})")
+        # written so that NaN fails each comparison
+        if not (0.0 < self.tau < math.inf or (self.tau == 0.0 and self.allow_zero_tau)):
+            raise ValueError(f"tau must be finite and > 0 (got {self.tau})")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"b must be finite and > 0 (got {self.b})")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be finite and > 0 (got {self.c})")
         if not isinstance(self.em_steps, int) or self.em_steps < 1:
             raise ValueError(f"em_steps must be an integer >= 1 (got {self.em_steps})")
 
@@ -175,17 +176,6 @@ class AdaptedClassifier:
         return self.prototypes.shape[-2]
 
 
-def check_confusion(alpha: np.ndarray, atol: float = 1e-12) -> None:
-    """Confusion matrices, ``(K, K)`` or stacked ``(..., K, K)``, are column-stochastic."""
-    alpha = np.asarray(alpha)
-    if alpha.ndim < 2 or alpha.shape[-2] != alpha.shape[-1]:
-        raise ValueError("confusion matrix must be square")
-    if np.any(alpha < 0.0) or np.any(alpha > 1.0):
-        raise ValueError("confusion entries must lie in [0, 1]")
-    if not np.allclose(alpha.sum(axis=-2), 1.0, rtol=0.0, atol=atol):
-        raise ValueError("confusion columns do not sum to 1")
-
-
 def init_responsibilities(onehot: np.ndarray) -> np.ndarray:
     """Vote-fraction initialization from the ``(N, R, K)`` one-hot labels.
 
@@ -272,13 +262,6 @@ def annotation_log_likelihood(
         log_alpha[zero] = 0.0  # never selected: keeps 0 * log 0 out of the product
     labels = support.onehot.reshape(shape[:-2] + (r * k,))
     return labels @ log_alpha.reshape(shape[:-3] + (r * k, k))
-
-
-def annotation_likelihood(
-    support: SupportSet, confusions: Sequence[np.ndarray]
-) -> np.ndarray:
-    """``a_nk`` on the linear scale (products accumulated in log space)."""
-    return np.exp(annotation_log_likelihood(support, confusions))
 
 
 def squared_distances(u: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
@@ -407,15 +390,30 @@ def lower_bound_q(
     return _episode_sum(inner, 2) + log_prior(prototypes, class_prior, confusions, hyper)
 
 
+def iterate(
+    support: SupportSet, hyper: PriorHyperparams
+) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The EM iterations: each M step's input responsibilities and its output.
+
+    From the vote-fraction init, ``hyper.em_steps`` M steps with an E step
+    between each two, each yielded as ``(lam, (prototypes, class prior,
+    confusions))``.  The E step after the last M step is the caller's.
+    """
+    lam = init_responsibilities(support.onehot)
+    for t in range(hyper.em_steps):
+        if t:
+            lam = e_step(support, *params)
+        params = m_step(lam, support, hyper)
+        yield lam, params
+
+
 def adapt(support: SupportSet, hyper: PriorHyperparams) -> AdaptedClassifier:
     """Run the full adaptation: vote-fraction init, then em_steps x {M, E}."""
-    lam = init_responsibilities(support.onehot)
-    prototypes = pi = confusions = None
-    for _ in range(hyper.em_steps):
-        prototypes, pi, confusions = m_step(lam, support, hyper)
-        lam = e_step(support, prototypes, pi, confusions)
+    for _, (prototypes, pi, confusions) in iterate(support, hyper):
+        pass
     return AdaptedClassifier(
-        prototypes=prototypes, class_prior=pi, confusions=confusions, responsibilities=lam
+        prototypes=prototypes, class_prior=pi, confusions=confusions,
+        responsibilities=e_step(support, prototypes, pi, confusions),
     )
 
 

@@ -58,17 +58,8 @@ class EncoderParams:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("parameters contain non-finite values")
 
-    @property
-    def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def flatten(self) -> np.ndarray:
-        """Layer order, weights row-major then bias — the checkpoint layout."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return _flat_layout(self.weights, self.biases)
 
     @classmethod
     def unflatten(cls, config: EncoderConfig, vec: np.ndarray) -> "EncoderParams":
@@ -88,11 +79,10 @@ class EncoderParams:
             offset += fan_out
         return cls(weights=weights, biases=biases)
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+
+def _flat_layout(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
+    """Layer order, weights row-major then bias — the checkpoint layout."""
+    return np.concatenate([part for w, b in zip(weights, biases) for part in (w.ravel(), b)])
 
 
 def init_params(config: EncoderConfig) -> EncoderParams:
@@ -114,34 +104,26 @@ class ActivationRecord:
     masks: list[np.ndarray]  # ReLU masks after each hidden layer
 
 
-def _as_batch(x: np.ndarray, input_dim: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
-    if batch.ndim != 2 or batch.shape[1] != input_dim:
-        raise ValueError(f"input dimension {batch.shape[-1]} != {input_dim}")
-    return batch, single
-
-
 def forward(x: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Embed one vector or a batch; final layer has no activation."""
-    batch, single = _as_batch(x, params.weights[0].shape[0])
-    h = batch
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.maximum(h, 0.0)
-    return h[0] if single else h
+    """Embed one vector or a batch: the output of :func:`forward_recorded`."""
+    u, _ = forward_recorded(x, params)
+    return u[0] if np.ndim(x) == 1 else u
 
 
 def forward_recorded(
     x: np.ndarray, params: EncoderParams
 ) -> tuple[np.ndarray, ActivationRecord]:
-    """Forward pass that keeps what the backward pass needs."""
-    batch, _ = _as_batch(x, params.weights[0].shape[0])
+    """Embed one vector as a batch of one, or a batch, keeping what :func:`backward` needs.
+
+    The final layer has no activation.
+    """
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim == 1:
+        h = h[None, :]
+    input_dim = params.weights[0].shape[0]
+    if h.ndim != 2 or h.shape[1] != input_dim:
+        raise ValueError(f"input dimension {h.shape[-1]} != {input_dim}")
     inputs, masks = [], []
-    h = batch
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
@@ -165,18 +147,13 @@ def backward(record: ActivationRecord, grad_embeddings: np.ndarray) -> np.ndarra
         params.weights[-1].shape[1],
     ):
         raise ValueError("activation record does not match the gradient or parameters")
-    grad_w = [None] * len(params.weights)
-    grad_b = [None] * len(params.weights)
+    grad_w, grad_b = [], []  # last layer first
     for i in range(len(params.weights) - 1, -1, -1):
-        grad_w[i] = record.inputs[i].T @ g
-        grad_b[i] = g.sum(axis=0)
+        grad_w.append(record.inputs[i].T @ g)
+        grad_b.append(g.sum(axis=0))
         if i > 0:
             g = (g @ params.weights[i].T) * record.masks[i - 1]
-    parts = []
-    for gw, gb in zip(grad_w, grad_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
+    return _flat_layout(grad_w[::-1], grad_b[::-1])
 
 
 def save_checkpoint(path: str, config: EncoderConfig, params: EncoderParams) -> None:

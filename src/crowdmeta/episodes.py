@@ -42,10 +42,6 @@ class LabeledDataset:
         self._eligible = {}
 
     @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.features.shape[1]
 

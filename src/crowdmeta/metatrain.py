@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import logging
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -40,6 +41,8 @@ from .annotators import AnnotatorDistribution, simulate_annotators
 from .encoder import EncoderConfig, EncoderParams, forward, init_params
 from .episodes import Episode, LabeledDataset, sample_episode, stack_episodes
 from .seeding import stream
+
+logger = logging.getLogger("crowdmeta")
 
 
 @dataclass(frozen=True)
@@ -69,12 +72,8 @@ class MetaConfig:
                      "val_episodes_per_task", "meta_batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
-
-    @property
-    def validation_dist(self) -> AnnotatorDistribution:
-        return self.val_dist if self.val_dist is not None else self.pseudo_dist
+        if not 0.0 < self.learning_rate < np.inf:  # NaN fails this too
+            raise ValueError(f"learning_rate must be finite and > 0 (got {self.learning_rate})")
 
 
 @dataclass
@@ -197,7 +196,6 @@ def episode_loss_and_grad(
     support_x: np.ndarray,
     annotations: np.ndarray,
     num_classes: int,
-    num_annotators: int,
     query_x: np.ndarray,
     query_y: np.ndarray,
     hyper: em.PriorHyperparams,
@@ -208,10 +206,9 @@ def episode_loss_and_grad(
     ``(B, Q, D)`` and ``query_y`` ``(B, Q)``: B episodes of equal shape,
     whose loss is the mean of theirs.  Two-dimensional inputs are a single
     episode.  One encoder pass embeds every support and query row.  The
-    forward pass runs :func:`crowdmeta.em.m_step` and
-    :func:`crowdmeta.em.e_step` on the stacked supports, keeping every
-    step's responsibilities; the final E step is skipped because the loss
-    reads only the last prototypes and class prior.  The reverse pass is
+    forward pass keeps every step of :func:`crowdmeta.em.iterate` on the
+    stacked supports; it ends on an M step because the loss reads only the
+    last prototypes and class prior.  The reverse pass is
     hand-derived: the query log-softmax, then for each step from the last
     the M-step updates and the E-step softmax, whose output gradient
     reaches the previous M step through its prototypes, class prior and
@@ -222,27 +219,19 @@ def episode_loss_and_grad(
     support_x = np.asarray(support_x, dtype=np.float64)
     query_x = np.asarray(query_x, dtype=np.float64)
     labels = np.asarray(query_y, dtype=np.intp)
+    annotations = np.asarray(annotations)
     if support_x.ndim == 2:  # one episode
         support_x, query_x, labels = support_x[None], query_x[None], labels[None]
-        annotations = np.asarray(annotations)[None]
+        annotations = annotations[None]
     (b, n, width), q = support_x.shape, labels.shape[1]
     x = np.concatenate([support_x.reshape(b * n, width), query_x.reshape(b * q, width)])
     u, record = encoder.forward_recorded(x, params)
     u_support = u[: b * n].reshape(b, n, -1)
     u_query = u[b * n :].reshape(b, q, -1)
-    support = em.SupportSet(
-        embeddings=u_support,
-        annotations=annotations,
-        num_classes=num_classes,
-        num_annotators=num_annotators,
-    )
-    lam = em.init_responsibilities(support.onehot)
-    steps = []  # (responsibilities in, prototypes, class prior, confusions)
-    for t in range(hyper.em_steps):
-        protos, pi, confusions = em.m_step(lam, support, hyper)
-        steps.append((lam, protos, pi, confusions))
-        if t + 1 < hyper.em_steps:
-            lam = em.e_step(support, protos, pi, confusions)
+    support = em.SupportSet(embeddings=u_support, annotations=annotations,
+                            num_classes=num_classes, num_annotators=annotations.shape[-1])
+    steps = list(em.iterate(support, hyper))  # (responsibilities in, M-step output)
+    _, (protos, pi, _) = steps[-1]
 
     scores, lse, loss = _scored_query(u_query, labels, protos, pi)
 
@@ -254,14 +243,14 @@ def episode_loss_and_grad(
     d_support = np.zeros_like(u_support)
     labels_t = support.onehot.reshape(b, n, -1).swapaxes(-1, -2)
     for t in range(hyper.em_steps - 1, -1, -1):
-        lam, protos, pi, confusions = steps[t]
+        lam, (protos, pi, confusions) = steps[t]
         d_lam, d_u = _m_step_vjp(lam, u_support, protos, confusions, support,
                                  hyper, d_protos, d_pi, d_confusions)
         d_support += d_u
         if t == 0:
             break
         # lam came from the E step on the previous M step's parameters
-        _, protos, pi, confusions = steps[t - 1]
+        _, (protos, pi, confusions) = steps[t - 1]
         d_scores = lam * (d_lam - (lam * d_lam).sum(axis=-1, keepdims=True))
         d_u, d_protos, d_pi = _log_scores_vjp(d_scores, u_support, protos, pi)
         d_support += d_u
@@ -300,10 +289,8 @@ def meta_gradient(params: EncoderParams, episodes: Episode, config: MetaConfig,
         annotations = episodes.support_y[..., None]
         digest = "clean"
 
-    loss, grad = episode_loss_and_grad(
-        params, episodes.support_x, annotations, k, annotations.shape[-1],
-        episodes.query_x, episodes.query_y, config.hyper,
-    )
+    loss, grad = episode_loss_and_grad(params, episodes.support_x, annotations, k,
+                                       episodes.query_x, episodes.query_y, config.hyper)
     return EpisodeGradient(loss=loss, grad=grad, pseudo_digest=digest)
 
 
@@ -450,10 +437,12 @@ def _validation_accuracy(
     single-annotator labels to stay a fully noise-free meta-learner
     (unless a validation distribution is set explicitly).
     """
-    clean = not config.pseudo_annotation and config.val_dist is None
+    dist = config.val_dist
+    if dist is None and config.pseudo_annotation:
+        dist = config.pseudo_dist
     return evaluate(
         [embed_episodes(params, chunk) for chunk in val_episodes],
-        None if clean else config.validation_dist,
+        dist,
         config.hyper,
         config.num_annotators,
         config.master_seed,
@@ -526,9 +515,11 @@ def meta_train(
                 bad_validations = 0
             else:
                 bad_validations += 1
-                if bad_validations >= config.patience:
-                    stopped_early = True
-                    break
+            logger.debug("iteration %d: validation accuracy %.4f, %d bad validations in a row",
+                         iteration, val_score, bad_validations)
+            if bad_validations >= config.patience:
+                stopped_early = True
+                break
 
     final_params = EncoderParams.unflatten(config.encoder, state.theta)
     best_theta = state.best_theta if state.best_theta is not None else state.theta

@@ -58,22 +58,22 @@ def _random_task(
 def check_em_monotone(
     seed: int = 2024, num_tasks: int = 200, em_steps: int = 10, tol: float = 1e-9
 ) -> CheckReport:
-    """Log posterior never decreases across EM iterations."""
+    """Log posterior never decreases across EM iterations.
+
+    Each M step's log posterior is compared with the previous one's, so
+    at least two steps are needed.
+    """
+    if em_steps < 2:
+        raise ValueError(f"em_steps must be >= 2 to compare successive steps (got {em_steps})")
     grid = [(k, n, r) for k in (2, 4) for n in (4, 20) for r in (1, 3, 7)]
     hyper = em.PriorHyperparams(tau=1.0, b=1.0, c=1.0, em_steps=em_steps)
     worst = np.inf
     for t in range(num_tasks):
         k, n, r = grid[t % len(grid)]
         support = _random_task(stream(seed, "monotone-task", t), k, n, r)
-        lam = em.init_responsibilities(support.onehot)
-        previous = None
-        for _ in range(em_steps):
-            protos, pi, confusions = em.m_step(lam, support, hyper)
-            value = em.log_posterior(support, protos, pi, confusions, hyper)
-            if previous is not None:
-                worst = min(worst, value - previous)
-            previous = value
-            lam = em.e_step(support, protos, pi, confusions)
+        values = [em.log_posterior(support, *params, hyper)
+                  for _, params in em.iterate(support, hyper)]
+        worst = min(worst, min(np.diff(values)))
     return CheckReport(
         name="em-monotone",
         passed=worst >= -tol,
@@ -116,11 +116,9 @@ def check_estep_oracle(seed: int = 77, num_tasks: int = 100, tol: float = 1e-12)
         n = int(rng.integers(2, 9))
         r = int(rng.integers(1, 4))
         support = _random_task(rng, k, n, r)
-        lam0 = em.init_responsibilities(support.onehot)
-        protos, pi, confusions = em.m_step(lam0, support, hyper)
-        fast = em.e_step(support, protos, pi, confusions)
-        slow = naive_e_step(support, protos, pi, confusions)
-        worst = max(worst, float(np.max(np.abs(fast - slow))))
+        fit = em.adapt(support, hyper)  # one M step, then the E step under test
+        slow = naive_e_step(support, fit.prototypes, fit.class_prior, fit.confusions)
+        worst = max(worst, float(np.max(np.abs(fit.responsibilities - slow))))
     return CheckReport(
         name="estep-oracle",
         passed=worst < tol,
@@ -136,19 +134,15 @@ def episode_loss_value(
     support_x: np.ndarray,
     annotations: np.ndarray,
     num_classes: int,
-    num_annotators: int,
     query_x: np.ndarray,
     query_y: np.ndarray,
     hyper: em.PriorHyperparams,
 ) -> float:
     """Episode loss through the plain-numpy path (finite differences use this)."""
     params = EncoderParams.unflatten(encoder_config, theta)
-    support = em.SupportSet(
-        embeddings=forward(support_x, params),
-        annotations=annotations,
-        num_classes=num_classes,
-        num_annotators=num_annotators,
-    )
+    annotations = np.asarray(annotations)
+    support = em.SupportSet(forward(support_x, params), annotations, num_classes,
+                            annotations.shape[-1])
     classifier = em.adapt(support, hyper)
     return mt.query_loss(classifier, forward(query_x, params), query_y)
 
@@ -186,13 +180,13 @@ def check_gradcheck(
 
         support_x, annotations, query_x = zip(*episodes)
         _, grad = mt.episode_loss_and_grad(
-            params, np.stack(support_x), annotations, ways, annotators,
+            params, np.stack(support_x), annotations, ways,
             np.stack(query_x), np.tile(query_y, (batch, 1)), hyper,
         )
 
         def loss(theta: np.ndarray) -> float:
             return float(np.mean([
-                episode_loss_value(theta, config, sx, ann, ways, annotators, qx, query_y, hyper)
+                episode_loss_value(theta, config, sx, ann, ways, qx, query_y, hyper)
                 for sx, ann, qx in episodes
             ]))
 

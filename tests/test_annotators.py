@@ -35,6 +35,11 @@ class TestDistribution:
         with pytest.raises(ValueError, match="negative"):
             EHS(-0.1, 0.9, 0.2)
 
+    def test_nan_weight_rejected(self):
+        # a NaN total fails no `> 1e-12` test, and NaN sorts no label into the CDF
+        with pytest.raises(ValueError, match="NaN weight for expert"):
+            EHS(float("nan"), 0.5, 0.5)
+
     def test_serializes(self):
         dist = EHS(0.1, 0.7, 0.2)
         assert dist.to_dict() == {"expert": 0.1, "hammer": 0.7, "spammer": 0.2}
@@ -116,7 +121,8 @@ class TestProfileToConfusion:
             dist = dists[int(rng.integers(2))]
             k = int(rng.integers(2, 7))
             alpha = profile_to_confusion(sample_profile(dist, k, rng), k)
-            em.check_confusion(alpha)
+            assert alpha.shape == (k, k) and np.all((alpha >= 0.0) & (alpha <= 1.0))
+            np.testing.assert_allclose(alpha.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
 
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ValueError, match="accuracy"):

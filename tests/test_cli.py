@@ -18,6 +18,7 @@ from crowdmeta.config import ConfigError, load_config, parse_config_text, build_
 from crowdmeta.encoder import EncoderConfig, init_params, save_checkpoint
 from crowdmeta.episodes import sample_episode
 from crowdmeta.seeding import stream
+from crowdmeta.verify import check_em_monotone
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -144,6 +145,18 @@ class TestConfigParsing:
         assert f"eval_tasks must be >= 1 (got {tasks})" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["tau", "class_prior_strength", "confusion_strength",
+                                     "learning_rate"])
+    def test_nan_positive_value_is_config_error(self, key, tmp_path, capsys):
+        # NaN fails no `<= 0` test: it used to train to garbage or die in the E step
+        path = tmp_path / "nan.cfg"
+        path.write_text(TINY_CONFIG + f"{key} = nan\n", encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["meta-train", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad value for {key}: must be a finite number > 0, got 'nan'" in err
+        assert not out.exists()
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/path.cfg")
@@ -259,6 +272,14 @@ class TestEvaluateCommand:
         assert dists[0]["spammer"] == pytest.approx(0.1)
         assert dists[1]["spammer"] == pytest.approx(0.4)
         assert dists[1]["hammer"] == pytest.approx(0.5)
+
+    def test_nan_dist_is_usage_error(self, config_path, checkpoint, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,
+                     "--out", str(out), "--dist", "nan:0.5:0.5"])
+        assert code == 1
+        assert "--dist: negative or NaN weight for expert" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_spammer_ratio_is_usage_error(self, config_path, checkpoint, tmp_path, capsys):
         code = main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,
@@ -448,3 +469,9 @@ class TestVerifyCommand:
 
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "--suite", "nope"]) == 1
+
+    @pytest.mark.parametrize("em_steps", [0, 1])
+    def test_monotone_check_needs_two_steps(self, em_steps):
+        # one M step leaves nothing to compare: the check used to pass with delta inf
+        with pytest.raises(ValueError, match="em_steps must be >= 2"):
+            check_em_monotone(num_tasks=1, em_steps=em_steps)

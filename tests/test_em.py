@@ -192,24 +192,24 @@ class TestAnnotationLikelihood:
 
     def test_single_annotator(self):
         support = make_support(np.zeros((1, 2)), [{0: 0}], 2, 1)
-        a = em.annotation_likelihood(support, [self.ALPHA])
+        a = np.exp(em.annotation_log_likelihood(support, [self.ALPHA]))
         np.testing.assert_allclose(a, [[0.8, 0.2]], rtol=1e-12)
 
     def test_two_annotators_multiply(self):
         support = make_support(np.zeros((1, 2)), [{0: 0, 1: 0}], 2, 2)
-        a = em.annotation_likelihood(support, [self.ALPHA, self.ALPHA])
+        a = np.exp(em.annotation_log_likelihood(support, [self.ALPHA, self.ALPHA]))
         np.testing.assert_allclose(a, [[0.64, 0.04]], rtol=1e-12)
 
     def test_spammers_are_uninformative(self):
         uniform = np.full((4, 4), 0.25)
         support = make_support(np.zeros((1, 2)), [{0: 2, 1: 3, 2: 0}], 4, 3)
-        a = em.annotation_likelihood(support, [uniform] * 3)
+        a = np.exp(em.annotation_log_likelihood(support, [uniform] * 3))
         np.testing.assert_allclose(a, 0.25**3, rtol=1e-12)
 
     def test_zero_entry_rejected(self):
         support = make_support(np.zeros((1, 2)), [{0: 0}], 2, 1)
         with pytest.raises(ValueError, match="zero confusion entry"):
-            em.annotation_likelihood(support, [np.eye(2)])
+            em.annotation_log_likelihood(support, [np.eye(2)])
 
 
 class TestDenseMatchesLoops:
@@ -525,6 +525,12 @@ class TestAdapt:
     def test_zero_tau_requires_explicit_override(self):
         with pytest.raises(ValueError, match="tau"):
             em.PriorHyperparams(tau=0.0)
+
+    @pytest.mark.parametrize("field", ["tau", "b", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_prior_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and > 0"):
+            em.PriorHyperparams(**{field: value}, allow_zero_tau=True)
 
 
 class TestStackedSupport:

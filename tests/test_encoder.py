@@ -50,7 +50,7 @@ class TestInit:
     def test_param_count_no_hidden(self):
         config = EncoderConfig(3, (), 3)
         params = init_params(config)
-        assert params.num_params == 12
+        assert config.num_params == 12
         assert params.weights[0].shape == (3, 3)
 
     def test_biases_zero(self):

@@ -1,5 +1,6 @@
 """Query loss, meta-gradient, Adam, the training loop, and evaluation."""
 
+import logging
 import math
 
 import numpy as np
@@ -106,11 +107,10 @@ class TestQueryLoss:
             mt.query_loss(classifier, np.zeros((0, 3)), np.array([], dtype=int))
 
 
-def loss_pair(episode, annotations, num_annotators, config, hyper):
+def loss_pair(episode, annotations, config, hyper):
     """``episode_loss_and_grad``'s loss and ``episode_loss_value`` on one episode."""
     params = init_params(config)
-    args = (episode.support_x, annotations, episode.num_classes, num_annotators,
-            episode.query_x, episode.query_y, hyper)
+    args = (episode.support_x, annotations, episode.num_classes, episode.query_x, episode.query_y, hyper)
     loss, _ = mt.episode_loss_and_grad(params, *args)
     return loss, episode_loss_value(params.flatten(), config, *args)
 
@@ -125,7 +125,7 @@ class TestUnrolledGraph:
                 episode.support_y, 3, EHS(0.1, 0.7, 0.2), 3, stream(seed, "mt-ann")
             )
             config = EncoderConfig(5, (8,), 4, init_seed=seed)
-            loss, value = loss_pair(episode, annotations, 3, config, HYPER)
+            loss, value = loss_pair(episode, annotations, config, HYPER)
             assert loss == value
 
     def test_forward_matches_on_sparse_annotations(self):
@@ -134,7 +134,7 @@ class TestUnrolledGraph:
                 for n, y in enumerate(episode.support_y)]
         annotations = em.label_matrix(maps, 3)
         config = EncoderConfig(5, (6,), 4, init_seed=3)
-        loss, value = loss_pair(episode, annotations, 3, config, HYPER)
+        loss, value = loss_pair(episode, annotations, config, HYPER)
         assert loss == value
 
     def test_graph_loss_matches_numpy_loss(self):
@@ -146,7 +146,7 @@ class TestUnrolledGraph:
         config = EncoderConfig(5, (8,), 4, init_seed=2)
         for em_steps in (1, 3):
             hyper = em.PriorHyperparams(em_steps=em_steps)
-            loss, value = loss_pair(episode, annotations, 3, config, hyper)
+            loss, value = loss_pair(episode, annotations, config, hyper)
             assert loss == value
 
     @pytest.mark.parametrize("em_steps", [1, 3])
@@ -161,7 +161,7 @@ class TestUnrolledGraph:
         annotations = loop_em.with_silent_annotators(annotations, 5)
         config = EncoderConfig(5, (8,), 4, init_seed=em_steps)
         hyper = em.PriorHyperparams(em_steps=em_steps)
-        args = (episode.support_x, annotations, 4, 5, episode.query_x, episode.query_y, hyper)
+        args = (episode.support_x, annotations, 4, episode.query_x, episode.query_y, hyper)
         theta = init_params(config).flatten()
         _, grad = mt.episode_loss_and_grad(init_params(config), *args)
         for c in np.random.default_rng(em_steps).choice(theta.size, size=20, replace=False):
@@ -191,21 +191,20 @@ class TestBatchedGradient:
             fraction = 1.0 if labels == "dense" else 0.3
             labels_given = annotate(episode.support_y, confusions, rng, label_fraction=fraction)
             annotations.append(loop_em.with_silent_annotators(labels_given, 5))
-        return episodes, np.stack(annotations), 1 if labels == "clean" else 5
+        return episodes, np.stack(annotations)
 
     @pytest.mark.parametrize("em_steps", [1, 3])
     @pytest.mark.parametrize("labels", ["dense", "sparse", "clean"])
     def test_matches_mean_of_single_episodes(self, labels, em_steps):
-        episodes, annotations, num_annotators = self.batch(labels)
+        episodes, annotations = self.batch(labels)
         params = init_params(EncoderConfig(5, (8,), 4, init_seed=em_steps))
         hyper = em.PriorHyperparams(em_steps=em_steps)
         singles = [
-            mt.episode_loss_and_grad(params, e.support_x, ann, 4, num_annotators,
-                                     e.query_x, e.query_y, hyper)
+            mt.episode_loss_and_grad(params, e.support_x, ann, 4, e.query_x, e.query_y, hyper)
             for e, ann in zip(episodes, annotations)
         ]
         loss, grad = mt.episode_loss_and_grad(
-            params, np.stack([e.support_x for e in episodes]), annotations, 4, num_annotators,
+            params, np.stack([e.support_x for e in episodes]), annotations, 4,
             np.stack([e.query_x for e in episodes]), np.stack([e.query_y for e in episodes]),
             hyper,
         )
@@ -234,11 +233,9 @@ class TestMetaGradient:
             plus[c] += step
             minus[c] -= step
             fd = (
-                episode_loss_value(plus, config.encoder, episode.support_x,
-                                   annotations, 3, config.num_annotators,
+                episode_loss_value(plus, config.encoder, episode.support_x, annotations, 3,
                                    episode.query_x, episode.query_y, config.hyper)
-                - episode_loss_value(minus, config.encoder, episode.support_x,
-                                     annotations, 3, config.num_annotators,
+                - episode_loss_value(minus, config.encoder, episode.support_x, annotations, 3,
                                      episode.query_x, episode.query_y, config.hyper)
             ) / (2 * step)
             rel = abs(fd - result.grad[c]) / max(1e-8, abs(fd), abs(result.grad[c]))
@@ -261,11 +258,9 @@ class TestMetaGradient:
             plus[c] += step
             minus[c] -= step
             fd = (
-                episode_loss_value(plus, config.encoder, episode.support_x,
-                                   annotations, 3, config.num_annotators,
+                episode_loss_value(plus, config.encoder, episode.support_x, annotations, 3,
                                    episode.query_x, episode.query_y, config.hyper)
-                - episode_loss_value(minus, config.encoder, episode.support_x,
-                                     annotations, 3, config.num_annotators,
+                - episode_loss_value(minus, config.encoder, episode.support_x, annotations, 3,
                                      episode.query_x, episode.query_y, config.hyper)
             ) / (2 * step)
             assert abs(fd - result.grad[c]) / max(1e-8, abs(fd), abs(result.grad[c])) < 1e-4
@@ -368,6 +363,23 @@ class TestMetaTrain:
     def test_zero_learning_rate_forbidden(self):
         with pytest.raises(ValueError, match="learning_rate"):
             small_config(learning_rate=-1.0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_forbidden(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            small_config(learning_rate=rate)
+
+    def test_validations_logged_at_debug_level(self, caplog):
+        train, val = make_tasks()
+        config = small_config(max_iterations=2000, validation_interval=5,
+                              patience=2, learning_rate=1e-15)  # stops after 3 validations
+        with caplog.at_level(logging.DEBUG, logger="crowdmeta"):
+            result = mt.meta_train([train], [val], config)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "crowdmeta" and r.levelno == logging.DEBUG]
+        assert lines == [f"iteration {it}: validation accuracy {acc:.4f}, "
+                         f"{bad} bad validations in a row"
+                         for (it, acc), bad in zip(result.val_history, (0, 1, 2))]
 
     def test_ablation_runs_clean(self):
         train, val = make_tasks()
