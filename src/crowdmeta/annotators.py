@@ -214,13 +214,6 @@ def sample_annotator_pool(
     return profiles, tuple(drawn.confusions[0])
 
 
-def sample_profile(
-    dist: AnnotatorDistribution, num_classes: int, rng: np.random.Generator
-) -> AnnotatorProfile:
-    """Draw one annotator: kind from the distribution, then its parameters."""
-    return sample_annotator_pool(dist, 1, num_classes, rng)[0][0]
-
-
 def profile_to_confusion(profile: AnnotatorProfile, num_classes: int) -> np.ndarray:
     """Column-stochastic (K, K) matrix realizing the profile's behavior."""
     q = profile.q if profile.kind in ACCURACY_RANGES else np.nan

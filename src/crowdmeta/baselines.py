@@ -88,8 +88,8 @@ def prototype_from_labels(
         *task, n = off[0]
         where = f"example {n}" + (f" of task {task[0]}" if task else "")
         raise ValueError(f"label weights of {where} sum to {sums[tuple(off[0])]:g}, not 1")
-    if tau < 0.0 or b <= 0.0:
-        raise ValueError(f"prototype fit needs tau >= 0 and b > 0 (got tau={tau}, b={b})")
+    if not (0.0 <= tau < np.inf and 0.0 < b < np.inf):  # NaN fails this too
+        raise ValueError(f"prototype fit needs finite tau >= 0 and b > 0 (got tau={tau}, b={b})")
     num_classes = weights.shape[-1]
     classifier = em.AdaptedClassifier(
         prototypes=em.prototype_update(weights, embeddings, tau),

@@ -38,18 +38,38 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage errors are 1
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
-def _dump_metrics(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _run_values(args) -> dict:
+    """The run's config values with the command line's settings written in.
+
+    Every setting of a run is one of these values, so ``run_id`` and the
+    config echo in ``metrics.json`` cover it.
+    """
+    values = load_config(args.config)
+    if args.seed is not None:
+        values["seed"] = args.seed
+    if getattr(args, "ablation", None) == "no-pseudo-annotation":
+        values["pseudo_annotation"] = False
+    return values
 
 
-def _run_id(command: str, values: dict) -> str:
-    blob = json.dumps({"command": command, "config": values}, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+def _write_metrics(args, values: dict, fields: dict) -> None:
+    """Write ``metrics.json`` in ``--out``: the run's header, then ``fields``.
+
+    The header is the command, the config values and ``run_id``, a hash of
+    the two; a baseline's run_id also hashes its method.  The file is strict
+    JSON: a NaN or infinity raises ValueError before the file is opened.
+    """
+    run = f"baseline-{args.method}" if args.command == "baseline" else args.command
+    blob = json.dumps({"command": run, "config": values}, sort_keys=True, default=str)
+    header = {"command": args.command, "run_id": hashlib.sha256(blob.encode()).hexdigest()[:12],
+              "config": values}
+    text = json.dumps(header | fields, sort_keys=True, indent=2, allow_nan=False)
+    with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def _parse_dist_flag(text: str) -> AnnotatorDistribution:
@@ -128,11 +148,7 @@ def _test_episodes(setup: RunSetup, params: EncoderParams | None, shots: int,
 
 
 def cmd_meta_train(args) -> int:
-    values = load_config(args.config)
-    if args.seed is not None:
-        values["seed"] = args.seed
-    ablation = args.ablation == "no-pseudo-annotation"
-    setup = build_run_setup(values, ablation_no_pseudo=ablation)
+    setup = build_run_setup(_run_values(args))
     os.makedirs(args.out, exist_ok=True)
 
     log.info("meta-training for up to %d iterations", setup.meta.max_iterations)
@@ -146,20 +162,17 @@ def cmd_meta_train(args) -> int:
             fh.write(f"{row.iteration}\t{row.loss:.17g}\t{row.wall_ms:.3f}\t"
                      f"{row.pseudo_digest}\n")
 
-    metrics = {
-        "command": "meta-train",
-        "run_id": _run_id("meta-train", values),
-        "config": values,
-        "ablation": "no-pseudo-annotation" if ablation else None,
+    _write_metrics(args, setup.values, {
+        "ablation": args.ablation,
         "pseudo_annotation": setup.meta.pseudo_annotation,
         "iterations_run": result.iterations_run,
         "stopped_early": result.stopped_early,
         "best_iteration": result.best_iteration,
-        "best_val_accuracy": result.best_val_accuracy,
+        # NaN when no validation ran, which strict JSON has no literal for
+        "best_val_accuracy": result.best_val_accuracy if result.val_history else None,
         "val_history": [[it, acc] for it, acc in result.val_history],
         "artifacts": {"checkpoint": "checkpoint.bin", "training_log": "training_log.tsv"},
-    }
-    _dump_metrics(os.path.join(args.out, "metrics.json"), metrics)
+    })
     log.info("best validation accuracy %.4f at iteration %d",
              result.best_val_accuracy, result.best_iteration)
     return EXIT_OK
@@ -194,9 +207,7 @@ def _run_grid(args, fit: mt.Fit) -> tuple[dict, Iterator[tuple[dict, mt.EvalResu
     are freed before the next shots value is drawn.  Without
     ``--checkpoint`` the raw features are scored.
     """
-    values = load_config(args.config)
-    if args.seed is not None:
-        values["seed"] = args.seed
+    values = _run_values(args)
     setup = build_run_setup(values)
     grid = _eval_grid(args, setup)  # usage errors before any file
     params = None if args.checkpoint is None else _load_checkpoint(args.checkpoint, setup)
@@ -229,14 +240,8 @@ def cmd_evaluate(args) -> int:
         del result  # free these arrays before the next cell draws its own: peak memory
 
     os.makedirs(args.out, exist_ok=True)
-    metrics = {
-        "command": "evaluate",
-        "run_id": _run_id("evaluate", values),
-        "config": values,
-        "checkpoint": os.path.basename(args.checkpoint),
-        "cells": cells,
-    }
-    _dump_metrics(os.path.join(args.out, "metrics.json"), metrics)
+    _write_metrics(args, values,
+                   {"checkpoint": os.path.basename(args.checkpoint), "cells": cells})
     with open(os.path.join(args.out, "annotator_audit.jsonl"), "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in audit)
     for cell in cells:
@@ -254,14 +259,7 @@ def cmd_baseline(args) -> int:
     values, scored = _run_grid(args, fit)
     cells = [{"method": args.method} | cell for cell, _ in scored]
     os.makedirs(args.out, exist_ok=True)
-    metrics = {
-        "command": "baseline",
-        "run_id": _run_id(f"baseline-{args.method}", values),
-        "config": values,
-        "method": args.method,
-        "cells": cells,
-    }
-    _dump_metrics(os.path.join(args.out, "metrics.json"), metrics)
+    _write_metrics(args, values, {"method": args.method, "cells": cells})
     for cell in cells:
         log.info("%s shots=%d R=%d: acc %.4f, label recovery %.4f",
                  args.method, cell["shots"], cell["annotators"],

@@ -51,12 +51,19 @@ def _parse_positive_float(text: str) -> float:
     return value
 
 
+def _parse_finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text.strip()!r}")
+    return value
+
+
 # key -> (parser, default); None defaults mean "optional, unset"
 SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     # data
     "synthetic_classes": (int, 50),
     "feature_dim": (int, 8),
-    "cluster_spread": (float, 1.0),
+    "cluster_spread": (_parse_finite_float, 1.0),
     "examples_per_class": (int, 40),
     "csv_path": (str, None),
     "label_column": (str, "label"),
@@ -148,7 +155,7 @@ class RunSetup:
     eval_dist: AnnotatorDistribution
 
 
-def build_run_setup(values: dict[str, object], ablation_no_pseudo: bool = False) -> RunSetup:
+def build_run_setup(values: dict[str, object]) -> RunSetup:
     seed = int(values["seed"])
     eval_tasks = int(values["eval_tasks"])
     if eval_tasks < 1:
@@ -207,7 +214,7 @@ def build_run_setup(values: dict[str, object], ablation_no_pseudo: bool = False)
         patience=int(values["patience"]),
         val_episodes_per_task=int(values["val_episodes_per_task"]),
         meta_batch=int(values["meta_batch"]),
-        pseudo_annotation=bool(values["pseudo_annotation"]) and not ablation_no_pseudo,
+        pseudo_annotation=bool(values["pseudo_annotation"]),
         val_dist=_distribution(tuple(val_dist), "val_dist") if val_dist else None,
         master_seed=seed,
     )

@@ -100,6 +100,8 @@ def generate_synthetic(
     """Gaussian clusters: centers ~ N(0, I), examples ~ N(center, spread^2 I)."""
     if num_classes < 2:
         raise DataError("synthetic datasets need at least 2 classes")
+    if not np.isfinite(cluster_spread):
+        raise DataError(f"cluster spread must be finite, got {cluster_spread}")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_classes, dim))
     features = np.repeat(centers, examples_per_class, axis=0)

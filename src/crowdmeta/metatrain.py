@@ -67,7 +67,9 @@ class MetaConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("ways", "shots", "query_per_class", "num_annotators",
+        if self.ways < 2:  # annotator simulation needs a class to confuse with
+            raise ValueError(f"ways must be >= 2 (got {self.ways})")
+        for name in ("shots", "query_per_class", "num_annotators",
                      "max_iterations", "validation_interval", "patience",
                      "val_episodes_per_task", "meta_batch"):
             if getattr(self, name) < 1:

@@ -17,7 +17,6 @@ from crowdmeta.annotators import (
     profile_to_confusion,
     pseudo_annotate,
     sample_annotator_pool,
-    sample_profile,
     simulate_annotators,
 )
 from crowdmeta.seeding import stream
@@ -46,45 +45,44 @@ class TestDistribution:
 
 
 class TestSampleProfile:
+    """Annotator profiles as :func:`sample_annotator_pool` draws them."""
+
     def test_pure_expert_distribution(self):
-        rng = stream(0, "profahs")
-        for _ in range(50):
-            profile = sample_profile(EHS(1.0, 0.0, 0.0), 4, rng)
+        profiles, _ = sample_annotator_pool(EHS(1.0, 0.0, 0.0), 50, 4, stream(0, "profahs"))
+        for profile in profiles:
             assert profile.kind is AnnotatorKind.EXPERT
             assert 0.8 < profile.q <= 1.0
 
     def test_degenerate_spammer(self):
-        rng = stream(1, "spam")
-        profile = sample_profile(EHS(0.0, 0.0, 1.0), 4, rng)
+        (profile,), _ = sample_annotator_pool(EHS(0.0, 0.0, 1.0), 1, 4, stream(1, "spam"))
         assert profile.kind is AnnotatorKind.SPAMMER
         assert profile.q is None
 
     def test_same_seed_same_profile(self):
         dist = EHS(0.2, 0.5, 0.3)
-        a = [sample_profile(dist, 4, stream(7, "det")) for _ in range(3)]
-        b = [sample_profile(dist, 4, stream(7, "det")) for _ in range(3)]
-        assert a[0] == b[0]
+        a, _ = sample_annotator_pool(dist, 3, 4, stream(7, "det"))
+        b, _ = sample_annotator_pool(dist, 3, 4, stream(7, "det"))
+        assert a == b
 
     def test_q_ranges_hold_over_many_draws(self):
-        rng = stream(2, "ranges")
-        dist = EHS(0.4, 0.4, 0.2)
-        for _ in range(400):
-            profile = sample_profile(dist, 4, rng)
+        profiles, _ = sample_annotator_pool(EHS(0.4, 0.4, 0.2), 400, 4, stream(2, "ranges"))
+        for profile in profiles:
             if profile.kind in ACCURACY_RANGES:
                 lo, hi = ACCURACY_RANGES[profile.kind]
                 assert lo < profile.q <= hi
 
     def test_matches_loop(self):
+        # pools of one, so each draw may take another class count
         dist = EHS(0.3, 0.4, 0.3)
         fast, slow = stream(16, "one"), stream(16, "one")
         for k in range(2, 60):
-            assert sample_profile(dist, 2 + k % 9, fast) == loop_annotators.sample_profile(
-                dist, 2 + k % 9, slow)
+            (profile,), _ = sample_annotator_pool(dist, 1, 2 + k % 9, fast)
+            assert profile == loop_annotators.sample_profile(dist, 2 + k % 9, slow)
         assert fast.random() == slow.random()
 
     def test_too_few_classes(self):
         with pytest.raises(ValueError, match="at least 2"):
-            sample_profile(EHS(1.0, 0.0, 0.0), 1, stream(5, "k1"))
+            sample_annotator_pool(EHS(1.0, 0.0, 0.0), 1, 1, stream(5, "k1"))
 
 
 class TestProfileToConfusion:
@@ -120,7 +118,8 @@ class TestProfileToConfusion:
         for _ in range(200):
             dist = dists[int(rng.integers(2))]
             k = int(rng.integers(2, 7))
-            alpha = profile_to_confusion(sample_profile(dist, k, rng), k)
+            (profile,), _ = sample_annotator_pool(dist, 1, k, rng)
+            alpha = profile_to_confusion(profile, k)
             assert alpha.shape == (k, k) and np.all((alpha >= 0.0) & (alpha <= 1.0))
             np.testing.assert_allclose(alpha.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
 

@@ -251,6 +251,13 @@ class TestPrototypeFromLabels:
         with pytest.raises(ValueError, match=r"tau >= 0 and b > 0 \(got tau=-1.0, b=1.0\)"):
             baselines.prototype_from_labels(np.ones((2, 2)), np.eye(2), tau=-1.0)
 
+    @pytest.mark.parametrize("tau, b", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                        (1.0, float("nan")), (1.0, float("inf"))])
+    def test_non_finite_prior_strengths_rejected(self, tau, b):
+        # NaN fails no `< 0` test: tau=nan gave zero prototypes, b=inf a NaN class prior
+        with pytest.raises(ValueError, match=r"needs finite tau >= 0 and b > 0"):
+            baselines.prototype_from_labels(np.ones((2, 2)), np.eye(2), tau=tau, b=b)
+
     def test_stacked_tasks_match_each_task(self):
         rng = stream(7, "proto-stacked")
         embeddings = rng.standard_normal((3, 6, 4))

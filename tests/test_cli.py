@@ -157,6 +157,30 @@ class TestConfigParsing:
         assert f"bad value for {key}: must be a finite number > 0, got 'nan'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spread", ["nan", "inf", "-inf"])
+    def test_non_finite_cluster_spread_is_config_error(self, spread, tmp_path, capsys):
+        # it used to fail after --out existed, naming neither the key nor the line
+        path = tmp_path / "spread.cfg"
+        path.write_text(f"seed = 1\ncluster_spread = {spread}\n", encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["meta-train", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "spread.cfg:2: bad value for cluster_spread: must be a finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spread", ["0", "-0.5"])
+    def test_non_positive_cluster_spread_builds(self, spread):
+        values = parse_config_text(f"cluster_spread = {spread}\n")
+        assert build_run_setup(values).values["cluster_spread"] == float(spread)
+
+    def test_one_way_is_config_error_before_any_file(self, tmp_path, capsys):
+        path = tmp_path / "one.cfg"
+        path.write_text(TINY_CONFIG + "ways = 1\n", encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["meta-train", "--config", str(path), "--out", str(out)]) == 2
+        assert "ways must be >= 2 (got 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/path.cfg")
@@ -185,6 +209,50 @@ class TestMetaTrainCommand:
         metrics = json.load(open(os.path.join(out, "metrics.json")))
         assert metrics["ablation"] == "no-pseudo-annotation"
         assert metrics["pseudo_annotation"] is False
+
+    def test_ablation_is_the_config_value(self, config_path, tmp_path):
+        # the flag sets pseudo_annotation = false, so run_id and the echo cover it
+        key_path = tmp_path / "clean.cfg"
+        key_path.write_text(TINY_CONFIG + "pseudo_annotation = false\n", encoding="utf-8")
+        runs = {"base": [config_path], "flag": [config_path, "--ablation", "no-pseudo-annotation"],
+                "key": [str(key_path)]}
+        metrics, checkpoints = {}, {}
+        for name, (path, *flags) in runs.items():
+            out = str(tmp_path / name)
+            assert main(["meta-train", "--config", path, "--out", out, *flags]) == 0
+            metrics[name] = json.load(open(os.path.join(out, "metrics.json")))
+            checkpoints[name] = open(os.path.join(out, "checkpoint.bin"), "rb").read()
+        assert metrics["flag"]["config"]["pseudo_annotation"] is False
+        assert metrics["flag"]["config"] == metrics["key"]["config"]
+        assert metrics["flag"]["run_id"] == metrics["key"]["run_id"]
+        assert metrics["flag"]["run_id"] != metrics["base"]["run_id"]
+        assert checkpoints["flag"] == checkpoints["key"] != checkpoints["base"]
+
+    def test_metrics_strict_json_without_validation(self, tmp_path):
+        path = tmp_path / "short.cfg"
+        path.write_text(TINY_CONFIG + "max_iterations = 3\n", encoding="utf-8")
+        out = tmp_path / "short"
+        assert main(["meta-train", "--config", str(path), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        text = (out / "metrics.json").read_text(encoding="utf-8")
+        metrics = json.loads(text, parse_constant=reject)
+        assert metrics["val_history"] == [] and metrics["best_val_accuracy"] is None
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--checkpoint", "x", "--config", "c"],
+         "error: the following arguments are required: --out"),
+        (["meta-train", "--config", "c", "--out", "o", "--ablation", "bogus"],
+         "error: argument --ablation: invalid choice: 'bogus'"),
+    ], ids=["missing-out", "bad-ablation"])
+    def test_usage_error_says_what_is_wrong(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: crowdmeta") and err.splitlines()[-1].startswith(message)
 
     def test_rerun_byte_identical_metrics(self, config_path, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -37,6 +37,11 @@ class TestGenerateSynthetic:
         with pytest.raises(DataError):
             generate_synthetic(1, 2, 1.0, 5, seed=0)
 
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf")])
+    def test_non_finite_spread_rejected(self, spread):
+        with pytest.raises(DataError, match="cluster spread must be finite"):
+            generate_synthetic(3, 2, spread, 5, seed=0)
+
 
 class TestSplitClasses:
     def test_counts(self):
