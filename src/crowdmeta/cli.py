@@ -205,11 +205,16 @@ def _run_grid(args, fit: mt.Fit) -> tuple[dict, Iterator[tuple[dict, mt.EvalResu
     episodes are drawn and embedded once (:func:`_test_episodes`); every
     (annotators, dist) cell of that shots value is scored on them, and they
     are freed before the next shots value is drawn.  Without
-    ``--checkpoint`` the raw features are scored.
+    ``--checkpoint`` the raw features are scored; the ``mv`` and ``ds``
+    baselines score raw features only.
     """
     values = _run_values(args)
     setup = build_run_setup(values)
     grid = _eval_grid(args, setup)  # usage errors before any file
+    if (args.command == "baseline" and args.method in ("mv", "ds")
+            and args.checkpoint is not None):
+        raise UsageError(f"method {args.method} scores raw features; "
+                         f"use proto-{args.method} with --checkpoint")
     params = None if args.checkpoint is None else _load_checkpoint(args.checkpoint, setup)
     seed = int(values["seed"])
 

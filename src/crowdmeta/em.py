@@ -31,6 +31,7 @@ drops out and :func:`adapt` is Dawid & Skene's EM.
 The updates, the E step and :func:`adapt` take an optional leading task
 axis: B episodes of equal shape, stacked as ``(B, N, ...)`` arrays in one
 :class:`SupportSet`, run as one call whose every result gains that axis.
+:func:`backward` is the reverse pass through :func:`iterate`'s steps.
 """
 
 from __future__ import annotations
@@ -286,6 +287,19 @@ def class_log_scores(
     return -0.5 * squared_distances(u, prototypes) + np.log(class_prior)[..., None, :]
 
 
+def class_log_scores_vjp(
+    d_scores: np.ndarray, u: np.ndarray, prototypes: np.ndarray, class_prior: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pull gradients of :func:`class_log_scores` back to ``(d_u, d_mu, d_pi)``.
+
+    Every row of ``d_scores`` is the gradient of a softmax input and sums
+    to zero, so the ``|u_n|^2`` term contributes nothing to ``d_u``.
+    """
+    col = d_scores.sum(axis=-2)
+    d_protos = d_scores.swapaxes(-1, -2) @ u - col[..., None] * prototypes
+    return d_scores @ prototypes, d_protos, col / class_prior
+
+
 def _posterior_log_scores(
     support: SupportSet,
     prototypes: np.ndarray,
@@ -310,7 +324,7 @@ def e_step(
     scores = _posterior_log_scores(support, prototypes, class_prior, confusions)
     shift = scores.max(axis=-1, keepdims=True)  # log-sum-exp shift, finite once checked
     if not np.isfinite(shift).all():
-        raise RuntimeError("no class has positive posterior mass for some example")
+        raise ValueError("no class has positive posterior mass for some example")
     log_norm = shift + np.log(np.exp(scores - shift).sum(axis=-1, keepdims=True))
     return np.exp(scores - log_norm)
 
@@ -390,9 +404,11 @@ def lower_bound_q(
     return _episode_sum(inner, 2) + log_prior(prototypes, class_prior, confusions, hyper)
 
 
-def iterate(
-    support: SupportSet, hyper: PriorHyperparams
-) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+# an EM step as :func:`iterate` yields it: the M step's input responsibilities and output
+Step = tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def iterate(support: SupportSet, hyper: PriorHyperparams) -> Iterator[Step]:
     """The EM iterations: each M step's input responsibilities and its output.
 
     From the vote-fraction init, ``hyper.em_steps`` M steps with an E step
@@ -405,6 +421,46 @@ def iterate(
             lam = e_step(support, *params)
         params = m_step(lam, support, hyper)
         yield lam, params
+
+
+def backward(support: SupportSet, hyper: PriorHyperparams, steps: Sequence[Step],
+             d_protos: np.ndarray, d_pi: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. ``support.embeddings`` of a scalar of the last M step's outputs.
+
+    ``steps`` are :func:`iterate`'s recorded steps; ``d_protos`` and ``d_pi``
+    are the scalar's gradients w.r.t. the last prototypes and class prior.
+    From the last step back, each M step pulls its output gradients to its
+    responsibilities and the embeddings, and the E step before it pulls the
+    responsibility gradient to the previous M step's outputs.  Classes whose
+    prototype denominator is zero (``tau = 0``, empty class) hold the prior
+    mean and pass no gradient.  The vote-fraction initialization and the
+    labels are constants.
+    """
+    u = support.embeddings
+    *lead, n, k = steps[0][0].shape
+    onehot = support.onehot.reshape(*lead, n, -1)
+    d_support, d_confusions = np.zeros_like(u), None
+    for t in range(len(steps) - 1, -1, -1):
+        lam, (protos, pi, confusions) = steps[t]
+        denom = (hyper.tau + lam.sum(axis=-2))[..., None]
+        g = np.divide(d_protos, denom, out=np.zeros_like(d_protos), where=denom > 0.0)
+        d_support += lam @ g
+        d_lam = u @ g.swapaxes(-1, -2) - (g * protos).sum(axis=-1)[..., None, :]
+        d_lam += (d_pi / (k * hyper.b + n))[..., None, :]
+        if d_confusions is not None:
+            label_sums = support.observed.swapaxes(-1, -2) @ lam  # sum_l C_rlk
+            d_counts = d_confusions / (label_sums + k * hyper.c)[..., None, :]
+            d_counts -= (d_counts * confusions).sum(axis=-2, keepdims=True)
+            d_lam += onehot @ d_counts.reshape(*lead, -1, k)
+        if t == 0:
+            break
+        # lam came from the E step on the previous M step's parameters
+        _, (protos, pi, confusions) = steps[t - 1]
+        d_scores = lam * (d_lam - (lam * d_lam).sum(axis=-1, keepdims=True))
+        d_u, d_protos, d_pi = class_log_scores_vjp(d_scores, u, protos, pi)
+        d_support += d_u
+        d_confusions = (onehot.swapaxes(-1, -2) @ d_scores).reshape(confusions.shape) / confusions
+    return d_support
 
 
 def adapt(support: SupportSet, hyper: PriorHyperparams) -> AdaptedClassifier:

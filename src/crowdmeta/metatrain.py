@@ -6,10 +6,11 @@ tasks, pseudo-annotates each support set with freshly drawn annotators
 adapts the task-specific classifiers with the unrolled EM on the embedded
 supports, scores the clean query sets, and backpropagates the mean query
 loss through every EM step into the encoder parameters, which an Adam step
-then updates.  The whole meta-batch is one pass: the episodes are stacked
-along a leading task axis through the encoder, the closed-form updates of
-:mod:`crowdmeta.em` and the reverse pass, a hand-derived vector-Jacobian
-product chained backwards over the EM steps (:func:`episode_loss_and_grad`).
+then updates.  The whole meta-batch is one pass, forward and back: the
+episodes are stacked along a leading task axis through the encoder and the
+closed-form updates of :mod:`crowdmeta.em`, and the gradient chains the
+layers' own reverse passes, :func:`crowdmeta.em.backward` and
+:func:`crowdmeta.encoder.backward` (:func:`episode_loss_and_grad`).
 
 Episodes travel as stacked chunks (:func:`crowdmeta.episodes.stack_episodes`):
 the meta-batch is one chunk, and evaluation and validation episodes are
@@ -146,53 +147,6 @@ def query_loss(
     return _scored_query(u, labels, classifier.prototypes, classifier.class_prior)[2]
 
 
-def _log_scores_vjp(
-    d_scores: np.ndarray, u: np.ndarray, prototypes: np.ndarray, class_prior: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pull gradients of ``-0.5 |u_n - mu_k|^2 + log pi_k`` back to ``(d_u, d_mu, d_pi)``.
-
-    Every row of ``d_scores`` is the gradient of a softmax input and sums
-    to zero, so the ``|u_n|^2`` term contributes nothing to ``d_u``.
-    """
-    col = d_scores.sum(axis=-2)
-    d_protos = d_scores.swapaxes(-1, -2) @ u - col[..., None] * prototypes
-    return d_scores @ prototypes, d_protos, col / class_prior
-
-
-def _m_step_vjp(
-    lam: np.ndarray,
-    u: np.ndarray,
-    prototypes: np.ndarray,
-    confusions: np.ndarray,
-    support: em.SupportSet,
-    hyper: em.PriorHyperparams,
-    d_protos: np.ndarray,
-    d_pi: np.ndarray,
-    d_confusions: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pull the M-step output gradients back to ``(d_lam, d_u)``.
-
-    ``mu = lam^T u / (tau + sum lam)``, ``pi = (sum lam + b) / (K b + N)``
-    and ``alpha = (C + c) / (sum_l C + K c)`` with counts ``C = Y^T lam``
-    over the flattened one-hot labels ``Y``, whose label sums are
-    ``observed^T lam``.  Classes whose prototype denominator is zero
-    (``tau = 0``, empty class) hold the constant prior mean and pass no
-    gradient.
-    """
-    *lead, n, k = lam.shape
-    denom = (hyper.tau + lam.sum(axis=-2))[..., None]
-    g = np.divide(d_protos, denom, out=np.zeros_like(d_protos), where=denom > 0.0)
-    d_u = lam @ g
-    d_lam = u @ g.swapaxes(-1, -2) - (g * prototypes).sum(axis=-1)[..., None, :]
-    d_lam += (d_pi / (k * hyper.b + n))[..., None, :]
-    if d_confusions is not None:
-        label_sums = support.observed.swapaxes(-1, -2) @ lam
-        d_counts = d_confusions / (label_sums + k * hyper.c)[..., None, :]
-        d_counts -= (d_counts * confusions).sum(axis=-2, keepdims=True)
-        d_lam += support.onehot.reshape(*lead, n, -1) @ d_counts.reshape(*lead, -1, k)
-    return d_lam, d_u
-
-
 def episode_loss_and_grad(
     params: EncoderParams,
     support_x: np.ndarray,
@@ -207,16 +161,15 @@ def episode_loss_and_grad(
     ``support_x`` is ``(B, N, D)`` with ``(B, N, R)`` labels, ``query_x``
     ``(B, Q, D)`` and ``query_y`` ``(B, Q)``: B episodes of equal shape,
     whose loss is the mean of theirs.  Two-dimensional inputs are a single
-    episode.  One encoder pass embeds every support and query row.  The
-    forward pass keeps every step of :func:`crowdmeta.em.iterate` on the
-    stacked supports; it ends on an M step because the loss reads only the
-    last prototypes and class prior.  The reverse pass is
-    hand-derived: the query log-softmax, then for each step from the last
-    the M-step updates and the E-step softmax, whose output gradient
-    reaches the previous M step through its prototypes, class prior and
-    confusions.  The vote-fraction initialization and the discrete labels
-    are constants.  One :func:`crowdmeta.encoder.backward` finishes on the
-    recorded activations.
+    episode.  The gradient is the chain rule over three layers, each with
+    its own reverse pass: one encoder pass embeds every support and query
+    row, :func:`crowdmeta.em.iterate` records the EM steps on the stacked
+    supports, ending on an M step because the loss reads only the last
+    prototypes and class prior, and the query log-softmax scores the
+    queries.  Backwards, :func:`crowdmeta.em.class_log_scores_vjp` and
+    :func:`crowdmeta.em.backward` carry the loss gradient to the support
+    and query embeddings, and :func:`crowdmeta.encoder.backward` to the
+    parameters.
     """
     support_x = np.asarray(support_x, dtype=np.float64)
     query_x = np.asarray(query_x, dtype=np.float64)
@@ -240,23 +193,8 @@ def episode_loss_and_grad(
     d_scores = np.exp(scores - lse[..., None])
     d_scores[np.arange(b)[:, None], np.arange(q), labels] -= 1.0
     d_scores /= labels.size
-    d_query, d_protos, d_pi = _log_scores_vjp(d_scores, u_query, protos, pi)
-    d_confusions = None
-    d_support = np.zeros_like(u_support)
-    labels_t = support.onehot.reshape(b, n, -1).swapaxes(-1, -2)
-    for t in range(hyper.em_steps - 1, -1, -1):
-        lam, (protos, pi, confusions) = steps[t]
-        d_lam, d_u = _m_step_vjp(lam, u_support, protos, confusions, support,
-                                 hyper, d_protos, d_pi, d_confusions)
-        d_support += d_u
-        if t == 0:
-            break
-        # lam came from the E step on the previous M step's parameters
-        _, (protos, pi, confusions) = steps[t - 1]
-        d_scores = lam * (d_lam - (lam * d_lam).sum(axis=-1, keepdims=True))
-        d_u, d_protos, d_pi = _log_scores_vjp(d_scores, u_support, protos, pi)
-        d_support += d_u
-        d_confusions = (labels_t @ d_scores).reshape(confusions.shape) / confusions
+    d_query, d_protos, d_pi = em.class_log_scores_vjp(d_scores, u_query, protos, pi)
+    d_support = em.backward(support, hyper, steps, d_protos, d_pi)
     d_u = np.concatenate([d_support.reshape(b * n, -1), d_query.reshape(b * q, -1)])
     return loss, encoder.backward(record, d_u)
 

@@ -124,6 +124,19 @@ class TestConfigParsing:
         assert f"row 102, column 'x': non-finite value {cell}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_features_are_data_error(self, tmp_path, capsys):
+        # finite features whose squared distances overflow leave every
+        # class of some example without posterior mass
+        rows = [f"{c},{(c + 0.5 * j) * 1e155}" for c in range(30) for j in range(8)]
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("label,x\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        path = tmp_path / "csv.cfg"
+        path.write_text(TINY_CONFIG + f"csv_path = {csv_path}\n", encoding="utf-8")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["meta-train", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: no class has positive posterior mass" in capsys.readouterr().err
+
     def test_readme_example_config_builds(self):
         text = open(README, encoding="utf-8").read()
         example = re.search(r"cat > run.cfg <<EOF\n(.*?)\nEOF\n", text, re.S).group(1)
@@ -448,6 +461,15 @@ class TestBaselineCommand:
     def test_proto_variant_requires_checkpoint(self, config_path, tmp_path):
         assert main(["baseline", "--method", "proto-mv", "--config", config_path,
                      "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("method", ["mv", "ds"])
+    def test_raw_method_with_checkpoint_is_usage_error(self, method, config_path, checkpoint,
+                                                       tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["baseline", "--method", method, "--config", config_path,
+                     "--checkpoint", checkpoint, "--out", str(out)]) == 1
+        assert f"error: method {method} scores raw features" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_proto_ds_with_checkpoint(self, config_path, checkpoint, tmp_path):
         out = str(tmp_path / "pds")

@@ -354,7 +354,7 @@ class TestEStep:
         support = random_task(6, num_classes=3, size=5, num_annotators=2, dim=dim)
         protos, _, confusions = em.m_step(em.init_responsibilities(support.onehot), support, HYPER)
         with np.errstate(divide="ignore"), pytest.raises(
-            RuntimeError, match="no class has positive posterior mass for some example"
+            ValueError, match="no class has positive posterior mass for some example"
         ):
             em.e_step(support, protos, np.zeros(3), confusions)
 
@@ -492,6 +492,62 @@ class TestLogPosterior:
                               label_fraction=(1.0, 0.3)[t % 2])
             self.assert_monotone(em.SupportSet(np.zeros((12, 0)), labels, k, r),
                                  em.PriorHyperparams(em_steps=10))
+
+
+class TestBackward:
+    """``em.backward`` against central differences in the support embeddings."""
+
+    @staticmethod
+    def assert_matches_finite_differences(embeddings, annotations, num_classes, hyper, seed):
+        r = annotations.shape[-1]
+
+        def last_step(u):
+            *_, (_, (protos, pi, _)) = em.iterate(em.SupportSet(u, annotations, num_classes, r),
+                                                  hyper)
+            return protos, pi
+
+        support = em.SupportSet(embeddings, annotations, num_classes, r)
+        steps = list(em.iterate(support, hyper))
+        rng = stream(seed, "backward-weights")
+        # the scalar sum(w_protos * prototypes) + sum(w_pi * class prior)
+        w_protos, w_pi = (rng.standard_normal(a.shape) for a in steps[-1][1][:2])
+        grad = em.backward(support, hyper, steps, w_protos, w_pi)
+        fd = np.empty_like(embeddings)
+        for i in np.ndindex(embeddings.shape):
+            values = []
+            for sign in (1.0, -1.0):
+                u = embeddings.copy()
+                u[i] += sign * 1e-6
+                protos, pi = last_step(u)
+                values.append(np.sum(w_protos * protos) + np.sum(w_pi * pi))
+            fd[i] = (values[0] - values[1]) / 2e-6
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("em_steps", [1, 3])
+    def test_stacked_sparse_labels(self, em_steps):
+        # 30% of (example, annotator) pairs kept, a fifth annotator who labels nothing
+        rng = stream(em_steps, "backward-stacked")
+        dist = AnnotatorDistribution.expert_hammer_spammer(0.2, 0.6, 0.2)
+        truth = np.repeat(np.arange(4), 3)
+        annotations = []
+        for _ in range(3):
+            _, confusions = sample_annotator_pool(dist, 4, 4, rng)
+            annotations.append(loop_em.with_silent_annotators(
+                annotate(truth, confusions, rng, label_fraction=0.3), 5))
+        annotations = np.stack(annotations)
+        assert np.any((annotations >= 0).sum(axis=-1) == 1)
+        embeddings = rng.standard_normal((3, 12, 3))
+        hyper = em.PriorHyperparams(em_steps=em_steps)
+        self.assert_matches_finite_differences(embeddings, annotations, 4, hyper, em_steps)
+
+    @pytest.mark.parametrize("em_steps", [1, 2])
+    def test_zero_tau_with_an_unnamed_class(self, em_steps):
+        # nobody reports class 3, so its first prototype denominator is 0
+        truth = np.repeat(np.arange(4), 3)
+        annotations = em.label_matrix([{0: int(y) % 3, 1: 0} for y in truth], 2)
+        embeddings = stream(em_steps, "backward-zero-tau").standard_normal((12, 3))
+        hyper = em.PriorHyperparams(tau=0.0, em_steps=em_steps, allow_zero_tau=True)
+        self.assert_matches_finite_differences(embeddings, annotations, 4, hyper, em_steps)
 
 
 class TestAdapt:
