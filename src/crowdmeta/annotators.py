@@ -7,11 +7,13 @@ machinery produces pseudo-annotations for meta-training and simulated
 target-task annotators for evaluation.
 
 A pool of R annotators draws a kind per annotator and an accuracy per
-expert or hammer, R to 2R uniforms, then R·N label uniforms.  Each task's
-generator gives them as one block of ``2R + R·N``, a chunk of tasks'
-blocks is decoded at once, and each generator is moved back over the
-uniforms its pool did not use: every draw is the one a draw per annotator
-would make.
+expert or hammer, R to 2R uniforms, then R·N label uniforms.  A task's
+draws are one block of ``2R + R·N`` uniforms, the next doubles of its
+generator, and :func:`simulate_annotators` decodes a chunk of tasks'
+blocks at once: every draw is the one a draw per annotator would make.
+The caller supplies the blocks.  The per-task functions read theirs from
+their generator and move it back over the uniforms the pool did not use,
+so that later draws from it are the ones a draw per annotator leaves.
 """
 
 from __future__ import annotations
@@ -151,31 +153,36 @@ class SimulatedAnnotators:
     labels: np.ndarray  # (B, N, R) int
 
 
+def block_size(num_annotators: int, num_examples: int) -> int:
+    """Uniforms in a task's block: up to two per annotator for its pool, then its labels."""
+    return num_annotators * (2 + num_examples)
+
+
 def simulate_annotators(
     true_labels: np.ndarray,
     num_annotators: int,
     dist: AnnotatorDistribution,
     num_classes: int,
-    rngs: Sequence[np.random.Generator],
+    block: np.ndarray,
 ) -> SimulatedAnnotators:
-    """Draw each task's annotators and label its support, for a chunk of tasks in one pass.
+    """Decode each task's annotators and their labels of its support, for a chunk of tasks in one pass.
 
-    ``true_labels`` is ``(B, N)``; task b's pool is drawn from ``dist`` with
-    ``rngs[b]``, which makes exactly the draws of
-    :func:`sample_annotator_pool` followed by :func:`annotate`.
+    ``true_labels`` is ``(B, N)`` and ``block`` the ``(B, 2R + R·N)``
+    uniforms (:func:`block_size`) of the B tasks, in [0, 1) as
+    ``Generator.random`` draws them.  Task b's pool is drawn from ``dist``
+    with row b, which makes exactly the draws of
+    :func:`sample_annotator_pool` followed by :func:`annotate` from a
+    generator whose next doubles row b holds.
     """
     true_labels = np.asarray(true_labels, dtype=np.intp)
-    if true_labels.ndim != 2 or len(true_labels) != len(rngs):
-        raise ValueError(f"true labels {true_labels.shape} do not stack {len(rngs)} tasks")
+    if true_labels.ndim != 2 or len(true_labels) != len(block):
+        raise ValueError(f"true labels {true_labels.shape} do not stack {len(block)} tasks")
     if num_classes < 2:
         raise ValueError("annotator simulation needs at least 2 classes")
     (b, n), r, head = true_labels.shape, num_annotators, 2 * num_annotators
-    block = np.empty((b, head + r * n))
-    for rng, row in zip(rngs, block):
-        if not isinstance(rng.bit_generator, _REWINDABLE):
-            raise TypeError("annotator simulation needs a PCG64 generator "
-                            f"(numpy.random.default_rng), got {type(rng.bit_generator).__name__}")
-        rng.random(out=row)
+    if block.shape != (b, block_size(r, n)):
+        raise ValueError(f"{r} annotators of {n} examples need a ({b}, {block_size(r, n)}) "
+                         f"uniform block, got {block.shape}")
     # the kind each of the first 2R uniforms would give as a kind draw; the
     # next kind draw comes 1 later, or 2 after an accuracy draw
     heads = block[:, :head].ravel()
@@ -193,12 +200,28 @@ def simulate_annotators(
     q = hi - heads[positions + 1] * (hi - _Q_LO[kinds])  # uniform over (lo, hi]
     # annotator r labels with the r-th n uniforms after its pool's
     draws = block[np.arange(b)[:, None], used[:, None] + np.arange(r * n)].reshape(b, r, n)
-    for rng, delta in zip(rngs, (used - head).tolist()):
-        if delta:
-            _move_back(rng.bit_generator, delta)
     confusions = _confusion_stack(q, num_classes)
     return SimulatedAnnotators(kinds=kinds, q=q, confusions=confusions,
                                labels=_draw_labels(confusions, true_labels, draws))
+
+
+def _simulate_one(true_labels: np.ndarray, num_annotators: int, dist: AnnotatorDistribution,
+                  num_classes: int, rng: np.random.Generator) -> SimulatedAnnotators:
+    """:func:`simulate_annotators` for one task, its block read from ``rng``.
+
+    ``rng`` is then moved back over the uniforms the pool did not use, one
+    per spammer, which has no accuracy draw.
+    """
+    if not isinstance(rng.bit_generator, _REWINDABLE):
+        raise TypeError("annotator simulation needs a PCG64 generator "
+                        f"(numpy.random.default_rng), got {type(rng.bit_generator).__name__}")
+    true_labels = np.asarray(true_labels)[None]
+    block = rng.random((1, block_size(num_annotators, true_labels.shape[1])))
+    drawn = simulate_annotators(true_labels, num_annotators, dist, num_classes, block)
+    spammers = int(np.isnan(drawn.q).sum())
+    if spammers:
+        _move_back(rng.bit_generator, -spammers)
+    return drawn
 
 
 def sample_annotator_pool(
@@ -208,7 +231,7 @@ def sample_annotator_pool(
     rng: np.random.Generator,
 ) -> tuple[tuple[AnnotatorProfile, ...], tuple[np.ndarray, ...]]:
     """Draw a pool of annotators and their true confusion matrices."""
-    drawn = simulate_annotators(np.empty((1, 0)), num_annotators, dist, num_classes, [rng])
+    drawn = _simulate_one(np.empty(0), num_annotators, dist, num_classes, rng)
     profiles = tuple(AnnotatorProfile(KINDS[c], None if math.isnan(a) else a)
                      for c, a in zip(drawn.kinds[0].tolist(), drawn.q[0].tolist()))
     return profiles, tuple(drawn.confusions[0])
@@ -259,6 +282,5 @@ def pseudo_annotate(
 
     :func:`simulate_annotators` for one task.
     """
-    drawn = simulate_annotators(np.asarray(support_truth)[None], num_annotators, dist,
-                                num_classes, [rng])
+    drawn = _simulate_one(support_truth, num_annotators, dist, num_classes, rng)
     return drawn.labels[0], tuple(drawn.confusions[0])

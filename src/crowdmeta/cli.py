@@ -19,8 +19,7 @@ from . import metatrain as mt
 from .annotators import KINDS, AnnotatorDistribution
 from .config import ConfigError, RunSetup, build_run_setup, load_config
 from .encoder import EncoderParams, load_checkpoint, save_checkpoint
-from .episodes import DataError, Episode, sample_episode
-from .seeding import stream
+from .episodes import DataError, Episode
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -136,24 +135,21 @@ def _test_episodes(setup: RunSetup, params: EncoderParams | None, shots: int,
     """A shots value's test episodes as stacked chunks, embedded by ``params`` unless it is None.
 
     They are drawn, stacked and embedded one chunk at a time
-    (:func:`~crowdmeta.metatrain.stacked_chunks`), so that raw copies of one
+    (:func:`~crowdmeta.metatrain.episode_chunks`), so that raw copies of one
     chunk at most are alive beside the embedded episodes.
     """
-    chunks = mt.stacked_chunks(
-        sample_episode(setup.test_data, setup.meta.ways, shots, setup.meta.query_per_class,
-                       stream(seed, "test-episode", shots, i))
-        for i in range(setup.eval_tasks)
-    )
+    chunks = mt.episode_chunks([(setup.test_data, (shots, i)) for i in range(setup.eval_tasks)],
+                               setup.meta.ways, shots, setup.meta.query_per_class, seed,
+                               "test-episode")
     return [chunk if params is None else mt.embed_episodes(params, chunk) for chunk in chunks]
 
 
 def cmd_meta_train(args) -> int:
     setup = build_run_setup(_run_values(args))
-    os.makedirs(args.out, exist_ok=True)
-
     log.info("meta-training for up to %d iterations", setup.meta.max_iterations)
     result = mt.meta_train([setup.train_data], [setup.val_data], setup.meta)
 
+    os.makedirs(args.out, exist_ok=True)  # after training: a failed run leaves no directory
     checkpoint_path = os.path.join(args.out, "checkpoint.bin")
     save_checkpoint(checkpoint_path, setup.meta.encoder, result.params)
     log_path = os.path.join(args.out, "training_log.tsv")

@@ -14,12 +14,14 @@ layers' own reverse passes, :func:`crowdmeta.em.backward` and
 
 Episodes travel as stacked chunks (:func:`crowdmeta.episodes.stack_episodes`):
 the meta-batch is one chunk, and evaluation and validation episodes are
-drawn and stacked in chunks of up to :data:`EVAL_CHUNK` tasks
-(:func:`stacked_chunks`).  :func:`embed_episodes` embeds a chunk with one
-encoder pass; :func:`evaluate` then walks the chunks, draws each task's
-annotators from the task's own stream, one
-:func:`crowdmeta.annotators.simulate_annotators` pass per chunk, and adapts
-and scores each chunk as given, one stacked support set, one
+drawn in stacked chunks of up to :data:`EVAL_CHUNK` tasks, each chunk
+decoded at once from its tasks' streams (:func:`episode_chunks`).
+:func:`embed_episodes` embeds a chunk with one encoder pass;
+:func:`evaluate` then walks the chunks, draws each task's annotators from
+the task's own stream, the chunk's streams derived as arrays
+(:func:`crowdmeta.seeding.raw_streams`) and decoded in one
+:func:`crowdmeta.annotators.simulate_annotators` pass, and adapts and
+scores each chunk as given, one stacked support set, one
 :func:`crowdmeta.em.adapt` and one prediction per chunk
 (:func:`adapt_and_score`).  Embedding once lets every annotator setting
 of an evaluation grid score the same embedded episodes.  The chunk bounds
@@ -32,16 +34,16 @@ import hashlib
 import itertools
 import logging
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import em, encoder
-from .annotators import AnnotatorDistribution, simulate_annotators
+from .annotators import AnnotatorDistribution, block_size, simulate_annotators
 from .encoder import EncoderConfig, EncoderParams, forward, init_params
-from .episodes import Episode, LabeledDataset, sample_episode, stack_episodes
-from .seeding import stream
+from .episodes import Episode, LabeledDataset, sample_episode, sample_episodes, stack_episodes
+from .seeding import raw_streams, stream, uniforms
 
 logger = logging.getLogger("crowdmeta")
 
@@ -211,7 +213,7 @@ def meta_gradient(params: EncoderParams, episodes: Episode, config: MetaConfig,
     """Mean loss and exact reverse-mode gradient over a stacked meta-batch of episodes.
 
     Each support set is pseudo-annotated from the configured distribution
-    with its own generator (a fresh draw per call), in one
+    with its own fresh generator, which is not read again, in one
     :func:`~crowdmeta.annotators.simulate_annotators` pass; with
     pseudo-annotation disabled a support keeps its clean labels as a single
     perfect annotator.  The sampled labels themselves are constants of the
@@ -221,8 +223,12 @@ def meta_gradient(params: EncoderParams, episodes: Episode, config: MetaConfig,
     """
     k = episodes.num_classes
     if config.pseudo_annotation:
+        block = np.empty((len(rngs), block_size(config.num_annotators,
+                                                episodes.support_y.shape[1])))
+        for rng, row in zip(rngs, block):
+            rng.random(out=row)
         drawn = simulate_annotators(episodes.support_y, config.num_annotators,
-                                    config.pseudo_dist, k, rngs)
+                                    config.pseudo_dist, k, block)
         annotations = drawn.labels
         digest = hashlib.sha256(drawn.confusions[-1]).hexdigest()[:12]
     else:
@@ -244,14 +250,23 @@ def mean_and_stderr(accuracies: Sequence[float]) -> tuple[float, float]:
 EVAL_CHUNK = 32  # tasks per stacked adaptation; keeps evaluation memory flat in the task count
 
 
-def stacked_chunks(episodes: Iterable[Episode]) -> Iterator[Episode]:
-    """Consecutive runs of at most :data:`EVAL_CHUNK` equal-shape episodes, each stacked.
+def episode_chunks(draws: Sequence[tuple[LabeledDataset, tuple[int, ...]]], ways: int,
+                   shots: int, query_per_class: int, master_seed: int,
+                   label: str) -> Iterator[Episode]:
+    """Consecutive runs of at most :data:`EVAL_CHUNK` episodes, each stacked, drawn a chunk at a time.
 
-    The episodes are taken from the iterable one chunk at a time.
+    Draw ``(dataset, row)`` is ``sample_episode(dataset, ways, shots,
+    query_per_class, stream(master_seed, label, *row))``.  A chunk's draws
+    from one dataset are decoded together by
+    :func:`~crowdmeta.episodes.sample_episodes`.
     """
-    episodes = iter(episodes)
-    while chunk := list(itertools.islice(episodes, EVAL_CHUNK)):
-        yield stack_episodes(chunk)
+    for start in range(0, len(draws), EVAL_CHUNK):
+        runs = [list(run) for _, run in itertools.groupby(draws[start : start + EVAL_CHUNK],
+                                                         key=lambda draw: id(draw[0]))]
+        pieces = [sample_episodes(run[0][0], ways, shots, query_per_class, master_seed, label,
+                                  [row for _, row in run]) for run in runs]
+        yield pieces[0] if len(pieces) == 1 else Episode(
+            *(np.concatenate([getattr(p, f.name) for p in pieces]) for f in fields(Episode)))
 
 
 def embed_episodes(params: EncoderParams, episodes: Episode) -> Episode:
@@ -317,7 +332,8 @@ def evaluate(
     """Simulate annotators per task from its own stream, fit, and score query accuracy.
 
     ``chunks`` are stacked episodes; the task index runs across them, so
-    task i's annotators come from ``stream(master_seed, stream_label, i)``.
+    task i's annotators come from ``stream(master_seed, stream_label, i)``,
+    derived for a chunk at once by :func:`~crowdmeta.seeding.raw_streams`.
     ``dist=None`` labels each support with its clean labels as one perfect
     annotator instead.  The episodes are scored as given, embedded or raw.
     Each chunk takes one :func:`~crowdmeta.annotators.simulate_annotators`
@@ -338,8 +354,11 @@ def evaluate(
         if dist is None:
             labels = labels[..., None]
         else:
-            rngs = [stream(master_seed, stream_label, i) for i in range(tasks.start, tasks.stop)]
-            drawn = simulate_annotators(labels, num_annotators, dist, chunk.num_classes, rngs)
+            raw = raw_streams(master_seed, stream_label,
+                              np.arange(tasks.start, tasks.stop)[:, None],
+                              block_size(num_annotators, labels.shape[1]))
+            drawn = simulate_annotators(labels, num_annotators, dist, chunk.num_classes,
+                                        uniforms(raw))
             labels, kinds[tasks], q[tasks] = drawn.labels, drawn.kinds, drawn.q
         accuracies[tasks], recovery[tasks] = adapt_and_score(chunk, labels, hyper, fit)
     mean, stderr = mean_and_stderr(accuracies)
@@ -391,11 +410,10 @@ def _validation_accuracy(
 
 
 def _validation_episodes(val_tasks: Sequence[LabeledDataset], config: MetaConfig) -> list[Episode]:
-    return list(stacked_chunks(
-        sample_episode(task, config.ways, config.shots, config.query_per_class,
-                       stream(config.master_seed, "val-episode", ti, j))
-        for ti, task in enumerate(val_tasks) for j in range(config.val_episodes_per_task)
-    ))
+    draws = [(task, (ti, j)) for ti, task in enumerate(val_tasks)
+             for j in range(config.val_episodes_per_task)]
+    return list(episode_chunks(draws, config.ways, config.shots, config.query_per_class,
+                               config.master_seed, "val-episode"))
 
 
 def meta_train(

@@ -10,7 +10,9 @@ that both consume the same draws and produce the same profiles and labels.
 ``profile_to_confusion`` builds each matrix kind by kind, and
 ``pseudo_annotate`` goes through profiles.  The loops return per-example
 annotation maps where the package returns the ``(N, R)`` label matrix;
-the ``*_matrix`` forms pass them through ``em.label_matrix``.
+the ``*_matrix`` forms pass them through ``em.label_matrix``.  A
+:class:`Replay` generator hands out a given row of uniforms, so the loops
+can also decode the uniform blocks the package's chunk pass takes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,24 @@ import numpy as np
 
 from crowdmeta import em
 from crowdmeta.annotators import KINDS, AnnotatorKind, AnnotatorProfile, SimulatedAnnotators
+
+
+class Replay(np.random.Generator):
+    """A generator whose doubles are the given uniforms, in order.
+
+    ``Generator.choice`` with ``p`` draws its uniform through ``random``, so
+    it reads them too.
+    """
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self._uniforms = iter(np.asarray(uniforms).tolist())
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        if size is None:
+            return next(self._uniforms)
+        return np.array([next(self._uniforms) for _ in range(int(np.prod(size)))]).reshape(size)
+
 
 # (low, high] accuracy range per kind
 RANGES = {AnnotatorKind.EXPERT: (0.8, 1.0), AnnotatorKind.HAMMER: (0.5, 0.8)}
@@ -114,3 +134,9 @@ def simulate_annotators(true_labels, num_annotators, dist, num_classes, rngs):
     kinds, q = profile_arrays(pools)
     return SimulatedAnnotators(kinds=kinds, q=q, confusions=np.stack(confusions),
                                labels=np.stack(labels))
+
+
+def simulate_block(true_labels, num_annotators, dist, num_classes, block):
+    """``simulate_annotators`` of tasks whose draws are the rows of a uniform block."""
+    return simulate_annotators(true_labels, num_annotators, dist, num_classes,
+                               [Replay(row) for row in block])

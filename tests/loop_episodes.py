@@ -5,14 +5,17 @@ gathers every class's support rows and query rows with one index array
 each and builds the labels with ``np.repeat``.  This is the earlier form:
 it re-sorts and re-filters the class ids on every call and assembles the
 episode one class at a time, so the tests can check that both consume the
-same draws and produce the same episodes.
+same draws and produce the same episodes.  ``sample_episodes`` is the
+package's chunk decoder in loop form: one generator and one
+``Generator.choice`` call at a time per episode, then stacked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from crowdmeta.episodes import DataError, Episode
+import loop_seeding
+from crowdmeta.episodes import DataError, Episode, stack_episodes
 
 
 def sample_episode(dataset, ways, shots, query_per_class, rng):
@@ -49,3 +52,12 @@ def sample_episode(dataset, ways, shots, query_per_class, rng):
         query_x=np.concatenate(query_x),
         query_y=np.concatenate(query_y),
     )
+
+
+def sample_episodes(dataset, ways, shots, query_per_class, master_seed, label, indices):
+    """The episodes of ``indices``' rows, each from its own stream, stacked."""
+    return stack_episodes([
+        sample_episode(dataset, ways, shots, query_per_class,
+                       loop_seeding.stream(master_seed, label, *row))
+        for row in np.asarray(indices).tolist()
+    ])

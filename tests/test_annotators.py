@@ -19,7 +19,7 @@ from crowdmeta.annotators import (
     sample_annotator_pool,
     simulate_annotators,
 )
-from crowdmeta.seeding import stream
+from crowdmeta.seeding import raw_streams, stream, uniforms
 
 
 EHS = AnnotatorDistribution.expert_hammer_spammer
@@ -262,13 +262,26 @@ class TestMatchesLoops:
 
 
 class TestSimulateAnnotators:
-    """The chunk pass against one oracle pool and labelling per task."""
+    """The chunk pass against one oracle pool and labelling per task.
+
+    The chunk pass decodes blocks of uniforms: a block derived from the
+    tasks' streams as arrays, as evaluation derives it, against the oracle
+    drawing from the tasks' generators, and a block read from generators,
+    as meta-training reads it, against the oracle replaying that block.
+    """
 
     DISTS = TestMatchesLoops.DISTS + (
         EHS(0.0, 0.0, 1.0),  # spammers only
         EHS(1.0, 0.0, 0.0),  # experts only
         EHS(0.0, 1.0, 0.0),  # hammers only: no spammer, nothing to move back
     )
+
+    @staticmethod
+    def assert_same(got, expected):
+        for name in ("kinds", "q", "confusions", "labels"):
+            a, e = getattr(got, name), getattr(expected, name)
+            assert a.dtype == e.dtype and a.shape == e.shape, name
+            assert a.tobytes() == np.ascontiguousarray(e).tobytes(), name
 
     def test_same_draws_as_per_task_loop(self):
         kinds = set()
@@ -277,16 +290,12 @@ class TestSimulateAnnotators:
             dist = self.DISTS[i % len(self.DISTS)]
             k, n = 2 + i % 9, 1 + (i * 7) % 25
             truth = stream(i, "sim-truth").integers(k, size=(b, n))
-            fast = [stream(i, "sim", t) for t in range(b)]
-            slow = [stream(i, "sim", t) for t in range(b)]
-            got = simulate_annotators(truth, r, dist, k, fast)
-            expected = loop_annotators.simulate_annotators(truth, r, dist, k, slow)
-            for name in ("kinds", "q", "confusions", "labels"):
-                a, e = getattr(got, name), getattr(expected, name)
-                assert a.dtype == e.dtype and a.shape == e.shape, name
-                assert a.tobytes() == np.ascontiguousarray(e).tobytes(), name
-            for f, s in zip(fast, slow):  # each generator ends where the loop leaves it
-                assert f.random(10).tobytes() == s.random(10).tobytes()
+            block = uniforms(raw_streams(i, "sim", np.arange(b)[:, None], r * (2 + n)))
+            got = simulate_annotators(truth, r, dist, k, block)
+            expected = loop_annotators.simulate_annotators(
+                truth, r, dist, k, [stream(i, "sim", t) for t in range(b)])
+            self.assert_same(got, expected)
+            self.assert_same(got, loop_annotators.simulate_block(truth, r, dist, k, block))
             kinds.update(KINDS[c] for c in got.kinds.ravel().tolist())
         assert kinds == set(AnnotatorKind)
 
@@ -315,11 +324,17 @@ class TestSimulateAnnotators:
             assert fast.random(3).tobytes() == slow.random(3).tobytes()
 
     def test_needs_a_pcg64_generator(self):
+        # the per-task functions move their generator back, which needs PCG64's advance
         rng = np.random.Generator(np.random.MT19937(0))
         with pytest.raises(TypeError, match="PCG64"):
-            simulate_annotators(np.zeros((1, 3), dtype=int), 2, EHS(0.1, 0.7, 0.2), 2, [rng])
+            pseudo_annotate(np.zeros(3, dtype=int), 2, EHS(0.1, 0.7, 0.2), 2, rng)
+        with pytest.raises(TypeError, match="PCG64"):
+            sample_annotator_pool(EHS(0.1, 0.7, 0.2), 2, 2, rng)
 
     def test_true_labels_must_stack_the_tasks(self):
         with pytest.raises(ValueError, match="stack 2 tasks"):
             simulate_annotators(np.zeros((1, 3), dtype=int), 2, EHS(0.1, 0.7, 0.2), 2,
-                                [stream(0, "a"), stream(0, "b")])
+                                np.zeros((2, 10)))
+        with pytest.raises(ValueError, match=r"need a \(1, 10\) uniform block"):
+            simulate_annotators(np.zeros((1, 3), dtype=int), 2, EHS(0.1, 0.7, 0.2), 2,
+                                np.zeros((1, 9)))

@@ -132,10 +132,12 @@ class TestConfigParsing:
         csv_path.write_text("label,x\n" + "\n".join(rows) + "\n", encoding="utf-8")
         path = tmp_path / "csv.cfg"
         path.write_text(TINY_CONFIG + f"csv_path = {csv_path}\n", encoding="utf-8")
+        out = tmp_path / "x"
         with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["meta-train", "--config", str(path), "--out", str(tmp_path / "x")])
+            code = main(["meta-train", "--config", str(path), "--out", str(out)])
         assert code == 2
         assert "error: no class has positive posterior mass" in capsys.readouterr().err
+        assert not out.exists()  # the error comes from training, before any output
 
     def test_readme_example_config_builds(self):
         text = open(README, encoding="utf-8").read()
@@ -539,11 +541,17 @@ class TestGridSharesEpisodes:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cli, "sample_episode", counted("sample_episode", cli.sample_episode))
+        def drawn(*args):
+            episodes = mt_sample_episodes(*args)
+            counts["episodes"] += len(episodes.support_y)
+            return episodes
+
+        mt_sample_episodes = mt.sample_episodes
+        monkeypatch.setattr(mt, "sample_episodes", counted("sample_episodes", drawn))
         monkeypatch.setattr(mt, "forward", counted("forward", mt.forward))
         grid_run(["evaluate"], tmp_path / "grid", "--shots", "2,1,3", "--annotators", "3,5")
-        assert counts == {"sample_episode": 3 * 40,
-                          "forward": 3 * math.ceil(40 / mt.EVAL_CHUNK)}
+        chunks = 3 * math.ceil(40 / mt.EVAL_CHUNK)
+        assert counts == {"episodes": 3 * 40, "sample_episodes": chunks, "forward": chunks}
 
 
 class TestVerifyCommand:

@@ -1,15 +1,21 @@
 """Synthetic data, class splits, episode sampling, CSV ingestion."""
 
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import loop_episodes
+from crowdmeta import episodes
 from crowdmeta.episodes import (
     DataError,
+    Episode,
     LabeledDataset,
     generate_synthetic,
     load_csv,
     sample_episode,
+    sample_episodes,
     split_classes,
     stack_episodes,
 )
@@ -193,6 +199,123 @@ class TestMatchesLoop:
             with pytest.raises(DataError) as slow:
                 loop_episodes.sample_episode(data, *args, stream(1, "err"))
             assert str(fast.value) == str(slow.value)
+
+
+class TestSampleEpisodes:
+    """The chunk decoder against one ``sample_episode`` per row, stacked (``loop_episodes``)."""
+
+    @staticmethod
+    def assert_same(got, expected):
+        for f in fields(Episode):
+            a, e = getattr(got, f.name), getattr(expected, f.name)
+            assert a.dtype == e.dtype and a.shape == e.shape, f.name
+            assert a.tobytes() == e.tobytes(), f.name
+
+    @pytest.fixture()
+    def per_task_calls(self, monkeypatch):
+        """The rows that ``sample_episodes`` sent to the per-task ``sample_episode``."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:4])
+            return sample_episode(*args)
+
+        monkeypatch.setattr(episodes, "sample_episode", counted)
+        return calls
+
+    def test_same_episodes_as_per_task_draws(self, per_task_calls):
+        data = TestMatchesLoop.uneven_dataset()  # classes of 16, 4, 12, 5, 10, 7 and 9
+        # (ways, shots, query): 5 or 10 examples per class, where one class has
+        # exactly that many; 3 classes for 3 ways and 6 for 6 make the first
+        # draw's range [0, 0]
+        cases = [(3, 2, 3), (3, 4, 6), (4, 1, 4), (2, 7, 3), (6, 1, 4), (2, 1, 1)]
+        rows = [np.arange(33)[:, None], np.stack([np.full(32, 4), np.arange(32)], axis=1),
+                np.array([[2**40, 0]]), np.zeros((5, 0), dtype=np.intp)]
+        checked = 0
+        for seed in range(12):
+            for ways, shots, query in cases:
+                for indices in rows:
+                    got = sample_episodes(data, ways, shots, query, seed, "decode", indices)
+                    self.assert_same(got, loop_episodes.sample_episodes(
+                        data, ways, shots, query, seed, "decode", indices))
+                    checked += len(indices)
+        assert checked >= 2000
+        assert per_task_calls == []
+
+    def rejecting(self, monkeypatch, row):
+        """``sample_episodes`` reading 0 for every 32-bit draw of ``row``.
+
+        Lemire's method rejects 0 for a draw in [0, j] unless j + 1 divides 2**32.
+        """
+        derive = episodes.raw_streams
+
+        def zeroed(*args):
+            raw = derive(*args)
+            raw[row] = 0
+            return raw
+
+        monkeypatch.setattr(episodes, "raw_streams", zeroed)
+
+    def test_rejected_class_draw_falls_back(self, monkeypatch, per_task_calls):
+        data = TestMatchesLoop.uneven_dataset()
+        self.rejecting(monkeypatch, 1)  # 6 classes of 5+: the first draw is in [0, 4]
+        indices = np.arange(4)[:, None]
+        got = sample_episodes(data, 2, 2, 3, 7, "reject", indices)
+        self.assert_same(got, loop_episodes.sample_episodes(data, 2, 2, 3, 7, "reject", indices))
+        assert per_task_calls == [(2, 2, 3)]
+
+    def test_rejected_example_draw_falls_back(self, monkeypatch, per_task_calls):
+        # two classes for two ways draw in [0, 0], [0, 1] and [0, 1], which
+        # accept 0; the 9-example class's first draw is in [0, 4]
+        labels = np.repeat([0, 1], [9, 16])
+        data = LabeledDataset(features=stream(3, "two").standard_normal((25, 2)), labels=labels)
+        self.rejecting(monkeypatch, 2)
+        indices = np.arange(3)[:, None]
+        got = sample_episodes(data, 2, 2, 3, 8, "reject", indices)
+        self.assert_same(got, loop_episodes.sample_episodes(data, 2, 2, 3, 8, "reject", indices))
+        assert per_task_calls == [(2, 2, 3)]
+
+    @pytest.mark.parametrize("query, fallbacks", [(199, 0), (200, 3)])
+    def test_tail_shuffled_pool_falls_back(self, query, fallbacks, per_task_calls):
+        # Generator.choice shuffles a tail of a pool above 10,000 for more than pool // 50
+        labels = np.repeat([0, 1, 2], [10_001, 300, 10_001])
+        data = LabeledDataset(features=np.arange(len(labels), dtype=float)[:, None],
+                              labels=labels)
+        indices = np.arange(3)[:, None]
+        got = sample_episodes(data, 2, 1, query, 9, "tail", indices)
+        self.assert_same(got, loop_episodes.sample_episodes(data, 2, 1, query, 9, "tail", indices))
+        assert len(per_task_calls) == fallbacks
+
+    def test_tail_shuffled_class_choice_falls_back(self, per_task_calls):
+        # 201 of 10,001 classes: the classes' choice itself is tail-shuffled
+        labels = np.repeat(np.arange(10_001), 2)
+        data = LabeledDataset(features=np.arange(len(labels), dtype=float)[:, None],
+                              labels=labels)
+        indices = np.arange(2)[:, None]
+        got = sample_episodes(data, 201, 1, 1, 4, "tail", indices)
+        self.assert_same(got, loop_episodes.sample_episodes(data, 201, 1, 1, 4, "tail", indices))
+        assert len(per_task_calls) == 2
+
+    def test_same_errors(self):
+        data = TestMatchesLoop.uneven_dataset()
+        for args in [(4, 7, 3), (2, 0, 2), (2, 1, 0)]:
+            with pytest.raises(DataError) as chunk:
+                sample_episodes(data, *args, 1, "err", [[0]])
+            with pytest.raises(DataError) as one:
+                sample_episode(data, *args, stream(1, "err", 0))
+            assert str(chunk.value) == str(one.value)
+
+    def test_probe_names_the_numpy_version(self, monkeypatch):
+        # a numpy whose choice shuffled differently would fail the first call's check
+        episodes._check_choice.cache_clear()
+        decode = episodes._choose
+        monkeypatch.setattr(episodes, "_choose",
+                            lambda *args: (decode(*args)[0][:, ::-1],) + decode(*args)[1:])
+        data = TestMatchesLoop.uneven_dataset()
+        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} draws"):
+            sample_episodes(data, 2, 1, 1, 1, "probe", [[0]])
+        monkeypatch.undo()
+        sample_episodes(data, 2, 1, 1, 1, "probe", [[0]])  # the check runs again, and passes
 
 
 class TestLoadCsv:

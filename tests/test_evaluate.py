@@ -27,7 +27,8 @@ def make_episodes(n, ways=3, shots=2, query=4, label="episode"):
 
 def chunks_of(episodes, params=PARAMS):
     """The episodes stacked as the producers stack them, embedded unless ``params`` is None."""
-    chunks = mt.stacked_chunks(episodes)
+    chunks = [stack_episodes(episodes[i : i + mt.EVAL_CHUNK])
+              for i in range(0, len(episodes), mt.EVAL_CHUNK)]
     return [c if params is None else mt.embed_episodes(params, c) for c in chunks]
 
 

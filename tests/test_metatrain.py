@@ -435,14 +435,33 @@ class TestMetaTrain:
                               patience=1000, val_dist=EHS(0.3, 0.4, 0.3))
         fast = mt.meta_train(sources, [val], config)
         monkeypatch.setattr(mt, "sample_episode", loop_episodes.sample_episode)
+        monkeypatch.setattr(mt, "sample_episodes", loop_episodes.sample_episodes)
         monkeypatch.setattr(mt, "stream", loop_seeding.stream)
-        monkeypatch.setattr(mt, "simulate_annotators", loop_annotators.simulate_annotators)
+        monkeypatch.setattr(mt, "raw_streams", loop_seeding.raw_streams)
+        monkeypatch.setattr(mt, "simulate_annotators", loop_annotators.simulate_block)
         slow = mt.meta_train(sources, [val], config)
         assert fast.final_params.flatten().tobytes() == slow.final_params.flatten().tobytes()
         assert [(r.loss, r.pseudo_digest) for r in fast.log] == [
             (r.loss, r.pseudo_digest) for r in slow.log
         ]
         assert fast.val_history == slow.val_history and len(fast.val_history) == 2
+
+    def test_validation_chunks_run_across_tasks(self):
+        # 3 tasks of 20 episodes are chunks of 32 and 28 consecutive episodes,
+        # the first drawn from two datasets
+        _, val = make_tasks()
+        tasks = [val, generate_synthetic(6, 5, 0.4, 30, seed=103), val]
+        config = small_config(val_episodes_per_task=20)
+        chunks = mt._validation_episodes(tasks, config)
+        expected = [loop_episodes.sample_episode(
+            task, config.ways, config.shots, config.query_per_class,
+            stream(config.master_seed, "val-episode", ti, j))
+            for ti, task in enumerate(tasks) for j in range(20)]
+        assert [len(chunk.support_y) for chunk in chunks] == [32, 28]
+        for chunk, start in zip(chunks, (0, 32)):
+            stacked = stack_episodes(expected[start : start + 32])
+            for name in ("class_ids", "support_x", "support_y", "query_x", "query_y"):
+                assert getattr(chunk, name).tobytes() == getattr(stacked, name).tobytes()
 
     def test_task_choice_stream_picks_the_source(self, monkeypatch):
         # with two or more source tasks, episode b of iteration i comes from
