@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass, field, fields
-from typing import Sequence
 
 import numpy as np
 
-from .seeding import raw_streams, stream
+from .seeding import lemire, raw_streams, stream
 
 
 class DataError(ValueError):
@@ -87,9 +86,9 @@ class Episode:
 
     Labels are remapped to 0..K-1 (sorted original class ids).  Like
     :class:`crowdmeta.em.SupportSet`, an episode may carry a leading task
-    axis: B equal-shape tasks stacked by :func:`stack_episodes`, with
-    ``(B, K)`` class ids, ``(B, N, D)`` support rows and ``(B, N)`` labels,
-    ``(B, Q, D)`` query rows and ``(B, Q)`` labels.
+    axis: B equal-shape tasks stacked, as :func:`sample_episodes` returns
+    them, with ``(B, K)`` class ids, ``(B, N, D)`` support rows and
+    ``(B, N)`` labels, ``(B, Q, D)`` query rows and ``(B, Q)`` labels.
     """
 
     class_ids: tuple[int, ...] | np.ndarray  # (K,), or (B, K) stacked
@@ -101,12 +100,6 @@ class Episode:
     @property
     def num_classes(self) -> int:
         return np.shape(self.class_ids)[-1]
-
-
-def stack_episodes(episodes: Sequence[Episode]) -> Episode:
-    """Equal-shape episodes stacked along a leading task axis."""
-    # np.array: a third of np.stack's time on small arrays, and it too rejects unequal shapes
-    return Episode(*(np.array([getattr(e, f.name) for e in episodes]) for f in fields(Episode)))
 
 
 def generate_synthetic(
@@ -232,9 +225,9 @@ def _choose(draws: np.ndarray, task: np.ndarray, start: np.ndarray, pool: np.nda
     Floyd's algorithm, a draw in [0, j] for j = pool - size, ..., pool - 1
     that takes j when the draw was taken before, then a Fisher-Yates
     shuffle, a draw in [0, i] for i = size - 1, ..., 1 whose result swaps
-    with i.  Each draw is Lemire's method on the next 32-bit draw (Lemire
-    2019, "Fast Random Integer Generation in an Interval"), and a draw in
-    [0, 0] reads nothing.  Returns the ``(rows, size)`` choices, the draws
+    with i.  Each draw is Lemire's method on the next 32-bit draw
+    (:func:`~crowdmeta.seeding.lemire`), and a draw in [0, 0] reads
+    nothing.  Returns the ``(rows, size)`` choices, the draws
     each row read, and whether a row met a draw that Lemire's method
     rejects and redraws, which this decode does not follow.
     """
@@ -245,9 +238,7 @@ def _choose(draws: np.ndarray, task: np.ndarray, start: np.ndarray, pool: np.nda
     empty = pool == size  # the first Floyd draw is in [0, 0]
     # that draw's bound of 1 decodes any 32-bit draw to 0, never rejected
     at = start[:, None] + np.arange(2 * size - 1) - empty[:, None]
-    scaled = draws[task[:, None], at] * bounds
-    rejected = ((scaled & _LOW) < np.uint64(2**32) % bounds).any(axis=1)
-    drawn = (scaled >> np.uint64(32)).astype(np.intp)
+    drawn, rejected = lemire(draws[task[:, None], at], bounds)
     # Floyd's draw s finds taken every earlier draw, and each earlier j it
     # took: it takes its j when its draw repeats an earlier draw, or equals
     # the j of an earlier step s' that took its j (s' = draw - j_0)
@@ -269,7 +260,7 @@ def _choose(draws: np.ndarray, task: np.ndarray, start: np.ndarray, pool: np.nda
     rows = np.arange(len(pool))
     for i, swap in zip(range(size - 1, 0, -1), drawn[:, size:].T):
         chosen[rows, swap], chosen[:, i] = chosen[:, i].copy(), chosen[rows, swap]
-    return chosen, 2 * size - 1 - empty, rejected
+    return chosen, 2 * size - 1 - empty, rejected.any(axis=1)
 
 
 @functools.cache

@@ -12,10 +12,14 @@ closed-form updates of :mod:`crowdmeta.em`, and the gradient chains the
 layers' own reverse passes, :func:`crowdmeta.em.backward` and
 :func:`crowdmeta.encoder.backward` (:func:`episode_loss_and_grad`).
 
-Episodes travel as stacked chunks (:func:`crowdmeta.episodes.stack_episodes`):
-the meta-batch is one chunk, and evaluation and validation episodes are
-drawn in stacked chunks of up to :data:`EVAL_CHUNK` tasks, each chunk
-decoded at once from its tasks' streams (:func:`episode_chunks`).
+Episodes travel as stacked chunks, each decoded at once from its tasks'
+streams (:func:`crowdmeta.episodes.sample_episodes`).  Training draws its
+inputs a block of up to :data:`TRAIN_BLOCK` episodes at a time, whole
+meta-batches of consecutive iterations (:func:`training_block`), and each
+iteration slices its meta-batch from the block: the same draws as one
+generator per stream and episode, since no draw depends on the parameters.
+Evaluation and validation episodes are drawn in stacked chunks of up to
+:data:`EVAL_CHUNK` tasks (:func:`episode_chunks`).
 :func:`embed_episodes` embeds a chunk with one encoder pass;
 :func:`evaluate` then walks the chunks, draws each task's annotators from
 the task's own stream, the chunk's streams derived as arrays
@@ -42,8 +46,8 @@ import numpy as np
 from . import em, encoder
 from .annotators import AnnotatorDistribution, block_size, simulate_annotators
 from .encoder import EncoderConfig, EncoderParams, forward, init_params
-from .episodes import Episode, LabeledDataset, sample_episode, sample_episodes, stack_episodes
-from .seeding import raw_streams, stream, uniforms
+from .episodes import Episode, LabeledDataset, sample_episodes
+from .seeding import integers, raw_streams, uniforms
 
 logger = logging.getLogger("crowdmeta")
 
@@ -209,24 +213,21 @@ class EpisodeGradient:
 
 
 def meta_gradient(params: EncoderParams, episodes: Episode, config: MetaConfig,
-                  rngs: Sequence[np.random.Generator]) -> EpisodeGradient:
+                  block: np.ndarray | None) -> EpisodeGradient:
     """Mean loss and exact reverse-mode gradient over a stacked meta-batch of episodes.
 
-    Each support set is pseudo-annotated from the configured distribution
-    with its own fresh generator, which is not read again, in one
-    :func:`~crowdmeta.annotators.simulate_annotators` pass; with
+    Each support set is pseudo-annotated from the configured distribution,
+    decoded from its row of the ``(B, block_size(R, N))`` uniform ``block``
+    in one :func:`~crowdmeta.annotators.simulate_annotators` pass; with
     pseudo-annotation disabled a support keeps its clean labels as a single
-    perfect annotator.  The sampled labels themselves are constants of the
-    episode; gradients flow through the embeddings and through every EM
-    quantity that depends on them.  The episodes then share one pass of
-    :func:`episode_loss_and_grad`.  The digest is the last episode's.
+    perfect annotator, and ``block`` is not read.  The sampled labels
+    themselves are constants of the episode; gradients flow through the
+    embeddings and through every EM quantity that depends on them.  The
+    episodes then share one pass of :func:`episode_loss_and_grad`.  The
+    digest is the last episode's.
     """
     k = episodes.num_classes
     if config.pseudo_annotation:
-        block = np.empty((len(rngs), block_size(config.num_annotators,
-                                                episodes.support_y.shape[1])))
-        for rng, row in zip(rngs, block):
-            rng.random(out=row)
         drawn = simulate_annotators(episodes.support_y, config.num_annotators,
                                     config.pseudo_dist, k, block)
         annotations = drawn.labels
@@ -370,7 +371,7 @@ def evaluate(
 class TrainingLogRow:
     iteration: int
     loss: float
-    wall_ms: float
+    wall_ms: float  # the first iteration of a training block includes the block's draw
     pseudo_digest: str
 
 
@@ -416,6 +417,46 @@ def _validation_episodes(val_tasks: Sequence[LabeledDataset], config: MetaConfig
                                config.master_seed, "val-episode"))
 
 
+# episodes per block of training draws: spreads the decoders' fixed cost over
+# many rows, and bounds the memory a block holds
+TRAIN_BLOCK = 64
+
+
+def training_block(source_tasks: Sequence[LabeledDataset], config: MetaConfig,
+                   iterations: range) -> tuple[Episode, np.ndarray | None]:
+    """The stacked episodes and pseudo-annotation uniforms of the meta-batches of ``iterations``.
+
+    Row ``(i - iterations.start) · meta_batch + b`` holds episode b of
+    iteration i, ``sample_episode(task, ..., stream(master_seed, "episode",
+    i, b))`` from the source task that ``stream(master_seed, "task-choice",
+    i, b).integers(len(source_tasks))`` picks (a choice among one task
+    draws nothing), and its uniform row, the first ``block_size(R, ways ·
+    shots)`` doubles of ``stream(master_seed, "pseudo-annotate", i, b)``.
+    Without pseudo-annotation there are no uniforms, and no such stream is
+    derived.  Every draw is decoded from the streams' raw output: the
+    choices by :func:`~crowdmeta.seeding.integers`, and the episodes by one
+    :func:`~crowdmeta.episodes.sample_episodes` call per chosen task.
+    """
+    batch = config.meta_batch
+    rows = np.stack([np.repeat(np.asarray(iterations), batch),
+                     np.tile(np.arange(batch), len(iterations))], axis=1)
+    shape = (config.ways, config.shots, config.query_per_class)
+    if len(source_tasks) == 1:
+        episodes = sample_episodes(source_tasks[0], *shape, config.master_seed, "episode", rows)
+    else:
+        chosen = integers(config.master_seed, "task-choice", rows, len(source_tasks))
+        groups = [np.flatnonzero(chosen == k) for k in range(len(source_tasks))]
+        pieces = [sample_episodes(task, *shape, config.master_seed, "episode", rows[group])
+                  for task, group in zip(source_tasks, groups) if len(group)]
+        back = np.argsort(np.concatenate(groups))  # from task order back to row order
+        episodes = Episode(*(np.concatenate([getattr(p, f.name) for p in pieces])[back]
+                             for f in fields(Episode)))
+    if not config.pseudo_annotation:
+        return episodes, None
+    width = block_size(config.num_annotators, config.ways * config.shots)
+    return episodes, uniforms(raw_streams(config.master_seed, "pseudo-annotate", rows, width))
+
+
 def meta_train(
     source_tasks: Sequence[LabeledDataset],
     val_tasks: Sequence[LabeledDataset],
@@ -425,7 +466,10 @@ def meta_train(
 
     Validation episodes and their simulated annotators are fixed once from
     the master seed, so successive validation scores are comparable and
-    the whole run is reproducible.
+    the whole run is reproducible.  The training inputs are drawn a block
+    of up to :data:`TRAIN_BLOCK` episodes at a time (:func:`training_block`),
+    whole meta-batches of consecutive iterations, in the first iteration
+    of the block; each iteration slices its meta-batch.
     """
     if not source_tasks:
         raise ValueError("at least one source task is required")
@@ -438,20 +482,21 @@ def meta_train(
     bad_validations = 0
     stopped_early = False
     iterations_run = 0
+    batch = config.meta_batch
+    per_block = max(1, TRAIN_BLOCK // batch)
 
     for iteration in range(1, config.max_iterations + 1):
         tic = time.perf_counter()
         params = EncoderParams.unflatten(config.encoder, state.theta)
-        episodes, rngs = [], []
-        for b in range(config.meta_batch):
-            task = source_tasks[0]
-            if len(source_tasks) > 1:  # a choice among one task draws nothing
-                task_rng = stream(config.master_seed, "task-choice", iteration, b)
-                task = source_tasks[int(task_rng.integers(len(source_tasks)))]
-            episodes.append(sample_episode(task, config.ways, config.shots, config.query_per_class,
-                                           stream(config.master_seed, "episode", iteration, b)))
-            rngs.append(stream(config.master_seed, "pseudo-annotate", iteration, b))
-        result = meta_gradient(params, stack_episodes(episodes), config, rngs)
+        at = (iteration - 1) % per_block * batch
+        if at == 0:
+            block_episodes, block_uniforms = training_block(
+                source_tasks, config,
+                range(iteration, min(iteration + per_block, config.max_iterations + 1)))
+        part = slice(at, at + batch)
+        episodes = Episode(*(getattr(block_episodes, f.name)[part] for f in fields(Episode)))
+        result = meta_gradient(params, episodes, config,
+                               None if block_uniforms is None else block_uniforms[part])
         try:
             adam_update(state, result.grad, config)
         except NonFiniteGradientError as exc:

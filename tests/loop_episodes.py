@@ -7,15 +7,19 @@ it re-sorts and re-filters the class ids on every call and assembles the
 episode one class at a time, so the tests can check that both consume the
 same draws and produce the same episodes.  ``sample_episodes`` is the
 package's chunk decoder in loop form: one generator and one
-``Generator.choice`` call at a time per episode, then stacked.
+``Generator.choice`` call at a time per episode, then stacked by
+``stack_episodes``, which no package code needs since episodes are drawn
+stacked.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 import loop_seeding
-from crowdmeta.episodes import DataError, Episode, stack_episodes
+from crowdmeta.episodes import DataError, Episode
 
 
 def sample_episode(dataset, ways, shots, query_per_class, rng):
@@ -52,6 +56,11 @@ def sample_episode(dataset, ways, shots, query_per_class, rng):
         query_x=np.concatenate(query_x),
         query_y=np.concatenate(query_y),
     )
+
+
+def stack_episodes(episodes):
+    """Equal-shape episodes stacked along a leading task axis."""
+    return Episode(*(np.array([getattr(e, f.name) for e in episodes]) for f in fields(Episode)))
 
 
 def sample_episodes(dataset, ways, shots, query_per_class, master_seed, label, indices):

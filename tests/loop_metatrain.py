@@ -1,0 +1,77 @@
+"""Per-iteration form of the training loop; a test-only oracle.
+
+The package draws the training inputs for a block of iterations at once,
+decoded from the streams' raw output, and each iteration slices its
+meta-batch.  This is the earlier form: each iteration draws its
+meta-batch from one generator per stream, episode by episode
+(``loop_episodes.sample_episode``), stacks it, and reads each
+pseudo-annotation block from its own generator.  Everything else, the
+gradient, Adam, validation and early stopping, is the package's, looked up
+on the module at call time so that a test's patch applies to both forms.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+import loop_episodes
+import loop_seeding
+from crowdmeta import metatrain as mt
+from crowdmeta.annotators import block_size
+from crowdmeta.encoder import EncoderParams, init_params
+
+
+def meta_batch(source_tasks, config, iteration):
+    """Iteration ``iteration``'s stacked episodes and uniform rows (None without pseudo-annotation)."""
+    episodes, rows = [], []
+    for b in range(config.meta_batch):
+        task = source_tasks[0]
+        if len(source_tasks) > 1:
+            choice = loop_seeding.stream(config.master_seed, "task-choice", iteration, b)
+            task = source_tasks[int(choice.integers(len(source_tasks)))]
+        episodes.append(loop_episodes.sample_episode(
+            task, config.ways, config.shots, config.query_per_class,
+            loop_seeding.stream(config.master_seed, "episode", iteration, b)))
+        rows.append(loop_seeding.stream(config.master_seed, "pseudo-annotate", iteration, b)
+                    .random(block_size(config.num_annotators, config.ways * config.shots)))
+    return (loop_episodes.stack_episodes(episodes),
+            np.array(rows) if config.pseudo_annotation else None)
+
+
+def meta_train(source_tasks, val_tasks, config):
+    params = init_params(config.encoder)
+    state = mt.TrainState.from_params(params)
+    val_episodes = mt._validation_episodes(val_tasks, config)
+    log, val_history = [], []
+    bad_validations, stopped_early, iterations_run = 0, False, 0
+    for iteration in range(1, config.max_iterations + 1):
+        params = EncoderParams.unflatten(config.encoder, state.theta)
+        episodes, rows = meta_batch(source_tasks, config, iteration)
+        result = mt.meta_gradient(params, episodes, config, rows)
+        try:
+            mt.adam_update(state, result.grad, config)
+        except mt.NonFiniteGradientError as exc:
+            log.append(mt.TrainingLogRow(iteration, float("nan"), 0.0, f"skipped:{exc}"))
+            continue
+        iterations_run = iteration
+        log.append(mt.TrainingLogRow(iteration, result.loss, 0.0, result.pseudo_digest))
+        if val_episodes and iteration % config.validation_interval == 0:
+            current = EncoderParams.unflatten(config.encoder, state.theta)
+            val_score = mt._validation_accuracy(current, val_episodes, config)
+            val_history.append((iteration, val_score))
+            if val_score > state.best_score:
+                state.best_score, state.best_theta = val_score, state.theta.copy()
+                state.best_iteration, bad_validations = iteration, 0
+            else:
+                bad_validations += 1
+            if bad_validations >= config.patience:
+                stopped_early = True
+                break
+    best_theta = state.best_theta if state.best_theta is not None else state.theta
+    return mt.MetaTrainResult(
+        params=EncoderParams.unflatten(config.encoder, best_theta),
+        final_params=EncoderParams.unflatten(config.encoder, state.theta),
+        log=log, val_history=val_history, best_iteration=state.best_iteration,
+        best_val_accuracy=state.best_score if val_history else float("nan"),
+        iterations_run=iterations_run, stopped_early=stopped_early,
+    )

@@ -17,7 +17,6 @@ from crowdmeta.episodes import (
     sample_episode,
     sample_episodes,
     split_classes,
-    stack_episodes,
 )
 from crowdmeta.seeding import stream
 
@@ -137,10 +136,12 @@ class TestSampleEpisode:
 
 
 class TestStackEpisodes:
+    """The oracles' stacking of per-task episodes, which the chunk decoders must match."""
+
     def test_leading_task_axis(self):
         data = generate_synthetic(10, 3, 1.0, 15, seed=7)
         episodes = [sample_episode(data, 4, 2, 5, stream(0, "stack", i)) for i in range(3)]
-        stacked = stack_episodes(episodes)
+        stacked = loop_episodes.stack_episodes(episodes)
         assert stacked.num_classes == episodes[0].num_classes == 4
         assert stacked.class_ids.shape == (3, 4)
         for name, shape in [("support_x", (3, 8, 3)), ("support_y", (3, 8)),
@@ -158,7 +159,7 @@ class TestStackEpisodes:
         episodes = [sample_episode(data, 4, 2, 5, stream(0, "stack")),
                     sample_episode(data, ways, shots, query, stream(1, "stack"))]
         with pytest.raises(ValueError):
-            stack_episodes(episodes)
+            loop_episodes.stack_episodes(episodes)
 
 
 class TestMatchesLoop:

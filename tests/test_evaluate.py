@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import loop_evaluate
+from loop_episodes import stack_episodes
 from crowdmeta import baselines, em
 from crowdmeta import metatrain as mt
 from crowdmeta.annotators import AnnotatorDistribution
 from crowdmeta.encoder import EncoderConfig, forward, init_params
-from crowdmeta.episodes import generate_synthetic, sample_episode, stack_episodes
+from crowdmeta.episodes import generate_synthetic, sample_episode
 from crowdmeta.seeding import stream
 
 EHS = AnnotatorDistribution.expert_hammer_spammer

@@ -9,17 +9,20 @@ import pytest
 import loop_annotators
 import loop_em
 import loop_episodes
+import loop_metatrain
 import loop_seeding
-from crowdmeta import em
+from loop_episodes import stack_episodes
+from crowdmeta import em, seeding
 from crowdmeta import metatrain as mt
 from crowdmeta.annotators import (
     AnnotatorDistribution,
     annotate,
+    block_size,
     pseudo_annotate,
     sample_annotator_pool,
 )
 from crowdmeta.encoder import EncoderConfig, EncoderParams, forward, init_params
-from crowdmeta.episodes import Episode, generate_synthetic, sample_episode, stack_episodes
+from crowdmeta.episodes import Episode, generate_synthetic, sample_episode
 from crowdmeta.seeding import stream
 from crowdmeta.verify import episode_loss_value
 
@@ -44,6 +47,11 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return mt.MetaConfig(**defaults)
+
+
+def pseudo_rows(seed, annotators=3, support_size=6):
+    """One episode's pseudo-annotation uniforms, the first doubles of stream(seed, "pa")."""
+    return stream(seed, "pa").random((1, block_size(annotators, support_size)))
 
 
 def toy_classifier(prototypes, class_prior):
@@ -219,7 +227,7 @@ class TestMetaGradient:
         episode = random_episode(31)
         config = small_config(hyper=em.PriorHyperparams(em_steps=2))
         params = init_params(config.encoder)
-        result = mt.meta_gradient(params, stack_episodes([episode]), config, [stream(31, "pa")])
+        result = mt.meta_gradient(params, stack_episodes([episode]), config, pseudo_rows(31))
         # recover the exact annotations the gradient call used
         annotations, _ = pseudo_annotate(
             episode.support_y, config.num_annotators, config.pseudo_dist, 3,
@@ -246,7 +254,7 @@ class TestMetaGradient:
         episode = random_episode(32)
         config = small_config(hyper=em.PriorHyperparams(em_steps=8))
         params = init_params(config.encoder)
-        result = mt.meta_gradient(params, stack_episodes([episode]), config, [stream(32, "pa")])
+        result = mt.meta_gradient(params, stack_episodes([episode]), config, pseudo_rows(32))
         annotations, _ = pseudo_annotate(
             episode.support_y, config.num_annotators, config.pseudo_dist, 3,
             stream(32, "pa"),
@@ -271,7 +279,7 @@ class TestMetaGradient:
         episode = random_episode(33)
         config = small_config(encoder=EncoderConfig(5, (), 4, init_seed=0))
         params = EncoderParams(weights=[np.zeros((5, 4))], biases=[np.zeros(4)])
-        result = mt.meta_gradient(params, stack_episodes([episode]), config, [stream(33, "pa")])
+        result = mt.meta_gradient(params, stack_episodes([episode]), config, pseudo_rows(33))
         bias_grad = result.grad[-4:]
         np.testing.assert_array_equal(bias_grad, 0.0)
         assert result.loss == pytest.approx(math.log(3), abs=0.3)
@@ -280,8 +288,8 @@ class TestMetaGradient:
         episode = random_episode(34)
         config = small_config()
         params = init_params(config.encoder)
-        a = mt.meta_gradient(params, stack_episodes([episode]), config, [stream(34, "pa")])
-        b = mt.meta_gradient(params, stack_episodes([episode]), config, [stream(34, "pa")])
+        a = mt.meta_gradient(params, stack_episodes([episode]), config, pseudo_rows(34))
+        b = mt.meta_gradient(params, stack_episodes([episode]), config, pseudo_rows(34))
         assert a.loss == b.loss
         np.testing.assert_array_equal(a.grad, b.grad)
         assert a.pseudo_digest == b.pseudo_digest
@@ -290,7 +298,7 @@ class TestMetaGradient:
         episode = random_episode(35)
         config = small_config(pseudo_annotation=False)
         params = init_params(config.encoder)
-        result = mt.meta_gradient(params, stack_episodes([episode]), config, [stream(35, "pa")])
+        result = mt.meta_gradient(params, stack_episodes([episode]), config, None)
         assert result.pseudo_digest == "clean"
 
 
@@ -434,9 +442,8 @@ class TestMetaTrain:
         config = small_config(max_iterations=20, validation_interval=10, meta_batch=2,
                               patience=1000, val_dist=EHS(0.3, 0.4, 0.3))
         fast = mt.meta_train(sources, [val], config)
-        monkeypatch.setattr(mt, "sample_episode", loop_episodes.sample_episode)
         monkeypatch.setattr(mt, "sample_episodes", loop_episodes.sample_episodes)
-        monkeypatch.setattr(mt, "stream", loop_seeding.stream)
+        monkeypatch.setattr(mt, "integers", loop_seeding.integers)
         monkeypatch.setattr(mt, "raw_streams", loop_seeding.raw_streams)
         monkeypatch.setattr(mt, "simulate_annotators", loop_annotators.simulate_block)
         slow = mt.meta_train(sources, [val], config)
@@ -469,17 +476,138 @@ class TestMetaTrain:
         train, _ = make_tasks()
         sources = [train, generate_synthetic(6, 5, 0.4, 30, seed=102)]
         config = small_config(max_iterations=6, meta_batch=3)
-        picked = []
+        picked = {}
+        decode = mt.sample_episodes
 
         def recording(task, *args):
-            picked.append(next(i for i, t in enumerate(sources) if t is task))
-            return sample_episode(task, *args)
+            for row in args[-1].tolist():
+                picked[tuple(row)] = next(i for i, t in enumerate(sources) if t is task)
+            return decode(task, *args)
 
-        monkeypatch.setattr(mt, "sample_episode", recording)
+        monkeypatch.setattr(mt, "sample_episodes", recording)
         mt.meta_train(sources, [], config)
-        expected = [int(stream(config.master_seed, "task-choice", i, b).integers(2))
-                    for i in range(1, 7) for b in range(3)]
-        assert picked == expected and len(set(expected)) == 2
+        expected = {(i, b): int(stream(config.master_seed, "task-choice", i, b).integers(2))
+                    for i in range(1, 7) for b in range(3)}
+        assert picked == expected and len(set(expected.values())) == 2
+
+
+class TestTrainingBlocks:
+    """The block-at-a-time draws against the per-iteration loop of ``loop_metatrain``."""
+
+    @staticmethod
+    def assert_same_run(sources, val, config):
+        fast = mt.meta_train(sources, [val], config)
+        slow = loop_metatrain.meta_train(sources, [val], config)
+        for got, expected in [(fast.final_params, slow.final_params), (fast.params, slow.params)]:
+            assert got.flatten().tobytes() == expected.flatten().tobytes()
+        assert [(r.iteration, r.loss.hex(), r.pseudo_digest) for r in fast.log] == [
+            (r.iteration, r.loss.hex(), r.pseudo_digest) for r in slow.log]
+        assert fast.val_history == slow.val_history
+        assert (fast.iterations_run, fast.stopped_early) == (slow.iterations_run,
+                                                             slow.stopped_early)
+        return fast
+
+    @pytest.fixture()
+    def blocks(self, monkeypatch):
+        """The iterations of every block ``meta_train`` draws, in order."""
+        drawn = []
+        draw = mt.training_block
+
+        def recording(sources, config, iterations):
+            drawn.append(list(iterations))
+            return draw(sources, config, iterations)
+
+        monkeypatch.setattr(mt, "training_block", recording)
+        return drawn
+
+    @pytest.mark.parametrize("block, meta_batch, iterations, sizes", [
+        (6, 2, 10, [3, 3, 3, 1]),  # the last block stops at max_iterations
+        (5, 2, 7, [2, 2, 2, 1]),  # a block of whole meta-batches, one episode short
+        (3, 4, 3, [1, 1, 1]),  # a meta-batch larger than the block
+        (mt.TRAIN_BLOCK, 1, mt.TRAIN_BLOCK + 6, [mt.TRAIN_BLOCK, 6]),
+    ])
+    def test_iterations_not_a_multiple_of_the_block(self, monkeypatch, blocks, block,
+                                                      meta_batch, iterations, sizes):
+        monkeypatch.setattr(mt, "TRAIN_BLOCK", block)
+        train, val = make_tasks()
+        config = small_config(max_iterations=iterations, validation_interval=5, patience=1000,
+                              meta_batch=meta_batch)
+        self.assert_same_run([train], val, config)
+        assert [len(b) for b in blocks] == sizes
+        assert [i for b in blocks for i in b] == list(range(1, iterations + 1))
+
+    def test_early_stop_in_the_middle_of_a_block(self, monkeypatch, blocks):
+        monkeypatch.setattr(mt, "TRAIN_BLOCK", 8)  # 4 iterations a block
+        train, val = make_tasks()
+        config = small_config(max_iterations=2000, validation_interval=5, patience=2,
+                              learning_rate=1e-15, meta_batch=2)  # stops at iteration 15
+        result = self.assert_same_run([train], val, config)
+        assert result.stopped_early and result.iterations_run == 15
+        assert blocks[-1] == [13, 14, 15, 16]  # one block drawn, and one iteration unused
+
+    def test_skipped_step_keeps_later_draws(self, monkeypatch):
+        # a non-finite gradient at iteration 5, in the middle of a block of 3
+        monkeypatch.setattr(mt, "TRAIN_BLOCK", 6)
+        gradient = mt.meta_gradient
+        calls = []
+
+        def poisoned(*args):
+            result = gradient(*args)
+            calls.append(None)
+            if len(calls) % 9 == 5:  # the 5th of each run's 9 iterations
+                result.grad = np.full_like(result.grad, np.nan)
+            return result
+
+        monkeypatch.setattr(mt, "meta_gradient", poisoned)
+        train, val = make_tasks()
+        config = small_config(max_iterations=9, validation_interval=3, meta_batch=2)
+        result = self.assert_same_run([train], val, config)
+        assert [r.iteration for r in result.log if r.pseudo_digest.startswith("skipped")] == [5]
+        assert len(result.log) == 9
+
+    def test_ablation_draws_no_pseudo_annotations(self, monkeypatch):
+        labels = []
+        derive = mt.raw_streams
+
+        def recording(master_seed, label, *args):
+            labels.append(label)
+            return derive(master_seed, label, *args)
+
+        monkeypatch.setattr(mt, "raw_streams", recording)
+        train, val = make_tasks()
+        config = small_config(max_iterations=12, validation_interval=6,
+                              pseudo_annotation=False, meta_batch=2)
+        result = self.assert_same_run([train], val, config)
+        assert all(r.pseudo_digest == "clean" for r in result.log)
+        assert "pseudo-annotate" not in labels
+
+    def test_rejected_task_choice_falls_back(self, monkeypatch):
+        # three sources: Lemire's method rejects a zero 32-bit draw in [0, 2]
+        train, val = make_tasks()
+        sources = [train, generate_synthetic(6, 5, 0.4, 30, seed=102),
+                   generate_synthetic(7, 5, 0.4, 30, seed=104)]
+        config = small_config(max_iterations=8, validation_interval=4, meta_batch=2)
+        choices = [int(stream(config.master_seed, "task-choice", i, b).integers(3))
+                   for i in range(1, 9) for b in range(2)]
+        zeroed = next(t for t, choice in enumerate(choices) if choice != 0)
+        derive = seeding.raw_streams
+        fallbacks = []
+
+        def zeroing(master_seed, label, *args):
+            raw = derive(master_seed, label, *args)
+            if label == "task-choice":
+                raw[zeroed] = 0
+            return raw
+
+        def counted(master_seed, label, *row):
+            if label == "task-choice":  # not the probes' streams
+                fallbacks.append(row)
+            return stream(master_seed, label, *row)
+
+        monkeypatch.setattr(seeding, "raw_streams", zeroing)
+        monkeypatch.setattr(seeding, "stream", counted)
+        self.assert_same_run(sources, val, config)
+        assert fallbacks == [(1 + zeroed // 2, zeroed % 2)]
 
 
 class TestEvaluate:
