@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .seeding import lemire, raw_streams, stream
+from .seeding import raw_streams, stream
 
 
 class DataError(ValueError):
@@ -225,9 +225,9 @@ def _choose(draws: np.ndarray, task: np.ndarray, start: np.ndarray, pool: np.nda
     Floyd's algorithm, a draw in [0, j] for j = pool - size, ..., pool - 1
     that takes j when the draw was taken before, then a Fisher-Yates
     shuffle, a draw in [0, i] for i = size - 1, ..., 1 whose result swaps
-    with i.  Each draw is Lemire's method on the next 32-bit draw
-    (:func:`~crowdmeta.seeding.lemire`), and a draw in [0, 0] reads
-    nothing.  Returns the ``(rows, size)`` choices, the draws
+    with i.  Each draw is Lemire's method on the next 32-bit draw (Lemire
+    2019, "Fast Random Integer Generation in an Interval"), and a draw in
+    [0, 0] reads nothing.  Returns the ``(rows, size)`` choices, the draws
     each row read, and whether a row met a draw that Lemire's method
     rejects and redraws, which this decode does not follow.
     """
@@ -238,7 +238,9 @@ def _choose(draws: np.ndarray, task: np.ndarray, start: np.ndarray, pool: np.nda
     empty = pool == size  # the first Floyd draw is in [0, 0]
     # that draw's bound of 1 decodes any 32-bit draw to 0, never rejected
     at = start[:, None] + np.arange(2 * size - 1) - empty[:, None]
-    drawn, rejected = lemire(draws[task[:, None], at], bounds)
+    scaled = draws[task[:, None], at] * bounds
+    rejected = ((scaled & _LOW) < np.uint64(2**32) % bounds).any(axis=1)
+    drawn = (scaled >> np.uint64(32)).astype(np.intp)
     # Floyd's draw s finds taken every earlier draw, and each earlier j it
     # took: it takes its j when its draw repeats an earlier draw, or equals
     # the j of an earlier step s' that took its j (s' = draw - j_0)
@@ -260,7 +262,7 @@ def _choose(draws: np.ndarray, task: np.ndarray, start: np.ndarray, pool: np.nda
     rows = np.arange(len(pool))
     for i, swap in zip(range(size - 1, 0, -1), drawn[:, size:].T):
         chosen[rows, swap], chosen[:, i] = chosen[:, i].copy(), chosen[rows, swap]
-    return chosen, 2 * size - 1 - empty, rejected.any(axis=1)
+    return chosen, 2 * size - 1 - empty, rejected
 
 
 @functools.cache

@@ -35,7 +35,6 @@ the memory a scoring pass holds, whatever the task count.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
 import time
 from dataclasses import dataclass, fields, replace
@@ -47,7 +46,7 @@ from . import em, encoder
 from .annotators import AnnotatorDistribution, block_size, simulate_annotators
 from .encoder import EncoderConfig, EncoderParams, forward, init_params
 from .episodes import Episode, LabeledDataset, sample_episodes
-from .seeding import integers, raw_streams, uniforms
+from .seeding import raw_streams, stream, uniforms
 
 logger = logging.getLogger("crowdmeta")
 
@@ -251,23 +250,33 @@ def mean_and_stderr(accuracies: Sequence[float]) -> tuple[float, float]:
 EVAL_CHUNK = 32  # tasks per stacked adaptation; keeps evaluation memory flat in the task count
 
 
+def _map_fields(fn: Callable[..., np.ndarray], *episodes: Episode) -> Episode:
+    """The episode whose every field is ``fn`` of the given episodes' fields of that name."""
+    return Episode(*(fn(*(getattr(e, f.name) for e in episodes)) for f in fields(Episode)))
+
+
 def episode_chunks(draws: Sequence[tuple[LabeledDataset, tuple[int, ...]]], ways: int,
-                   shots: int, query_per_class: int, master_seed: int,
-                   label: str) -> Iterator[Episode]:
-    """Consecutive runs of at most :data:`EVAL_CHUNK` episodes, each stacked, drawn a chunk at a time.
+                   shots: int, query_per_class: int, master_seed: int, label: str,
+                   chunk: int = EVAL_CHUNK) -> Iterator[Episode]:
+    """Consecutive runs of at most ``chunk`` episodes, each stacked, drawn a chunk at a time.
 
     Draw ``(dataset, row)`` is ``sample_episode(dataset, ways, shots,
     query_per_class, stream(master_seed, label, *row))``.  A chunk's draws
     from one dataset are decoded together by
-    :func:`~crowdmeta.episodes.sample_episodes`.
+    :func:`~crowdmeta.episodes.sample_episodes`, then put back in draw order.
     """
-    for start in range(0, len(draws), EVAL_CHUNK):
-        runs = [list(run) for _, run in itertools.groupby(draws[start : start + EVAL_CHUNK],
-                                                         key=lambda draw: id(draw[0]))]
-        pieces = [sample_episodes(run[0][0], ways, shots, query_per_class, master_seed, label,
-                                  [row for _, row in run]) for run in runs]
-        yield pieces[0] if len(pieces) == 1 else Episode(
-            *(np.concatenate([getattr(p, f.name) for p in pieces]) for f in fields(Episode)))
+    for start in range(0, len(draws), chunk):
+        part = draws[start : start + chunk]
+        groups: dict[int, list[int]] = {}
+        for t, (dataset, _) in enumerate(part):
+            groups.setdefault(id(dataset), []).append(t)
+        pieces = [sample_episodes(part[group[0]][0], ways, shots, query_per_class, master_seed,
+                                  label, [part[t][1] for t in group]) for group in groups.values()]
+        if len(pieces) == 1:
+            yield pieces[0]
+        else:
+            back = np.argsort(np.concatenate(list(groups.values())))  # dataset to draw order
+            yield _map_fields(lambda *parts: np.concatenate(parts)[back], *pieces)
 
 
 def embed_episodes(params: EncoderParams, episodes: Episode) -> Episode:
@@ -433,24 +442,17 @@ def training_block(source_tasks: Sequence[LabeledDataset], config: MetaConfig,
     draws nothing), and its uniform row, the first ``block_size(R, ways ·
     shots)`` doubles of ``stream(master_seed, "pseudo-annotate", i, b)``.
     Without pseudo-annotation there are no uniforms, and no such stream is
-    derived.  Every draw is decoded from the streams' raw output: the
-    choices by :func:`~crowdmeta.seeding.integers`, and the episodes by one
-    :func:`~crowdmeta.episodes.sample_episodes` call per chosen task.
+    derived.  The episodes and uniforms are decoded from the streams' raw
+    output, the episodes as one chunk (:func:`episode_chunks`).
     """
-    batch = config.meta_batch
-    rows = np.stack([np.repeat(np.asarray(iterations), batch),
-                     np.tile(np.arange(batch), len(iterations))], axis=1)
-    shape = (config.ways, config.shots, config.query_per_class)
-    if len(source_tasks) == 1:
-        episodes = sample_episodes(source_tasks[0], *shape, config.master_seed, "episode", rows)
-    else:
-        chosen = integers(config.master_seed, "task-choice", rows, len(source_tasks))
-        groups = [np.flatnonzero(chosen == k) for k in range(len(source_tasks))]
-        pieces = [sample_episodes(task, *shape, config.master_seed, "episode", rows[group])
-                  for task, group in zip(source_tasks, groups) if len(group)]
-        back = np.argsort(np.concatenate(groups))  # from task order back to row order
-        episodes = Episode(*(np.concatenate([getattr(p, f.name) for p in pieces])[back]
-                             for f in fields(Episode)))
+    rows = [(i, b) for i in iterations for b in range(config.meta_batch)]
+    tasks = [source_tasks[0]] * len(rows)
+    if len(source_tasks) > 1:
+        tasks = [source_tasks[int(stream(config.master_seed, "task-choice", *row)
+                                  .integers(len(source_tasks)))] for row in rows]
+    episodes = next(episode_chunks(list(zip(tasks, rows)), config.ways, config.shots,
+                                   config.query_per_class, config.master_seed, "episode",
+                                   chunk=len(rows)))
     if not config.pseudo_annotation:
         return episodes, None
     width = block_size(config.num_annotators, config.ways * config.shots)
@@ -494,7 +496,7 @@ def meta_train(
                 source_tasks, config,
                 range(iteration, min(iteration + per_block, config.max_iterations + 1)))
         part = slice(at, at + batch)
-        episodes = Episode(*(getattr(block_episodes, f.name)[part] for f in fields(Episode)))
+        episodes = _map_fields(lambda rows: rows[part], block_episodes)
         result = meta_gradient(params, episodes, config,
                                None if block_uniforms is None else block_uniforms[part])
         try:

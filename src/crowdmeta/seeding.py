@@ -15,9 +15,7 @@ Fast Space-Efficient Statistically Good Algorithms for Random Number
 Generation"; numpy's ``pcg64.h``).  NEP 19 keeps both stable across numpy
 versions; the first call in a process checks one stream against a real
 generator all the same, and raises an error naming the numpy version
-if they differ.  :func:`integers` decodes each stream's first
-``Generator.integers(n)`` from its raw output the same way, checked on
-its first call too.
+if they differ.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import operator
 import numpy as np
 
 _WORD = 2**32 - 1
-_LOW = np.uint64(_WORD)
 
 
 def _words(value: int) -> list[int]:
@@ -200,51 +197,3 @@ def raw_streams(master_seed: int, label: str, indices, count: int) -> np.ndarray
         raise ValueError(f"stream indices must be non-negative (got {rows.min()})")
     _check_numpy()
     return _derive(master_seed, label, rows.astype(np.uint64), count)
-
-
-def lemire(draws: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """Lemire's bounded draws from 32-bit draws, and whether the method rejects each.
-
-    numpy draws an integer in [0, bound) for a bound of at most 2**32 from
-    its next 32-bit draw times the bound: the high word is the result
-    unless the low word falls below ``2**32 mod bound``, which the method
-    rejects and redraws (Lemire 2019, "Fast Random Integer Generation in
-    an Interval"; numpy's ``distributions.c``).  ``draws`` are uint64
-    values below 2**32, and ``bounds`` a uint64 bound or an array of them.
-    """
-    scaled = draws * bounds
-    return (scaled >> np.uint64(32)).astype(np.intp), (scaled & _LOW) < np.uint64(2**32) % bounds
-
-
-@functools.cache
-def _check_integers() -> None:
-    """Check :func:`integers`' decode against a real ``Generator.integers``, once a process.
-
-    Raises RuntimeError, naming the numpy version, when this numpy draws
-    bounded integers differently from what it mirrors.
-    """
-    master_seed, label, row = _PROBE
-    n = 2**31 - 1  # rejects 2 low words in 2**32, and a wrong decode shows at once
-    raw = stream(master_seed, label, *row).bit_generator.random_raw(1)
-    drawn, _ = lemire(raw & _LOW, np.uint64(n))
-    if drawn[0] != stream(master_seed, label, *row).integers(n):
-        raise RuntimeError(f"numpy {np.__version__} draws Generator.integers differently from "
-                           "crowdmeta.seeding.integers, which mirrors numpy 2.4.6")
-
-
-def integers(master_seed: int, label: str, indices, n: int) -> np.ndarray:
-    """Each row's ``stream(master_seed, label, *row).integers(n)``, as a ``(T,)`` array.
-
-    ``Generator.integers(n)`` is :func:`lemire`'s draw from the low 32-bit
-    half of the stream's first raw output (:func:`raw_streams`); a row
-    whose draw the method rejects (probability below n / 2**32) is drawn
-    from its own generator instead.
-    """
-    if not 1 <= n <= 2**32:
-        raise ValueError(f"n must be in [1, 2**32] (got {n})")
-    _check_integers()
-    rows = np.asarray(indices)
-    drawn, rejected = lemire(raw_streams(master_seed, label, rows, 1)[:, 0] & _LOW, np.uint64(n))
-    for t in np.flatnonzero(rejected).tolist():
-        drawn[t] = stream(master_seed, label, *rows[t].tolist()).integers(n)
-    return drawn

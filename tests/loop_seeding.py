@@ -6,7 +6,7 @@ The package hands ``SeedSequence`` the ``uint32`` entropy words of
 which passes that list of integers and lets numpy coerce it, so the tests
 can check that both seed the same generator.  ``raw_streams`` is the
 package's array derivation of many streams' raw output, one generator per
-row, and ``integers`` its decode of each stream's first bounded integer.
+row.
 """
 
 from __future__ import annotations
@@ -28,8 +28,3 @@ def raw_streams(master_seed, label, indices, count):
     for t, row in enumerate(rows):
         out[t] = stream(master_seed, label, *row).bit_generator.random_raw(count)
     return out
-
-
-def integers(master_seed, label, indices, n):
-    return np.array([stream(master_seed, label, *row).integers(n)
-                     for row in np.asarray(indices).tolist()], dtype=np.intp)

@@ -12,7 +12,7 @@ import loop_episodes
 import loop_metatrain
 import loop_seeding
 from loop_episodes import stack_episodes
-from crowdmeta import em, seeding
+from crowdmeta import em
 from crowdmeta import metatrain as mt
 from crowdmeta.annotators import (
     AnnotatorDistribution,
@@ -443,7 +443,7 @@ class TestMetaTrain:
                               patience=1000, val_dist=EHS(0.3, 0.4, 0.3))
         fast = mt.meta_train(sources, [val], config)
         monkeypatch.setattr(mt, "sample_episodes", loop_episodes.sample_episodes)
-        monkeypatch.setattr(mt, "integers", loop_seeding.integers)
+        monkeypatch.setattr(mt, "stream", loop_seeding.stream)
         monkeypatch.setattr(mt, "raw_streams", loop_seeding.raw_streams)
         monkeypatch.setattr(mt, "simulate_annotators", loop_annotators.simulate_block)
         slow = mt.meta_train(sources, [val], config)
@@ -480,7 +480,7 @@ class TestMetaTrain:
         decode = mt.sample_episodes
 
         def recording(task, *args):
-            for row in args[-1].tolist():
+            for row in args[-1]:
                 picked[tuple(row)] = next(i for i, t in enumerate(sources) if t is task)
             return decode(task, *args)
 
@@ -581,33 +581,18 @@ class TestTrainingBlocks:
         assert all(r.pseudo_digest == "clean" for r in result.log)
         assert "pseudo-annotate" not in labels
 
-    def test_rejected_task_choice_falls_back(self, monkeypatch):
-        # three sources: Lemire's method rejects a zero 32-bit draw in [0, 2]
+    def test_sources_put_back_in_draw_order(self, monkeypatch, blocks):
+        # three sources: each block decodes its episodes grouped by the chosen task
+        monkeypatch.setattr(mt, "TRAIN_BLOCK", 6)
         train, val = make_tasks()
         sources = [train, generate_synthetic(6, 5, 0.4, 30, seed=102),
                    generate_synthetic(7, 5, 0.4, 30, seed=104)]
         config = small_config(max_iterations=8, validation_interval=4, meta_batch=2)
-        choices = [int(stream(config.master_seed, "task-choice", i, b).integers(3))
-                   for i in range(1, 9) for b in range(2)]
-        zeroed = next(t for t, choice in enumerate(choices) if choice != 0)
-        derive = seeding.raw_streams
-        fallbacks = []
-
-        def zeroing(master_seed, label, *args):
-            raw = derive(master_seed, label, *args)
-            if label == "task-choice":
-                raw[zeroed] = 0
-            return raw
-
-        def counted(master_seed, label, *row):
-            if label == "task-choice":  # not the probes' streams
-                fallbacks.append(row)
-            return stream(master_seed, label, *row)
-
-        monkeypatch.setattr(seeding, "raw_streams", zeroing)
-        monkeypatch.setattr(seeding, "stream", counted)
+        choices = {int(stream(config.master_seed, "task-choice", i, b).integers(3))
+                   for i in range(1, 4) for b in range(2)}
+        assert choices == {0, 1, 2}  # the first block draws from every source
         self.assert_same_run(sources, val, config)
-        assert fallbacks == [(1 + zeroed // 2, zeroed % 2)]
+        assert [len(b) for b in blocks] == [3, 3, 2]
 
 
 class TestEvaluate:

@@ -96,45 +96,3 @@ class TestRawStreams:
             raw_streams(1, "x", [[0]], 3)
         monkeypatch.undo()
         raw_streams(1, "x", [[0]], 3)  # the check runs again, and passes
-
-
-class TestIntegers:
-    """Bounded integers decoded from raw streams against ``Generator.integers``."""
-
-    def test_same_draws_as_generator(self):
-        rows = np.stack([np.repeat(np.arange(1, 41), 4), np.tile(np.arange(4), 40)], axis=1)
-        for n in (1, 2, 3, 7, 50, 2**31 - 1, 2**31 + 1, 2**32):
-            got = seeding.integers(9, "task-choice", rows, n)
-            expected = [stream(9, "task-choice", *row).integers(n) for row in rows.tolist()]
-            assert got.dtype == np.intp and got.tolist() == expected, n
-
-    def test_rejected_draw_falls_back(self, monkeypatch):
-        # a zero 32-bit draw in [0, 2] is rejected, since 2**32 mod 3 = 1
-        derive = seeding.raw_streams
-
-        def zeroed(*args):
-            raw = derive(*args)
-            raw[1] = 0
-            return raw
-
-        monkeypatch.setattr(seeding, "raw_streams", zeroed)
-        rows = np.arange(30)[:, None]
-        expected = [stream(2, "reject", row).integers(3) for row in range(30)]
-        assert seeding.integers(2, "reject", rows, 3).tolist() == expected
-        assert expected[1] != 0  # the decode of the zeroed draw would read 0
-
-    @pytest.mark.parametrize("n", [0, 2**32 + 1])
-    def test_bound_out_of_range_rejected(self, n):
-        with pytest.raises(ValueError, match=r"\[1, 2\*\*32\]"):
-            seeding.integers(1, "x", [[0]], n)
-
-    def test_probe_names_the_numpy_version(self, monkeypatch):
-        # a numpy that bounded its draws differently would fail the first call's check
-        seeding._check_integers.cache_clear()
-        decode = seeding.lemire
-        monkeypatch.setattr(seeding, "lemire", lambda draws, bounds: (
-            decode(draws, bounds)[0] + 1, decode(draws, bounds)[1]))
-        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} draws"):
-            seeding.integers(1, "x", [[0]], 3)
-        monkeypatch.undo()
-        seeding.integers(1, "x", [[0]], 3)  # the check runs again, and passes
