@@ -112,6 +112,9 @@ def generate_synthetic(
     """Gaussian clusters: centers ~ N(0, I), examples ~ N(center, spread^2 I)."""
     if num_classes < 2:
         raise DataError("synthetic datasets need at least 2 classes")
+    for name, size in (("dim", dim), ("examples_per_class", examples_per_class)):
+        if size < 1:
+            raise DataError(f"{name} must be >= 1 (got {size})")
     if not np.isfinite(cluster_spread):
         raise DataError(f"cluster spread must be finite, got {cluster_spread}")
     rng = np.random.default_rng(seed)

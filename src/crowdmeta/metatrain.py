@@ -1,8 +1,7 @@
 """Episodic bi-level training loop.
 
-Each outer iteration samples a meta-batch of episodes from the source
-tasks, pseudo-annotates each support set with freshly drawn annotators
-(one :func:`crowdmeta.annotators.simulate_annotators` pass per meta-batch),
+Each outer iteration takes a meta-batch of episodes from the source
+tasks, each support set pseudo-annotated by freshly drawn annotators,
 adapts the task-specific classifiers with the unrolled EM on the embedded
 supports, scores the clean query sets, and backpropagates the mean query
 loss through every EM step into the encoder parameters, which an Adam step
@@ -13,19 +12,21 @@ layers' own reverse passes, :func:`crowdmeta.em.backward` and
 :func:`crowdmeta.encoder.backward` (:func:`episode_loss_and_grad`).
 
 Episodes travel as stacked chunks, each decoded at once from its tasks'
-streams (:func:`crowdmeta.episodes.sample_episodes`).  Training draws its
-inputs a block of up to :data:`TRAIN_BLOCK` episodes at a time, whole
-meta-batches of consecutive iterations (:func:`training_block`), and each
-iteration slices its meta-batch from the block: the same draws as one
-generator per stream and episode, since no draw depends on the parameters.
-Evaluation and validation episodes are drawn in stacked chunks of up to
+streams (:func:`crowdmeta.episodes.sample_episodes`), and a chunk's
+annotators are drawn together too: each support's from its own stream,
+the chunk's streams derived as arrays (:func:`crowdmeta.seeding.raw_streams`)
+and decoded in one :func:`crowdmeta.annotators.simulate_annotators` pass
+(:func:`_draw_annotators`).  Training draws its inputs a block of up to
+:data:`TRAIN_BLOCK` episodes at a time, whole meta-batches of consecutive
+iterations (:func:`training_block`): the episodes, their pseudo-annotated
+support labels and each iteration's pseudo digest.  Each iteration slices
+its meta-batch from the block: the same draws as one generator per stream
+and episode, since no draw depends on the parameters.  Evaluation and
+validation episodes are drawn in stacked chunks of up to
 :data:`EVAL_CHUNK` tasks (:func:`episode_chunks`).
 :func:`embed_episodes` embeds a chunk with one encoder pass;
-:func:`evaluate` then walks the chunks, draws each task's annotators from
-the task's own stream, the chunk's streams derived as arrays
-(:func:`crowdmeta.seeding.raw_streams`) and decoded in one
-:func:`crowdmeta.annotators.simulate_annotators` pass, and adapts and
-scores each chunk as given, one stacked support set, one
+:func:`evaluate` then walks the chunks, draws each chunk's annotators, and
+adapts and scores each chunk as given, one stacked support set, one
 :func:`crowdmeta.em.adapt` and one prediction per chunk
 (:func:`adapt_and_score`).  Embedding once lets every annotator setting
 of an evaluation grid score the same embedded episodes.  The chunk bounds
@@ -43,7 +44,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import em, encoder
-from .annotators import AnnotatorDistribution, block_size, simulate_annotators
+from .annotators import (AnnotatorDistribution, SimulatedAnnotators, block_size,
+                         simulate_annotators)
 from .encoder import EncoderConfig, EncoderParams, forward, init_params
 from .episodes import Episode, LabeledDataset, sample_episodes
 from .seeding import raw_streams, stream, uniforms
@@ -204,42 +206,6 @@ def episode_loss_and_grad(
     return loss, encoder.backward(record, d_u)
 
 
-@dataclass
-class EpisodeGradient:
-    loss: float
-    grad: np.ndarray
-    pseudo_digest: str
-
-
-def meta_gradient(params: EncoderParams, episodes: Episode, config: MetaConfig,
-                  block: np.ndarray | None) -> EpisodeGradient:
-    """Mean loss and exact reverse-mode gradient over a stacked meta-batch of episodes.
-
-    Each support set is pseudo-annotated from the configured distribution,
-    decoded from its row of the ``(B, block_size(R, N))`` uniform ``block``
-    in one :func:`~crowdmeta.annotators.simulate_annotators` pass; with
-    pseudo-annotation disabled a support keeps its clean labels as a single
-    perfect annotator, and ``block`` is not read.  The sampled labels
-    themselves are constants of the episode; gradients flow through the
-    embeddings and through every EM quantity that depends on them.  The
-    episodes then share one pass of :func:`episode_loss_and_grad`.  The
-    digest is the last episode's.
-    """
-    k = episodes.num_classes
-    if config.pseudo_annotation:
-        drawn = simulate_annotators(episodes.support_y, config.num_annotators,
-                                    config.pseudo_dist, k, block)
-        annotations = drawn.labels
-        digest = hashlib.sha256(drawn.confusions[-1]).hexdigest()[:12]
-    else:
-        annotations = episodes.support_y[..., None]
-        digest = "clean"
-
-    loss, grad = episode_loss_and_grad(params, episodes.support_x, annotations, k,
-                                       episodes.query_x, episodes.query_y, config.hyper)
-    return EpisodeGradient(loss=loss, grad=grad, pseudo_digest=digest)
-
-
 def mean_and_stderr(accuracies: Sequence[float]) -> tuple[float, float]:
     """Mean accuracy over tasks and its standard error (0 for a single task)."""
     n = len(accuracies)
@@ -248,11 +214,6 @@ def mean_and_stderr(accuracies: Sequence[float]) -> tuple[float, float]:
 
 
 EVAL_CHUNK = 32  # tasks per stacked adaptation; keeps evaluation memory flat in the task count
-
-
-def _map_fields(fn: Callable[..., np.ndarray], *episodes: Episode) -> Episode:
-    """The episode whose every field is ``fn`` of the given episodes' fields of that name."""
-    return Episode(*(fn(*(getattr(e, f.name) for e in episodes)) for f in fields(Episode)))
 
 
 def episode_chunks(draws: Sequence[tuple[LabeledDataset, tuple[int, ...]]], ways: int,
@@ -276,7 +237,8 @@ def episode_chunks(draws: Sequence[tuple[LabeledDataset, tuple[int, ...]]], ways
             yield pieces[0]
         else:
             back = np.argsort(np.concatenate(list(groups.values())))  # dataset to draw order
-            yield _map_fields(lambda *parts: np.concatenate(parts)[back], *pieces)
+            yield Episode(*(np.concatenate([getattr(piece, f.name) for piece in pieces])[back]
+                            for f in fields(Episode)))
 
 
 def embed_episodes(params: EncoderParams, episodes: Episode) -> Episode:
@@ -320,6 +282,25 @@ def adapt_and_score(episodes: Episode, labels: np.ndarray, hyper: em.PriorHyperp
     return np.mean(predicted == episodes.query_y, axis=-1), np.mean(recovered, axis=-1)
 
 
+def _draw_annotators(support_y: np.ndarray, dist: AnnotatorDistribution | None,
+                     num_annotators: int, num_classes: int, master_seed: int, label: str,
+                     rows) -> tuple[np.ndarray, SimulatedAnnotators | None]:
+    """The ``(B, N, R)`` labels of B stacked supports, and the annotators who gave them.
+
+    Support b's annotators are decoded from the first doubles of
+    ``stream(master_seed, label, *rows[b])``, all B in one
+    :func:`~crowdmeta.annotators.simulate_annotators` pass over the
+    streams' raw output (:func:`~crowdmeta.seeding.raw_streams`).
+    ``dist=None`` labels each support with its clean labels as one perfect
+    annotator instead, derives no stream, and returns no annotators.
+    """
+    if dist is None:
+        return support_y[..., None], None
+    raw = raw_streams(master_seed, label, rows, block_size(num_annotators, support_y.shape[1]))
+    drawn = simulate_annotators(support_y, num_annotators, dist, num_classes, uniforms(raw))
+    return drawn.labels, drawn
+
+
 @dataclass
 class EvalResult:
     accuracies: np.ndarray
@@ -343,11 +324,10 @@ def evaluate(
 
     ``chunks`` are stacked episodes; the task index runs across them, so
     task i's annotators come from ``stream(master_seed, stream_label, i)``,
-    derived for a chunk at once by :func:`~crowdmeta.seeding.raw_streams`.
-    ``dist=None`` labels each support with its clean labels as one perfect
-    annotator instead.  The episodes are scored as given, embedded or raw.
-    Each chunk takes one :func:`~crowdmeta.annotators.simulate_annotators`
-    pass and one :func:`adapt_and_score` call.
+    drawn for a chunk at once by :func:`_draw_annotators`.  ``dist=None``
+    labels each support with its clean labels as one perfect annotator
+    instead.  The episodes are scored as given, embedded or raw.  Each
+    chunk takes one annotator draw and one :func:`adapt_and_score` call.
     """
     if not chunks:
         raise ValueError("evaluate needs at least one episode (got an empty episode list)")
@@ -360,16 +340,11 @@ def evaluate(
     for chunk in chunks:
         tasks = slice(stop, stop + len(chunk.support_y))
         stop = tasks.stop
-        labels = chunk.support_y
-        if dist is None:
-            labels = labels[..., None]
-        else:
-            raw = raw_streams(master_seed, stream_label,
-                              np.arange(tasks.start, tasks.stop)[:, None],
-                              block_size(num_annotators, labels.shape[1]))
-            drawn = simulate_annotators(labels, num_annotators, dist, chunk.num_classes,
-                                        uniforms(raw))
-            labels, kinds[tasks], q[tasks] = drawn.labels, drawn.kinds, drawn.q
+        labels, drawn = _draw_annotators(chunk.support_y, dist, num_annotators,
+                                         chunk.num_classes, master_seed, stream_label,
+                                         np.arange(tasks.start, tasks.stop)[:, None])
+        if drawn is not None:
+            kinds[tasks], q[tasks] = drawn.kinds, drawn.q
         accuracies[tasks], recovery[tasks] = adapt_and_score(chunk, labels, hyper, fit)
     mean, stderr = mean_and_stderr(accuracies)
     return EvalResult(accuracies=accuracies, mean=mean, stderr=stderr, recovery=recovery,
@@ -380,7 +355,7 @@ def evaluate(
 class TrainingLogRow:
     iteration: int
     loss: float
-    wall_ms: float  # the first iteration of a training block includes the block's draw
+    wall_ms: float  # a block's first iteration includes its draw and pseudo-annotation decode
     pseudo_digest: str
 
 
@@ -432,18 +407,21 @@ TRAIN_BLOCK = 64
 
 
 def training_block(source_tasks: Sequence[LabeledDataset], config: MetaConfig,
-                   iterations: range) -> tuple[Episode, np.ndarray | None]:
-    """The stacked episodes and pseudo-annotation uniforms of the meta-batches of ``iterations``.
+                   iterations: range) -> tuple[Episode, np.ndarray, list[str]]:
+    """The episodes, support labels and pseudo digests of the meta-batches of ``iterations``.
 
     Row ``(i - iterations.start) · meta_batch + b`` holds episode b of
     iteration i, ``sample_episode(task, ..., stream(master_seed, "episode",
     i, b))`` from the source task that ``stream(master_seed, "task-choice",
     i, b).integers(len(source_tasks))`` picks (a choice among one task
-    draws nothing), and its uniform row, the first ``block_size(R, ways ·
-    shots)`` doubles of ``stream(master_seed, "pseudo-annotate", i, b)``.
-    Without pseudo-annotation there are no uniforms, and no such stream is
-    derived.  The episodes and uniforms are decoded from the streams' raw
-    output, the episodes as one chunk (:func:`episode_chunks`).
+    draws nothing), and its ``(N, R)`` support labels, from annotators
+    drawn with ``stream(master_seed, "pseudo-annotate", i, b)``
+    (:func:`_draw_annotators`).  Each iteration's digest is the first 12
+    hex digits of the SHA-256 of its last episode's confusions.  Without
+    pseudo-annotation each support keeps its clean labels, no such stream
+    is derived, and every digest is ``"clean"``.  The episodes and
+    annotators are decoded from the streams' raw output, the episodes as
+    one chunk (:func:`episode_chunks`), the annotators in one pass.
     """
     rows = [(i, b) for i in iterations for b in range(config.meta_batch)]
     tasks = [source_tasks[0]] * len(rows)
@@ -453,10 +431,14 @@ def training_block(source_tasks: Sequence[LabeledDataset], config: MetaConfig,
     episodes = next(episode_chunks(list(zip(tasks, rows)), config.ways, config.shots,
                                    config.query_per_class, config.master_seed, "episode",
                                    chunk=len(rows)))
-    if not config.pseudo_annotation:
-        return episodes, None
-    width = block_size(config.num_annotators, config.ways * config.shots)
-    return episodes, uniforms(raw_streams(config.master_seed, "pseudo-annotate", rows, width))
+    dist = config.pseudo_dist if config.pseudo_annotation else None
+    labels, drawn = _draw_annotators(episodes.support_y, dist, config.num_annotators,
+                                     episodes.num_classes, config.master_seed,
+                                     "pseudo-annotate", rows)
+    if drawn is None:
+        return episodes, labels, ["clean"] * len(iterations)
+    last = range(config.meta_batch - 1, len(rows), config.meta_batch)
+    return episodes, labels, [hashlib.sha256(drawn.confusions[t]).hexdigest()[:12] for t in last]
 
 
 def meta_train(
@@ -468,10 +450,12 @@ def meta_train(
 
     Validation episodes and their simulated annotators are fixed once from
     the master seed, so successive validation scores are comparable and
-    the whole run is reproducible.  The training inputs are drawn a block
-    of up to :data:`TRAIN_BLOCK` episodes at a time (:func:`training_block`),
-    whole meta-batches of consecutive iterations, in the first iteration
-    of the block; each iteration slices its meta-batch.
+    the whole run is reproducible.  The training inputs, episodes and
+    pseudo-annotated support labels, are drawn a block of up to
+    :data:`TRAIN_BLOCK` episodes at a time (:func:`training_block`), whole
+    meta-batches of consecutive iterations, in the first iteration of the
+    block; each iteration slices its meta-batch and takes one
+    :func:`episode_loss_and_grad` pass over it.
     """
     if not source_tasks:
         raise ValueError("at least one source task is required")
@@ -492,22 +476,21 @@ def meta_train(
         params = EncoderParams.unflatten(config.encoder, state.theta)
         at = (iteration - 1) % per_block * batch
         if at == 0:
-            block_episodes, block_uniforms = training_block(
+            episodes, labels, digests = training_block(
                 source_tasks, config,
                 range(iteration, min(iteration + per_block, config.max_iterations + 1)))
         part = slice(at, at + batch)
-        episodes = _map_fields(lambda rows: rows[part], block_episodes)
-        result = meta_gradient(params, episodes, config,
-                               None if block_uniforms is None else block_uniforms[part])
+        loss, grad = episode_loss_and_grad(params, episodes.support_x[part], labels[part],
+                                           episodes.num_classes, episodes.query_x[part],
+                                           episodes.query_y[part], config.hyper)
         try:
-            adam_update(state, result.grad, config)
+            adam_update(state, grad, config)
         except NonFiniteGradientError as exc:
             log.append(TrainingLogRow(iteration, float("nan"), 0.0, f"skipped:{exc}"))
             continue
         iterations_run = iteration
-        log.append(TrainingLogRow(
-            iteration, result.loss, (time.perf_counter() - tic) * 1e3, result.pseudo_digest
-        ))
+        log.append(TrainingLogRow(iteration, loss, (time.perf_counter() - tic) * 1e3,
+                                  digests[at // batch]))
 
         if val_episodes and iteration % config.validation_interval == 0:
             current = EncoderParams.unflatten(config.encoder, state.theta)

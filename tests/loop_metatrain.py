@@ -4,38 +4,47 @@ The package draws the training inputs for a block of iterations at once,
 decoded from the streams' raw output, and each iteration slices its
 meta-batch.  This is the earlier form: each iteration draws its
 meta-batch from one generator per stream, episode by episode
-(``loop_episodes.sample_episode``), stacks it, and reads each
-pseudo-annotation block from its own generator.  Everything else, the
-gradient, Adam, validation and early stopping, is the package's, looked up
-on the module at call time so that a test's patch applies to both forms.
+(``loop_episodes.sample_episode``), stacks it, pseudo-annotates each
+support from its own generator (``loop_annotators.pseudo_annotate_matrix``)
+and hashes its last episode's confusions.  Everything else, the gradient,
+Adam, validation and early stopping, is the package's, looked up on the
+module at call time so that a test's patch applies to both forms.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
+import loop_annotators
 import loop_episodes
 import loop_seeding
 from crowdmeta import metatrain as mt
-from crowdmeta.annotators import block_size
 from crowdmeta.encoder import EncoderParams, init_params
 
 
 def meta_batch(source_tasks, config, iteration):
-    """Iteration ``iteration``'s stacked episodes and uniform rows (None without pseudo-annotation)."""
-    episodes, rows = [], []
+    """Iteration ``iteration``'s stacked episodes, their (B, N, R) support labels and its digest."""
+    episodes, labels, digest = [], [], "clean"
     for b in range(config.meta_batch):
         task = source_tasks[0]
         if len(source_tasks) > 1:
             choice = loop_seeding.stream(config.master_seed, "task-choice", iteration, b)
             task = source_tasks[int(choice.integers(len(source_tasks)))]
-        episodes.append(loop_episodes.sample_episode(
+        episode = loop_episodes.sample_episode(
             task, config.ways, config.shots, config.query_per_class,
-            loop_seeding.stream(config.master_seed, "episode", iteration, b)))
-        rows.append(loop_seeding.stream(config.master_seed, "pseudo-annotate", iteration, b)
-                    .random(block_size(config.num_annotators, config.ways * config.shots)))
-    return (loop_episodes.stack_episodes(episodes),
-            np.array(rows) if config.pseudo_annotation else None)
+            loop_seeding.stream(config.master_seed, "episode", iteration, b))
+        episodes.append(episode)
+        if not config.pseudo_annotation:
+            labels.append(episode.support_y[:, None])
+            continue
+        annotations, confusions = loop_annotators.pseudo_annotate_matrix(
+            episode.support_y, config.num_annotators, config.pseudo_dist, config.ways,
+            loop_seeding.stream(config.master_seed, "pseudo-annotate", iteration, b))
+        labels.append(annotations)
+        digest = hashlib.sha256(np.stack(confusions)).hexdigest()[:12]
+    return loop_episodes.stack_episodes(episodes), np.stack(labels), digest
 
 
 def meta_train(source_tasks, val_tasks, config):
@@ -46,15 +55,17 @@ def meta_train(source_tasks, val_tasks, config):
     bad_validations, stopped_early, iterations_run = 0, False, 0
     for iteration in range(1, config.max_iterations + 1):
         params = EncoderParams.unflatten(config.encoder, state.theta)
-        episodes, rows = meta_batch(source_tasks, config, iteration)
-        result = mt.meta_gradient(params, episodes, config, rows)
+        episodes, labels, digest = meta_batch(source_tasks, config, iteration)
+        loss, grad = mt.episode_loss_and_grad(params, episodes.support_x, labels,
+                                              episodes.num_classes, episodes.query_x,
+                                              episodes.query_y, config.hyper)
         try:
-            mt.adam_update(state, result.grad, config)
+            mt.adam_update(state, grad, config)
         except mt.NonFiniteGradientError as exc:
             log.append(mt.TrainingLogRow(iteration, float("nan"), 0.0, f"skipped:{exc}"))
             continue
         iterations_run = iteration
-        log.append(mt.TrainingLogRow(iteration, result.loss, 0.0, result.pseudo_digest))
+        log.append(mt.TrainingLogRow(iteration, loss, 0.0, digest))
         if val_episodes and iteration % config.validation_interval == 0:
             current = EncoderParams.unflatten(config.encoder, state.theta)
             val_score = mt._validation_accuracy(current, val_episodes, config)

@@ -183,6 +183,21 @@ class TestConfigParsing:
         assert "spread.cfg:2: bad value for cluster_spread: must be a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, name", [
+        ("examples_per_class", -3, "examples_per_class"),
+        ("examples_per_class", 0, "examples_per_class"),
+        ("feature_dim", -2, "dim"),
+    ])
+    def test_non_positive_synthetic_size_is_data_error(self, key, value, name, tmp_path, capsys):
+        # negative sizes used to exit with numpy's "negative dimensions are
+        # not allowed", and zero examples as too few classes for the split
+        path = tmp_path / "size.cfg"
+        path.write_text(TINY_CONFIG + f"{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["meta-train", "--config", str(path), "--out", str(out)]) == 2
+        assert f"error: {name} must be >= 1 (got {value})\n" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spread", ["0", "-0.5"])
     def test_non_positive_cluster_spread_builds(self, spread):
         values = parse_config_text(f"cluster_spread = {spread}\n")

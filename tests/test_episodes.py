@@ -42,6 +42,16 @@ class TestGenerateSynthetic:
         with pytest.raises(DataError):
             generate_synthetic(1, 2, 1.0, 5, seed=0)
 
+    @pytest.mark.parametrize("dim, examples, name, size", [
+        (2, 0, "examples_per_class", 0),  # used to fail as too few classes for the split
+        (2, -3, "examples_per_class", -3),  # used to fail in numpy: negative dimensions
+        (-2, 5, "dim", -2),
+        (0, 5, "dim", 0),
+    ])
+    def test_non_positive_size_rejected(self, dim, examples, name, size):
+        with pytest.raises(DataError, match=rf"^{name} must be >= 1 \(got {size}\)$"):
+            generate_synthetic(3, dim, 1.0, examples, seed=0)
+
     @pytest.mark.parametrize("spread", [float("nan"), float("inf")])
     def test_non_finite_spread_rejected(self, spread):
         with pytest.raises(DataError, match="cluster spread must be finite"):

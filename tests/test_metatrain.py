@@ -17,7 +17,6 @@ from crowdmeta import metatrain as mt
 from crowdmeta.annotators import (
     AnnotatorDistribution,
     annotate,
-    block_size,
     pseudo_annotate,
     sample_annotator_pool,
 )
@@ -47,11 +46,6 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return mt.MetaConfig(**defaults)
-
-
-def pseudo_rows(seed, annotators=3, support_size=6):
-    """One episode's pseudo-annotation uniforms, the first doubles of stream(seed, "pa")."""
-    return stream(seed, "pa").random((1, block_size(annotators, support_size)))
 
 
 def toy_classifier(prototypes, class_prior):
@@ -223,83 +217,73 @@ class TestBatchedGradient:
 
 
 class TestMetaGradient:
-    def test_matches_finite_differences(self):
-        episode = random_episode(31)
-        config = small_config(hyper=em.PriorHyperparams(em_steps=2))
-        params = init_params(config.encoder)
-        result = mt.meta_gradient(params, stack_episodes([episode]), config, pseudo_rows(31))
-        # recover the exact annotations the gradient call used
-        annotations, _ = pseudo_annotate(
-            episode.support_y, config.num_annotators, config.pseudo_dist, 3,
-            stream(31, "pa"),
-        )
-        theta = params.flatten()
-        rng = np.random.default_rng(0)
-        for c in rng.choice(theta.size, size=12, replace=False):
+    """The training path: supports pseudo-annotated by the annotator draw, then the gradient."""
+
+    @staticmethod
+    def gradient(seed, config, params=None):
+        """Episode ``seed``, its labels, its annotators (stream(seed, "pa", 0)), loss, gradient."""
+        episode = random_episode(seed)
+        params = init_params(config.encoder) if params is None else params
+        labels, drawn = mt._draw_annotators(episode.support_y[None], config.pseudo_dist,
+                                            config.num_annotators, 3, seed, "pa", [(0,)])
+        loss, grad = mt.episode_loss_and_grad(params, episode.support_x, labels[0], 3,
+                                              episode.query_x, episode.query_y, config.hyper)
+        return episode, labels[0], drawn, loss, grad
+
+    @staticmethod
+    def assert_matches_finite_differences(config, seed, coordinates):
+        episode, annotations, _, _, grad = TestMetaGradient.gradient(seed, config)
+        theta = init_params(config.encoder).flatten()
+        args = (config.encoder, episode.support_x, annotations, 3, episode.query_x,
+                episode.query_y, config.hyper)
+        for c in coordinates(theta.size):
             step = 1e-5
             plus, minus = theta.copy(), theta.copy()
             plus[c] += step
             minus[c] -= step
-            fd = (
-                episode_loss_value(plus, config.encoder, episode.support_x, annotations, 3,
-                                   episode.query_x, episode.query_y, config.hyper)
-                - episode_loss_value(minus, config.encoder, episode.support_x, annotations, 3,
-                                     episode.query_x, episode.query_y, config.hyper)
-            ) / (2 * step)
-            rel = abs(fd - result.grad[c]) / max(1e-8, abs(fd), abs(result.grad[c]))
-            assert rel < 1e-4
+            fd = (episode_loss_value(plus, *args) - episode_loss_value(minus, *args)) / (2 * step)
+            assert abs(fd - grad[c]) / max(1e-8, abs(fd), abs(grad[c])) < 1e-4
+
+    def test_matches_finite_differences(self):
+        config = small_config(hyper=em.PriorHyperparams(em_steps=2))
+        self.assert_matches_finite_differences(
+            config, 31, lambda n: np.random.default_rng(0).choice(n, size=12, replace=False))
 
     def test_converged_em_still_matches_finite_differences(self):
         # many EM steps: responsibilities and prototypes sit at a fixed point
-        episode = random_episode(32)
         config = small_config(hyper=em.PriorHyperparams(em_steps=8))
-        params = init_params(config.encoder)
-        result = mt.meta_gradient(params, stack_episodes([episode]), config, pseudo_rows(32))
-        annotations, _ = pseudo_annotate(
-            episode.support_y, config.num_annotators, config.pseudo_dist, 3,
-            stream(32, "pa"),
-        )
-        theta = params.flatten()
-        for c in np.random.default_rng(1).choice(theta.size, size=6, replace=False):
-            step = 1e-5
-            plus, minus = theta.copy(), theta.copy()
-            plus[c] += step
-            minus[c] -= step
-            fd = (
-                episode_loss_value(plus, config.encoder, episode.support_x, annotations, 3,
-                                   episode.query_x, episode.query_y, config.hyper)
-                - episode_loss_value(minus, config.encoder, episode.support_x, annotations, 3,
-                                     episode.query_x, episode.query_y, config.hyper)
-            ) / (2 * step)
-            assert abs(fd - result.grad[c]) / max(1e-8, abs(fd), abs(result.grad[c])) < 1e-4
+        self.assert_matches_finite_differences(
+            config, 32, lambda n: np.random.default_rng(1).choice(n, size=6, replace=False))
 
     def test_zero_weight_encoder_bias_gradient_vanishes(self):
         # with all embeddings identically zero every distance term is flat,
         # so the loss gradient w.r.t. the output bias is exactly zero
-        episode = random_episode(33)
         config = small_config(encoder=EncoderConfig(5, (), 4, init_seed=0))
         params = EncoderParams(weights=[np.zeros((5, 4))], biases=[np.zeros(4)])
-        result = mt.meta_gradient(params, stack_episodes([episode]), config, pseudo_rows(33))
-        bias_grad = result.grad[-4:]
-        np.testing.assert_array_equal(bias_grad, 0.0)
-        assert result.loss == pytest.approx(math.log(3), abs=0.3)
+        _, _, _, loss, grad = self.gradient(33, config, params)
+        np.testing.assert_array_equal(grad[-4:], 0.0)
+        assert loss == pytest.approx(math.log(3), abs=0.3)
 
     def test_deterministic_given_seed(self):
-        episode = random_episode(34)
         config = small_config()
-        params = init_params(config.encoder)
-        a = mt.meta_gradient(params, stack_episodes([episode]), config, pseudo_rows(34))
-        b = mt.meta_gradient(params, stack_episodes([episode]), config, pseudo_rows(34))
-        assert a.loss == b.loss
-        np.testing.assert_array_equal(a.grad, b.grad)
-        assert a.pseudo_digest == b.pseudo_digest
+        _, labels_a, drawn_a, loss_a, grad_a = self.gradient(34, config)
+        _, labels_b, drawn_b, loss_b, grad_b = self.gradient(34, config)
+        assert loss_a == loss_b
+        np.testing.assert_array_equal(grad_a, grad_b)
+        np.testing.assert_array_equal(labels_a, labels_b)
+        assert drawn_a.confusions.tobytes() == drawn_b.confusions.tobytes()
+        # the draw is the per-task pseudo-annotation of the same stream
+        expected, confusions = pseudo_annotate(random_episode(34).support_y, 3,
+                                               config.pseudo_dist, 3, stream(34, "pa", 0))
+        np.testing.assert_array_equal(labels_a, expected)
+        assert drawn_a.confusions[0].tobytes() == np.stack(confusions).tobytes()
 
     def test_clean_path_digest(self):
-        episode = random_episode(35)
-        config = small_config(pseudo_annotation=False)
-        params = init_params(config.encoder)
-        result = mt.meta_gradient(params, stack_episodes([episode]), config, None)
-        assert result.pseudo_digest == "clean"
+        train, _ = make_tasks()
+        config = small_config(pseudo_annotation=False, meta_batch=2)
+        episodes, labels, digests = mt.training_block([train], config, range(1, 4))
+        assert digests == ["clean"] * 3
+        np.testing.assert_array_equal(labels, episodes.support_y[..., None])
 
 
 class TestAdam:
@@ -548,17 +532,17 @@ class TestTrainingBlocks:
     def test_skipped_step_keeps_later_draws(self, monkeypatch):
         # a non-finite gradient at iteration 5, in the middle of a block of 3
         monkeypatch.setattr(mt, "TRAIN_BLOCK", 6)
-        gradient = mt.meta_gradient
+        gradient = mt.episode_loss_and_grad
         calls = []
 
         def poisoned(*args):
-            result = gradient(*args)
+            loss, grad = gradient(*args)
             calls.append(None)
             if len(calls) % 9 == 5:  # the 5th of each run's 9 iterations
-                result.grad = np.full_like(result.grad, np.nan)
-            return result
+                grad = np.full_like(grad, np.nan)
+            return loss, grad
 
-        monkeypatch.setattr(mt, "meta_gradient", poisoned)
+        monkeypatch.setattr(mt, "episode_loss_and_grad", poisoned)
         train, val = make_tasks()
         config = small_config(max_iterations=9, validation_interval=3, meta_batch=2)
         result = self.assert_same_run([train], val, config)

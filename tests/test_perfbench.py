@@ -5,10 +5,14 @@ a change to those calls fails here, in the test suite, instead of in a
 benchmark run.  Each round's outputs are pinned too.
 """
 
+import dataclasses
+import hashlib
 import os
 import sys
 
 import pytest
+
+from crowdmeta import metatrain
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -34,3 +38,43 @@ def test_one_round_without_failures(workload_class, tmp_path):
     assert rnd.failed == 0 and rnd.problems == []
     assert rnd.episodes > 0
     assert rnd.digest == ROUND_DIGESTS[workload_class]
+
+
+# The training log of ``train``'s configuration on seed 7919, as SHA-256 of
+# its rows ``f"{iteration}\t{loss:.17g}\t{pseudo_digest}\n"``, with and
+# without pseudo-annotation.  ``ROUND_DIGESTS`` pins the final parameters
+# alone; these pin every iteration's loss and pseudo-annotation digest.
+TRAINING_LOG_DIGESTS = {
+    True: "0e1c1fe055a0a82770a739b2015aab96077529e823d61f0ffa1f984430d345f8",
+    False: "e75352ab3da50eac7a1dbb2cb9c624cc7a566a8ee33656a2d71f5f8483f013a6",
+}
+
+
+@pytest.fixture(scope="module")
+def train_bench(tmp_path_factory):
+    return workload.Train(7919, str(tmp_path_factory.mktemp("train")))
+
+
+@pytest.mark.parametrize("pseudo_annotation", [True, False], ids=["pseudo", "ablation"])
+def test_training_log_pinned(train_bench, pseudo_annotation):
+    config = dataclasses.replace(train_bench.config, pseudo_annotation=pseudo_annotation)
+    result = metatrain.meta_train(train_bench.source, train_bench.val, config)
+    rows = "".join(f"{r.iteration}\t{r.loss:.17g}\t{r.pseudo_digest}\n" for r in result.log)
+    assert hashlib.sha256(rows.encode()).hexdigest() == TRAINING_LOG_DIGESTS[pseudo_annotation]
+
+
+def test_one_annotator_draw_per_block(train_bench, monkeypatch):
+    # 120 iterations of 4 episodes are 8 training blocks of at most 64
+    # episodes, and the one validation is one chunk of 25 episodes
+    calls = []
+    draw = metatrain.simulate_annotators
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return draw(*args)
+
+    monkeypatch.setattr(metatrain, "simulate_annotators", counting)
+    config = train_bench.config
+    assert (config.max_iterations, config.meta_batch, config.validation_interval) == (120, 4, 120)
+    metatrain.meta_train(train_bench.source, train_bench.val, config)
+    assert calls == [64] * 7 + [32, 25]
