@@ -138,7 +138,7 @@ def _test_episodes(setup: RunSetup, params: EncoderParams | None, shots: int,
     (:func:`~crowdmeta.metatrain.episode_chunks`), so that raw copies of one
     chunk at most are alive beside the embedded episodes.
     """
-    chunks = mt.episode_chunks([(setup.test_data, (shots, i)) for i in range(setup.eval_tasks)],
+    chunks = mt.episode_chunks(setup.test_data, [(shots, i) for i in range(setup.eval_tasks)],
                                setup.meta.ways, shots, setup.meta.query_per_class, seed,
                                "test-episode")
     return [chunk if params is None else mt.embed_episodes(params, chunk) for chunk in chunks]

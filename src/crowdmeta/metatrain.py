@@ -1,7 +1,7 @@
 """Episodic bi-level training loop.
 
 Each outer iteration takes a meta-batch of episodes from the source
-tasks, each support set pseudo-annotated by freshly drawn annotators,
+dataset, each support set pseudo-annotated by freshly drawn annotators,
 adapts the task-specific classifiers with the unrolled EM on the embedded
 supports, scores the clean query sets, and backpropagates the mean query
 loss through every EM step into the encoder parameters, which an Adam step
@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ from .annotators import (AnnotatorDistribution, SimulatedAnnotators, block_size,
                          simulate_annotators)
 from .encoder import EncoderConfig, EncoderParams, forward, init_params
 from .episodes import Episode, LabeledDataset, sample_episodes
-from .seeding import raw_streams, stream, uniforms
+from .seeding import raw_streams, uniforms
 
 logger = logging.getLogger("crowdmeta")
 
@@ -216,29 +216,18 @@ def mean_and_stderr(accuracies: Sequence[float]) -> tuple[float, float]:
 EVAL_CHUNK = 32  # tasks per stacked adaptation; keeps evaluation memory flat in the task count
 
 
-def episode_chunks(draws: Sequence[tuple[LabeledDataset, tuple[int, ...]]], ways: int,
-                   shots: int, query_per_class: int, master_seed: int, label: str,
-                   chunk: int = EVAL_CHUNK) -> Iterator[Episode]:
-    """Consecutive runs of at most ``chunk`` episodes, each stacked, drawn a chunk at a time.
+def episode_chunks(dataset: LabeledDataset, rows: Sequence[tuple[int, ...]], ways: int,
+                   shots: int, query_per_class: int, master_seed: int,
+                   label: str) -> Iterator[Episode]:
+    """Consecutive runs of at most :data:`EVAL_CHUNK` episodes of ``dataset``, each stacked.
 
-    Draw ``(dataset, row)`` is ``sample_episode(dataset, ways, shots,
-    query_per_class, stream(master_seed, label, *row))``.  A chunk's draws
-    from one dataset are decoded together by
-    :func:`~crowdmeta.episodes.sample_episodes`, then put back in draw order.
+    The episode of each row is ``sample_episode(dataset, ways, shots,
+    query_per_class, stream(master_seed, label, *row))``; each chunk is one
+    :func:`~crowdmeta.episodes.sample_episodes` call.
     """
-    for start in range(0, len(draws), chunk):
-        part = draws[start : start + chunk]
-        groups: dict[int, list[int]] = {}
-        for t, (dataset, _) in enumerate(part):
-            groups.setdefault(id(dataset), []).append(t)
-        pieces = [sample_episodes(part[group[0]][0], ways, shots, query_per_class, master_seed,
-                                  label, [part[t][1] for t in group]) for group in groups.values()]
-        if len(pieces) == 1:
-            yield pieces[0]
-        else:
-            back = np.argsort(np.concatenate(list(groups.values())))  # dataset to draw order
-            yield Episode(*(np.concatenate([getattr(piece, f.name) for piece in pieces])[back]
-                            for f in fields(Episode)))
+    for start in range(0, len(rows), EVAL_CHUNK):
+        yield sample_episodes(dataset, ways, shots, query_per_class, master_seed, label,
+                              rows[start : start + EVAL_CHUNK])
 
 
 def embed_episodes(params: EncoderParams, episodes: Episode) -> Episode:
@@ -394,10 +383,9 @@ def _validation_accuracy(
     ).mean
 
 
-def _validation_episodes(val_tasks: Sequence[LabeledDataset], config: MetaConfig) -> list[Episode]:
-    draws = [(task, (ti, j)) for ti, task in enumerate(val_tasks)
-             for j in range(config.val_episodes_per_task)]
-    return list(episode_chunks(draws, config.ways, config.shots, config.query_per_class,
+def _validation_episodes(val: LabeledDataset, config: MetaConfig) -> list[Episode]:
+    rows = [(0, j) for j in range(config.val_episodes_per_task)]
+    return list(episode_chunks(val, rows, config.ways, config.shots, config.query_per_class,
                                config.master_seed, "val-episode"))
 
 
@@ -406,31 +394,25 @@ def _validation_episodes(val_tasks: Sequence[LabeledDataset], config: MetaConfig
 TRAIN_BLOCK = 64
 
 
-def training_block(source_tasks: Sequence[LabeledDataset], config: MetaConfig,
+def training_block(source: LabeledDataset, config: MetaConfig,
                    iterations: range) -> tuple[Episode, np.ndarray, list[str]]:
     """The episodes, support labels and pseudo digests of the meta-batches of ``iterations``.
 
     Row ``(i - iterations.start) · meta_batch + b`` holds episode b of
-    iteration i, ``sample_episode(task, ..., stream(master_seed, "episode",
-    i, b))`` from the source task that ``stream(master_seed, "task-choice",
-    i, b).integers(len(source_tasks))`` picks (a choice among one task
-    draws nothing), and its ``(N, R)`` support labels, from annotators
+    iteration i, ``sample_episode(source, ..., stream(master_seed,
+    "episode", i, b))``, and its ``(N, R)`` support labels, from annotators
     drawn with ``stream(master_seed, "pseudo-annotate", i, b)``
     (:func:`_draw_annotators`).  Each iteration's digest is the first 12
     hex digits of the SHA-256 of its last episode's confusions.  Without
     pseudo-annotation each support keeps its clean labels, no such stream
     is derived, and every digest is ``"clean"``.  The episodes and
-    annotators are decoded from the streams' raw output, the episodes as
-    one chunk (:func:`episode_chunks`), the annotators in one pass.
+    annotators are decoded from the streams' raw output, the episodes in
+    one :func:`~crowdmeta.episodes.sample_episodes` call, the annotators
+    in one pass.
     """
     rows = [(i, b) for i in iterations for b in range(config.meta_batch)]
-    tasks = [source_tasks[0]] * len(rows)
-    if len(source_tasks) > 1:
-        tasks = [source_tasks[int(stream(config.master_seed, "task-choice", *row)
-                                  .integers(len(source_tasks)))] for row in rows]
-    episodes = next(episode_chunks(list(zip(tasks, rows)), config.ways, config.shots,
-                                   config.query_per_class, config.master_seed, "episode",
-                                   chunk=len(rows)))
+    episodes = sample_episodes(source, config.ways, config.shots, config.query_per_class,
+                               config.master_seed, "episode", rows)
     dist = config.pseudo_dist if config.pseudo_annotation else None
     labels, drawn = _draw_annotators(episodes.support_y, dist, config.num_annotators,
                                      episodes.num_classes, config.master_seed,
@@ -446,22 +428,25 @@ def meta_train(
     val_tasks: Sequence[LabeledDataset],
     config: MetaConfig,
 ) -> MetaTrainResult:
-    """Run the outer loop with validation-based early stopping.
+    """Run the outer loop on one source dataset, with early stopping on one validation dataset.
 
-    Validation episodes and their simulated annotators are fixed once from
-    the master seed, so successive validation scores are comparable and
-    the whole run is reproducible.  The training inputs, episodes and
-    pseudo-annotated support labels, are drawn a block of up to
-    :data:`TRAIN_BLOCK` episodes at a time (:func:`training_block`), whole
-    meta-batches of consecutive iterations, in the first iteration of the
-    block; each iteration slices its meta-batch and takes one
-    :func:`episode_loss_and_grad` pass over it.
+    ``source_tasks`` and ``val_tasks`` each hold exactly one dataset; the
+    tasks are the episodes drawn from its classes.  Validation episodes and
+    their simulated annotators are fixed once from the master seed, so
+    successive validation scores are comparable and the whole run is
+    reproducible.  The training inputs, episodes and pseudo-annotated
+    support labels, are drawn a block of up to :data:`TRAIN_BLOCK` episodes
+    at a time (:func:`training_block`), whole meta-batches of consecutive
+    iterations, in the first iteration of the block; each iteration slices
+    its meta-batch and takes one :func:`episode_loss_and_grad` pass over it.
     """
-    if not source_tasks:
-        raise ValueError("at least one source task is required")
+    if len(source_tasks) != 1 or len(val_tasks) != 1:
+        raise ValueError(f"meta_train needs exactly one source and one validation dataset "
+                         f"(got {len(source_tasks)} source and {len(val_tasks)} validation)")
+    (source,), (val,) = source_tasks, val_tasks
     params = init_params(config.encoder)
     state = TrainState.from_params(params)
-    val_episodes = _validation_episodes(val_tasks, config)
+    val_episodes = _validation_episodes(val, config)
 
     log: list[TrainingLogRow] = []
     val_history: list[tuple[int, float]] = []
@@ -477,7 +462,7 @@ def meta_train(
         at = (iteration - 1) % per_block * batch
         if at == 0:
             episodes, labels, digests = training_block(
-                source_tasks, config,
+                source, config,
                 range(iteration, min(iteration + per_block, config.max_iterations + 1)))
         part = slice(at, at + batch)
         loss, grad = episode_loss_and_grad(params, episodes.support_x[part], labels[part],
@@ -492,7 +477,7 @@ def meta_train(
         log.append(TrainingLogRow(iteration, loss, (time.perf_counter() - tic) * 1e3,
                                   digests[at // batch]))
 
-        if val_episodes and iteration % config.validation_interval == 0:
+        if iteration % config.validation_interval == 0:
             current = EncoderParams.unflatten(config.encoder, state.theta)
             val_score = _validation_accuracy(current, val_episodes, config)
             val_history.append((iteration, val_score))

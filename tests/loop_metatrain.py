@@ -24,16 +24,12 @@ from crowdmeta import metatrain as mt
 from crowdmeta.encoder import EncoderParams, init_params
 
 
-def meta_batch(source_tasks, config, iteration):
+def meta_batch(source, config, iteration):
     """Iteration ``iteration``'s stacked episodes, their (B, N, R) support labels and its digest."""
     episodes, labels, digest = [], [], "clean"
     for b in range(config.meta_batch):
-        task = source_tasks[0]
-        if len(source_tasks) > 1:
-            choice = loop_seeding.stream(config.master_seed, "task-choice", iteration, b)
-            task = source_tasks[int(choice.integers(len(source_tasks)))]
         episode = loop_episodes.sample_episode(
-            task, config.ways, config.shots, config.query_per_class,
+            source, config.ways, config.shots, config.query_per_class,
             loop_seeding.stream(config.master_seed, "episode", iteration, b))
         episodes.append(episode)
         if not config.pseudo_annotation:
@@ -47,15 +43,16 @@ def meta_batch(source_tasks, config, iteration):
     return loop_episodes.stack_episodes(episodes), np.stack(labels), digest
 
 
-def meta_train(source_tasks, val_tasks, config):
+def meta_train(source, val, config):
+    """``mt.meta_train([source], [val], config)``, drawn an iteration at a time."""
     params = init_params(config.encoder)
     state = mt.TrainState.from_params(params)
-    val_episodes = mt._validation_episodes(val_tasks, config)
+    val_episodes = mt._validation_episodes(val, config)
     log, val_history = [], []
     bad_validations, stopped_early, iterations_run = 0, False, 0
     for iteration in range(1, config.max_iterations + 1):
         params = EncoderParams.unflatten(config.encoder, state.theta)
-        episodes, labels, digest = meta_batch(source_tasks, config, iteration)
+        episodes, labels, digest = meta_batch(source, config, iteration)
         loss, grad = mt.episode_loss_and_grad(params, episodes.support_x, labels,
                                               episodes.num_classes, episodes.query_x,
                                               episodes.query_y, config.hyper)
@@ -66,7 +63,7 @@ def meta_train(source_tasks, val_tasks, config):
             continue
         iterations_run = iteration
         log.append(mt.TrainingLogRow(iteration, loss, 0.0, digest))
-        if val_episodes and iteration % config.validation_interval == 0:
+        if iteration % config.validation_interval == 0:
             current = EncoderParams.unflatten(config.encoder, state.theta)
             val_score = mt._validation_accuracy(current, val_episodes, config)
             val_history.append((iteration, val_score))

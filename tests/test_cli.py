@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 from collections import Counter
 
 import numpy as np
@@ -588,3 +589,45 @@ class TestVerifyCommand:
         # one M step leaves nothing to compare: the check used to pass with delta inf
         with pytest.raises(ValueError, match="em_steps must be >= 2"):
             check_em_monotone(num_tasks=1, em_steps=em_steps)
+
+
+def test_each_stream_label_takes_one_index_count(config_path, tmp_path, monkeypatch):
+    # stream(m, label) and stream(m, label, 0) are one generator for master
+    # seeds below 2**32, so no label may be used with two index counts
+    from crowdmeta import config, episodes, verify
+    counts = {}
+
+    def wrap(module, name, index_count):
+        original = getattr(module, name)
+
+        def recording(master_seed, label, *args):
+            counts.setdefault(label, set()).add(index_count(args))
+            return original(master_seed, label, *args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    for module in (config, episodes, verify):
+        wrap(module, "stream", len)
+    for module in (episodes, mt):
+        wrap(module, "raw_streams", lambda args: np.asarray(args[0]).shape[1])
+    trained = str(tmp_path / "trained")
+    assert main(["meta-train", "--config", config_path, "--out", trained]) == 0
+    assert main(["evaluate", "--checkpoint", os.path.join(trained, "checkpoint.bin"),
+                 "--config", config_path, "--out", str(tmp_path / "eval")]) == 0
+    assert main(["baseline", "--method", "ds", "--config", config_path,
+                 "--out", str(tmp_path / "ds")]) == 0
+    assert {"episode", "pseudo-annotate", "val-episode", "test-episode"} <= set(counts)
+    assert {label: n for label, n in counts.items() if len(n) > 1} == {}
+
+
+def test_readme_commands_parse():
+    text = open(README, encoding="utf-8").read()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    handlers = {"meta-train": cli.cmd_meta_train, "evaluate": cli.cmd_evaluate,
+                "baseline": cli.cmd_baseline, "verify": cli.cmd_verify}
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("crowdmeta ")]
+    assert len(lines) == 7
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert cli.build_parser().parse_args(argv).func is handlers[argv[0]], line

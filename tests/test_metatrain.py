@@ -281,7 +281,7 @@ class TestMetaGradient:
     def test_clean_path_digest(self):
         train, _ = make_tasks()
         config = small_config(pseudo_annotation=False, meta_batch=2)
-        episodes, labels, digests = mt.training_block([train], config, range(1, 4))
+        episodes, labels, digests = mt.training_block(train, config, range(1, 4))
         assert digests == ["clean"] * 3
         np.testing.assert_array_equal(labels, episodes.support_y[..., None])
 
@@ -417,71 +417,56 @@ class TestMetaTrain:
         ]
         assert a.val_history == b.val_history
 
-    @pytest.mark.parametrize("num_sources", [1, 2])
-    def test_oracles_give_identical_theta(self, num_sources, monkeypatch):
+    def test_oracles_give_identical_theta(self, monkeypatch):
         # every draw of the loop against the loop forms of episode sampling,
         # stream derivation and annotator simulation
         train, val = make_tasks()
-        sources = [train, generate_synthetic(6, 5, 0.4, 30, seed=102)][:num_sources]
         config = small_config(max_iterations=20, validation_interval=10, meta_batch=2,
                               patience=1000, val_dist=EHS(0.3, 0.4, 0.3))
-        fast = mt.meta_train(sources, [val], config)
+        fast = mt.meta_train([train], [val], config)
         monkeypatch.setattr(mt, "sample_episodes", loop_episodes.sample_episodes)
-        monkeypatch.setattr(mt, "stream", loop_seeding.stream)
         monkeypatch.setattr(mt, "raw_streams", loop_seeding.raw_streams)
         monkeypatch.setattr(mt, "simulate_annotators", loop_annotators.simulate_block)
-        slow = mt.meta_train(sources, [val], config)
+        slow = mt.meta_train([train], [val], config)
         assert fast.final_params.flatten().tobytes() == slow.final_params.flatten().tobytes()
         assert [(r.loss, r.pseudo_digest) for r in fast.log] == [
             (r.loss, r.pseudo_digest) for r in slow.log
         ]
         assert fast.val_history == slow.val_history and len(fast.val_history) == 2
 
-    def test_validation_chunks_run_across_tasks(self):
-        # 3 tasks of 20 episodes are chunks of 32 and 28 consecutive episodes,
-        # the first drawn from two datasets
+    def test_validation_chunks_of_one_dataset(self):
+        # 60 validation episodes are chunks of 32 and 28 consecutive episodes,
+        # episode j drawn from the stream of row (0, j)
         _, val = make_tasks()
-        tasks = [val, generate_synthetic(6, 5, 0.4, 30, seed=103), val]
-        config = small_config(val_episodes_per_task=20)
-        chunks = mt._validation_episodes(tasks, config)
+        config = small_config(val_episodes_per_task=60)
+        chunks = mt._validation_episodes(val, config)
         expected = [loop_episodes.sample_episode(
-            task, config.ways, config.shots, config.query_per_class,
-            stream(config.master_seed, "val-episode", ti, j))
-            for ti, task in enumerate(tasks) for j in range(20)]
+            val, config.ways, config.shots, config.query_per_class,
+            stream(config.master_seed, "val-episode", 0, j)) for j in range(60)]
         assert [len(chunk.support_y) for chunk in chunks] == [32, 28]
         for chunk, start in zip(chunks, (0, 32)):
             stacked = stack_episodes(expected[start : start + 32])
             for name in ("class_ids", "support_x", "support_y", "query_x", "query_y"):
                 assert getattr(chunk, name).tobytes() == getattr(stacked, name).tobytes()
 
-    def test_task_choice_stream_picks_the_source(self, monkeypatch):
-        # with two or more source tasks, episode b of iteration i comes from
-        # the task its "task-choice" stream draws
-        train, _ = make_tasks()
-        sources = [train, generate_synthetic(6, 5, 0.4, 30, seed=102)]
-        config = small_config(max_iterations=6, meta_batch=3)
-        picked = {}
-        decode = mt.sample_episodes
+    @pytest.mark.parametrize("sources, vals", [(0, 1), (2, 1), (1, 0), (1, 2)])
+    def test_needs_one_source_and_one_validation_dataset(self, sources, vals, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("an episode was drawn before the dataset counts were checked")
 
-        def recording(task, *args):
-            for row in args[-1]:
-                picked[tuple(row)] = next(i for i, t in enumerate(sources) if t is task)
-            return decode(task, *args)
-
-        monkeypatch.setattr(mt, "sample_episodes", recording)
-        mt.meta_train(sources, [], config)
-        expected = {(i, b): int(stream(config.master_seed, "task-choice", i, b).integers(2))
-                    for i in range(1, 7) for b in range(3)}
-        assert picked == expected and len(set(expected.values())) == 2
+        monkeypatch.setattr(mt, "sample_episodes", no_draw)
+        train, val = make_tasks()
+        with pytest.raises(ValueError, match=rf"\(got {sources} source and {vals} validation\)"):
+            mt.meta_train([train] * sources, [val] * vals, small_config())
 
 
 class TestTrainingBlocks:
     """The block-at-a-time draws against the per-iteration loop of ``loop_metatrain``."""
 
     @staticmethod
-    def assert_same_run(sources, val, config):
-        fast = mt.meta_train(sources, [val], config)
-        slow = loop_metatrain.meta_train(sources, [val], config)
+    def assert_same_run(train, val, config):
+        fast = mt.meta_train([train], [val], config)
+        slow = loop_metatrain.meta_train(train, val, config)
         for got, expected in [(fast.final_params, slow.final_params), (fast.params, slow.params)]:
             assert got.flatten().tobytes() == expected.flatten().tobytes()
         assert [(r.iteration, r.loss.hex(), r.pseudo_digest) for r in fast.log] == [
@@ -497,9 +482,9 @@ class TestTrainingBlocks:
         drawn = []
         draw = mt.training_block
 
-        def recording(sources, config, iterations):
+        def recording(source, config, iterations):
             drawn.append(list(iterations))
-            return draw(sources, config, iterations)
+            return draw(source, config, iterations)
 
         monkeypatch.setattr(mt, "training_block", recording)
         return drawn
@@ -516,7 +501,7 @@ class TestTrainingBlocks:
         train, val = make_tasks()
         config = small_config(max_iterations=iterations, validation_interval=5, patience=1000,
                               meta_batch=meta_batch)
-        self.assert_same_run([train], val, config)
+        self.assert_same_run(train, val, config)
         assert [len(b) for b in blocks] == sizes
         assert [i for b in blocks for i in b] == list(range(1, iterations + 1))
 
@@ -525,7 +510,7 @@ class TestTrainingBlocks:
         train, val = make_tasks()
         config = small_config(max_iterations=2000, validation_interval=5, patience=2,
                               learning_rate=1e-15, meta_batch=2)  # stops at iteration 15
-        result = self.assert_same_run([train], val, config)
+        result = self.assert_same_run(train, val, config)
         assert result.stopped_early and result.iterations_run == 15
         assert blocks[-1] == [13, 14, 15, 16]  # one block drawn, and one iteration unused
 
@@ -545,7 +530,7 @@ class TestTrainingBlocks:
         monkeypatch.setattr(mt, "episode_loss_and_grad", poisoned)
         train, val = make_tasks()
         config = small_config(max_iterations=9, validation_interval=3, meta_batch=2)
-        result = self.assert_same_run([train], val, config)
+        result = self.assert_same_run(train, val, config)
         assert [r.iteration for r in result.log if r.pseudo_digest.startswith("skipped")] == [5]
         assert len(result.log) == 9
 
@@ -561,23 +546,9 @@ class TestTrainingBlocks:
         train, val = make_tasks()
         config = small_config(max_iterations=12, validation_interval=6,
                               pseudo_annotation=False, meta_batch=2)
-        result = self.assert_same_run([train], val, config)
+        result = self.assert_same_run(train, val, config)
         assert all(r.pseudo_digest == "clean" for r in result.log)
         assert "pseudo-annotate" not in labels
-
-    def test_sources_put_back_in_draw_order(self, monkeypatch, blocks):
-        # three sources: each block decodes its episodes grouped by the chosen task
-        monkeypatch.setattr(mt, "TRAIN_BLOCK", 6)
-        train, val = make_tasks()
-        sources = [train, generate_synthetic(6, 5, 0.4, 30, seed=102),
-                   generate_synthetic(7, 5, 0.4, 30, seed=104)]
-        config = small_config(max_iterations=8, validation_interval=4, meta_batch=2)
-        choices = {int(stream(config.master_seed, "task-choice", i, b).integers(3))
-                   for i in range(1, 4) for b in range(2)}
-        assert choices == {0, 1, 2}  # the first block draws from every source
-        self.assert_same_run(sources, val, config)
-        assert [len(b) for b in blocks] == [3, 3, 2]
-
 
 class TestEvaluate:
     def test_perfect_annotators_easy_clusters(self):

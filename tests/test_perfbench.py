@@ -30,6 +30,11 @@ ROUND_DIGESTS = {
 }
 
 
+# SHA-256 of the ``annotator_audit.jsonl`` that ``eval-grid``'s round writes
+# beside its ``metrics.json`` on seed 7919: 9 cells of 200 tasks, one line each.
+AUDIT_DIGEST = "9113d8615f79fffa23b5fe7e874cabbbcaad8ab1818765d87ccc1b99b1cdd25f"
+
+
 @pytest.mark.parametrize("workload_class", list(ROUND_DIGESTS),
                          ids=["train", "eval-grid", "crowd"])
 def test_one_round_without_failures(workload_class, tmp_path):
@@ -38,6 +43,11 @@ def test_one_round_without_failures(workload_class, tmp_path):
     assert rnd.failed == 0 and rnd.problems == []
     assert rnd.episodes > 0
     assert rnd.digest == ROUND_DIGESTS[workload_class]
+    if workload_class is workload.EvalGrid:
+        with open(os.path.join(bench.out, "annotator_audit.jsonl"), "rb") as fh:
+            audit = fh.read()
+        assert audit.count(b"\n") == 1800
+        assert hashlib.sha256(audit).hexdigest() == AUDIT_DIGEST
 
 
 # The training log of ``train``'s configuration on seed 7919, as SHA-256 of
