@@ -227,17 +227,21 @@ def _run_grid(args, fit: mt.Fit) -> tuple[dict, Iterator[tuple[dict, mt.EvalResu
 def cmd_evaluate(args) -> int:
     values, scored = _run_grid(args, mt.fit_em)
     cells, audit = [], []
+    kind_prefixes = ['{"kind":' + json.dumps(kind.value) for kind in KINDS]
     for cell, result in scored:
         cells.append(cell)
-        # compact lines run json's C encoder, which indent turns off; strings
-        # also hold the grid's audit in less memory than dicts would
-        key = {k: cell[k] for k in ("shots", "annotators", "dist")}
+        # each line is the compact, key-sorted json.dumps of the task's dict,
+        # written by hand: the cell's part is encoded once, q is repr(q) as
+        # json writes floats, and a spammer's NaN q has no key; strings also
+        # hold the grid's audit in less memory than dicts would
+        head = json.dumps({k: cell[k] for k in ("annotators", "dist")},
+                          sort_keys=True, separators=(",", ":"))[:-1] + ',"profiles":['
+        tail = f'],"shots":{cell["shots"]:d},"task":'
         for i, (codes, accuracies) in enumerate(zip(result.annotator_kinds.tolist(),
                                                     result.annotator_q.tolist())):
-            profiles = [{"kind": KINDS[c].value} | ({} if math.isnan(q) else {"q": q})
-                        for c, q in zip(codes, accuracies)]
-            audit.append(json.dumps(key | {"task": i, "profiles": profiles},
-                                    sort_keys=True, separators=(",", ":")))
+            profiles = ",".join([kind_prefixes[c] + ("}" if math.isnan(q) else f',"q":{q!r}}}')
+                                 for c, q in zip(codes, accuracies)])
+            audit.append(f"{head}{profiles}{tail}{i}}}")
         del result  # free these arrays before the next cell draws its own: peak memory
 
     os.makedirs(args.out, exist_ok=True)

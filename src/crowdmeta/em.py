@@ -251,16 +251,19 @@ def annotation_log_likelihood(
     confusions = np.asarray(confusions, dtype=np.float64)
     if confusions.shape != shape[:-3] + (r, k, k):
         raise ValueError("one (K, K) confusion matrix per annotator required")
-    with np.errstate(divide="ignore"):
+    if confusions.min(initial=np.inf) > 0.0:  # every log finite: no check needed
         log_alpha = np.log(confusions)
-    if not np.isfinite(log_alpha).all():
-        zero = confusions == 0.0
-        if np.any(zero & support.onehot.any(axis=-3)[..., None]):
-            raise ValueError(
-                "zero confusion entry hit by an observed label; "
-                "annotation likelihood requires strictly positive entries"
-            )
-        log_alpha[zero] = 0.0  # never selected: keeps 0 * log 0 out of the product
+    else:  # zero, negative or NaN entries
+        with np.errstate(divide="ignore"):
+            log_alpha = np.log(confusions)
+        if not np.isfinite(log_alpha).all():
+            zero = confusions == 0.0
+            if np.any(zero & support.onehot.any(axis=-3)[..., None]):
+                raise ValueError(
+                    "zero confusion entry hit by an observed label; "
+                    "annotation likelihood requires strictly positive entries"
+                )
+            log_alpha[zero] = 0.0  # never selected: keeps 0 * log 0 out of the product
     labels = support.onehot.reshape(shape[:-2] + (r * k,))
     return labels @ log_alpha.reshape(shape[:-3] + (r * k, k))
 
@@ -473,6 +476,19 @@ def adapt(support: SupportSet, hyper: PriorHyperparams) -> AdaptedClassifier:
     )
 
 
+def _query_scores(u: np.ndarray, classifier: AdaptedClassifier) -> tuple[np.ndarray, bool]:
+    """Class log scores of ``u``, a single ``(M,)`` vector scored as a batch of one.
+
+    Also returns whether ``u`` was such a vector."""
+    u = np.asarray(u, dtype=np.float64)
+    dim = classifier.prototypes.shape[-1]
+    if u.shape[-1] != dim:
+        raise ValueError(f"embedding dimension {u.shape[-1]} does not match prototypes ({dim})")
+    single = u.ndim == 1
+    return class_log_scores(u[None, :] if single else u, classifier.prototypes,
+                            classifier.class_prior), single
+
+
 def predict_log_probs(u: np.ndarray, classifier: AdaptedClassifier) -> np.ndarray:
     """Log class probabilities for new embeddings.
 
@@ -481,18 +497,17 @@ def predict_log_probs(u: np.ndarray, classifier: AdaptedClassifier) -> np.ndarra
     adapted on B stacked episodes takes ``(B, n, M)`` embeddings and
     returns ``(B, n, K)``.
     """
-    u = np.asarray(u, dtype=np.float64)
-    dim = classifier.prototypes.shape[-1]
-    if u.shape[-1] != dim:
-        raise ValueError(f"embedding dimension {u.shape[-1]} does not match prototypes ({dim})")
-    single = u.ndim == 1
-    scores = class_log_scores(u[None, :] if single else u, classifier.prototypes,
-                              classifier.class_prior)
+    scores, single = _query_scores(u, classifier)
     log_probs = scores - logsumexp(scores, axis=-1, keepdims=True)
     return log_probs[..., 0, :] if single else log_probs
 
 
 def predict_labels(u: np.ndarray, classifier: AdaptedClassifier) -> np.ndarray:
-    """Argmax prediction; ties resolve to the lowest class index."""
-    log_probs = predict_log_probs(u, classifier)
-    return np.argmax(log_probs, axis=-1)
+    """Argmax of the class scores; ties resolve to the lowest class index.
+
+    Normalizing a row shifts all its scores alike, so this is the argmax of
+    :func:`predict_log_probs` up to a rounding tie, without the normalizing.
+    """
+    scores, single = _query_scores(u, classifier)
+    labels = np.argmax(scores, axis=-1)
+    return labels[..., 0] if single else labels

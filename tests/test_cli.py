@@ -333,6 +333,30 @@ class TestEvaluateCommand:
             assert [line["task"] for line in tasks] == list(range(6))
             assert all(len(line["profiles"]) == cell["annotators"] for line in tasks)
 
+    @staticmethod
+    def expected_audit(config_path, annotators, dists):
+        """The audit lines of a grid of one shots value, by json.dumps of each task's dict."""
+        setup = build_run_setup(load_config(config_path))
+        shots = setup.meta.shots
+        lines = []
+        for dist in dists or [setup.eval_dist]:
+            key = {"shots": shots, "annotators": annotators, "dist": dist.to_dict()}
+            for i in range(setup.eval_tasks):
+                label = cli._annotator_stream(shots, annotators, dist)
+                rng = stream(setup.meta.master_seed, label, i)
+                profiles, _ = loop_annotators.sample_annotator_pool(dist, annotators,
+                                                                    setup.meta.ways, rng)
+                dicts = [{"kind": p.kind.value} | ({} if p.q is None else {"q": p.q})
+                         for p in profiles]
+                lines.append(json.dumps(key | {"task": i, "profiles": dicts},
+                                        sort_keys=True, separators=(",", ":")) + "\n")
+        return lines
+
+    @staticmethod
+    def audit(out):
+        with open(os.path.join(out, "annotator_audit.jsonl"), encoding="utf-8") as fh:
+            return fh.readlines()
+
     def test_audit_lines_are_the_drawn_profiles(self, config_path, checkpoint, tmp_path):
         # each line, byte for byte, as written from the profiles that one
         # pool per task draws on the cell's stream
@@ -340,20 +364,29 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,
                      "--out", out, "--shots", "2", "--annotators", "4",
                      "--spammer-ratio", "0,0.5"]) == 0
-        setup = build_run_setup(load_config(config_path))
-        expected = []
-        for ratio in (0.0, 0.5):
-            dist = AnnotatorDistribution.expert_hammer_spammer(0.1, 0.9 - ratio, ratio)
-            key = {"shots": 2, "annotators": 4, "dist": dist.to_dict()}
-            for i in range(6):
-                rng = stream(3, cli._annotator_stream(2, 4, dist), i)
-                profiles, _ = loop_annotators.sample_annotator_pool(dist, 4, setup.meta.ways, rng)
-                dicts = [{"kind": p.kind.value} | ({} if p.q is None else {"q": p.q})
-                         for p in profiles]
-                expected.append(json.dumps(key | {"task": i, "profiles": dicts},
-                                           sort_keys=True, separators=(",", ":")) + "\n")
-        with open(os.path.join(out, "annotator_audit.jsonl"), encoding="utf-8") as fh:
-            assert fh.readlines() == expected
+        dists = [AnnotatorDistribution.expert_hammer_spammer(0.1, 0.9 - ratio, ratio)
+                 for ratio in (0.0, 0.5)]
+        assert self.audit(out) == self.expected_audit(config_path, 4, dists)
+
+    @pytest.mark.parametrize("flags, annotators, weights", [
+        (["--annotators", "4", "--dist", "0:0:1"], 4, (0.0, 0.0, 1.0)),
+        (["--annotators", "4", "--dist", "1:0:0"], 4, (1.0, 0.0, 0.0)),
+        (["--annotators", "1"], 1, None),
+    ], ids=["spammers-only", "experts-only", "one-annotator"])
+    def test_audit_lines_at_the_grid_edges(self, config_path, checkpoint, tmp_path,
+                                           flags, annotators, weights):
+        out = str(tmp_path / "audit")
+        assert main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,
+                     "--out", out, *flags]) == 0
+        dists = weights and [AnnotatorDistribution.expert_hammer_spammer(*weights)]
+        lines = self.audit(out)
+        assert lines == self.expected_audit(config_path, annotators, dists)
+        profiles = [p for line in lines for p in json.loads(line)["profiles"]]
+        assert len(profiles) == 6 * annotators
+        if weights == (0.0, 0.0, 1.0):
+            assert all(p == {"kind": "spammer"} for p in profiles)
+        elif weights == (1.0, 0.0, 0.0):
+            assert all(p["kind"] == "expert" and 0.8 < p["q"] <= 1.0 for p in profiles)
 
     def test_single_cell_default(self, config_path, checkpoint, tmp_path):
         out = str(tmp_path / "eval1")

@@ -212,6 +212,65 @@ class TestAnnotationLikelihood:
             em.annotation_log_likelihood(support, [np.eye(2)])
 
 
+class TestZeroCheckPaths:
+    """Confusions that are not strictly positive skip the fast path.
+
+    pyproject turns every RuntimeWarning into an error, so a case that
+    returns also warned of nothing.
+    """
+
+    # label 0 from annotator 0, label 1 from annotator 1: row 2 of each
+    # annotator's matrix is selected by no label
+    ANNOTATIONS = [{0: 0, 1: 1}, {0: 0}]
+    ALPHA = np.full((2, 3, 3), 1.0 / 3.0)
+
+    def likelihood(self, confusions):
+        support = make_support(np.zeros((2, 2)), self.ANNOTATIONS, 3, 2)
+        return support, em.annotation_log_likelihood(support, confusions)
+
+    def test_runtime_warnings_are_errors(self):
+        with pytest.raises(RuntimeWarning):
+            np.log(np.zeros(1))
+
+    def test_hit_zero_raises(self):
+        confusions = self.ALPHA.copy()
+        confusions[1, 1, 2] = 0.0
+        with pytest.raises(ValueError, match="zero confusion entry hit by an observed label"):
+            self.likelihood(confusions)
+
+    def test_unhit_zero_is_finite(self):
+        confusions = self.ALPHA.copy()
+        confusions[:, 2, :] = [0.0, 0.0, 1.0]
+        _, log_a = self.likelihood(confusions)
+        np.testing.assert_array_equal(log_a, self.likelihood(self.ALPHA)[1])
+
+    @pytest.mark.parametrize("zero", [None, (0, 2, 1)], ids=["nan", "nan-and-unhit-zero"])
+    def test_nan_propagates_as_the_product_does(self, zero):
+        # the selected row (0, 0) holds the NaN; unhit zeros contribute 0
+        confusions = self.ALPHA.copy()
+        confusions[0, 0, 1] = np.nan
+        log_alpha = np.log(self.ALPHA)
+        log_alpha[0, 0, 1] = np.nan
+        if zero is not None:
+            confusions[zero] = 0.0
+        support, log_a = self.likelihood(confusions)
+        np.testing.assert_array_equal(log_a, support.onehot.reshape(2, 6) @ log_alpha.reshape(6, 3))
+        assert np.isnan(log_a[:, 1]).all() and np.isfinite(log_a[:, [0, 2]]).all()
+
+    def test_nan_with_hit_zero_raises(self):
+        confusions = self.ALPHA.copy()
+        confusions[0, 0, 1] = np.nan
+        confusions[1, 1, 0] = 0.0
+        with pytest.raises(ValueError, match="zero confusion entry hit by an observed label"):
+            self.likelihood(confusions)
+
+    def test_negative_entry_warns(self):
+        confusions = self.ALPHA.copy()
+        confusions[0, 2, 2] = -0.5
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            self.likelihood(confusions)
+
+
 class TestDenseMatchesLoops:
     """The one-hot tensor products against the per-annotator loops of ``loop_em``."""
 
@@ -732,6 +791,34 @@ class TestPredict:
     def test_tie_breaks_to_lowest_index(self):
         classifier = self.build([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5])
         assert em.predict_labels(np.zeros(2), classifier) == 0
+
+    def test_labels_are_the_argmax_of_the_log_probs(self):
+        rng = stream(13, "predict-argmax")
+        classifier = self.build(rng.standard_normal((4, 5, 3)), rng.dirichlet(np.ones(5), size=4))
+        queries = 2.0 * rng.standard_normal((4, 50, 3))
+        log_probs = em.predict_log_probs(queries, classifier)
+        labels = em.predict_labels(queries, classifier)
+        assert labels.shape == (4, 50)
+        top = np.sort(log_probs, axis=-1)
+        unique = top[..., -1] > top[..., -2]
+        assert unique.mean() > 0.9
+        np.testing.assert_array_equal(labels[unique], np.argmax(log_probs, axis=-1)[unique])
+
+    def test_single_vector_gives_a_0d_label(self):
+        classifier = self.build([[1.0, 0.0], [-1.0, 2.0]], [0.3, 0.7])
+        label = em.predict_labels(np.array([-1.0, 1.5]), classifier)
+        assert np.ndim(label) == 0 and label == 1
+
+    def test_stacked_tie_breaks_to_lowest_index(self):
+        # every query is equidistant from the two classes it ties between
+        classifier = self.build([[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+                                 [[5.0, 5.0], [0.0, 1.0], [0.0, -1.0]]],
+                                [[0.25, 0.25, 0.5], [0.2, 0.4, 0.4]])
+        queries = np.array([[[0.0, -3.0], [0.0, -1.0]], [[3.0, 0.0], [-2.0, 0.0]]])
+        scores = em.class_log_scores(queries, classifier.prototypes, classifier.class_prior)
+        np.testing.assert_array_equal(scores[0, :, 0], scores[0, :, 1])
+        np.testing.assert_array_equal(scores[1, :, 1], scores[1, :, 2])
+        np.testing.assert_array_equal(em.predict_labels(queries, classifier), [[0, 0], [1, 1]])
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from crowdmeta import metatrain
+from crowdmeta import cli, metatrain
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -88,3 +88,20 @@ def test_one_annotator_draw_per_block(train_bench, monkeypatch):
     assert (config.max_iterations, config.meta_batch, config.validation_interval) == (120, 4, 120)
     metatrain.meta_train(train_bench.source, train_bench.val, config)
     assert calls == [64] * 7 + [32, 25]
+
+
+def test_audit_encodes_per_cell_not_per_task(tmp_path, monkeypatch):
+    # 9 cells of 200 tasks: at most one json.dumps per cell, plus a few per
+    # invocation (metrics.json's two and the annotator kinds), none per task
+    bench = workload.EvalGrid(7919, str(tmp_path))
+    calls = []
+    dumps = cli.json.dumps
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", counting)
+    rnd = bench.round(workload.Timer(None, workload.HostSpeed()))
+    assert rnd.failed == 0 and rnd.digest == ROUND_DIGESTS[workload.EvalGrid]
+    assert len(calls) < 20
