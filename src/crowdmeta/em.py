@@ -113,6 +113,32 @@ def one_hot_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 @dataclass
+class CheckedLabels:
+    """A validated ``(..., N, R)`` label matrix, its one-hot tensor and its mask.
+
+    Indexing the leading axes indexes all three, as views: a stack of label
+    matrices is checked once, and each slice of it enters a
+    :class:`SupportSet` without being checked again.
+    """
+
+    annotations: np.ndarray
+    onehot: np.ndarray  # (..., N, R, K)
+    observed: np.ndarray  # (..., N, R), annotations >= 0
+
+    @classmethod
+    def check(cls, labels: np.ndarray, num_classes: int) -> "CheckedLabels":
+        labels = np.asarray(labels)
+        return cls(labels, one_hot_labels(labels, num_classes), labels >= 0)
+
+    def __getitem__(self, index) -> "CheckedLabels":
+        return CheckedLabels(self.annotations[index], self.onehot[index], self.observed[index])
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.annotations.shape
+
+
+@dataclass
 class SupportSet:
     """Embedded support examples with their per-annotator labels.
 
@@ -120,8 +146,9 @@ class SupportSet:
     ``(N, R)`` label matrix, -1 where annotator r did not label example n.
     Every example needs a label.  They are validated once, into the one-hot
     ``(N, R, K)`` tensor ``onehot`` that every EM update reads and its
-    ``(N, R)`` mask ``observed``.  ``(B, N, M)`` embeddings with
-    ``(B, N, R)`` labels stack B episodes.
+    ``(N, R)`` mask ``observed``; labels given as :class:`CheckedLabels`
+    were validated when it was built and are taken as they are.
+    ``(B, N, M)`` embeddings with ``(B, N, R)`` labels stack B episodes.
     """
 
     embeddings: np.ndarray
@@ -134,13 +161,18 @@ class SupportSet:
     def __post_init__(self) -> None:
         if self.num_annotators < 1:
             raise ValueError("num_annotators must be >= 1")
-        self.annotations = labels = np.asarray(self.annotations)
-        self.onehot = one_hot_labels(labels, self.num_classes)
-        self.observed = labels >= 0
+        checked = self.annotations
+        if not isinstance(checked, CheckedLabels):
+            checked = CheckedLabels.check(checked, self.num_classes)
+        elif checked.onehot.shape[-1] != self.num_classes:
+            raise ValueError(f"labels were checked for {checked.onehot.shape[-1]} classes, "
+                             f"not num_classes = {self.num_classes}")
+        self.annotations = labels = checked.annotations
+        self.onehot, self.observed = checked.onehot, checked.observed
         self.embeddings = np.ascontiguousarray(self.embeddings, dtype=np.float64)
         if not 2 <= self.embeddings.ndim <= 3:
             raise ValueError("embeddings must be an (N, M) or a (B, N, M) array")
-        if not np.all(np.isfinite(self.embeddings)):
+        if not np.isfinite(self.embeddings).all():
             raise ValueError("embeddings contain non-finite values")
         if labels.shape[:-1] != self.embeddings.shape[:-1]:
             raise ValueError("annotation count does not match embedding count")
@@ -198,6 +230,8 @@ def prototype_update(lam: np.ndarray, embeddings: np.ndarray, tau: float,
     if class_mass is None:
         class_mass = lam.sum(axis=-2)
     denom = (tau + class_mass)[..., None]
+    if tau > 0.0:  # denom >= tau: nothing to mask
+        return sums / denom
     return np.divide(sums, denom, out=np.zeros_like(sums), where=denom > 0.0)
 
 
@@ -270,16 +304,16 @@ def annotation_log_likelihood(
 
 def squared_distances(u: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, (..., n, K)."""
-    sq_u = np.sum(u * u, axis=-1)[..., None]
-    sq_p = np.sum(prototypes * prototypes, axis=-1)[..., None, :]
+    sq_u = (u * u).sum(axis=-1)[..., None]
+    sq_p = (prototypes * prototypes).sum(axis=-1)[..., None, :]
     return sq_u - 2.0 * (u @ prototypes.swapaxes(-1, -2)) + sq_p
 
 
 def logsumexp(scores: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
     """Max-shifted log-sum-exp along ``axis``."""
-    shift = np.max(scores, axis=axis, keepdims=True)
+    shift = scores.max(axis=axis, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    out = shift + np.log(np.sum(np.exp(scores - shift), axis=axis, keepdims=True))
+    out = shift + np.log(np.exp(scores - shift).sum(axis=axis, keepdims=True))
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
@@ -446,7 +480,10 @@ def backward(support: SupportSet, hyper: PriorHyperparams, steps: Sequence[Step]
     for t in range(len(steps) - 1, -1, -1):
         lam, (protos, pi, confusions) = steps[t]
         denom = (hyper.tau + lam.sum(axis=-2))[..., None]
-        g = np.divide(d_protos, denom, out=np.zeros_like(d_protos), where=denom > 0.0)
+        if hyper.tau > 0.0:  # denom >= tau, as in prototype_update
+            g = d_protos / denom
+        else:
+            g = np.divide(d_protos, denom, out=np.zeros_like(d_protos), where=denom > 0.0)
         d_support += lam @ g
         d_lam = u @ g.swapaxes(-1, -2) - (g * protos).sum(axis=-1)[..., None, :]
         d_lam += (d_pi / (k * hyper.b + n))[..., None, :]

@@ -69,20 +69,31 @@ class EncoderParams:
             raise ValueError(
                 f"parameter vector has {vec.size} entries, config needs {expected}"
             )
-        weights, biases, offset = [], [], 0
-        for fan_in, fan_out in config.layer_dims:
-            weights.append(
-                vec[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out).copy()
-            )
-            offset += fan_in * fan_out
-            biases.append(vec[offset : offset + fan_out].copy())
-            offset += fan_out
-        return cls(weights=weights, biases=biases)
+        views = _read_layout(config, vec)
+        return cls(weights=[w.copy() for w in views.weights],
+                   biases=[b.copy() for b in views.biases])
 
 
 def _flat_layout(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
     """Layer order, weights row-major then bias — the checkpoint layout."""
     return np.concatenate([part for w, b in zip(weights, biases) for part in (w.ravel(), b)])
+
+
+def _read_layout(config: EncoderConfig, vec: np.ndarray) -> EncoderParams:
+    """The layers of a float64 ``vec`` in :func:`_flat_layout`'s order, as views of it.
+
+    Nothing is copied or checked: the result skips :class:`EncoderParams`'
+    constructor, so ``vec`` must have the config's size and finite entries,
+    and must not be written while the views are in use.
+    """
+    params = object.__new__(EncoderParams)
+    params.weights, params.biases, offset = [], [], 0
+    for fan_in, fan_out in config.layer_dims:
+        params.weights.append(vec[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        params.biases.append(vec[offset : offset + fan_out])
+        offset += fan_out
+    return params
 
 
 def init_params(config: EncoderConfig) -> EncoderParams:

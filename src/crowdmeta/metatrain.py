@@ -21,7 +21,13 @@ and decoded in one :func:`crowdmeta.annotators.simulate_annotators` pass
 iterations (:func:`training_block`): the episodes, their pseudo-annotated
 support labels and each iteration's pseudo digest.  Each iteration slices
 its meta-batch from the block: the same draws as one generator per stream
-and episode, since no draw depends on the parameters.  Evaluation and
+and episode, since no draw depends on the parameters.  The block's labels
+are validated once, into :class:`crowdmeta.em.CheckedLabels` whose slices
+each iteration's support set takes unchecked; only the embeddings, which
+the encoder can make non-finite, are checked per iteration.  The loop
+reads θ through views of the flat parameter vector, without the copy and
+finiteness scan of :class:`~crowdmeta.encoder.EncoderParams`, since
+:func:`adam_update` rejects a non-finite gradient.  Evaluation and
 validation episodes are drawn in stacked chunks of up to
 :data:`EVAL_CHUNK` tasks (:func:`episode_chunks`).
 :func:`embed_episodes` embeds a chunk with one encoder pass;
@@ -113,15 +119,20 @@ class NonFiniteGradientError(RuntimeError):
 
 
 def adam_update(state: TrainState, gradient: np.ndarray, config: MetaConfig) -> TrainState:
-    """Standard bias-corrected Adam step, applied in place."""
+    """Standard bias-corrected Adam step on ``state``.
+
+    ``state.theta`` is rebound to a new array, never written in place:
+    :func:`meta_train` reads the parameters through views of the old one.
+    A non-finite gradient is rejected, so every θ the loop reads is finite.
+    """
     gradient = np.asarray(gradient, dtype=np.float64)
     if gradient.shape != state.theta.shape:
         raise ValueError(
             f"gradient shape {gradient.shape} does not match parameters {state.theta.shape}"
         )
-    if not np.all(np.isfinite(gradient)):
-        bad = int(np.sum(~np.isfinite(gradient)))
-        raise NonFiniteGradientError(f"{bad} non-finite gradient entries")
+    finite = np.isfinite(gradient)
+    if not finite.all():
+        raise NonFiniteGradientError(f"{int((~finite).sum())} non-finite gradient entries")
     state.step += 1
     state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * gradient
     state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * gradient * gradient
@@ -139,7 +150,8 @@ def _scored_query(
         raise ValueError("query set must be a nonempty (N, M) array")
     scores = em.class_log_scores(u, prototypes, class_prior)
     lse = em.logsumexp(scores, axis=-1)
-    picked = np.take_along_axis(scores, labels[..., None], axis=-1)[..., 0]
+    rows = scores.reshape(-1, scores.shape[-1])
+    picked = rows[np.arange(labels.size), labels.ravel()].reshape(labels.shape)
     return scores, lse, float(np.sum(lse - picked)) / labels.size
 
 
@@ -151,6 +163,9 @@ def query_loss(
     """Mean negative log-probability of the true query labels."""
     u = np.asarray(query_embeddings, dtype=np.float64)
     labels = np.asarray(query_labels, dtype=np.intp)
+    if labels.shape != u.shape[:-1]:
+        raise ValueError(f"query labels of shape {labels.shape} do not match "
+                         f"query embeddings of shape {u.shape}")
     return _scored_query(u, labels, classifier.prototypes, classifier.class_prior)[2]
 
 
@@ -168,7 +183,9 @@ def episode_loss_and_grad(
     ``support_x`` is ``(B, N, D)`` with ``(B, N, R)`` labels, ``query_x``
     ``(B, Q, D)`` and ``query_y`` ``(B, Q)``: B episodes of equal shape,
     whose loss is the mean of theirs.  Two-dimensional inputs are a single
-    episode.  The gradient is the chain rule over three layers, each with
+    episode.  The labels are a label matrix, or
+    :class:`crowdmeta.em.CheckedLabels` validated before, as a training
+    block's are.  The gradient is the chain rule over three layers, each with
     its own reverse pass: one encoder pass embeds every support and query
     row, :func:`crowdmeta.em.iterate` records the EM steps on the stacked
     supports, ending on an M step because the loss reads only the last
@@ -181,7 +198,8 @@ def episode_loss_and_grad(
     support_x = np.asarray(support_x, dtype=np.float64)
     query_x = np.asarray(query_x, dtype=np.float64)
     labels = np.asarray(query_y, dtype=np.intp)
-    annotations = np.asarray(annotations)
+    if not isinstance(annotations, em.CheckedLabels):
+        annotations = np.asarray(annotations)
     if support_x.ndim == 2:  # one episode
         support_x, query_x, labels = support_x[None], query_x[None], labels[None]
         annotations = annotations[None]
@@ -344,7 +362,7 @@ def evaluate(
 class TrainingLogRow:
     iteration: int
     loss: float
-    wall_ms: float  # a block's first iteration includes its draw and pseudo-annotation decode
+    wall_ms: float  # a block's first iteration includes its draw, decode and label validation
     pseudo_digest: str
 
 
@@ -437,8 +455,11 @@ def meta_train(
     reproducible.  The training inputs, episodes and pseudo-annotated
     support labels, are drawn a block of up to :data:`TRAIN_BLOCK` episodes
     at a time (:func:`training_block`), whole meta-batches of consecutive
-    iterations, in the first iteration of the block; each iteration slices
-    its meta-batch and takes one :func:`episode_loss_and_grad` pass over it.
+    iterations, in the first iteration of the block, which also validates
+    the block's labels; each iteration slices its meta-batch and takes one
+    :func:`episode_loss_and_grad` pass over it, reading θ through views of
+    ``state.theta``.  The returned parameters are checked
+    :class:`~crowdmeta.encoder.EncoderParams`.
     """
     if len(source_tasks) != 1 or len(val_tasks) != 1:
         raise ValueError(f"meta_train needs exactly one source and one validation dataset "
@@ -458,12 +479,14 @@ def meta_train(
 
     for iteration in range(1, config.max_iterations + 1):
         tic = time.perf_counter()
-        params = EncoderParams.unflatten(config.encoder, state.theta)
+        params = encoder._read_layout(config.encoder, state.theta)
         at = (iteration - 1) % per_block * batch
         if at == 0:
+            episodes = labels = None  # the last block is spent: its memory can serve the draw
             episodes, labels, digests = training_block(
                 source, config,
                 range(iteration, min(iteration + per_block, config.max_iterations + 1)))
+            labels = em.CheckedLabels.check(labels, episodes.num_classes)
         part = slice(at, at + batch)
         loss, grad = episode_loss_and_grad(params, episodes.support_x[part], labels[part],
                                            episodes.num_classes, episodes.query_x[part],
@@ -478,7 +501,7 @@ def meta_train(
                                   digests[at // batch]))
 
         if iteration % config.validation_interval == 0:
-            current = EncoderParams.unflatten(config.encoder, state.theta)
+            current = encoder._read_layout(config.encoder, state.theta)
             val_score = _validation_accuracy(current, val_episodes, config)
             val_history.append((iteration, val_score))
             if val_score > state.best_score:

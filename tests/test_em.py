@@ -745,6 +745,19 @@ class TestStackedSupport:
         with pytest.raises(ValueError, match=f"{r - 1} annotator columns, not num_annotators = {r}"):
             em.SupportSet(embeddings, annotations[..., :-1], k, r)
 
+    def test_checked_labels_keep_the_shape_checks(self):
+        # checked labels skip validation, not the checks against the embeddings
+        embeddings, annotations, k, r = self.episodes(3)
+        checked = em.CheckedLabels.check(annotations, k)
+        with pytest.raises(ValueError, match="annotation count"):
+            em.SupportSet(embeddings, checked[:2], k, r)
+        with pytest.raises(ValueError, match="annotation count"):
+            em.SupportSet(embeddings, checked[:, :-1], k, r)
+        with pytest.raises(ValueError, match=f"{r - 1} annotator columns, not num_annotators = {r}"):
+            em.SupportSet(embeddings, em.CheckedLabels.check(annotations[..., :-1], k), k, r)
+        with pytest.raises(ValueError, match=f"checked for {k + 1} classes, not num_classes = {k}"):
+            em.SupportSet(embeddings, em.CheckedLabels.check(annotations, k + 1), k, r)
+
     def test_out_of_range_label_rejected(self):
         embeddings, annotations, k, r = self.episodes(4)
         annotations[2, 5, 0] = k

@@ -217,3 +217,16 @@ class TestFlattenCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x01" * extra)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {extra} trailing bytes$"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, value, tmp_path):
+        # the training loop reads θ unchecked, so parameters entering from a
+        # file are where the finiteness check must stay
+        config = EncoderConfig(3, (4,), 2, init_seed=1)
+        path = tmp_path / "enc.bin"
+        save_checkpoint(str(path), config, init_params(config))
+        blob = bytearray(path.read_bytes())
+        blob[30 + 8 * 5 : 30 + 8 * 6] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="parameters contain non-finite values"):
+            load_checkpoint(str(path))

@@ -108,6 +108,13 @@ class TestQueryLoss:
         with pytest.raises(ValueError, match="nonempty"):
             mt.query_loss(classifier, np.zeros((0, 3)), np.array([], dtype=int))
 
+    @pytest.mark.parametrize("queries, labels", [(7, 1), (1, 7), (7, 6)])
+    def test_label_count_mismatch_rejected(self, queries, labels):
+        # one label per query: a single label must not broadcast over the queries
+        classifier = toy_classifier(np.zeros((2, 3)), [0.5, 0.5])
+        with pytest.raises(ValueError, match="do not match query embeddings"):
+            mt.query_loss(classifier, np.zeros((queries, 3)), np.zeros(labels, dtype=int))
+
 
 def loss_pair(episode, annotations, config, hyper):
     """``episode_loss_and_grad``'s loss and ``episode_loss_value`` on one episode."""
@@ -533,6 +540,54 @@ class TestTrainingBlocks:
         result = self.assert_same_run(train, val, config)
         assert [r.iteration for r in result.log if r.pseudo_digest.startswith("skipped")] == [5]
         assert len(result.log) == 9
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_embeddings_fail_mid_block(self, monkeypatch, value):
+        # the block's labels are checked once, but each iteration's
+        # embeddings still are: poison iteration 5, in the middle of a block of 3
+        monkeypatch.setattr(mt, "TRAIN_BLOCK", 6)
+        embed = mt.encoder.forward_recorded
+        calls = []
+
+        def poisoned(x, params):
+            u, record = embed(x, params)
+            calls.append(None)
+            if len(calls) == 5:
+                u = u.copy()
+                u[7, 1] = value
+            return u, record
+
+        monkeypatch.setattr(mt.encoder, "forward_recorded", poisoned)
+        train, val = make_tasks()
+        config = small_config(max_iterations=9, validation_interval=9, meta_batch=2)
+        with pytest.raises(ValueError, match="embeddings contain non-finite values"):
+            mt.meta_train([train], [val], config)
+        assert len(calls) == 5
+
+    def test_sliced_support_set_matches_a_fresh_one(self):
+        train, _ = make_tasks()
+        config = small_config(meta_batch=2)
+        episodes, labels, _ = mt.training_block(train, config, range(1, 9))
+        checked = em.CheckedLabels.check(labels, episodes.num_classes)
+        theta = init_params(config.encoder).flatten() + 0.01
+        views = mt.encoder._read_layout(config.encoder, theta)
+        params = EncoderParams.unflatten(config.encoder, theta)
+        u = np.random.default_rng(0).standard_normal(episodes.support_x.shape[:-1] + (4,))
+        for part in (slice(0, 2), slice(6, 8), slice(14, 16), slice(3, 4)):
+            args = (episodes.num_classes, config.num_annotators)
+            sliced = em.SupportSet(u[part], checked[part], *args)
+            fresh = em.SupportSet(u[part], labels[part], *args)
+            for name in ("onehot", "observed", "annotations"):
+                got, expected = getattr(sliced, name), getattr(fresh, name)
+                assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+                assert got.tobytes() == expected.tobytes()
+            query = (episodes.num_classes, episodes.query_x[part], episodes.query_y[part],
+                     config.hyper)
+            loss, grad = mt.episode_loss_and_grad(views, episodes.support_x[part],
+                                                  checked[part], *query)
+            loss_ref, grad_ref = mt.episode_loss_and_grad(params, episodes.support_x[part],
+                                                          labels[part], *query)
+            assert loss.hex() == loss_ref.hex() and grad.tobytes() == grad_ref.tobytes()
 
     def test_ablation_draws_no_pseudo_annotations(self, monkeypatch):
         labels = []

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from crowdmeta import cli, metatrain
+from crowdmeta import cli, em, encoder, metatrain
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -105,3 +105,30 @@ def test_audit_encodes_per_cell_not_per_task(tmp_path, monkeypatch):
     rnd = bench.round(workload.Timer(None, workload.HostSpeed()))
     assert rnd.failed == 0 and rnd.digest == ROUND_DIGESTS[workload.EvalGrid]
     assert len(calls) < 20
+
+
+def test_checks_per_block_not_per_iteration(train_bench, monkeypatch):
+    # the labels are validated once per training block and once per
+    # validation chunk, and θ is read through views: only the initial, final
+    # and best parameters are built as checked EncoderParams
+    one_hot, builds = [], []
+    validate, check = em.one_hot_labels, encoder.EncoderParams.__post_init__
+
+    def counting_one_hot(*args):
+        one_hot.append(1)
+        return validate(*args)
+
+    def counting_check(params):
+        builds.append(1)
+        check(params)
+
+    monkeypatch.setattr(em, "one_hot_labels", counting_one_hot)
+    monkeypatch.setattr(encoder.EncoderParams, "__post_init__", counting_check)
+    config = train_bench.config
+    assert (config.max_iterations, config.meta_batch, config.validation_interval) == (120, 4, 120)
+    metatrain.meta_train(train_bench.source, train_bench.val, config)
+    assert (len(one_hot), len(builds)) == (9, 3)  # 8 blocks and 1 validation chunk
+    del one_hot[:], builds[:]
+    metatrain.meta_train(train_bench.source, train_bench.val,
+                         dataclasses.replace(config, max_iterations=40))
+    assert (len(one_hot), len(builds)) == (3, 3)  # 3 blocks, no validation
