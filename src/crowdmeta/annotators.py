@@ -12,8 +12,9 @@ draws are one block of ``2R + R·N`` uniforms, the next doubles of its
 generator, and :func:`simulate_annotators` decodes a chunk of tasks'
 blocks at once: every draw is the one a draw per annotator would make.
 The caller supplies the blocks.  The per-task functions read theirs from
-their generator and move it back over the uniforms the pool did not use,
-so that later draws from it are the ones a draw per annotator leaves.
+their generator and move it back over the uniforms the pool did not use
+(:func:`crowdmeta.seeding.move_back`), so that later draws from it are the
+ones a draw per annotator leaves.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+
+from .seeding import move_back
 
 
 class AnnotatorKind(str, Enum):
@@ -42,8 +45,6 @@ ACCURACY_RANGES: dict[AnnotatorKind, tuple[float, float]] = {
 
 # accuracy range per kind code, NaN for a kind without an accuracy draw
 _Q_LO, _Q_HI = np.array([ACCURACY_RANGES.get(kind, (np.nan, np.nan)) for kind in KINDS]).T
-# bit generators whose advance(n) moves n 64-bit draws, as one uniform takes
-_REWINDABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 @dataclass(frozen=True)
@@ -104,17 +105,6 @@ class AnnotatorDistribution:
 
     def to_dict(self) -> dict:
         return {kind.value: w for kind, w in self.weights}
-
-
-def _move_back(bit_generator: np.random.BitGenerator, delta: int) -> None:
-    """``bit_generator.advance(delta)``, restoring the buffered half of a 64-bit draw
-    that 32-bit draws such as ``Generator.integers`` keep and ``advance`` drops."""
-    state = bit_generator.state
-    bit_generator.advance(delta)
-    if state["has_uint32"]:
-        moved = bit_generator.state
-        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
-        bit_generator.state = moved
 
 
 def _confusion_stack(q: np.ndarray, num_classes: int) -> np.ndarray:
@@ -212,7 +202,7 @@ def _simulate_one(true_labels: np.ndarray, num_annotators: int, dist: AnnotatorD
     ``rng`` is then moved back over the uniforms the pool did not use, one
     per spammer, which has no accuracy draw.
     """
-    if not isinstance(rng.bit_generator, _REWINDABLE):
+    if not isinstance(rng.bit_generator, np.random.PCG64):  # what move_back rewinds
         raise TypeError("annotator simulation needs a PCG64 generator "
                         f"(numpy.random.default_rng), got {type(rng.bit_generator).__name__}")
     true_labels = np.asarray(true_labels)[None]
@@ -220,7 +210,7 @@ def _simulate_one(true_labels: np.ndarray, num_annotators: int, dist: AnnotatorD
     drawn = simulate_annotators(true_labels, num_annotators, dist, num_classes, block)
     spammers = int(np.isnan(drawn.q).sum())
     if spammers:
-        _move_back(rng.bit_generator, -spammers)
+        move_back(rng.bit_generator, -spammers)
     return drawn
 
 
@@ -252,19 +242,19 @@ def annotate(
     """Sample annotator labels from confusion columns of the true classes.
 
     Returns the int ``(N, R)`` label matrix, -1 where annotator r gave no
-    label for example n.  ``label_fraction`` below 1 keeps each pair
-    independently with that probability, but at least one per example.
+    label for example n.  ``label_fraction``, in (0, 1], below 1 keeps each
+    pair independently with that probability, but at least one per example.
     """
+    if not 0.0 < label_fraction <= 1.0:  # NaN fails this too
+        raise ValueError(f"label_fraction must be in (0, 1], got {label_fraction}")
     true_labels = np.asarray(true_labels, dtype=np.intp)
     n = len(true_labels)
     alpha = np.asarray(confusions, dtype=np.float64)  # (R, K, K)
     num_annotators = len(alpha)
     # annotator r takes the r-th n draws
     labels = _draw_labels(alpha[None], true_labels[None], rng.random((1, num_annotators, n)))[0]
-    if label_fraction >= 1.0:
+    if label_fraction == 1.0:
         return labels
-    if label_fraction <= 0.0:
-        raise ValueError("label_fraction must be in (0, 1]")
     keep = rng.random((n, num_annotators)) < label_fraction
     for i in np.flatnonzero(~keep.any(axis=1)):
         keep[i, rng.integers(num_annotators)] = True

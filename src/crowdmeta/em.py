@@ -37,6 +37,7 @@ axis: B episodes of equal shape, stacked as ``(B, N, ...)`` arrays in one
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -75,8 +76,13 @@ class PriorHyperparams:
             raise ValueError(f"b must be finite and > 0 (got {self.b})")
         if not 0.0 < self.c < math.inf:
             raise ValueError(f"c must be finite and > 0 (got {self.c})")
-        if not isinstance(self.em_steps, int) or self.em_steps < 1:
+        try:
+            steps = operator.index(self.em_steps)
+        except TypeError:
+            steps = 0
+        if steps < 1:
             raise ValueError(f"em_steps must be an integer >= 1 (got {self.em_steps})")
+        object.__setattr__(self, "em_steps", steps)
 
 
 def label_matrix(annotation_maps: Sequence[Mapping[int, int]], num_annotators: int) -> np.ndarray:

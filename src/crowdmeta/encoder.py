@@ -198,9 +198,11 @@ def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams]:
     try:
         input_dim, output_dim, n_hidden = struct.unpack_from("<III", blob, start)
         *hidden, init_seed = struct.unpack_from(f"<{n_hidden}Iq", blob, start + 12)
+        config = EncoderConfig(input_dim, tuple(hidden), output_dim, init_seed)
     except struct.error:
         raise ValueError(f"{path}: truncated checkpoint") from None
-    config = EncoderConfig(input_dim, tuple(hidden), output_dim, init_seed)
+    except ValueError as exc:  # a zero layer width
+        raise ValueError(f"{path}: {exc}") from None
     payload = blob[start + 12 + 4 * n_hidden + 8 :]
     extra = len(payload) - 8 * config.num_params
     if extra:

@@ -4,19 +4,18 @@
 :func:`sample_episodes` gives a chunk of such episodes, each from its own
 stream, stacked: it decodes every ``Generator.choice`` call of the chunk
 from the streams' raw output (:func:`crowdmeta.seeding.raw_streams`) with
-array operations over all (task, class) rows, and gathers the chunk's
-features once.
+:func:`crowdmeta.seeding.choose`, array operations over all (task, class)
+rows, and gathers the chunk's features once.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .seeding import raw_streams, stream
+from .seeding import choose, halves, raw_streams, stream
 
 
 class DataError(ValueError):
@@ -209,83 +208,6 @@ def sample_episode(
     )
 
 
-_LOW = np.uint64(2**32 - 1)
-# Generator.choice(pool, size, replace=False) shuffles a tail of the whole
-# pool instead of running Floyd's algorithm when pool > 10,000 and size > pool // 50
-_FLOYD_POOL, _FLOYD_SHARE = 10_000, 50
-
-
-def _halves(raw: np.ndarray) -> np.ndarray:
-    """The 32-bit halves of raw PCG64 outputs in the order 32-bit draws read them, low first."""
-    return np.stack([raw & _LOW, raw >> np.uint64(32)], axis=-1).reshape(len(raw), -1)
-
-
-def _choose(draws: np.ndarray, task: np.ndarray, start: np.ndarray, pool: np.ndarray,
-            size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``Generator.choice(pool[i], size, replace=False)`` for each row i, decoded from 32-bit draws.
-
-    Row i reads ``draws[task[i]]`` from ``start[i]`` on.  numpy runs
-    Floyd's algorithm, a draw in [0, j] for j = pool - size, ..., pool - 1
-    that takes j when the draw was taken before, then a Fisher-Yates
-    shuffle, a draw in [0, i] for i = size - 1, ..., 1 whose result swaps
-    with i.  Each draw is Lemire's method on the next 32-bit draw (Lemire
-    2019, "Fast Random Integer Generation in an Interval"), and a draw in
-    [0, 0] reads nothing.  Returns the ``(rows, size)`` choices, the draws
-    each row read, and whether a row met a draw that Lemire's method
-    rejects and redraws, which this decode does not follow.
-    """
-    floyd = pool[:, None] - size + np.arange(size)  # each Floyd draw's j
-    bounds = np.concatenate([floyd + 1, np.broadcast_to(np.arange(size, 1, -1),
-                                                        (len(pool), size - 1))], axis=1)
-    bounds = bounds.astype(np.uint64)
-    empty = pool == size  # the first Floyd draw is in [0, 0]
-    # that draw's bound of 1 decodes any 32-bit draw to 0, never rejected
-    at = start[:, None] + np.arange(2 * size - 1) - empty[:, None]
-    scaled = draws[task[:, None], at] * bounds
-    rejected = ((scaled & _LOW) < np.uint64(2**32) % bounds).any(axis=1)
-    drawn = (scaled >> np.uint64(32)).astype(np.intp)
-    # Floyd's draw s finds taken every earlier draw, and each earlier j it
-    # took: it takes its j when its draw repeats an earlier draw, or equals
-    # the j of an earlier step s' that took its j (s' = draw - j_0)
-    draw = drawn[:, :size]
-    order = np.argsort(draw, axis=1, kind="stable")
-    ordered = np.take_along_axis(draw, order, axis=1)
-    repeats = np.zeros(draw.shape, dtype=bool)
-    np.put_along_axis(repeats, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
-    back = draw - floyd[:, :1]
-    earlier = (back >= 0) & (back < np.arange(size))
-    back[~earlier] = 0
-    took_j = repeats
-    while True:  # each pass settles at least one more step of a chain of such js
-        more = repeats | earlier & np.take_along_axis(took_j, back, axis=1)
-        if np.array_equal(more, took_j):
-            break
-        took_j = more
-    chosen = np.where(took_j, floyd, draw)
-    rows = np.arange(len(pool))
-    for i, swap in zip(range(size - 1, 0, -1), drawn[:, size:].T):
-        chosen[rows, swap], chosen[:, i] = chosen[:, i].copy(), chosen[rows, swap]
-    return chosen, 2 * size - 1 - empty, rejected
-
-
-@functools.cache
-def _check_choice() -> None:
-    """Check :func:`_choose` against a real ``Generator.choice``, once a process.
-
-    Raises RuntimeError, naming the numpy version, when this numpy's
-    ``choice`` draws differently from what it mirrors.
-    """
-    raw = stream(1, "choice-probe").bit_generator.random_raw(16)
-    rng = stream(1, "choice-probe")
-    one = np.zeros(1, dtype=np.intp)
-    first, used, _ = _choose(_halves(raw[None]), one, one, np.array([9]), 9)
-    second, _, _ = _choose(_halves(raw[None]), one, used, np.array([40]), 6)
-    if not (np.array_equal(first[0], rng.choice(9, size=9, replace=False))
-            and np.array_equal(second[0], rng.choice(40, size=6, replace=False))):
-        raise RuntimeError(f"numpy {np.__version__} draws Generator.choice differently from "
-                           "crowdmeta.episodes.sample_episodes, which mirrors numpy 2.4.6")
-
-
 def sample_episodes(
     dataset: LabeledDataset,
     ways: int,
@@ -299,32 +221,27 @@ def sample_episodes(
 
     ``indices`` is a ``(T, L)`` integer array.  Every ``Generator.choice``
     call of the T episodes is decoded from the rows' raw streams at once
-    (:func:`_choose`), first the classes, then each class's examples.  A
-    task that meets a case the decode does not follow, a draw in [0, j]
-    that Lemire's method rejects (probability below (j + 1) / 2**32) or a
-    pool that ``choice`` tail-shuffles, is drawn by :func:`sample_episode`
-    instead.
+    (:func:`crowdmeta.seeding.choose`), first the classes, then each
+    class's examples.  A task that meets a case the decode does not
+    follow, a draw in [0, j] that Lemire's method rejects (probability
+    below (j + 1) / 2**32) or a pool that ``choice`` tail-shuffles, is
+    drawn by :func:`sample_episode` instead.
     """
     need, eligible = _eligible_classes(dataset, ways, shots, query_per_class)
-    _check_choice()
     rows = np.asarray(indices)
     t = len(rows)
     # at most 2·ways - 1 32-bit draws choose the classes and 2·need - 1 each class's examples
-    raw = raw_streams(master_seed, label, rows, ways * (2 * need + 1) // 2)
-    draws = _halves(raw)
+    draws = halves(raw_streams(master_seed, label, rows, ways * (2 * need + 1) // 2))
     tasks = np.arange(t)
-    chosen, used, redo = _choose(draws, tasks, np.zeros(t, dtype=np.intp),
-                                 np.full(t, len(eligible)), ways)
+    chosen, used, redo = choose(draws, tasks, np.zeros(t, dtype=np.intp),
+                                np.full(t, len(eligible)), ways)
     class_ids = np.sort(np.asarray(eligible)[chosen], axis=1)
     at = np.searchsorted(dataset.class_ids, class_ids)
     pools = dataset._class_size[at].ravel()
     reads = (2 * need - 1 - (pools == need)).reshape(t, ways)
     starts = used[:, None] + np.cumsum(reads, axis=1) - reads
-    picked, _, rejected = _choose(draws, tasks.repeat(ways), starts.ravel(), pools, need)
-    tail = (pools > _FLOYD_POOL) & (need > pools // _FLOYD_SHARE)
-    redo |= (rejected | tail).reshape(t, ways).any(axis=1)
-    if len(eligible) > _FLOYD_POOL and ways > len(eligible) // _FLOYD_SHARE:
-        redo[:] = True
+    picked, _, missed = choose(draws, tasks.repeat(ways), starts.ravel(), pools, need)
+    redo |= missed.reshape(t, ways).any(axis=1)
     examples = dataset._by_class[dataset._class_start[at].reshape(-1, 1) + picked]
     examples = examples.reshape(t, ways, need)
     new_labels = np.arange(ways, dtype=np.intp)

@@ -166,6 +166,9 @@ def query_loss(
     if labels.shape != u.shape[:-1]:
         raise ValueError(f"query labels of shape {labels.shape} do not match "
                          f"query embeddings of shape {u.shape}")
+    if labels.size and not 0 <= labels.min() <= labels.max() < classifier.num_classes:
+        raise ValueError(f"query labels must lie in [0, {classifier.num_classes}), "
+                         f"got {labels.min()} to {labels.max()}")
     return _scored_query(u, labels, classifier.prototypes, classifier.class_prior)[2]
 
 

@@ -1,4 +1,4 @@
-"""Deterministic random-stream derivation.
+"""Deterministic random-stream derivation, and the decoders of its draws.
 
 Every stochastic component draws from its own generator, derived from a
 single master seed plus a purpose label (and optional integer indices such
@@ -6,16 +6,20 @@ as the training iteration).  The derivation is a stable hash, so runs are
 reproducible across processes and platforms and streams for different
 purposes are statistically independent.
 
-:func:`raw_streams` gives the raw PCG64 output of many such streams at
-once, for the chunk decoders that draw a whole chunk of tasks' inputs from
-arrays instead of one generator per task: it mirrors ``SeedSequence``'s
-hash mix (numpy's ``bit_generator.pyx``) as uint32 array operations over
-the streams, and PCG64's seeding (O'Neill 2014, "PCG: A Family of Simple
-Fast Space-Efficient Statistically Good Algorithms for Random Number
-Generation"; numpy's ``pcg64.h``).  NEP 19 keeps both stable across numpy
-versions; the first call in a process checks one stream against a real
-generator all the same, and raises an error naming the numpy version
-if they differ.
+This module is the one place that mirrors numpy's ``Generator``, for the
+chunk decoders that draw a whole chunk of tasks' inputs from arrays
+instead of one generator per task.  :func:`raw_streams` gives the raw
+PCG64 output of many streams at once: it mirrors ``SeedSequence``'s hash
+mix (numpy's ``bit_generator.pyx``) as uint32 array operations over the
+streams, and PCG64's seeding (O'Neill 2014, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number
+Generation"; numpy's ``pcg64.h``).  :func:`uniforms` decodes
+``Generator.random``, :func:`choose` ``Generator.choice`` without
+replacement, and :func:`move_back` rewinds a generator as 32-bit draws
+leave it.  NEP 19 keeps the seeding stable across numpy versions, but not
+the draws; the first call of :func:`raw_streams` in a process checks one
+stream, its doubles and two ``choice`` decodes against a real generator,
+and raises an error naming the numpy version if they differ.
 """
 
 from __future__ import annotations
@@ -81,7 +85,11 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = 2**128 - 1
-_PROBE = (2**32 + 5, "numpy-probe", (2**40 + 3, 0))  # a multi-word master seed and index
+_PROBE = (2**32 + 5, "numpy-probe", (3, 0))  # a multi-word master seed: six entropy words
+_LOW = np.uint64(_WORD)
+# Generator.choice(pool, size, replace=False) shuffles a tail of the whole
+# pool instead of running Floyd's algorithm when pool > 10,000 and size > pool // 50
+_FLOYD_POOL, _FLOYD_SHARE = 10_000, 50
 
 
 @functools.lru_cache(maxsize=64)
@@ -103,37 +111,18 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return values ^ values >> np.uint32(16)
 
 
-def _entropy_words(master_seed: int, label: str,
-                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Each row's entropy words (:func:`stream_seed`), zero-padded to at least the pool.
-
-    The second array is each row's own word count, or None when every row
-    has all the columns.
-    """
-    prefix = list(_prefix_words(int(master_seed), label))
-    t, width = rows.shape
-    if not (rows >> np.uint64(32)).any():
-        entropy = np.zeros((t, max(len(prefix) + width, _POOL)), dtype=np.uint32)
-        entropy[:, : len(prefix)] = prefix
-        entropy[:, len(prefix) : len(prefix) + width] = rows
-        return entropy, None
-    # an index of 2**32 or more takes two words, so the rows differ in length
-    words = [prefix + [w for index in row for w in _words(index)] for row in rows.tolist()]
-    lengths = np.array([len(row) for row in words])
-    entropy = np.zeros((t, max(lengths.max(), _POOL)), dtype=np.uint32)
-    for out, row in zip(entropy, words):
-        out[: len(row)] = row
-    return entropy, lengths
-
-
 def _derive(master_seed: int, label: str, rows: np.ndarray, count: int) -> np.ndarray:
-    """:func:`raw_streams` of checked uint64 ``rows``."""
-    entropy, lengths = _entropy_words(master_seed, label, rows)
+    """:func:`raw_streams` of uint32 ``rows``, each index one entropy word."""
+    prefix = _prefix_words(int(master_seed), label)
+    t, width = rows.shape
+    entropy = np.zeros((t, max(len(prefix) + width, _POOL)), dtype=np.uint32)
+    entropy[:, : len(prefix)] = prefix
+    entropy[:, len(prefix) : len(prefix) + width] = rows
     words = entropy.shape[1]
     hash_a = _hash_constants(_INIT_A, _MULT_A, _POOL * words)
     # SeedSequence.mix_entropy: hash the first words into the pool, a missing
     # word as 0, mix every pool word into every other, then mix each further
-    # word into every pool word; a row without that word skips it
+    # word into every pool word
     pool = _hashmix(entropy[:, :_POOL], hash_a[: _POOL + 1])
     k = _POOL
     for src in range(_POOL):
@@ -141,20 +130,19 @@ def _derive(master_seed: int, label: str, rows: np.ndarray, count: int) -> np.nd
         pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], hash_a[k : k + _POOL]))
         k += _POOL - 1
     for w in range(_POOL, words):
-        mixed = _mix(pool, _hashmix(entropy[:, w, None], hash_a[k : k + _POOL + 1]))
-        pool = mixed if lengths is None else np.where(lengths[:, None] > w, mixed, pool)
+        pool = _mix(pool, _hashmix(entropy[:, w, None], hash_a[k : k + _POOL + 1]))
         k += _POOL
     # SeedSequence.generate_state(4, uint64): the PCG64 seed, then its increment
     state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]],
                      _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)).astype(np.uint64)
-    halves = state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+    seeded = state[:, 0::2] | state[:, 1::2] << np.uint64(32)
     # one bit generator takes each row's seeded state in turn (pcg64_set_seed:
     # the increment is odd, and the state is stepped twice with the seed added)
     bit_generator = np.random.PCG64(0)
     inner = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    out = np.empty((len(halves), count), dtype=np.uint64)
-    for t, (seed_hi, seed_lo, inc_hi, inc_lo) in enumerate(halves.tolist()):
+    out = np.empty((len(seeded), count), dtype=np.uint64)
+    for t, (seed_hi, seed_lo, inc_hi, inc_lo) in enumerate(seeded.tolist()):
         inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
         inner["state"] = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
         inner["inc"] = inc
@@ -168,19 +156,99 @@ def uniforms(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)) * 2.0**-53
 
 
+def halves(raw: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of raw PCG64 outputs in the order 32-bit draws read them, low first."""
+    return np.stack([raw & _LOW, raw >> np.uint64(32)], axis=-1).reshape(len(raw), -1)
+
+
+def choose(draws: np.ndarray, task: np.ndarray, start: np.ndarray, pool: np.ndarray,
+           size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Generator.choice(pool[i], size, replace=False)`` for each row i, decoded from 32-bit draws.
+
+    Row i reads ``draws[task[i]]`` (:func:`halves`) from ``start[i]`` on.
+    numpy runs Floyd's algorithm, a draw in [0, j] for j = pool - size,
+    ..., pool - 1 that takes j when the draw was taken before, then a
+    Fisher-Yates shuffle, a draw in [0, i] for i = size - 1, ..., 1 whose
+    result swaps with i.  Each draw is Lemire's method on the next 32-bit
+    draw (Lemire 2019, "Fast Random Integer Generation in an Interval"),
+    and a draw in [0, 0] reads nothing.  Returns the ``(rows, size)``
+    choices, the draws each row read, and whether a row's choice is one
+    this decode does not follow: a draw that Lemire's method rejects and
+    redraws, or a pool that ``choice`` tail-shuffles.
+    """
+    floyd = pool[:, None] - size + np.arange(size)  # each Floyd draw's j
+    bounds = np.concatenate([floyd + 1, np.broadcast_to(np.arange(size, 1, -1),
+                                                        (len(pool), size - 1))], axis=1)
+    bounds = bounds.astype(np.uint64)
+    empty = pool == size  # the first Floyd draw is in [0, 0]
+    # that draw's bound of 1 decodes any 32-bit draw to 0, never rejected
+    at = start[:, None] + np.arange(2 * size - 1) - empty[:, None]
+    scaled = draws[task[:, None], at] * bounds
+    missed = ((scaled & _LOW) < np.uint64(2**32) % bounds).any(axis=1)
+    missed |= (pool > _FLOYD_POOL) & (size > pool // _FLOYD_SHARE)
+    drawn = (scaled >> np.uint64(32)).astype(np.intp)
+    # Floyd's draw s finds taken every earlier draw, and each earlier j it
+    # took: it takes its j when its draw repeats an earlier draw, or equals
+    # the j of an earlier step s' that took its j (s' = draw - j_0)
+    draw = drawn[:, :size]
+    order = np.argsort(draw, axis=1, kind="stable")
+    ordered = np.take_along_axis(draw, order, axis=1)
+    repeats = np.zeros(draw.shape, dtype=bool)
+    np.put_along_axis(repeats, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
+    back = draw - floyd[:, :1]
+    earlier = (back >= 0) & (back < np.arange(size))
+    back[~earlier] = 0
+    took_j = repeats
+    while True:  # each pass settles at least one more step of a chain of such js
+        more = repeats | earlier & np.take_along_axis(took_j, back, axis=1)
+        if np.array_equal(more, took_j):
+            break
+        took_j = more
+    chosen = np.where(took_j, floyd, draw)
+    rows = np.arange(len(pool))
+    for i, swap in zip(range(size - 1, 0, -1), drawn[:, size:].T):
+        chosen[rows, swap], chosen[:, i] = chosen[:, i].copy(), chosen[rows, swap]
+    return chosen, 2 * size - 1 - empty, missed
+
+
+def move_back(bit_generator: np.random.PCG64, delta: int) -> None:
+    """``bit_generator.advance(delta)``, restoring the buffered half of a 64-bit draw
+    that 32-bit draws such as ``Generator.integers`` keep and ``advance`` drops.
+
+    One PCG64 step is one 64-bit draw, as one ``Generator.random`` double takes.
+    """
+    state = bit_generator.state
+    bit_generator.advance(delta)
+    if state["has_uint32"]:
+        moved = bit_generator.state
+        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
+        bit_generator.state = moved
+
+
 @functools.cache
 def _check_numpy() -> None:
-    """Check :func:`raw_streams` and :func:`uniforms` against a real generator, once a process.
+    """Check this module's decoders against a real generator, once a process.
 
-    Raises RuntimeError, naming the numpy version, when this numpy seeds or
-    draws differently from what they mirror.
+    One stream's raw output and doubles (:func:`raw_streams`,
+    :func:`uniforms`), then two ``choice`` calls on it (:func:`choose`):
+    9 of 9, whose first draw is in [0, 0], and 6 of 40.  Raises
+    RuntimeError, naming the numpy version, when this numpy seeds or draws
+    differently from what they mirror.
     """
     master_seed, label, row = _PROBE
-    raw = _derive(master_seed, label, np.array([row], dtype=np.uint64), 8)[0]
-    if not (np.array_equal(raw, stream(master_seed, label, *row).bit_generator.random_raw(8))
-            and np.array_equal(uniforms(raw), stream(master_seed, label, *row).random(8))):
+    raw = _derive(master_seed, label, np.array([row], dtype=np.uint32), 16)
+    if not (np.array_equal(raw[0], stream(master_seed, label, *row).bit_generator.random_raw(16))
+            and np.array_equal(uniforms(raw[0]), stream(master_seed, label, *row).random(16))):
         raise RuntimeError(f"numpy {np.__version__} seeds or draws streams differently from "
                            "crowdmeta.seeding.raw_streams, which mirrors numpy 2.4.6")
+    rng = stream(master_seed, label, *row)
+    draws, one = halves(raw), np.zeros(1, dtype=np.intp)
+    first, used, _ = choose(draws, one, one, np.array([9]), 9)
+    second, _, _ = choose(draws, one, used, np.array([40]), 6)
+    if not (np.array_equal(first[0], rng.choice(9, size=9, replace=False))
+            and np.array_equal(second[0], rng.choice(40, size=6, replace=False))):
+        raise RuntimeError(f"numpy {np.__version__} draws Generator.choice differently from "
+                           "crowdmeta.seeding.choose, which mirrors numpy 2.4.6")
 
 
 def raw_streams(master_seed: int, label: str, indices, count: int) -> np.ndarray:
@@ -188,7 +256,10 @@ def raw_streams(master_seed: int, label: str, indices, count: int) -> np.ndarray
 
     ``indices`` is a ``(T, L)`` array of integers in ``[0, 2**64)``; row t
     is ``stream(master_seed, label, *indices[t]).bit_generator.random_raw(count)``,
-    derived without a ``SeedSequence`` or ``Generator`` per row.
+    derived without a ``SeedSequence`` or ``Generator`` per row.  A row
+    holding an index of 2**32 or more, which takes two entropy words and
+    which no iteration, task or shot count reaches, is drawn by its own
+    :func:`stream` instead.
     """
     rows = np.asarray(indices)
     if rows.ndim != 2 or rows.dtype.kind not in "iu":
@@ -196,4 +267,7 @@ def raw_streams(master_seed: int, label: str, indices, count: int) -> np.ndarray
     if rows.dtype.kind == "i" and rows.size and rows.min() < 0:
         raise ValueError(f"stream indices must be non-negative (got {rows.min()})")
     _check_numpy()
-    return _derive(master_seed, label, rows.astype(np.uint64), count)
+    out = _derive(master_seed, label, rows.astype(np.uint32), count)
+    for t in np.flatnonzero((rows >> 32).any(axis=1)).tolist():
+        out[t] = stream(master_seed, label, *rows[t].tolist()).bit_generator.random_raw(count)
+    return out

@@ -171,6 +171,14 @@ class TestAnnotate:
             annotate(np.zeros(3, dtype=int), [np.eye(2)], stream(11, "bad"),
                      label_fraction=0.0)
 
+    @pytest.mark.parametrize("label_fraction", [np.nan, 2.0, 0.0, -0.5])
+    def test_fraction_outside_unit_interval_rejected_before_drawing(self, label_fraction):
+        rng = stream(11, "bad")
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"label_fraction must be in \(0, 1\]"):
+            annotate(np.arange(3) % 2, [np.eye(2)] * 2, rng, label_fraction=label_fraction)
+        assert rng.bit_generator.state == before
+
 
 class TestPseudoAnnotate:
     def test_shape(self):

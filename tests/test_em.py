@@ -637,6 +637,13 @@ class TestAdapt:
                 rtol=0, atol=1e-12,
             )
 
+    def test_numpy_integer_em_steps(self):
+        hyper = em.PriorHyperparams(em_steps=np.int64(2))
+        assert hyper.em_steps == 2 and type(hyper.em_steps) is int
+        for steps in (2.0, np.float64(2.0), 0, np.int64(0)):
+            with pytest.raises(ValueError, match="em_steps must be an integer >= 1"):
+                em.PriorHyperparams(em_steps=steps)
+
     def test_zero_tau_requires_explicit_override(self):
         with pytest.raises(ValueError, match="tau"):
             em.PriorHyperparams(tau=0.0)

@@ -209,6 +209,17 @@ class TestFlattenCheckpoint:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated checkpoint$"):
             load_checkpoint(str(path))
 
+    def test_zero_layer_width_names_the_file(self, tmp_path):
+        config = EncoderConfig(3, (4,), 2, init_seed=1)
+        path = tmp_path / "enc.bin"
+        save_checkpoint(str(path), config, init_params(config))
+        blob = bytearray(path.read_bytes())
+        blob[18:22] = np.array([0], dtype="<u4").tobytes()  # the hidden width
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: all layer widths "
+                                             r"must be >= 1, got \(3, 0, 2\)$"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("extra", [3, 8])
     def test_trailing_bytes_rejected(self, extra, tmp_path):
         config = EncoderConfig(3, (4,), 2, init_seed=1)

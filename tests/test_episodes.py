@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import loop_episodes
-from crowdmeta import episodes
+from crowdmeta import episodes, seeding
 from crowdmeta.episodes import (
     DataError,
     Episode,
@@ -318,9 +318,9 @@ class TestSampleEpisodes:
 
     def test_probe_names_the_numpy_version(self, monkeypatch):
         # a numpy whose choice shuffled differently would fail the first call's check
-        episodes._check_choice.cache_clear()
-        decode = episodes._choose
-        monkeypatch.setattr(episodes, "_choose",
+        seeding._check_numpy.cache_clear()
+        decode = seeding.choose
+        monkeypatch.setattr(seeding, "choose",
                             lambda *args: (decode(*args)[0][:, ::-1],) + decode(*args)[1:])
         data = TestMatchesLoop.uneven_dataset()
         with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} draws"):

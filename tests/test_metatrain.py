@@ -115,6 +115,13 @@ class TestQueryLoss:
         with pytest.raises(ValueError, match="do not match query embeddings"):
             mt.query_loss(classifier, np.zeros((queries, 3)), np.zeros(labels, dtype=int))
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_the_classes_rejected(self, label):
+        # -1 would score the last class, and K would index past it
+        classifier = toy_classifier(np.eye(3), np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match=r"query labels must lie in \[0, 3\)"):
+            mt.query_loss(classifier, np.zeros((2, 3)), np.array([0, label]))
+
 
 def loss_pair(episode, annotations, config, hyper):
     """``episode_loss_and_grad``'s loss and ``episode_loss_value`` on one episode."""

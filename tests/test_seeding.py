@@ -1,6 +1,7 @@
 """Stream derivation against the list-entropy formula of ``loop_seeding``."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,3 +97,12 @@ class TestRawStreams:
             raw_streams(1, "x", [[0]], 3)
         monkeypatch.undo()
         raw_streams(1, "x", [[0]], 3)  # the check runs again, and passes
+
+
+def test_only_seeding_reads_bit_generator_internals():
+    # the decoders that mirror numpy's Generator live in one module, so a
+    # numpy that draws differently is handled there alone
+    package = Path(seeding.__file__).parent
+    readers = {path.name for path in package.glob("*.py")
+               if re.search(r"random_raw|advance\(|has_uint32", path.read_text(encoding="utf-8"))}
+    assert readers == {"seeding.py"}
