@@ -327,10 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")  # CROWDMETA_LOG's values
+
+
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("CROWDMETA_LOG", "INFO").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.INFO),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("CROWDMETA_LOG") or "INFO"
+    if level.upper() not in LOG_LEVELS:
+        print(f"error: CROWDMETA_LOG must be one of {', '.join(LOG_LEVELS)} (got {level!r})",
+              file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

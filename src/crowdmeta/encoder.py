@@ -208,4 +208,8 @@ def load_checkpoint(path: str) -> tuple[EncoderConfig, EncoderParams]:
     if extra:
         cause = f"{extra} trailing bytes" if extra > 0 else "truncated checkpoint"
         raise ValueError(f"{path}: {cause}")
-    return config, EncoderParams.unflatten(config, np.frombuffer(payload, dtype="<f8"))
+    try:
+        params = EncoderParams.unflatten(config, np.frombuffer(payload, dtype="<f8"))
+    except ValueError as exc:  # a non-finite parameter
+        raise ValueError(f"{path}: {exc}") from None
+    return config, params

@@ -30,13 +30,15 @@ finiteness scan of :class:`~crowdmeta.encoder.EncoderParams`, since
 :func:`adam_update` rejects a non-finite gradient.  Evaluation and
 validation episodes are drawn in stacked chunks of up to
 :data:`EVAL_CHUNK` tasks (:func:`episode_chunks`).
-:func:`embed_episodes` embeds a chunk with one encoder pass;
-:func:`evaluate` then walks the chunks, draws each chunk's annotators, and
-adapts and scores each chunk as given, one stacked support set, one
-:func:`crowdmeta.em.adapt` and one prediction per chunk
-(:func:`adapt_and_score`).  Embedding once lets every annotator setting
-of an evaluation grid score the same embedded episodes.  The chunk bounds
-the memory a scoring pass holds, whatever the task count.
+:func:`embed_episodes` embeds a chunk in encoder passes of whole tasks, at
+most :data:`ENCODE_ROWS` rows each; :func:`evaluate` then walks the
+chunks, draws each chunk's annotators, and adapts and scores each chunk as
+given, one stacked support set, one :func:`crowdmeta.em.adapt` and one
+prediction per chunk (:func:`adapt_and_score`).  Embedding once lets every
+annotator setting of an evaluation grid score the same embedded episodes.
+Two bounds keep memory flat in the task count: the encoder's activations
+grow per row, so :data:`ENCODE_ROWS` caps an encoder pass, and the EM's
+working set grows per task, so :data:`EVAL_CHUNK` caps an adaptation.
 """
 
 from __future__ import annotations
@@ -234,7 +236,12 @@ def mean_and_stderr(accuracies: Sequence[float]) -> tuple[float, float]:
     return float(np.mean(accuracies)), stderr
 
 
-EVAL_CHUNK = 32  # tasks per stacked adaptation; keeps evaluation memory flat in the task count
+# tasks per stacked adaptation: the EM's working set grows per task, so the
+# chunk keeps evaluation memory flat in the task count
+EVAL_CHUNK = 128
+# rows per encoder pass: the hidden activations grow per row and outweigh the
+# EM's working set, so :func:`embed_episodes` splits a chunk by rows too
+ENCODE_ROWS = 2048
 
 
 def episode_chunks(dataset: LabeledDataset, rows: Sequence[tuple[int, ...]], ways: int,
@@ -254,15 +261,25 @@ def episode_chunks(dataset: LabeledDataset, rows: Sequence[tuple[int, ...]], way
 def embed_episodes(params: EncoderParams, episodes: Episode) -> Episode:
     """The stacked episodes with ``support_x`` and ``query_x`` replaced by their embeddings.
 
-    One encoder pass embeds the support rows, then the query rows.
+    Each encoder pass embeds the support rows, then the query rows, of as
+    many whole tasks as fit in :data:`ENCODE_ROWS` rows (at least one), and
+    writes them into the result's arrays.  A row's embedding has the same
+    bits in any pass of two rows or more, so the passes change no output
+    unless a task has a single row: a one-row pass takes numpy's vector
+    path and differs in the last bits.
     """
     (b, n, width), q = episodes.support_x.shape, episodes.query_x.shape[1]
-    u = forward(np.concatenate([episodes.support_x.reshape(b * n, width),
-                                episodes.query_x.reshape(b * q, width)]), params)
-    # copies, not views of u: holding every chunk's u raised the eval-grid
-    # peak RSS by about 0.35 MB
-    return replace(episodes, support_x=u[: b * n].reshape(b, n, -1).copy(),
-                   query_x=u[b * n :].reshape(b, q, -1).copy())
+    out = params.weights[-1].shape[1]
+    support, query = np.empty((b, n, out)), np.empty((b, q, out))
+    per_pass = max(1, ENCODE_ROWS // (n + q))
+    for start in range(0, b, per_pass):
+        tasks = slice(start, min(start + per_pass, b))
+        k = tasks.stop - start
+        u = forward(np.concatenate([episodes.support_x[tasks].reshape(k * n, width),
+                                    episodes.query_x[tasks].reshape(k * q, width)]), params)
+        support[tasks] = u[: k * n].reshape(k, n, out)
+        query[tasks] = u[k * n :].reshape(k, q, out)
+    return replace(episodes, support_x=support, query_x=query)
 
 
 def fit_em(support_u: np.ndarray, labels: np.ndarray, num_classes: int,

@@ -617,6 +617,22 @@ class TestVerifyCommand:
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "--suite", "nope"]) == 1
 
+    @pytest.mark.parametrize("value", ["warnx", "basic_format"])
+    def test_unknown_log_level_usage_error(self, value, monkeypatch, capsys):
+        # "warnx" used to log at INFO, and "basic_format" names a logging
+        # attribute that is no level, which basicConfig rejected with a traceback
+        monkeypatch.setenv("CROWDMETA_LOG", value)
+        assert main(["verify", "--suite", "estep-oracle"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: CROWDMETA_LOG must be one of DEBUG, INFO, WARNING, ERROR, "
+                       f"CRITICAL (got {value!r})\n")
+
+    @pytest.mark.parametrize("value", ["debug", "Warning", ""])
+    def test_level_names_any_case_or_unset(self, value, monkeypatch):
+        monkeypatch.setenv("CROWDMETA_LOG", value)
+        assert main(["verify", "--suite", "estep-oracle"]) == 0
+
     @pytest.mark.parametrize("em_steps", [0, 1])
     def test_monotone_check_needs_two_steps(self, em_steps):
         # one M step leaves nothing to compare: the check used to pass with delta inf

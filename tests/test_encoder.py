@@ -239,5 +239,6 @@ class TestFlattenCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[30 + 8 * 5 : 30 + 8 * 6] = np.array([value], dtype="<f8").tobytes()
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="parameters contain non-finite values"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: parameters contain "
+                                             r"non-finite values$"):
             load_checkpoint(str(path))

@@ -55,21 +55,27 @@ def adapt_batches(monkeypatch):
     return batches
 
 
+@pytest.fixture()
+def encoder_passes(monkeypatch):
+    """Row count of every encoder pass of ``embed_episodes``, in order."""
+    passes = []
+
+    def counted(x, params):
+        passes.append(len(x))
+        return forward(x, params)
+
+    monkeypatch.setattr(mt, "forward", counted)
+    return passes
+
+
 class TestEmbedEpisodes:
     @pytest.mark.parametrize("ways, shots, query", [(3, 2, 4), (4, 1, 5)])
-    def test_one_pass_and_input_kept(self, ways, shots, query, monkeypatch):
+    def test_one_pass_and_input_kept(self, ways, shots, query, encoder_passes):
         episodes = make_episodes(7, ways=ways, shots=shots, query=query)
         chunk = stack_episodes(episodes)
         raw = chunk.support_x.copy(), chunk.query_x.copy()
-        passes = []
-
-        def counted(x, params):
-            passes.append(len(x))
-            return forward(x, params)
-
-        monkeypatch.setattr(mt, "forward", counted)
         out = mt.embed_episodes(PARAMS, chunk)
-        assert passes == [7 * ways * (shots + query)]
+        assert encoder_passes == [7 * ways * (shots + query)]
         assert chunk.support_x.tobytes() == raw[0].tobytes()
         assert chunk.query_x.tobytes() == raw[1].tobytes()
         assert out.support_x.shape == (7, ways * shots, 4)
@@ -81,11 +87,39 @@ class TestEmbedEpisodes:
             assert out.support_y[i].tobytes() == episode.support_y.tobytes()
             assert out.query_y[i].tobytes() == episode.query_y.tobytes()
 
+    @pytest.mark.parametrize("ways, shots, query", [(3, 2, 4), (4, 1, 5)])
+    def test_passes_of_whole_tasks_within_the_row_bound(self, ways, shots, query,
+                                                        encoder_passes):
+        # two full passes and a one-task last pass, each row with the bits of
+        # one forward call over its own task's rows
+        rows = ways * (shots + query)
+        per_pass = mt.ENCODE_ROWS // rows
+        episodes = make_episodes(2 * per_pass + 1, ways=ways, shots=shots, query=query)
+        out = mt.embed_episodes(PARAMS, stack_episodes(episodes))
+        assert encoder_passes == [per_pass * rows] * 2 + [rows]
+        assert max(encoder_passes) <= mt.ENCODE_ROWS
+        for i, episode in enumerate(episodes):
+            u = forward(np.concatenate([episode.support_x, episode.query_x]), PARAMS)
+            assert out.support_x[i].tobytes() == u[: ways * shots].tobytes()
+            assert out.query_x[i].tobytes() == u[ways * shots :].tobytes()
+
+    def test_task_over_the_row_bound_is_a_pass_of_its_own(self, encoder_passes, monkeypatch):
+        episodes = make_episodes(3)  # 18 rows each
+        monkeypatch.setattr(mt, "ENCODE_ROWS", 10)
+        out = mt.embed_episodes(PARAMS, stack_episodes(episodes))
+        assert encoder_passes == [18, 18, 18]
+        for i, episode in enumerate(episodes):
+            assert out.support_x[i].tobytes() == forward(episode.support_x, PARAMS).tobytes()
+            assert out.query_x[i].tobytes() == forward(episode.query_x, PARAMS).tobytes()
+
 
 class TestMatchesLoop:
     """Scores and draws against the per-task forms of ``loop_evaluate``."""
 
-    @pytest.mark.parametrize("n", [1, 31, 32, 33, 67])
+    C = mt.EVAL_CHUNK
+
+    @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 3],
+                             ids=["1", "chunk-1", "chunk", "chunk+1", "2chunks+3"])
     def test_evaluate_same_scores_and_profiles(self, n, adapt_batches):
         episodes = make_episodes(n)
         accuracies, recovery, kinds, q = loop_evaluate.evaluate(PARAMS, episodes, DIST, HYPER,
@@ -115,8 +149,9 @@ class TestMatchesLoop:
         assert adapt_batches == [5, 32, 8, 3, 2, 2]
 
     def test_clean_validation_branch(self, adapt_batches):
-        episodes = make_episodes(40) + make_episodes(3, shots=1, label="b")
-        chunks = chunks_of(episodes[:40], None) + [stack_episodes(episodes[40:])]
+        full = mt.EVAL_CHUNK + 8
+        episodes = make_episodes(full) + make_episodes(3, shots=1, label="b")
+        chunks = chunks_of(episodes[:full], None) + [stack_episodes(episodes[full:])]
         config = mt.MetaConfig(
             ways=3, shots=2, query_per_class=4, num_annotators=3, pseudo_dist=DIST,
             hyper=HYPER, encoder=EncoderConfig(5, (8,), 4, init_seed=3),
@@ -125,7 +160,7 @@ class TestMatchesLoop:
         expected = loop_evaluate.clean_validation_accuracy(PARAMS, episodes, HYPER)
         adapt_batches.clear()
         assert mt._validation_accuracy(PARAMS, chunks, config) == expected
-        assert adapt_batches == [32, 8, 3]
+        assert adapt_batches == [mt.EVAL_CHUNK, 8, 3]
 
     @pytest.mark.parametrize("method", ["mv", "ds", "proto-mv", "proto-ds"])
     def test_baseline_cell(self, method):
@@ -168,6 +203,20 @@ def transient_peak(num_tasks):
     return peak - held
 
 
+def transient_embed_peak(num_tasks):
+    """Traced peak of one ``embed_episodes`` call above the memory its result still holds."""
+    chunk = stack_episodes(make_episodes(num_tasks, shots=5, query=10))
+    mt.embed_episodes(PARAMS, chunk)  # warm any caches
+    tracemalloc.start()
+    try:
+        out = mt.embed_episodes(PARAMS, chunk)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out.support_x) == num_tasks
+    return peak - held
+
+
 class TestMemory:
     # Scoring is chunked, so what evaluation holds besides its result is one
     # chunk's arrays, whatever the task count.  Unchunked, 8 chunks of tasks
@@ -177,5 +226,12 @@ class TestMemory:
     def test_transient_peak_flat_in_task_count(self):
         one = transient_peak(mt.EVAL_CHUNK)
         eight = transient_peak(8 * mt.EVAL_CHUNK)
+        assert eight <= self.TOLERANCE * one, (one, eight)
+
+    def test_embedding_peak_flat_in_task_count(self):
+        # the encoder's activations grow per row, and each pass holds at most
+        # ENCODE_ROWS rows, whatever the chunk's task count
+        one = transient_embed_peak(mt.EVAL_CHUNK)
+        eight = transient_embed_peak(8 * mt.EVAL_CHUNK)
         assert eight <= self.TOLERANCE * one, (one, eight)
 

@@ -449,17 +449,18 @@ class TestMetaTrain:
         assert fast.val_history == slow.val_history and len(fast.val_history) == 2
 
     def test_validation_chunks_of_one_dataset(self):
-        # 60 validation episodes are chunks of 32 and 28 consecutive episodes,
-        # episode j drawn from the stream of row (0, j)
+        # EVAL_CHUNK + 28 validation episodes are chunks of EVAL_CHUNK and 28
+        # consecutive episodes, episode j drawn from the stream of row (0, j)
         _, val = make_tasks()
-        config = small_config(val_episodes_per_task=60)
+        size = mt.EVAL_CHUNK
+        config = small_config(val_episodes_per_task=size + 28)
         chunks = mt._validation_episodes(val, config)
         expected = [loop_episodes.sample_episode(
             val, config.ways, config.shots, config.query_per_class,
-            stream(config.master_seed, "val-episode", 0, j)) for j in range(60)]
-        assert [len(chunk.support_y) for chunk in chunks] == [32, 28]
-        for chunk, start in zip(chunks, (0, 32)):
-            stacked = stack_episodes(expected[start : start + 32])
+            stream(config.master_seed, "val-episode", 0, j)) for j in range(size + 28)]
+        assert [len(chunk.support_y) for chunk in chunks] == [size, 28]
+        for chunk, start in zip(chunks, (0, size)):
+            stacked = stack_episodes(expected[start : start + size])
             for name in ("class_ids", "support_x", "support_y", "query_x", "query_y"):
                 assert getattr(chunk, name).tobytes() == getattr(stacked, name).tobytes()
 

@@ -7,12 +7,13 @@ benchmark run.  Each round's outputs are pinned too.
 
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 
 import pytest
 
-from crowdmeta import cli, em, encoder, metatrain
+from crowdmeta import cli, em, encoder, episodes, metatrain, seeding
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -105,6 +106,34 @@ def test_audit_encodes_per_cell_not_per_task(tmp_path, monkeypatch):
     rnd = bench.round(workload.Timer(None, workload.HostSpeed()))
     assert rnd.failed == 0 and rnd.digest == ROUND_DIGESTS[workload.EvalGrid]
     assert len(calls) < 20
+
+
+def test_adapts_per_chunk_not_per_task(tmp_path, monkeypatch):
+    # each of the 9 cells adapts its 200 tasks in stacks of at most
+    # EVAL_CHUNK, and derives their annotator streams once per stack; each
+    # shots value's episode streams are derived once per stack too.  At 128
+    # tasks a stack, that is 18 adaptations and 24 derivations a round.
+    bench = workload.EvalGrid(7919, str(tmp_path))
+    adapts, streams = [], []
+    adapt, derive = em.adapt, seeding.raw_streams
+
+    def counting_adapt(support, hyper):
+        adapts.append(len(support.embeddings))
+        return adapt(support, hyper)
+
+    def counting_streams(*args):
+        streams.append(1)
+        return derive(*args)
+
+    monkeypatch.setattr(em, "adapt", counting_adapt)
+    monkeypatch.setattr(metatrain, "raw_streams", counting_streams)
+    monkeypatch.setattr(episodes, "raw_streams", counting_streams)
+    rnd = bench.round(workload.Timer(None, workload.HostSpeed()))
+    assert rnd.failed == 0 and rnd.digest == ROUND_DIGESTS[workload.EvalGrid]
+    chunks = math.ceil(bench.TASKS / metatrain.EVAL_CHUNK)
+    assert len(adapts) == 9 * chunks
+    assert max(adapts) <= metatrain.EVAL_CHUNK
+    assert len(streams) == (9 + 3) * chunks
 
 
 def test_checks_per_block_not_per_iteration(train_bench, monkeypatch):
