@@ -105,6 +105,10 @@ def one_hot_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     if labels.ndim < 2 or labels.dtype.kind not in "iu":
         raise ValueError("annotations must be an integer (N, R) label matrix or a stack of them "
                          "(em.label_matrix converts annotation maps)")
+    if labels.size == 0:
+        axis = labels.shape.index(0) - labels.ndim
+        empty = {-2: "no examples (N = 0)", -1: "no annotators (R = 0)"}.get(axis, "no tasks")
+        raise ValueError(f"annotations {labels.shape} have {empty}")
     row_max = labels.max(axis=-1)
     if labels.min() < -1 or row_max.max() >= num_classes:
         where = tuple(np.argwhere((labels < -1) | (labels >= num_classes))[0])

@@ -1,21 +1,23 @@
 """Datasets, class-disjoint splits, and N-way/K-shot episode sampling.
 
-:func:`sample_episode` draws one episode from a generator.
-:func:`sample_episodes` gives a chunk of such episodes, each from its own
-stream, stacked: it decodes every ``Generator.choice`` call of the chunk
-from the streams' raw output (:func:`crowdmeta.seeding.raw_streams`) with
-:func:`crowdmeta.seeding.choose`, array operations over all (task, class)
-rows, and gathers the chunk's features once.
+:func:`sample_episode` draws one episode from a numpy generator.
+:func:`sample_episodes` draws a chunk of episodes, stacked, each from its
+own row of crowdmeta's counter-based generator
+(:func:`crowdmeta.seeding.uniforms`): a fixed number of doubles per task,
+whatever the class pools' sizes, which :func:`crowdmeta.seeding.choose`
+turns into classes and examples as array operations over all (task,
+class) rows.  The two draw episodes from the same distribution, not the
+same episodes.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import choose, halves, raw_streams, stream
+from .seeding import choose, uniforms
 
 
 class DataError(ValueError):
@@ -217,47 +219,38 @@ def sample_episodes(
     label: str,
     indices,
 ) -> Episode:
-    """The episodes ``sample_episode(..., stream(master_seed, label, *row))`` of ``indices``' rows, stacked.
+    """One episode per row of the ``(T, L)`` integer array ``indices``, stacked.
 
-    ``indices`` is a ``(T, L)`` integer array.  Every ``Generator.choice``
-    call of the T episodes is decoded from the rows' raw streams at once
-    (:func:`crowdmeta.seeding.choose`), first the classes, then each
-    class's examples.  A task that meets a case the decode does not
-    follow, a draw in [0, j] that Lemire's method rejects (probability
-    below (j + 1) / 2**32) or a pool that ``choice`` tail-shuffles, is
-    drawn by :func:`sample_episode` instead.
+    Row t's episode reads the first ``ways + 2·ways·need`` doubles of its
+    row of ``uniforms(master_seed, label, indices, ...)`` (``need = shots
+    + query_per_class``), whatever the pool sizes: ``ways`` choose its
+    classes by Floyd's algorithm (:func:`crowdmeta.seeding.choose`), then
+    each class in turn takes ``2·need``, ``need`` to choose its examples
+    by Floyd and ``need`` whose order shuffles them, support first.  Every
+    (task, class) row is drawn at once, and the chunk's features gathered
+    once.
     """
     need, eligible = _eligible_classes(dataset, ways, shots, query_per_class)
     rows = np.asarray(indices)
     t = len(rows)
-    # at most 2·ways - 1 32-bit draws choose the classes and 2·need - 1 each class's examples
-    draws = halves(raw_streams(master_seed, label, rows, ways * (2 * need + 1) // 2))
-    tasks = np.arange(t)
-    chosen, used, redo = choose(draws, tasks, np.zeros(t, dtype=np.intp),
-                                np.full(t, len(eligible)), ways)
+    u = uniforms(master_seed, label, rows, ways + 2 * ways * need)
+    chosen = choose(u[:, :ways], np.full(t, len(eligible)), ways)
     class_ids = np.sort(np.asarray(eligible)[chosen], axis=1)
     at = np.searchsorted(dataset.class_ids, class_ids)
-    pools = dataset._class_size[at].ravel()
-    reads = (2 * need - 1 - (pools == need)).reshape(t, ways)
-    starts = used[:, None] + np.cumsum(reads, axis=1) - reads
-    picked, _, missed = choose(draws, tasks.repeat(ways), starts.ravel(), pools, need)
-    redo |= missed.reshape(t, ways).any(axis=1)
+    per_class = u[:, ways:].reshape(t * ways, 2 * need)
+    picked = choose(per_class[:, :need], dataset._class_size[at].ravel(), need)
+    order = np.argsort(per_class[:, need:], axis=1, kind="stable")
+    picked = picked[np.arange(t * ways)[:, None], order]
     examples = dataset._by_class[dataset._class_start[at].reshape(-1, 1) + picked]
     examples = examples.reshape(t, ways, need)
     new_labels = np.arange(ways, dtype=np.intp)
-    episodes = Episode(
+    return Episode(
         class_ids=class_ids,
         support_x=dataset.features[examples[:, :, :shots].reshape(t, -1)],
         support_y=np.tile(np.repeat(new_labels, shots), (t, 1)),
         query_x=dataset.features[examples[:, :, shots:].reshape(t, -1)],
         query_y=np.tile(np.repeat(new_labels, query_per_class), (t, 1)),
     )
-    for i in np.flatnonzero(redo).tolist():
-        episode = sample_episode(dataset, ways, shots, query_per_class,
-                                 stream(master_seed, label, *rows[i].tolist()))
-        for f in fields(Episode):
-            getattr(episodes, f.name)[i] = getattr(episode, f.name)
-    return episodes
 
 
 def load_csv(path: str, label_column: str) -> LabeledDataset:

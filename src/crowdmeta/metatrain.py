@@ -11,20 +11,22 @@ closed-form updates of :mod:`crowdmeta.em`, and the gradient chains the
 layers' own reverse passes, :func:`crowdmeta.em.backward` and
 :func:`crowdmeta.encoder.backward` (:func:`episode_loss_and_grad`).
 
-Episodes travel as stacked chunks, each decoded at once from its tasks'
-streams (:func:`crowdmeta.episodes.sample_episodes`), and a chunk's
-annotators are drawn together too: each support's from its own stream,
-the chunk's streams derived as arrays (:func:`crowdmeta.seeding.raw_streams`)
-and decoded in one :func:`crowdmeta.annotators.simulate_annotators` pass
+Episodes travel as stacked chunks, each drawn at once from its tasks'
+rows of crowdmeta's counter-based generator
+(:func:`crowdmeta.episodes.sample_episodes`), and a chunk's annotators are
+drawn together too: each support's from its own row of doubles
+(:func:`crowdmeta.seeding.uniforms`), all decoded in one
+:func:`crowdmeta.annotators.simulate_annotators` pass
 (:func:`_draw_annotators`).  Training draws its inputs a block of up to
 :data:`TRAIN_BLOCK` episodes at a time, whole meta-batches of consecutive
 iterations (:func:`training_block`): the episodes, their pseudo-annotated
 support labels and each iteration's pseudo digest.  Each iteration slices
-its meta-batch from the block: the same draws as one generator per stream
-and episode, since no draw depends on the parameters.  The block's labels
-are validated once, into :class:`crowdmeta.em.CheckedLabels` whose slices
-each iteration's support set takes unchecked; only the embeddings, which
-the encoder can make non-finite, are checked per iteration.  The loop
+its meta-batch from the block: a row's draws do not depend on the other
+rows of its block, and no draw depends on the parameters.  The block's
+labels are validated once, into :class:`crowdmeta.em.CheckedLabels`
+whose slices each iteration's support set takes unchecked; only the
+embeddings, which the encoder can make non-finite, are checked per
+iteration.  The loop
 reads θ through views of the flat parameter vector, without the copy and
 finiteness scan of :class:`~crowdmeta.encoder.EncoderParams`, since
 :func:`adam_update` rejects a non-finite gradient.  Evaluation and
@@ -56,7 +58,7 @@ from .annotators import (AnnotatorDistribution, SimulatedAnnotators, block_size,
                          simulate_annotators)
 from .encoder import EncoderConfig, EncoderParams, forward, init_params
 from .episodes import Episode, LabeledDataset, sample_episodes
-from .seeding import raw_streams, uniforms
+from .seeding import uniforms
 
 logger = logging.getLogger("crowdmeta")
 
@@ -249,9 +251,8 @@ def episode_chunks(dataset: LabeledDataset, rows: Sequence[tuple[int, ...]], way
                    label: str) -> Iterator[Episode]:
     """Consecutive runs of at most :data:`EVAL_CHUNK` episodes of ``dataset``, each stacked.
 
-    The episode of each row is ``sample_episode(dataset, ways, shots,
-    query_per_class, stream(master_seed, label, *row))``; each chunk is one
-    :func:`~crowdmeta.episodes.sample_episodes` call.
+    Each chunk is one :func:`~crowdmeta.episodes.sample_episodes` call
+    over its rows, and a row's episode does not depend on the chunk.
     """
     for start in range(0, len(rows), EVAL_CHUNK):
         yield sample_episodes(dataset, ways, shots, query_per_class, master_seed, label,
@@ -314,17 +315,17 @@ def _draw_annotators(support_y: np.ndarray, dist: AnnotatorDistribution | None,
                      rows) -> tuple[np.ndarray, SimulatedAnnotators | None]:
     """The ``(B, N, R)`` labels of B stacked supports, and the annotators who gave them.
 
-    Support b's annotators are decoded from the first doubles of
-    ``stream(master_seed, label, *rows[b])``, all B in one
-    :func:`~crowdmeta.annotators.simulate_annotators` pass over the
-    streams' raw output (:func:`~crowdmeta.seeding.raw_streams`).
+    Support b's annotators are decoded from the doubles of row b of
+    ``uniforms(master_seed, label, rows, ...)``
+    (:func:`~crowdmeta.seeding.uniforms`), all B in one
+    :func:`~crowdmeta.annotators.simulate_annotators` pass.
     ``dist=None`` labels each support with its clean labels as one perfect
-    annotator instead, derives no stream, and returns no annotators.
+    annotator instead, draws no doubles, and returns no annotators.
     """
     if dist is None:
         return support_y[..., None], None
-    raw = raw_streams(master_seed, label, rows, block_size(num_annotators, support_y.shape[1]))
-    drawn = simulate_annotators(support_y, num_annotators, dist, num_classes, uniforms(raw))
+    block = uniforms(master_seed, label, rows, block_size(num_annotators, support_y.shape[1]))
+    drawn = simulate_annotators(support_y, num_annotators, dist, num_classes, block)
     return drawn.labels, drawn
 
 
@@ -347,13 +348,13 @@ def evaluate(
     stream_label: str = "eval-annotators",
     fit: Fit = fit_em,
 ) -> EvalResult:
-    """Simulate annotators per task from its own stream, fit, and score query accuracy.
+    """Simulate annotators per task from its own row of doubles, fit, and score query accuracy.
 
     ``chunks`` are stacked episodes; the task index runs across them, so
-    task i's annotators come from ``stream(master_seed, stream_label, i)``,
-    drawn for a chunk at once by :func:`_draw_annotators`.  ``dist=None``
-    labels each support with its clean labels as one perfect annotator
-    instead.  The episodes are scored as given, embedded or raw.  Each
+    task i's annotators come from the row ``(i,)`` of ``stream_label``'s
+    doubles, drawn for a chunk at once by :func:`_draw_annotators`.
+    ``dist=None`` labels each support with its clean labels as one perfect
+    annotator instead.  The episodes are scored as given, embedded or raw.  Each
     chunk takes one annotator draw and one :func:`adapt_and_score` call.
     """
     if not chunks:
@@ -427,7 +428,7 @@ def _validation_episodes(val: LabeledDataset, config: MetaConfig) -> list[Episod
                                config.master_seed, "val-episode"))
 
 
-# episodes per block of training draws: spreads the decoders' fixed cost over
+# episodes per block of training draws: spreads the draws' fixed cost over
 # many rows, and bounds the memory a block holds
 TRAIN_BLOCK = 64
 
@@ -437,16 +438,15 @@ def training_block(source: LabeledDataset, config: MetaConfig,
     """The episodes, support labels and pseudo digests of the meta-batches of ``iterations``.
 
     Row ``(i - iterations.start) · meta_batch + b`` holds episode b of
-    iteration i, ``sample_episode(source, ..., stream(master_seed,
-    "episode", i, b))``, and its ``(N, R)`` support labels, from annotators
-    drawn with ``stream(master_seed, "pseudo-annotate", i, b)``
+    iteration i, drawn from the row ``(i, b)`` of the ``"episode"``
+    doubles, and its ``(N, R)`` support labels, from annotators drawn
+    from the row ``(i, b)`` of the ``"pseudo-annotate"`` doubles
     (:func:`_draw_annotators`).  Each iteration's digest is the first 12
     hex digits of the SHA-256 of its last episode's confusions.  Without
-    pseudo-annotation each support keeps its clean labels, no such stream
-    is derived, and every digest is ``"clean"``.  The episodes and
-    annotators are decoded from the streams' raw output, the episodes in
-    one :func:`~crowdmeta.episodes.sample_episodes` call, the annotators
-    in one pass.
+    pseudo-annotation each support keeps its clean labels, no annotator
+    is drawn, and every digest is ``"clean"``.  The episodes are one
+    :func:`~crowdmeta.episodes.sample_episodes` call, the annotators one
+    pass.
     """
     rows = [(i, b) for i in iterations for b in range(config.meta_batch)]
     episodes = sample_episodes(source, config.ways, config.shots, config.query_per_class,

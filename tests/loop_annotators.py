@@ -12,13 +12,16 @@ that both consume the same draws and produce the same profiles and labels.
 annotation maps where the package returns the ``(N, R)`` label matrix;
 the ``*_matrix`` forms pass them through ``em.label_matrix``.  A
 :class:`Replay` generator hands out a given row of uniforms, so the loops
-can also decode the uniform blocks the package's chunk pass takes.
+can also decode the uniform blocks the package's chunk pass takes, and
+``row_generator`` replays one row of the package's counter-based
+generator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import loop_seeding
 from crowdmeta import em
 from crowdmeta.annotators import KINDS, AnnotatorKind, AnnotatorProfile, SimulatedAnnotators
 
@@ -38,6 +41,12 @@ class Replay(np.random.Generator):
         if size is None:
             return next(self._uniforms)
         return np.array([next(self._uniforms) for _ in range(int(np.prod(size)))]).reshape(size)
+
+
+def row_generator(master_seed, label, row, num_annotators, num_examples):
+    """A :class:`Replay` of one row's block of doubles, as the package's chunk draws read it."""
+    return Replay(loop_seeding.row_uniforms(master_seed, label, row,
+                                            num_annotators * (2 + num_examples)))
 
 
 # (low, high] accuracy range per kind

@@ -6,10 +6,11 @@ each and builds the labels with ``np.repeat``.  This is the earlier form:
 it re-sorts and re-filters the class ids on every call and assembles the
 episode one class at a time, so the tests can check that both consume the
 same draws and produce the same episodes.  ``sample_episodes`` is the
-package's chunk decoder in loop form: one generator and one
-``Generator.choice`` call at a time per episode, then stacked by
-``stack_episodes``, which no package code needs since episodes are drawn
-stacked.
+package's chunk draw in loop form: one row's doubles at a time
+(``loop_seeding.row_uniforms``), Floyd's algorithm with a set, each
+class's examples ordered by a sort keyed on its next doubles, then stacked
+by ``stack_episodes``, which no package code needs since episodes are
+drawn stacked.
 """
 
 from __future__ import annotations
@@ -63,10 +64,39 @@ def stack_episodes(episodes):
     return Episode(*(np.array([getattr(e, f.name) for e in episodes]) for f in fields(Episode)))
 
 
+def floyd(u, pool, size):
+    """``size`` distinct integers in ``[0, pool)`` by Floyd's algorithm, one double per step."""
+    taken, seen = [], set()
+    for step, x in enumerate(u[:size]):
+        j = pool - size + step
+        draw = min(int(x * (j + 1)), j)
+        taken.append(j if draw in seen else draw)
+        seen.add(taken[-1])
+    return taken
+
+
 def sample_episodes(dataset, ways, shots, query_per_class, master_seed, label, indices):
-    """The episodes of ``indices``' rows, each from its own stream, stacked."""
-    return stack_episodes([
-        sample_episode(dataset, ways, shots, query_per_class,
-                       loop_seeding.stream(master_seed, label, *row))
-        for row in np.asarray(indices).tolist()
-    ])
+    """The episodes of ``indices``' rows, each from its own row's doubles, stacked."""
+    need = shots + query_per_class
+    pools = {int(c): np.flatnonzero(dataset.labels == c) for c in np.unique(dataset.labels)}
+    eligible = [c for c in sorted(pools) if len(pools[c]) >= need]
+    episodes = []
+    for row in np.asarray(indices).tolist():
+        u = loop_seeding.row_uniforms(master_seed, label, row, ways + 2 * ways * need)
+        class_ids = sorted(eligible[i] for i in floyd(u, len(eligible), ways))
+        support, query = [], []
+        for k, class_id in enumerate(class_ids):
+            block = u[ways + 2 * need * k : ways + 2 * need * (k + 1)]
+            picked = floyd(block, len(pools[class_id]), need)
+            keys = block[need:]
+            picked = [picked[i] for i in sorted(range(need), key=keys.__getitem__)]
+            support += [pools[class_id][i] for i in picked[:shots]]
+            query += [pools[class_id][i] for i in picked[shots:]]
+        episodes.append(Episode(
+            class_ids=np.array(class_ids),
+            support_x=dataset.features[support],
+            support_y=np.repeat(np.arange(ways), shots),
+            query_x=dataset.features[query],
+            query_y=np.repeat(np.arange(ways), query_per_class),
+        ))
+    return stack_episodes(episodes)

@@ -7,7 +7,8 @@ prototype fit.  These are the earlier forms, one encoder call per support
 and per query set and one adaptation per task, so the tests can check that
 both make the same draws and the same scores.  Annotators are drawn by
 the per-annotator loops of ``loop_annotators``, one pool and one labelling
-per task, so the tests also check the package's chunk pass.
+per task, each from its row's doubles (``loop_annotators.row_generator``),
+so the tests also check the package's chunk pass.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 import loop_annotators
 from crowdmeta import baselines, em
 from crowdmeta.encoder import forward
-from crowdmeta.seeding import stream
 
 
 def adapt_and_score(params, episode, annotations, num_annotators, hyper):
@@ -44,7 +44,8 @@ def evaluate(params, episodes, dist, hyper, num_annotators, master_seed,
     recovery = np.empty(len(episodes))
     pools = []
     for i, episode in enumerate(episodes):
-        rng = stream(master_seed, stream_label, i)
+        rng = loop_annotators.row_generator(master_seed, stream_label, (i,), num_annotators,
+                                            len(episode.support_y))
         profiles, confusions = loop_annotators.sample_annotator_pool(
             dist, num_annotators, episode.num_classes, rng)
         annotations = loop_annotators.annotate_matrix(episode.support_y, confusions, rng)
@@ -68,8 +69,8 @@ def baseline_scores(params, episodes, method, r, dist, hyper, seed, label):
     accuracy = np.empty(len(episodes))
     for i, episode in enumerate(episodes):
         k = episode.num_classes
-        annotations, _ = loop_annotators.pseudo_annotate_matrix(episode.support_y, r, dist, k,
-                                                                 stream(seed, label, i))
+        rng = loop_annotators.row_generator(seed, label, (i,), r, len(episode.support_y))
+        annotations, _ = loop_annotators.pseudo_annotate_matrix(episode.support_y, r, dist, k, rng)
         if method.endswith("ds"):
             weights, _, _ = baselines.dawid_skene(annotations, k, hyper, num_annotators=r)
             estimated = np.argmax(weights, axis=1)

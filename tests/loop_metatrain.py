@@ -1,12 +1,13 @@
 """Per-iteration form of the training loop; a test-only oracle.
 
 The package draws the training inputs for a block of iterations at once,
-decoded from the streams' raw output, and each iteration slices its
-meta-batch.  This is the earlier form: each iteration draws its
-meta-batch from one generator per stream, episode by episode
-(``loop_episodes.sample_episode``), stacks it, pseudo-annotates each
-support from its own generator (``loop_annotators.pseudo_annotate_matrix``)
-and hashes its last episode's confusions.  Everything else, the gradient,
+from the rows of its counter-based generator, and each iteration slices
+its meta-batch.  This is the earlier form: each iteration draws its
+meta-batch one row at a time (``loop_episodes.sample_episodes``),
+pseudo-annotates each support from its own row's doubles
+(``loop_annotators.pseudo_annotate_matrix`` on
+``loop_annotators.row_generator``) and hashes its last episode's
+confusions.  Everything else, the gradient,
 Adam, validation and early stopping, is the package's, looked up on the
 module at call time so that a test's patch applies to both forms.
 """
@@ -19,28 +20,26 @@ import numpy as np
 
 import loop_annotators
 import loop_episodes
-import loop_seeding
 from crowdmeta import metatrain as mt
 from crowdmeta.encoder import EncoderParams, init_params
 
 
 def meta_batch(source, config, iteration):
     """Iteration ``iteration``'s stacked episodes, their (B, N, R) support labels and its digest."""
-    episodes, labels, digest = [], [], "clean"
-    for b in range(config.meta_batch):
-        episode = loop_episodes.sample_episode(
-            source, config.ways, config.shots, config.query_per_class,
-            loop_seeding.stream(config.master_seed, "episode", iteration, b))
-        episodes.append(episode)
-        if not config.pseudo_annotation:
-            labels.append(episode.support_y[:, None])
-            continue
+    rows = [(iteration, b) for b in range(config.meta_batch)]
+    episodes = loop_episodes.sample_episodes(source, config.ways, config.shots,
+                                             config.query_per_class, config.master_seed,
+                                             "episode", rows)
+    if not config.pseudo_annotation:
+        return episodes, episodes.support_y[..., None], "clean"
+    labels = []
+    for row, truth in zip(rows, episodes.support_y):
+        rng = loop_annotators.row_generator(config.master_seed, "pseudo-annotate", row,
+                                            config.num_annotators, len(truth))
         annotations, confusions = loop_annotators.pseudo_annotate_matrix(
-            episode.support_y, config.num_annotators, config.pseudo_dist, config.ways,
-            loop_seeding.stream(config.master_seed, "pseudo-annotate", iteration, b))
+            truth, config.num_annotators, config.pseudo_dist, config.ways, rng)
         labels.append(annotations)
-        digest = hashlib.sha256(np.stack(confusions)).hexdigest()[:12]
-    return loop_episodes.stack_episodes(episodes), np.stack(labels), digest
+    return episodes, np.stack(labels), hashlib.sha256(np.stack(confusions)).hexdigest()[:12]
 
 
 def meta_train(source, val, config):

@@ -19,7 +19,7 @@ from crowdmeta.annotators import (
     sample_annotator_pool,
     simulate_annotators,
 )
-from crowdmeta.seeding import raw_streams, stream, uniforms
+from crowdmeta.seeding import stream, uniforms
 
 
 EHS = AnnotatorDistribution.expert_hammer_spammer
@@ -272,10 +272,10 @@ class TestMatchesLoops:
 class TestSimulateAnnotators:
     """The chunk pass against one oracle pool and labelling per task.
 
-    The chunk pass decodes blocks of uniforms: a block derived from the
-    tasks' streams as arrays, as evaluation derives it, against the oracle
-    drawing from the tasks' generators, and a block read from generators,
-    as meta-training reads it, against the oracle replaying that block.
+    The chunk pass decodes blocks of uniforms: a block read from the
+    tasks' generators against the oracle drawing from those generators,
+    and a block of :func:`crowdmeta.seeding.uniforms`, as meta-training
+    and evaluation draw it, against the oracle replaying that block.
     """
 
     DISTS = TestMatchesLoops.DISTS + (
@@ -298,11 +298,14 @@ class TestSimulateAnnotators:
             dist = self.DISTS[i % len(self.DISTS)]
             k, n = 2 + i % 9, 1 + (i * 7) % 25
             truth = stream(i, "sim-truth").integers(k, size=(b, n))
-            block = uniforms(raw_streams(i, "sim", np.arange(b)[:, None], r * (2 + n)))
+            block = np.stack([stream(i, "sim", t).random(r * (2 + n)) for t in range(b)])
             got = simulate_annotators(truth, r, dist, k, block)
             expected = loop_annotators.simulate_annotators(
                 truth, r, dist, k, [stream(i, "sim", t) for t in range(b)])
             self.assert_same(got, expected)
+            self.assert_same(got, loop_annotators.simulate_block(truth, r, dist, k, block))
+            block = uniforms(i, "sim", np.arange(b)[:, None], r * (2 + n))
+            got = simulate_annotators(truth, r, dist, k, block)
             self.assert_same(got, loop_annotators.simulate_block(truth, r, dist, k, block))
             kinds.update(KINDS[c] for c in got.kinds.ravel().tolist())
         assert kinds == set(AnnotatorKind)

@@ -343,7 +343,8 @@ class TestEvaluateCommand:
             key = {"shots": shots, "annotators": annotators, "dist": dist.to_dict()}
             for i in range(setup.eval_tasks):
                 label = cli._annotator_stream(shots, annotators, dist)
-                rng = stream(setup.meta.master_seed, label, i)
+                rng = loop_annotators.row_generator(setup.meta.master_seed, label, (i,),
+                                                    annotators, setup.meta.ways * shots)
                 profiles, _ = loop_annotators.sample_annotator_pool(dist, annotators,
                                                                     setup.meta.ways, rng)
                 dicts = [{"kind": p.kind.value} | ({} if p.q is None else {"q": p.q})
@@ -359,7 +360,7 @@ class TestEvaluateCommand:
 
     def test_audit_lines_are_the_drawn_profiles(self, config_path, checkpoint, tmp_path):
         # each line, byte for byte, as written from the profiles that one
-        # pool per task draws on the cell's stream
+        # pool per task draws from its row of the cell's doubles
         out = str(tmp_path / "audit")
         assert main(["evaluate", "--checkpoint", checkpoint, "--config", config_path,
                      "--out", out, "--shots", "2", "--annotators", "4",
@@ -642,7 +643,8 @@ class TestVerifyCommand:
 
 def test_each_stream_label_takes_one_index_count(config_path, tmp_path, monkeypatch):
     # stream(m, label) and stream(m, label, 0) are one generator for master
-    # seeds below 2**32, so no label may be used with two index counts
+    # seeds below 2**32, so no label may be used with two index counts; the
+    # chunk draws, which have no such alias, keep one index count a label too
     from crowdmeta import config, episodes, verify
     counts = {}
 
@@ -655,10 +657,10 @@ def test_each_stream_label_takes_one_index_count(config_path, tmp_path, monkeypa
 
         monkeypatch.setattr(module, name, recording)
 
-    for module in (config, episodes, verify):
+    for module in (config, verify):
         wrap(module, "stream", len)
     for module in (episodes, mt):
-        wrap(module, "raw_streams", lambda args: np.asarray(args[0]).shape[1])
+        wrap(module, "uniforms", lambda args: np.asarray(args[0]).shape[1])
     trained = str(tmp_path / "trained")
     assert main(["meta-train", "--config", config_path, "--out", trained]) == 0
     assert main(["evaluate", "--checkpoint", os.path.join(trained, "checkpoint.bin"),

@@ -134,6 +134,21 @@ class TestLabelMatrix:
         with pytest.raises(ValueError, match="3 annotator columns, not num_annotators = 2"):
             support(loop_em.with_silent_annotators(labels, 3))
 
+    @pytest.mark.parametrize("shape, message", [
+        ((0, 3), r"annotations \(0, 3\) have no examples \(N = 0\)"),
+        ((4, 0), r"annotations \(4, 0\) have no annotators \(R = 0\)"),
+        ((2, 0, 3), r"annotations \(2, 0, 3\) have no examples \(N = 0\)"),
+        ((0, 4, 3), r"annotations \(0, 4, 3\) have no tasks"),
+    ])
+    def test_empty_axis_named(self, shape, message):
+        # numpy's own "zero-size array to reduction operation" message named no axis
+        with pytest.raises(ValueError, match=message):
+            em.one_hot_labels(np.zeros(shape, dtype=np.intp), 3)
+
+    def test_support_without_examples_rejected(self):
+        with pytest.raises(ValueError, match=r"no examples \(N = 0\)"):
+            em.SupportSet(np.zeros((0, 2)), np.zeros((0, 2), dtype=np.intp), 2, 2)
+
     def test_annotation_maps_rejected_by_the_ems_inputs(self):
         with pytest.raises(ValueError, match="em.label_matrix converts annotation maps"):
             em.SupportSet(np.zeros((2, 2)), [{0: 0}, {0: 1}], 2, 1)

@@ -1,6 +1,5 @@
 """Synthetic data, class splits, episode sampling, CSV ingestion."""
 
-import re
 from dataclasses import fields
 
 import numpy as np
@@ -213,7 +212,7 @@ class TestMatchesLoop:
 
 
 class TestSampleEpisodes:
-    """The chunk decoder against one ``sample_episode`` per row, stacked (``loop_episodes``)."""
+    """The chunk draw against one row's doubles at a time, stacked (``loop_episodes``)."""
 
     @staticmethod
     def assert_same(got, expected):
@@ -222,19 +221,7 @@ class TestSampleEpisodes:
             assert a.dtype == e.dtype and a.shape == e.shape, f.name
             assert a.tobytes() == e.tobytes(), f.name
 
-    @pytest.fixture()
-    def per_task_calls(self, monkeypatch):
-        """The rows that ``sample_episodes`` sent to the per-task ``sample_episode``."""
-        calls = []
-
-        def counted(*args):
-            calls.append(args[1:4])
-            return sample_episode(*args)
-
-        monkeypatch.setattr(episodes, "sample_episode", counted)
-        return calls
-
-    def test_same_episodes_as_per_task_draws(self, per_task_calls):
+    def test_same_episodes_as_per_task_draws(self):
         data = TestMatchesLoop.uneven_dataset()  # classes of 16, 4, 12, 5, 10, 7 and 9
         # (ways, shots, query): 5 or 10 examples per class, where one class has
         # exactly that many; 3 classes for 3 ways and 6 for 6 make the first
@@ -251,61 +238,34 @@ class TestSampleEpisodes:
                         data, ways, shots, query, seed, "decode", indices))
                     checked += len(indices)
         assert checked >= 2000
-        assert per_task_calls == []
 
-    def rejecting(self, monkeypatch, row):
-        """``sample_episodes`` reading 0 for every 32-bit draw of ``row``.
+    @pytest.mark.parametrize("per_class", [40, 2000])
+    def test_draws_do_not_grow_with_the_pools(self, per_class, monkeypatch):
+        # ways + 2·ways·need doubles a task whatever the pool size: choosing
+        # examples by the order of doubles over a whole pool would read O(pool)
+        counts = []
 
-        Lemire's method rejects 0 for a draw in [0, j] unless j + 1 divides 2**32.
-        """
-        derive = episodes.raw_streams
+        def recording(master_seed, label, indices, count):
+            counts.append(count)
+            return seeding.uniforms(master_seed, label, indices, count)
 
-        def zeroed(*args):
-            raw = derive(*args)
-            raw[row] = 0
-            return raw
+        monkeypatch.setattr(episodes, "uniforms", recording)
+        ways, shots, query = 5, 2, 3
+        data = generate_synthetic(8, 2, 1.0, per_class, seed=1)
+        got = sample_episodes(data, ways, shots, query, 3, "pool", np.arange(16)[:, None])
+        assert counts == [ways + 2 * ways * (shots + query)]
+        picked = np.concatenate([got.support_x, got.query_x], axis=1)
+        for task in picked:
+            assert len(np.unique(task, axis=0)) == len(task)
 
-        monkeypatch.setattr(episodes, "raw_streams", zeroed)
-
-    def test_rejected_class_draw_falls_back(self, monkeypatch, per_task_calls):
-        data = TestMatchesLoop.uneven_dataset()
-        self.rejecting(monkeypatch, 1)  # 6 classes of 5+: the first draw is in [0, 4]
-        indices = np.arange(4)[:, None]
-        got = sample_episodes(data, 2, 2, 3, 7, "reject", indices)
-        self.assert_same(got, loop_episodes.sample_episodes(data, 2, 2, 3, 7, "reject", indices))
-        assert per_task_calls == [(2, 2, 3)]
-
-    def test_rejected_example_draw_falls_back(self, monkeypatch, per_task_calls):
-        # two classes for two ways draw in [0, 0], [0, 1] and [0, 1], which
-        # accept 0; the 9-example class's first draw is in [0, 4]
-        labels = np.repeat([0, 1], [9, 16])
-        data = LabeledDataset(features=stream(3, "two").standard_normal((25, 2)), labels=labels)
-        self.rejecting(monkeypatch, 2)
-        indices = np.arange(3)[:, None]
-        got = sample_episodes(data, 2, 2, 3, 8, "reject", indices)
-        self.assert_same(got, loop_episodes.sample_episodes(data, 2, 2, 3, 8, "reject", indices))
-        assert per_task_calls == [(2, 2, 3)]
-
-    @pytest.mark.parametrize("query, fallbacks", [(199, 0), (200, 3)])
-    def test_tail_shuffled_pool_falls_back(self, query, fallbacks, per_task_calls):
-        # Generator.choice shuffles a tail of a pool above 10,000 for more than pool // 50
-        labels = np.repeat([0, 1, 2], [10_001, 300, 10_001])
-        data = LabeledDataset(features=np.arange(len(labels), dtype=float)[:, None],
-                              labels=labels)
-        indices = np.arange(3)[:, None]
-        got = sample_episodes(data, 2, 1, query, 9, "tail", indices)
-        self.assert_same(got, loop_episodes.sample_episodes(data, 2, 1, query, 9, "tail", indices))
-        assert len(per_task_calls) == fallbacks
-
-    def test_tail_shuffled_class_choice_falls_back(self, per_task_calls):
-        # 201 of 10,001 classes: the classes' choice itself is tail-shuffled
-        labels = np.repeat(np.arange(10_001), 2)
-        data = LabeledDataset(features=np.arange(len(labels), dtype=float)[:, None],
-                              labels=labels)
-        indices = np.arange(2)[:, None]
-        got = sample_episodes(data, 201, 1, 1, 4, "tail", indices)
-        self.assert_same(got, loop_episodes.sample_episodes(data, 201, 1, 1, 4, "tail", indices))
-        assert len(per_task_calls) == 2
+    def test_support_is_uniform_over_a_full_class(self):
+        # with need = pool, Floyd's first step draws in [0, 0]: only the
+        # shuffle by the class's next doubles moves example 0 out of the support
+        data = LabeledDataset(features=np.arange(10, dtype=float)[:, None],
+                              labels=np.repeat([0, 1], 5))
+        got = sample_episodes(data, 2, 1, 4, 5, "full", np.arange(20_000)[:, None])
+        counts = np.bincount(got.support_x[:, 0, 0].astype(int), minlength=5)
+        assert counts.min() > 3_700 and counts.max() < 4_300  # 4,000 expected, SD 57
 
     def test_same_errors(self):
         data = TestMatchesLoop.uneven_dataset()
@@ -315,18 +275,6 @@ class TestSampleEpisodes:
             with pytest.raises(DataError) as one:
                 sample_episode(data, *args, stream(1, "err", 0))
             assert str(chunk.value) == str(one.value)
-
-    def test_probe_names_the_numpy_version(self, monkeypatch):
-        # a numpy whose choice shuffled differently would fail the first call's check
-        seeding._check_numpy.cache_clear()
-        decode = seeding.choose
-        monkeypatch.setattr(seeding, "choose",
-                            lambda *args: (decode(*args)[0][:, ::-1],) + decode(*args)[1:])
-        data = TestMatchesLoop.uneven_dataset()
-        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} draws"):
-            sample_episodes(data, 2, 1, 1, 1, "probe", [[0]])
-        monkeypatch.undo()
-        sample_episodes(data, 2, 1, 1, 1, "probe", [[0]])  # the check runs again, and passes
 
 
 class TestLoadCsv:

@@ -21,7 +21,7 @@ from crowdmeta.annotators import (
     sample_annotator_pool,
 )
 from crowdmeta.encoder import EncoderConfig, EncoderParams, forward, init_params
-from crowdmeta.episodes import Episode, generate_synthetic, sample_episode
+from crowdmeta.episodes import Episode, generate_synthetic
 from crowdmeta.seeding import stream
 from crowdmeta.verify import episode_loss_value
 
@@ -235,7 +235,7 @@ class TestMetaGradient:
 
     @staticmethod
     def gradient(seed, config, params=None):
-        """Episode ``seed``, its labels, its annotators (stream(seed, "pa", 0)), loss, gradient."""
+        """Episode ``seed``, its labels, its annotators (row (0,) of ``"pa"``), loss, gradient."""
         episode = random_episode(seed)
         params = init_params(config.encoder) if params is None else params
         labels, drawn = mt._draw_annotators(episode.support_y[None], config.pseudo_dist,
@@ -286,9 +286,11 @@ class TestMetaGradient:
         np.testing.assert_array_equal(grad_a, grad_b)
         np.testing.assert_array_equal(labels_a, labels_b)
         assert drawn_a.confusions.tobytes() == drawn_b.confusions.tobytes()
-        # the draw is the per-task pseudo-annotation of the same stream
-        expected, confusions = pseudo_annotate(random_episode(34).support_y, 3,
-                                               config.pseudo_dist, 3, stream(34, "pa", 0))
+        # the draw is the per-task pseudo-annotation of the same row's doubles
+        truth = random_episode(34).support_y
+        expected, confusions = pseudo_annotate(
+            truth, 3, config.pseudo_dist, 3,
+            loop_annotators.row_generator(34, "pa", (0,), 3, len(truth)))
         np.testing.assert_array_equal(labels_a, expected)
         assert drawn_a.confusions[0].tobytes() == np.stack(confusions).tobytes()
 
@@ -402,15 +404,16 @@ class TestMetaTrain:
         result = mt.meta_train([train], [val], config)
         params = result.final_params  # the parameters validated at iteration 10
         accuracies = []
-        for j in range(config.val_episodes_per_task):
-            episode = sample_episode(val, config.ways, config.shots, config.query_per_class,
-                                     stream(config.master_seed, "val-episode", 0, j))
-            support = em.SupportSet(forward(episode.support_x, params),
-                                    episode.support_y[:, None],
-                                    episode.num_classes, 1)
+        episodes = loop_episodes.sample_episodes(
+            val, config.ways, config.shots, config.query_per_class, config.master_seed,
+            "val-episode", [(0, j) for j in range(config.val_episodes_per_task)])
+        for support_x, support_y, query_x, query_y in zip(
+                episodes.support_x, episodes.support_y, episodes.query_x, episodes.query_y):
+            support = em.SupportSet(forward(support_x, params), support_y[:, None],
+                                    config.ways, 1)
             classifier = em.adapt(support, config.hyper)
-            predicted = em.predict_labels(forward(episode.query_x, params), classifier)
-            accuracies.append(float(np.mean(predicted == episode.query_y)))
+            predicted = em.predict_labels(forward(query_x, params), classifier)
+            accuracies.append(float(np.mean(predicted == query_y)))
         assert result.val_history == [(10, float(np.mean(accuracies)))]
 
     def test_pseudo_annotations_fresh_each_iteration(self):
@@ -433,13 +436,13 @@ class TestMetaTrain:
 
     def test_oracles_give_identical_theta(self, monkeypatch):
         # every draw of the loop against the loop forms of episode sampling,
-        # stream derivation and annotator simulation
+        # the counter-based generator and annotator simulation
         train, val = make_tasks()
         config = small_config(max_iterations=20, validation_interval=10, meta_batch=2,
                               patience=1000, val_dist=EHS(0.3, 0.4, 0.3))
         fast = mt.meta_train([train], [val], config)
         monkeypatch.setattr(mt, "sample_episodes", loop_episodes.sample_episodes)
-        monkeypatch.setattr(mt, "raw_streams", loop_seeding.raw_streams)
+        monkeypatch.setattr(mt, "uniforms", loop_seeding.uniforms)
         monkeypatch.setattr(mt, "simulate_annotators", loop_annotators.simulate_block)
         slow = mt.meta_train([train], [val], config)
         assert fast.final_params.flatten().tobytes() == slow.final_params.flatten().tobytes()
@@ -450,19 +453,19 @@ class TestMetaTrain:
 
     def test_validation_chunks_of_one_dataset(self):
         # EVAL_CHUNK + 28 validation episodes are chunks of EVAL_CHUNK and 28
-        # consecutive episodes, episode j drawn from the stream of row (0, j)
+        # consecutive episodes, episode j drawn from row (0, j)
         _, val = make_tasks()
         size = mt.EVAL_CHUNK
         config = small_config(val_episodes_per_task=size + 28)
         chunks = mt._validation_episodes(val, config)
-        expected = [loop_episodes.sample_episode(
-            val, config.ways, config.shots, config.query_per_class,
-            stream(config.master_seed, "val-episode", 0, j)) for j in range(size + 28)]
+        expected = loop_episodes.sample_episodes(
+            val, config.ways, config.shots, config.query_per_class, config.master_seed,
+            "val-episode", [(0, j) for j in range(size + 28)])
         assert [len(chunk.support_y) for chunk in chunks] == [size, 28]
         for chunk, start in zip(chunks, (0, size)):
-            stacked = stack_episodes(expected[start : start + size])
             for name in ("class_ids", "support_x", "support_y", "query_x", "query_y"):
-                assert getattr(chunk, name).tobytes() == getattr(stacked, name).tobytes()
+                part = getattr(expected, name)[start : start + size]
+                assert getattr(chunk, name).tobytes() == part.tobytes()
 
     @pytest.mark.parametrize("sources, vals", [(0, 1), (2, 1), (1, 0), (1, 2)])
     def test_needs_one_source_and_one_validation_dataset(self, sources, vals, monkeypatch):
@@ -599,13 +602,13 @@ class TestTrainingBlocks:
 
     def test_ablation_draws_no_pseudo_annotations(self, monkeypatch):
         labels = []
-        derive = mt.raw_streams
+        derive = mt.uniforms
 
         def recording(master_seed, label, *args):
             labels.append(label)
             return derive(master_seed, label, *args)
 
-        monkeypatch.setattr(mt, "raw_streams", recording)
+        monkeypatch.setattr(mt, "uniforms", recording)
         train, val = make_tasks()
         config = small_config(max_iterations=12, validation_interval=6,
                               pseudo_annotation=False, meta_batch=2)

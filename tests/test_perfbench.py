@@ -24,8 +24,8 @@ import workload  # noqa: E402
 # ``metrics.json`` of ``eval-grid`` (both SHA-256) and the per-task accuracies
 # of ``crowd``.  A refactor that keeps every output byte keeps these.
 ROUND_DIGESTS = {
-    workload.Train: "c2f80b8c16b81e59de24385443d9cb497cbee7f6213efaf920092eae117254b2",
-    workload.EvalGrid: "9764227b96d62377b51f7d1e450da9014ed19470bb541abda7fdc0de1bfa92f6",
+    workload.Train: "9a4b350587b9c39047ef7de39fa0ac2e06df963e5481fb32910d21c3a5872c81",
+    workload.EvalGrid: "e8e76b11b047af3228c1f67de5005093e10d0c6253c8dc4204e903fbc551f3d4",
     workload.Crowd: "[0.84, 0.84, 0.68, 0.77, 0.72, 0.75, 0.76, 0.8, 0.81, 0.82, 0.73, 0.7, "
                     "0.72, 0.76, 0.72, 0.73, 0.81, 0.77, 0.81, 0.82]",
 }
@@ -33,7 +33,7 @@ ROUND_DIGESTS = {
 
 # SHA-256 of the ``annotator_audit.jsonl`` that ``eval-grid``'s round writes
 # beside its ``metrics.json`` on seed 7919: 9 cells of 200 tasks, one line each.
-AUDIT_DIGEST = "9113d8615f79fffa23b5fe7e874cabbbcaad8ab1818765d87ccc1b99b1cdd25f"
+AUDIT_DIGEST = "bb8b1e873527b6e3b4ec2fdf9cb28ec9a111717a32ae40eb3b477f3a2320f9f3"
 
 
 @pytest.mark.parametrize("workload_class", list(ROUND_DIGESTS),
@@ -56,8 +56,8 @@ def test_one_round_without_failures(workload_class, tmp_path):
 # without pseudo-annotation.  ``ROUND_DIGESTS`` pins the final parameters
 # alone; these pin every iteration's loss and pseudo-annotation digest.
 TRAINING_LOG_DIGESTS = {
-    True: "0e1c1fe055a0a82770a739b2015aab96077529e823d61f0ffa1f984430d345f8",
-    False: "e75352ab3da50eac7a1dbb2cb9c624cc7a566a8ee33656a2d71f5f8483f013a6",
+    True: "07b86fce9ae663d0f445d3d5b5a112333ee26865d337daceb76b7144eaec99c9",
+    False: "f7f99dd72ce58fa68029640736db46a6e5d60851c2d02060469d6a1115ea6d54",
 }
 
 
@@ -110,12 +110,12 @@ def test_audit_encodes_per_cell_not_per_task(tmp_path, monkeypatch):
 
 def test_adapts_per_chunk_not_per_task(tmp_path, monkeypatch):
     # each of the 9 cells adapts its 200 tasks in stacks of at most
-    # EVAL_CHUNK, and derives their annotator streams once per stack; each
-    # shots value's episode streams are derived once per stack too.  At 128
-    # tasks a stack, that is 18 adaptations and 24 derivations a round.
+    # EVAL_CHUNK, and draws their annotators' doubles once per stack; each
+    # shots value's episodes are drawn once per stack too.  At 128 tasks a
+    # stack, that is 18 adaptations and 24 draws a round.
     bench = workload.EvalGrid(7919, str(tmp_path))
     adapts, streams = [], []
-    adapt, derive = em.adapt, seeding.raw_streams
+    adapt, derive = em.adapt, seeding.uniforms
 
     def counting_adapt(support, hyper):
         adapts.append(len(support.embeddings))
@@ -126,8 +126,8 @@ def test_adapts_per_chunk_not_per_task(tmp_path, monkeypatch):
         return derive(*args)
 
     monkeypatch.setattr(em, "adapt", counting_adapt)
-    monkeypatch.setattr(metatrain, "raw_streams", counting_streams)
-    monkeypatch.setattr(episodes, "raw_streams", counting_streams)
+    monkeypatch.setattr(metatrain, "uniforms", counting_streams)
+    monkeypatch.setattr(episodes, "uniforms", counting_streams)
     rnd = bench.round(workload.Timer(None, workload.HostSpeed()))
     assert rnd.failed == 0 and rnd.digest == ROUND_DIGESTS[workload.EvalGrid]
     chunks = math.ceil(bench.TASKS / metatrain.EVAL_CHUNK)
