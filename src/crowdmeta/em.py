@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -284,7 +284,7 @@ def m_step(
 
 
 def annotation_log_likelihood(
-    support: SupportSet, confusions: Sequence[np.ndarray]
+    support: SupportSet | CheckedLabels, confusions: Sequence[np.ndarray]
 ) -> np.ndarray:
     """``log a_nk``: log-probability of example n's labels given true class k.
 
@@ -352,13 +352,16 @@ def _posterior_log_scores(
     prototypes: np.ndarray,
     class_prior: np.ndarray,
     confusions: Sequence[np.ndarray],
+    log_a: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unnormalized per-example class log scores (Gaussian constant dropped)."""
     if support.dim == 0:  # no Gaussian term: Dawid & Skene's log pi_k + log a_nk
         scores = np.log(class_prior)[..., None, :]
     else:
         scores = class_log_scores(support.embeddings, prototypes, class_prior)
-    return scores + annotation_log_likelihood(support, confusions)
+    if log_a is None:
+        log_a = annotation_log_likelihood(support, confusions)
+    return scores + log_a
 
 
 def e_step(
@@ -366,9 +369,13 @@ def e_step(
     prototypes: np.ndarray,
     class_prior: np.ndarray,
     confusions: Sequence[np.ndarray],
+    log_a: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact posterior responsibilities, normalized row-wise in log space."""
-    scores = _posterior_log_scores(support, prototypes, class_prior, confusions)
+    """Exact posterior responsibilities, normalized row-wise in log space.
+
+    ``log_a`` is :func:`annotation_log_likelihood` of ``confusions`` when the caller has it.
+    """
+    scores = _posterior_log_scores(support, prototypes, class_prior, confusions, log_a)
     shift = scores.max(axis=-1, keepdims=True)  # log-sum-exp shift, finite once checked
     if not np.isfinite(shift).all():
         raise ValueError("no class has positive posterior mass for some example")
@@ -451,23 +458,75 @@ def lower_bound_q(
     return _episode_sum(inner, 2) + log_prior(prototypes, class_prior, confusions, hyper)
 
 
-# an EM step as :func:`iterate` yields it: the M step's input responsibilities and output
-Step = tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]
+@dataclass
+class LabelStart:
+    """The part of :func:`iterate`'s start that depends on the labels and ``b``, ``c`` alone.
+
+    That is the vote-fraction responsibilities, their class mass, the first
+    M step's class prior and confusions, and the annotation log-likelihood
+    the first E step reads; only the first prototypes need the embeddings.
+    Indexing the leading axes indexes every field, as views, like
+    :class:`CheckedLabels`, and a row's start does not depend on the other
+    rows of its stack, so one start serves a whole stack's slices.
+    """
+
+    responsibilities: np.ndarray  # (..., N, K) vote fractions
+    class_mass: np.ndarray  # (..., K)
+    class_prior: np.ndarray  # (..., K)
+    confusions: np.ndarray  # (..., R, K, K)
+    log_a: np.ndarray | None  # (..., N, K); None for em_steps = 1, which has no E step
+
+    @classmethod
+    def of(cls, labels: SupportSet | CheckedLabels, hyper: PriorHyperparams) -> "LabelStart":
+        lam = init_responsibilities(labels.onehot)
+        class_mass = lam.sum(axis=-2)
+        confusions = confusion_update(lam, labels.onehot, hyper.c)
+        log_a = annotation_log_likelihood(labels, confusions) if hyper.em_steps > 1 else None
+        return cls(lam, class_mass, class_prior_update(lam, hyper.b, class_mass), confusions,
+                   log_a)
+
+    def __getitem__(self, index) -> "LabelStart":
+        return LabelStart(self.responsibilities[index], self.class_mass[index],
+                          self.class_prior[index], self.confusions[index],
+                          None if self.log_a is None else self.log_a[index])
 
 
-def iterate(support: SupportSet, hyper: PriorHyperparams) -> Iterator[Step]:
+class Step(NamedTuple):
+    """An M step as :func:`iterate` records it: its input responsibilities and its output."""
+
+    responsibilities: np.ndarray
+    class_mass: np.ndarray  # responsibilities.sum(axis=-2)
+    prototypes: np.ndarray
+    class_prior: np.ndarray
+    confusions: np.ndarray | None  # None when left uncomputed (last_confusions=False)
+
+
+def iterate(support: SupportSet, hyper: PriorHyperparams, start: LabelStart | None = None,
+            *, last_confusions: bool = True) -> Iterator[Step]:
     """The EM iterations: each M step's input responsibilities and its output.
 
-    From the vote-fraction init, ``hyper.em_steps`` M steps with an E step
-    between each two, each yielded as ``(lam, (prototypes, class prior,
-    confusions))``.  The E step after the last M step is the caller's.
+    From the :class:`LabelStart` ``start`` (built here when not given),
+    ``hyper.em_steps`` M steps with an E step between each two, each
+    yielded as a :class:`Step`; the first M step computes only its
+    prototypes.  The E step after the last M step is the caller's.
+    ``last_confusions=False`` leaves the last step's confusions uncomputed
+    for a caller that reads only its prototypes and class prior, as the
+    training loss does (a single step's come from the start).
     """
-    lam = init_responsibilities(support.onehot)
+    if start is None:
+        start = LabelStart.of(support, hyper)
+    lam, class_mass = start.responsibilities, start.class_mass
+    pi, confusions, log_a = start.class_prior, start.confusions, start.log_a
+    del start  # each array can go once a later step replaces it
     for t in range(hyper.em_steps):
         if t:
-            lam = e_step(support, *params)
-        params = m_step(lam, support, hyper)
-        yield lam, params
+            lam = e_step(support, protos, pi, confusions, log_a)
+            class_mass, log_a = lam.sum(axis=-2), None
+            pi = class_prior_update(lam, hyper.b, class_mass)
+            confusions = (confusion_update(lam, support.onehot, hyper.c)
+                          if last_confusions or t + 1 < hyper.em_steps else None)
+        protos = prototype_update(lam, support.embeddings, hyper.tau, class_mass)
+        yield Step(lam, class_mass, protos, pi, confusions)
 
 
 def backward(support: SupportSet, hyper: PriorHyperparams, steps: Sequence[Step],
@@ -480,21 +539,25 @@ def backward(support: SupportSet, hyper: PriorHyperparams, steps: Sequence[Step]
     responsibilities and the embeddings, and the E step before it pulls the
     responsibility gradient to the previous M step's outputs.  Classes whose
     prototype denominator is zero (``tau = 0``, empty class) hold the prior
-    mean and pass no gradient.  The vote-fraction initialization and the
-    labels are constants.
+    mean and pass no gradient.  The labels and the label-only start are
+    constants: the pass stops at the first M step's prototypes, since its
+    responsibilities, class prior and confusions take no gradient, and
+    never reads the last step's confusions.
     """
     u = support.embeddings
-    *lead, n, k = steps[0][0].shape
+    *lead, n, k = steps[0].responsibilities.shape
     onehot = support.onehot.reshape(*lead, n, -1)
     d_support, d_confusions = np.zeros_like(u), None
     for t in range(len(steps) - 1, -1, -1):
-        lam, (protos, pi, confusions) = steps[t]
-        denom = (hyper.tau + lam.sum(axis=-2))[..., None]
+        lam, class_mass, protos, _, confusions = steps[t]
+        denom = (hyper.tau + class_mass)[..., None]
         if hyper.tau > 0.0:  # denom >= tau, as in prototype_update
             g = d_protos / denom
         else:
             g = np.divide(d_protos, denom, out=np.zeros_like(d_protos), where=denom > 0.0)
         d_support += lam @ g
+        if t == 0:  # the vote fractions are constants
+            break
         d_lam = u @ g.swapaxes(-1, -2) - (g * protos).sum(axis=-1)[..., None, :]
         d_lam += (d_pi / (k * hyper.b + n))[..., None, :]
         if d_confusions is not None:
@@ -502,20 +565,20 @@ def backward(support: SupportSet, hyper: PriorHyperparams, steps: Sequence[Step]
             d_counts = d_confusions / (label_sums + k * hyper.c)[..., None, :]
             d_counts -= (d_counts * confusions).sum(axis=-2, keepdims=True)
             d_lam += onehot @ d_counts.reshape(*lead, -1, k)
-        if t == 0:
-            break
         # lam came from the E step on the previous M step's parameters
-        _, (protos, pi, confusions) = steps[t - 1]
+        _, _, protos, pi, confusions = steps[t - 1]
         d_scores = lam * (d_lam - (lam * d_lam).sum(axis=-1, keepdims=True))
         d_u, d_protos, d_pi = class_log_scores_vjp(d_scores, u, protos, pi)
         d_support += d_u
-        d_confusions = (onehot.swapaxes(-1, -2) @ d_scores).reshape(confusions.shape) / confusions
+        if t > 1:  # the first M step's confusions are label-only constants
+            d_confusions = ((onehot.swapaxes(-1, -2) @ d_scores).reshape(confusions.shape)
+                            / confusions)
     return d_support
 
 
 def adapt(support: SupportSet, hyper: PriorHyperparams) -> AdaptedClassifier:
-    """Run the full adaptation: vote-fraction init, then em_steps x {M, E}."""
-    for _, (prototypes, pi, confusions) in iterate(support, hyper):
+    """Run the full adaptation: the label-only start, then em_steps x {M, E}."""
+    for _, _, prototypes, pi, confusions in iterate(support, hyper):
         pass
     return AdaptedClassifier(
         prototypes=prototypes, class_prior=pi, confusions=confusions,

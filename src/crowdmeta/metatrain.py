@@ -26,12 +26,14 @@ rows of its block, and no draw depends on the parameters.  The block's
 labels are validated once, into :class:`crowdmeta.em.CheckedLabels`
 whose slices each iteration's support set takes unchecked; only the
 embeddings, which the encoder can make non-finite, are checked per
-iteration.  The loop
+iteration.  The EM's label-only start, :class:`crowdmeta.em.LabelStart`,
+is built once per block too, and sliced like the labels.  The loop
 reads θ through views of the flat parameter vector, without the copy and
 finiteness scan of :class:`~crowdmeta.encoder.EncoderParams`, since
 :func:`adam_update` rejects a non-finite gradient.  Evaluation and
 validation episodes are drawn in stacked chunks of up to
-:data:`EVAL_CHUNK` tasks (:func:`episode_chunks`).
+:data:`EVAL_CHUNK` tasks (:func:`episode_chunks`); the validation
+annotators are drawn at the first validation and kept for the later ones.
 :func:`embed_episodes` embeds a chunk in encoder passes of whole tasks, at
 most :data:`ENCODE_ROWS` rows each; :func:`evaluate` then walks the
 chunks, draws each chunk's annotators, and adapts and scores each chunk as
@@ -184,6 +186,7 @@ def episode_loss_and_grad(
     query_x: np.ndarray,
     query_y: np.ndarray,
     hyper: em.PriorHyperparams,
+    start: em.LabelStart | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean query loss after the unrolled EM, and its gradient w.r.t. the flat parameters.
 
@@ -192,12 +195,15 @@ def episode_loss_and_grad(
     whose loss is the mean of theirs.  Two-dimensional inputs are a single
     episode.  The labels are a label matrix, or
     :class:`crowdmeta.em.CheckedLabels` validated before, as a training
-    block's are.  The gradient is the chain rule over three layers, each with
-    its own reverse pass: one encoder pass embeds every support and query
-    row, :func:`crowdmeta.em.iterate` records the EM steps on the stacked
-    supports, ending on an M step because the loss reads only the last
-    prototypes and class prior, and the query log-softmax scores the
-    queries.  Backwards, :func:`crowdmeta.em.class_log_scores_vjp` and
+    block's are; ``start`` is their :class:`crowdmeta.em.LabelStart` under
+    ``hyper`` when the caller built it, as a training block does.  The
+    gradient is the chain rule over three layers, each with its own reverse
+    pass: one encoder pass embeds every support and query row,
+    :func:`crowdmeta.em.iterate` records the EM steps on the stacked
+    supports, ending on an M step whose confusions it leaves uncomputed
+    because the loss reads only the last prototypes and class prior, and
+    the query log-softmax scores the queries.  Backwards,
+    :func:`crowdmeta.em.class_log_scores_vjp` and
     :func:`crowdmeta.em.backward` carry the loss gradient to the support
     and query embeddings, and :func:`crowdmeta.encoder.backward` to the
     parameters.
@@ -210,6 +216,7 @@ def episode_loss_and_grad(
     if support_x.ndim == 2:  # one episode
         support_x, query_x, labels = support_x[None], query_x[None], labels[None]
         annotations = annotations[None]
+        start = None if start is None else start[None]
     (b, n, width), q = support_x.shape, labels.shape[1]
     x = np.concatenate([support_x.reshape(b * n, width), query_x.reshape(b * q, width)])
     u, record = encoder.forward_recorded(x, params)
@@ -217,8 +224,8 @@ def episode_loss_and_grad(
     u_query = u[b * n :].reshape(b, q, -1)
     support = em.SupportSet(embeddings=u_support, annotations=annotations,
                             num_classes=num_classes, num_annotators=annotations.shape[-1])
-    steps = list(em.iterate(support, hyper))  # (responsibilities in, M-step output)
-    _, (protos, pi, _) = steps[-1]
+    steps = list(em.iterate(support, hyper, start, last_confusions=False))
+    _, _, protos, pi, _ = steps[-1]
 
     scores, lse, loss = _scored_query(u_query, labels, protos, pi)
 
@@ -347,6 +354,7 @@ def evaluate(
     master_seed: int,
     stream_label: str = "eval-annotators",
     fit: Fit = fit_em,
+    draws: list | None = None,
 ) -> EvalResult:
     """Simulate annotators per task from its own row of doubles, fit, and score query accuracy.
 
@@ -356,6 +364,12 @@ def evaluate(
     ``dist=None`` labels each support with its clean labels as one perfect
     annotator instead.  The episodes are scored as given, embedded or raw.  Each
     chunk takes one annotator draw and one :func:`adapt_and_score` call.
+
+    ``draws``, when given, keeps each chunk's labels and annotators from one
+    call to the next on the same chunks: a chunk it holds is scored on them
+    without a draw, and a chunk it lacks is drawn and appended, its labels
+    checked as :class:`crowdmeta.em.CheckedLabels`, which ``fit`` must take,
+    as :func:`fit_em` does.
     """
     if not chunks:
         raise ValueError("evaluate needs at least one episode (got an empty episode list)")
@@ -365,12 +379,18 @@ def evaluate(
     kinds = np.empty((simulated, num_annotators), dtype=np.intp)
     q = np.empty((simulated, num_annotators))
     stop = 0
-    for chunk in chunks:
+    for i, chunk in enumerate(chunks):
         tasks = slice(stop, stop + len(chunk.support_y))
         stop = tasks.stop
-        labels, drawn = _draw_annotators(chunk.support_y, dist, num_annotators,
-                                         chunk.num_classes, master_seed, stream_label,
-                                         np.arange(tasks.start, tasks.stop)[:, None])
+        if draws is not None and i < len(draws):
+            labels, drawn = draws[i]
+        else:
+            labels, drawn = _draw_annotators(chunk.support_y, dist, num_annotators,
+                                             chunk.num_classes, master_seed, stream_label,
+                                             np.arange(tasks.start, tasks.stop)[:, None])
+            if draws is not None:
+                labels = em.CheckedLabels.check(labels, chunk.num_classes)
+                draws.append((labels, drawn))
         if drawn is not None:
             kinds[tasks], q[tasks] = drawn.kinds, drawn.q
         accuracies[tasks], recovery[tasks] = adapt_and_score(chunk, labels, hyper, fit)
@@ -383,7 +403,9 @@ def evaluate(
 class TrainingLogRow:
     iteration: int
     loss: float
-    wall_ms: float  # a block's first iteration includes its draw, decode and label validation
+    # a block's first iteration includes its draw, decode and label validation, and the
+    # EM's label-only start
+    wall_ms: float
     pseudo_digest: str
 
 
@@ -400,14 +422,17 @@ class MetaTrainResult:
 
 
 def _validation_accuracy(
-    params: EncoderParams, val_episodes: Sequence[Episode], config: MetaConfig
+    params: EncoderParams, val_episodes: Sequence[Episode], config: MetaConfig,
+    draws: list | None = None,
 ) -> float:
     """Mean adaptation accuracy on the fixed, stacked validation episodes.
 
     The main path simulates target annotators from the validation
     distribution; the no-pseudo-annotation ablation validates on clean
     single-annotator labels to stay a fully noise-free meta-learner
-    (unless a validation distribution is set explicitly).
+    (unless a validation distribution is set explicitly).  Given a
+    ``draws`` list, the labels are drawn and checked at the first
+    validation and kept there for the later ones (:func:`evaluate`).
     """
     dist = config.val_dist
     if dist is None and config.pseudo_annotation:
@@ -419,6 +444,7 @@ def _validation_accuracy(
         config.num_annotators,
         config.master_seed,
         stream_label="val-annotators",
+        draws=draws,
     ).mean
 
 
@@ -476,7 +502,9 @@ def meta_train(
     support labels, are drawn a block of up to :data:`TRAIN_BLOCK` episodes
     at a time (:func:`training_block`), whole meta-batches of consecutive
     iterations, in the first iteration of the block, which also validates
-    the block's labels; each iteration slices its meta-batch and takes one
+    the block's labels and builds their label-only EM start
+    (:class:`crowdmeta.em.LabelStart`); each iteration slices its
+    meta-batch and takes one
     :func:`episode_loss_and_grad` pass over it, reading θ through views of
     ``state.theta``.  The returned parameters are checked
     :class:`~crowdmeta.encoder.EncoderParams`.
@@ -488,6 +516,7 @@ def meta_train(
     params = init_params(config.encoder)
     state = TrainState.from_params(params)
     val_episodes = _validation_episodes(val, config)
+    val_draws: list = []  # the validation labels, drawn at the first validation
 
     log: list[TrainingLogRow] = []
     val_history: list[tuple[int, float]] = []
@@ -502,15 +531,17 @@ def meta_train(
         params = encoder._read_layout(config.encoder, state.theta)
         at = (iteration - 1) % per_block * batch
         if at == 0:
-            episodes = labels = None  # the last block is spent: its memory can serve the draw
+            # the last block is spent: its memory can serve the draw
+            episodes = labels = start = None
             episodes, labels, digests = training_block(
                 source, config,
                 range(iteration, min(iteration + per_block, config.max_iterations + 1)))
             labels = em.CheckedLabels.check(labels, episodes.num_classes)
+            start = em.LabelStart.of(labels, config.hyper)
         part = slice(at, at + batch)
         loss, grad = episode_loss_and_grad(params, episodes.support_x[part], labels[part],
                                            episodes.num_classes, episodes.query_x[part],
-                                           episodes.query_y[part], config.hyper)
+                                           episodes.query_y[part], config.hyper, start[part])
         try:
             adam_update(state, grad, config)
         except NonFiniteGradientError as exc:
@@ -522,7 +553,7 @@ def meta_train(
 
         if iteration % config.validation_interval == 0:
             current = encoder._read_layout(config.encoder, state.theta)
-            val_score = _validation_accuracy(current, val_episodes, config)
+            val_score = _validation_accuracy(current, val_episodes, config, val_draws)
             val_history.append((iteration, val_score))
             if val_score > state.best_score:
                 state.best_score = val_score

@@ -71,8 +71,9 @@ def check_em_monotone(
     for t in range(num_tasks):
         k, n, r = grid[t % len(grid)]
         support = _random_task(stream(seed, "monotone-task", t), k, n, r)
-        values = [em.log_posterior(support, *params, hyper)
-                  for _, params in em.iterate(support, hyper)]
+        values = [em.log_posterior(support, step.prototypes, step.class_prior, step.confusions,
+                                   hyper)
+                  for step in em.iterate(support, hyper)]
         worst = min(worst, min(np.diff(values)))
     return CheckReport(
         name="em-monotone",

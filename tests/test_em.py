@@ -576,15 +576,15 @@ class TestBackward:
         r = annotations.shape[-1]
 
         def last_step(u):
-            *_, (_, (protos, pi, _)) = em.iterate(em.SupportSet(u, annotations, num_classes, r),
-                                                  hyper)
-            return protos, pi
+            *_, last = em.iterate(em.SupportSet(u, annotations, num_classes, r), hyper)
+            return last.prototypes, last.class_prior
 
         support = em.SupportSet(embeddings, annotations, num_classes, r)
-        steps = list(em.iterate(support, hyper))
+        # the last confusions feed nothing the pass reads
+        steps = list(em.iterate(support, hyper, last_confusions=False))
         rng = stream(seed, "backward-weights")
         # the scalar sum(w_protos * prototypes) + sum(w_pi * class prior)
-        w_protos, w_pi = (rng.standard_normal(a.shape) for a in steps[-1][1][:2])
+        w_protos, w_pi = (rng.standard_normal(a.shape) for a in last_step(embeddings))
         grad = em.backward(support, hyper, steps, w_protos, w_pi)
         fd = np.empty_like(embeddings)
         for i in np.ndindex(embeddings.shape):
@@ -597,7 +597,7 @@ class TestBackward:
             fd[i] = (values[0] - values[1]) / 2e-6
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
-    @pytest.mark.parametrize("em_steps", [1, 3])
+    @pytest.mark.parametrize("em_steps", [1, 2, 3])
     def test_stacked_sparse_labels(self, em_steps):
         # 30% of (example, annotator) pairs kept, a fifth annotator who labels nothing
         rng = stream(em_steps, "backward-stacked")
@@ -766,6 +766,33 @@ class TestStackedSupport:
             em.SupportSet(embeddings, annotations[:, :-1], k, r)
         with pytest.raises(ValueError, match=f"{r - 1} annotator columns, not num_annotators = {r}"):
             em.SupportSet(embeddings, annotations[..., :-1], k, r)
+
+    @pytest.mark.parametrize("em_steps", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 4, 64])
+    def test_block_start_slices_match_a_start_per_slice(self, batch, em_steps):
+        # training builds the label-only start once for a block of 64 episodes
+        # and slices it per meta-batch: each slice must have the bits of the
+        # start built on that meta-batch's labels alone.  Labels have gaps
+        # (-1), and the last annotator labels nothing.
+        rng = stream(batch, "block-start")
+        labels = rng.integers(-1, 4, size=(64, 12, 5))
+        labels[..., 0] = rng.integers(4, size=(64, 12))
+        labels[..., -1] = -1
+        hyper = em.PriorHyperparams(b=100.0, em_steps=em_steps)
+        start = em.LabelStart.of(em.CheckedLabels.check(labels, 4), hyper)
+        assert (start.log_a is None) == (em_steps == 1)
+        for at in range(0, 64, batch):
+            part = slice(at, at + batch)
+            sliced = start[part]
+            alone = em.LabelStart.of(em.CheckedLabels.check(labels[part].copy(), 4), hyper)
+            for name in ("responsibilities", "class_mass", "class_prior", "confusions",
+                         "log_a"):
+                got, expected = getattr(sliced, name), getattr(alone, name)
+                if expected is None:
+                    assert got is None
+                    continue
+                assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+                assert got.tobytes() == expected.tobytes(), (name, at)
 
     def test_checked_labels_keep_the_shape_checks(self):
         # checked labels skip validation, not the checks against the embeddings

@@ -165,7 +165,7 @@ class TestUnrolledGraph:
             loss, value = loss_pair(episode, annotations, config, hyper)
             assert loss == value
 
-    @pytest.mark.parametrize("em_steps", [1, 3])
+    @pytest.mark.parametrize("em_steps", [1, 2, 3])
     def test_sparse_labels_match_finite_differences(self, em_steps):
         # 30% of (example, annotator) pairs kept, plus a fifth annotator who
         # labels nothing and keeps the uniform prior-mean confusion

@@ -161,3 +161,68 @@ def test_checks_per_block_not_per_iteration(train_bench, monkeypatch):
     metatrain.meta_train(train_bench.source, train_bench.val,
                          dataclasses.replace(config, max_iterations=40))
     assert (len(one_hot), len(builds)) == (3, 3)  # 3 blocks, no validation
+
+
+def test_validation_annotators_drawn_once(train_bench, monkeypatch):
+    # two validations score the same 25 validation episodes, one chunk: its
+    # annotators are drawn and its labels checked at the first validation alone
+    streams, one_hot = [], []
+    derive, validate = metatrain.uniforms, em.one_hot_labels
+
+    def counting_streams(master_seed, label, *args):
+        streams.append(label)
+        return derive(master_seed, label, *args)
+
+    def counting_one_hot(*args):
+        one_hot.append(1)
+        return validate(*args)
+
+    monkeypatch.setattr(metatrain, "uniforms", counting_streams)
+    monkeypatch.setattr(em, "one_hot_labels", counting_one_hot)
+    config = dataclasses.replace(train_bench.config, validation_interval=60)
+    result = metatrain.meta_train(train_bench.source, train_bench.val, config)
+    assert [iteration for iteration, _ in result.val_history] == [60, 120]
+    assert streams.count("val-annotators") == 1
+    assert streams.count("pseudo-annotate") == 8
+    assert len(one_hot) == 8 + 1  # 8 blocks and 1 validation chunk
+
+
+def test_label_only_work_per_block(train_bench, monkeypatch):
+    # the EM's label-only start is built once per training block and once per
+    # validation chunk, and the training pass leaves each iteration's last
+    # confusions uncomputed, so its confusion updates are the start's and
+    # those of the steps between the first and the last
+    calls = {"init_responsibilities": 0, "confusion_update": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(em, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(em, name, counting)
+    config = train_bench.config
+    metatrain.meta_train(train_bench.source, train_bench.val, config)
+    iterations, steps = config.max_iterations, config.hyper.em_steps
+    blocks = math.ceil(iterations / (metatrain.TRAIN_BLOCK // config.meta_batch))
+    chunks = (iterations // config.validation_interval
+              * math.ceil(config.val_episodes_per_task / metatrain.EVAL_CHUNK))
+    assert (blocks, chunks, steps) == (8, 1, 3)
+    assert calls["init_responsibilities"] == blocks + chunks
+    assert calls["confusion_update"] == blocks + iterations * (steps - 2) + chunks * steps
+
+
+def test_trace_audit_matches_code_calls(train_bench):
+    # every execution of a listed function's code passes through its span: a
+    # function reference captured before the tracer installed would miss it
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.audit() as seen:
+            rnd = train_bench.round(workload.Timer(tracer, workload.HostSpeed()))
+    finally:
+        tracer.uninstall()
+    assert rnd.failed == 0 and rnd.digest == ROUND_DIGESTS[workload.Train]
+    calls = {name: span["calls"] for name, span in workload.span_table(tracer).items()
+             if name != spans.ROOT}
+    assert "em.confusion_update" in calls and calls == dict(seen)
