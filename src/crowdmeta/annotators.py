@@ -8,13 +8,12 @@ target-task annotators for evaluation.
 
 A pool of R annotators draws a kind per annotator and an accuracy per
 expert or hammer, R to 2R uniforms, then R·N label uniforms.  A task's
-draws are one block of ``2R + R·N`` uniforms, the next doubles of its
-generator, and :func:`simulate_annotators` decodes a chunk of tasks'
-blocks at once: every draw is the one a draw per annotator would make.
-The caller supplies the blocks.  The per-task functions read theirs from
-their generator and move it back over the uniforms the pool did not use
-(:func:`crowdmeta.seeding.move_back`), so that later draws from it are the
-ones a draw per annotator leaves.
+draws are one block of ``2R + R·N`` uniforms (:func:`block_size`), and
+:func:`simulate_annotators` decodes a chunk of tasks' blocks at once: each
+uniform is the one a draw per annotator would take in turn.  The per-task
+functions decode the block of their generator's next doubles with that
+same code and leave the generator after it, whatever the pool used, so
+any numpy ``Generator`` serves.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-
-from .seeding import move_back
 
 
 class AnnotatorKind(str, Enum):
@@ -133,6 +130,13 @@ def _draw_labels(confusions: np.ndarray, true_labels: np.ndarray, draws: np.ndar
     return np.minimum(labels, confusions.shape[-1] - 1)
 
 
+def _check_true_labels(true_labels: np.ndarray, num_classes: int) -> None:
+    """Reject true labels outside ``0..num_classes - 1``, naming the first."""
+    if true_labels.size and (true_labels.min() < 0 or true_labels.max() >= num_classes):
+        bad = true_labels[(true_labels < 0) | (true_labels >= num_classes)][0]
+        raise ValueError(f"true label {bad} is outside 0..{num_classes - 1}")
+
+
 @dataclass(frozen=True)
 class SimulatedAnnotators:
     """B tasks' annotator pools of R and their labels of the tasks' N support examples."""
@@ -160,15 +164,17 @@ def simulate_annotators(
     ``true_labels`` is ``(B, N)`` and ``block`` the ``(B, 2R + R·N)``
     uniforms (:func:`block_size`) of the B tasks, in [0, 1) as
     ``Generator.random`` draws them.  Task b's pool is drawn from ``dist``
-    with row b, which makes exactly the draws of
-    :func:`sample_annotator_pool` followed by :func:`annotate` from a
-    generator whose next doubles row b holds.
+    with row b: each annotator in turn takes a uniform for its kind, and an
+    expert or hammer the next for its accuracy; then annotator r labels
+    with the r-th N uniforms after the pool's.  The uniforms the pool
+    leaves unused, one per spammer, end the block.
     """
     true_labels = np.asarray(true_labels, dtype=np.intp)
     if true_labels.ndim != 2 or len(true_labels) != len(block):
         raise ValueError(f"true labels {true_labels.shape} do not stack {len(block)} tasks")
     if num_classes < 2:
         raise ValueError("annotator simulation needs at least 2 classes")
+    _check_true_labels(true_labels, num_classes)
     (b, n), r, head = true_labels.shape, num_annotators, 2 * num_annotators
     if block.shape != (b, block_size(r, n)):
         raise ValueError(f"{r} annotators of {n} examples need a ({b}, {block_size(r, n)}) "
@@ -197,21 +203,10 @@ def simulate_annotators(
 
 def _simulate_one(true_labels: np.ndarray, num_annotators: int, dist: AnnotatorDistribution,
                   num_classes: int, rng: np.random.Generator) -> SimulatedAnnotators:
-    """:func:`simulate_annotators` for one task, its block read from ``rng``.
-
-    ``rng`` is then moved back over the uniforms the pool did not use, one
-    per spammer, which has no accuracy draw.
-    """
-    if not isinstance(rng.bit_generator, np.random.PCG64):  # what move_back rewinds
-        raise TypeError("annotator simulation needs a PCG64 generator "
-                        f"(numpy.random.default_rng), got {type(rng.bit_generator).__name__}")
+    """:func:`simulate_annotators` for one task, its block the next doubles of ``rng``."""
     true_labels = np.asarray(true_labels)[None]
     block = rng.random((1, block_size(num_annotators, true_labels.shape[1])))
-    drawn = simulate_annotators(true_labels, num_annotators, dist, num_classes, block)
-    spammers = int(np.isnan(drawn.q).sum())
-    if spammers:
-        move_back(rng.bit_generator, -spammers)
-    return drawn
+    return simulate_annotators(true_labels, num_annotators, dist, num_classes, block)
 
 
 def sample_annotator_pool(
@@ -220,7 +215,10 @@ def sample_annotator_pool(
     num_classes: int,
     rng: np.random.Generator,
 ) -> tuple[tuple[AnnotatorProfile, ...], tuple[np.ndarray, ...]]:
-    """Draw a pool of annotators and their true confusion matrices."""
+    """Draw a pool of annotators and their true confusion matrices.
+
+    Reads the ``2R`` doubles of a block with no examples from ``rng``.
+    """
     drawn = _simulate_one(np.empty(0), num_annotators, dist, num_classes, rng)
     profiles = tuple(AnnotatorProfile(KINDS[c], None if math.isnan(a) else a)
                      for c, a in zip(drawn.kinds[0].tolist(), drawn.q[0].tolist()))
@@ -250,6 +248,7 @@ def annotate(
     true_labels = np.asarray(true_labels, dtype=np.intp)
     n = len(true_labels)
     alpha = np.asarray(confusions, dtype=np.float64)  # (R, K, K)
+    _check_true_labels(true_labels, alpha.shape[-1])
     num_annotators = len(alpha)
     # annotator r takes the r-th n draws
     labels = _draw_labels(alpha[None], true_labels[None], rng.random((1, num_annotators, n)))[0]
@@ -270,7 +269,8 @@ def pseudo_annotate(
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Noisy ``(N, R)`` labels for clean support data from freshly sampled annotators.
 
-    :func:`simulate_annotators` for one task.
+    :func:`simulate_annotators` for one task, whose block of
+    ``2R + R·N`` doubles (:func:`block_size`) is read from ``rng``.
     """
     drawn = _simulate_one(support_truth, num_annotators, dist, num_classes, rng)
     return drawn.labels[0], tuple(drawn.confusions[0])

@@ -1,13 +1,12 @@
 """Datasets, class-disjoint splits, and N-way/K-shot episode sampling.
 
-:func:`sample_episode` draws one episode from a numpy generator.
 :func:`sample_episodes` draws a chunk of episodes, stacked, each from its
 own row of crowdmeta's counter-based generator
 (:func:`crowdmeta.seeding.uniforms`): a fixed number of doubles per task,
 whatever the class pools' sizes, which :func:`crowdmeta.seeding.choose`
 turns into classes and examples as array operations over all (task,
-class) rows.  The two draw episodes from the same distribution, not the
-same episodes.
+class) rows.  :func:`sample_episode` draws one episode by decoding as
+many doubles of a numpy generator with the same code.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ class DataError(ValueError):
 class LabeledDataset:
     """Feature vectors with dense integer class labels.
 
-    A dataset is not mutated after construction: the per-class example
-    index, the sorted class ids and the eligible classes of each size
+    A dataset is not mutated after construction: the examples grouped by
+    class, the sorted class ids and the eligible classes of each size
     threshold are computed once and cached.
     """
 
@@ -40,7 +39,6 @@ class LabeledDataset:
     _by_class: np.ndarray = field(init=False, repr=False, compare=False)
     _class_start: np.ndarray = field(init=False, repr=False, compare=False)
     _class_size: np.ndarray = field(init=False, repr=False, compare=False)
-    _class_index: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
     _class_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _eligible: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
@@ -55,9 +53,6 @@ class LabeledDataset:
         ids, self._class_start, self._class_size = np.unique(
             self.labels[self._by_class], return_index=True, return_counts=True)
         self._class_ids = tuple(ids.tolist())
-        self._class_index = {c: self._by_class[start : start + size] for c, start, size
-                             in zip(self._class_ids, self._class_start.tolist(),
-                                    self._class_size.tolist())}
         self._eligible = {}
 
     @property
@@ -68,15 +63,13 @@ class LabeledDataset:
     def class_ids(self) -> tuple[int, ...]:
         return self._class_ids
 
-    def examples_of(self, class_id: int) -> np.ndarray:
-        return self._class_index[class_id]
-
     def eligible_classes(self, min_examples: int) -> tuple[int, ...]:
         """Sorted ids of the classes with at least ``min_examples`` examples."""
         eligible = self._eligible.get(min_examples)
         if eligible is None:
             eligible = self._eligible[min_examples] = tuple(
-                c for c in self._class_ids if len(self._class_index[c]) >= min_examples
+                c for c, size in zip(self._class_ids, self._class_size.tolist())
+                if size >= min_examples
             )
         return eligible
 
@@ -188,26 +181,13 @@ def sample_episode(
     """Draw a ways-class episode with disjoint support and query examples.
 
     Every class gets ``shots`` support examples.  Classes with too few
-    examples for the shots plus the query are skipped.
+    examples for the shots plus the query are skipped.  The episode is the
+    :func:`sample_episodes` decode of ``rng``'s next ``ways + 2·ways·need``
+    doubles, unstacked, with tuple ``class_ids``.
     """
-    need, eligible = _eligible_classes(dataset, ways, shots, query_per_class)
-    chosen = rng.choice(len(eligible), size=ways, replace=False)
-    class_ids = tuple(sorted(eligible[i] for i in chosen.tolist()))
-
-    support_rows, query_rows = [], []
-    for class_id in class_ids:
-        pool = dataset.examples_of(class_id)
-        picked = pool[rng.choice(len(pool), size=need, replace=False)]
-        support_rows.append(picked[:shots])
-        query_rows.append(picked[shots:])
-    new_labels = np.arange(ways, dtype=np.intp)
-    return Episode(
-        class_ids=class_ids,
-        support_x=dataset.features[np.concatenate(support_rows)],
-        support_y=np.repeat(new_labels, shots),
-        query_x=dataset.features[np.concatenate(query_rows)],
-        query_y=np.repeat(new_labels, query_per_class),
-    )
+    stacked = _decode(dataset, ways, shots, query_per_class, lambda count: rng.random((1, count)))
+    return Episode(tuple(stacked.class_ids[0].tolist()), stacked.support_x[0],
+                   stacked.support_y[0], stacked.query_x[0], stacked.query_y[0])
 
 
 def sample_episodes(
@@ -230,10 +210,16 @@ def sample_episodes(
     (task, class) row is drawn at once, and the chunk's features gathered
     once.
     """
+    return _decode(dataset, ways, shots, query_per_class,
+                   lambda count: uniforms(master_seed, label, indices, count))
+
+
+def _decode(dataset: LabeledDataset, ways: int, shots: int, query_per_class: int,
+            draw) -> Episode:
+    """The stacked episodes of the ``(T, count)`` doubles ``draw(count)`` returns."""
     need, eligible = _eligible_classes(dataset, ways, shots, query_per_class)
-    rows = np.asarray(indices)
-    t = len(rows)
-    u = uniforms(master_seed, label, rows, ways + 2 * ways * need)
+    u = draw(ways + 2 * ways * need)
+    t = len(u)
     chosen = choose(u[:, :ways], np.full(t, len(eligible)), ways)
     class_ids = np.sort(np.asarray(eligible)[chosen], axis=1)
     at = np.searchsorted(dataset.class_ids, class_ids)

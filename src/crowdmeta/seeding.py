@@ -15,42 +15,23 @@ seed, the label and the row's indices with SplitMix64's finaliser.  Its
 j-th double is the finaliser of a counter, so a row's doubles do not
 depend on the other rows of its chunk, and it needs nothing of numpy's
 ``Generator`` algorithms.  :func:`choose` draws subsets from those doubles
-by Floyd's algorithm, and :func:`move_back` rewinds a numpy generator as
-32-bit draws leave it.
+by Floyd's algorithm.  The per-task paths decode their generator's
+doubles with the chunk draws' code, so nothing here reads a bit
+generator's state.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import operator
 
 import numpy as np
 
-_WORD = 2**32 - 1
 
-
-def _words(value: int) -> list[int]:
-    """The little-endian 32-bit words ``SeedSequence`` makes of a non-negative integer."""
-    if value < 0:
-        raise ValueError(f"stream indices must be non-negative (got {value})")
-    words = [value & _WORD]
-    value >>= 32
-    while value:
-        words.append(value & _WORD)
-        value >>= 32
-    return words
-
-
+@functools.lru_cache(maxsize=4096)
 def _tag(label: str) -> int:
     """The first 8 bytes of the label's SHA-256, little-endian."""
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
-
-
-@functools.lru_cache(maxsize=4096)
-def _prefix_words(master_seed: int, label: str) -> tuple[int, ...]:
-    """Entropy words of the masked master seed and of the label's tag."""
-    return tuple(_words(master_seed & (2**64 - 1)) + _words(_tag(label)))
 
 
 def stream_seed(master_seed: int, label: str, *indices: int) -> np.random.SeedSequence:
@@ -58,14 +39,10 @@ def stream_seed(master_seed: int, label: str, *indices: int) -> np.random.SeedSe
 
     The entropy is ``[master_seed mod 2**64, tag, *indices]``, where the tag
     is the first 8 bytes of the label's SHA-256 (little-endian), so the
-    mapping does not depend on Python's randomized ``hash()``.  It is passed
-    as the ``uint32`` words numpy would coerce that list of integers into,
-    so the words of a ``(master_seed, label)`` pair are computed once.
+    mapping does not depend on Python's randomized ``hash()``.  A negative
+    index is rejected by ``SeedSequence``.
     """
-    words = list(_prefix_words(int(master_seed), label))
-    for index in indices:
-        words += _words(operator.index(index))
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.SeedSequence([int(master_seed) & (2**64 - 1), _tag(label), *indices])
 
 
 def stream(master_seed: int, label: str, *indices: int) -> np.random.Generator:
@@ -156,17 +133,3 @@ def choose(u: np.ndarray, pool: np.ndarray, size: int) -> np.ndarray:
             break
         took_j = more
     return np.where(took_j, floyd, draw)
-
-
-def move_back(bit_generator: np.random.PCG64, delta: int) -> None:
-    """``bit_generator.advance(delta)``, restoring the buffered half of a 64-bit draw
-    that 32-bit draws such as ``Generator.integers`` keep and ``advance`` drops.
-
-    One PCG64 step is one 64-bit draw, as one ``Generator.random`` double takes.
-    """
-    state = bit_generator.state
-    bit_generator.advance(delta)
-    if state["has_uint32"]:
-        moved = bit_generator.state
-        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
-        bit_generator.state = moved

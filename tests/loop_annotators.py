@@ -2,11 +2,11 @@
 
 The package draws a whole chunk of tasks' annotators in one pass: one
 block of uniforms per task, decoded into kinds, accuracies and labels with
-array operations, then each generator moved back over the uniforms its
-pool did not use.  These are the earlier forms, one ``Generator.choice``
-call per kind, one ``Generator.random()`` call per accuracy and one
-``Generator.random(N)`` call per annotator's labels, so the tests can check
-that both consume the same draws and produce the same profiles and labels.
+array operations, and a single task's as a chunk of one.  These are the
+earlier forms, one ``Generator.choice`` call per kind, one
+``Generator.random()`` call per accuracy and one ``Generator.random(N)``
+call per annotator's labels, so the tests can check that both decode the
+same uniforms into the same profiles and labels.
 ``profile_to_confusion`` builds each matrix kind by kind, and
 ``pseudo_annotate`` goes through profiles.  The loops return per-example
 annotation maps where the package returns the ``(N, R)`` label matrix;

@@ -1,10 +1,9 @@
 """Loop forms of stream derivation; test-only oracles.
 
-The package hands ``SeedSequence`` the ``uint32`` entropy words of
-``[master_seed mod 2**64, tag, *indices]``, with the words of each
-``(master_seed, label)`` pair computed once.  ``stream`` is the earlier
-form, which passes that list of integers and lets numpy coerce it, so the
-tests can check that both seed the same generator.  ``uniforms`` is the
+The package hands ``SeedSequence`` the entropy
+``[master_seed mod 2**64, tag, *indices]``, with each label's tag hashed
+once.  ``stream`` hashes the tag on every call, so the tests can check
+that both seed the same generator.  ``uniforms`` is the
 package's counter-based generator in loop form: one row at a time, in
 Python integers masked to 64 bits where the package wraps uint64 arrays.
 """

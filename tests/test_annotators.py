@@ -1,5 +1,6 @@
 """Annotator profiles, confusion construction, and label sampling."""
 
+import copy
 import json
 
 import numpy as np
@@ -14,12 +15,13 @@ from crowdmeta.annotators import (
     AnnotatorKind,
     AnnotatorProfile,
     annotate,
+    block_size,
     profile_to_confusion,
     pseudo_annotate,
     sample_annotator_pool,
     simulate_annotators,
 )
-from crowdmeta.seeding import stream, uniforms
+from crowdmeta.seeding import stream, stream_seed, uniforms
 
 
 EHS = AnnotatorDistribution.expert_hammer_spammer
@@ -72,13 +74,16 @@ class TestSampleProfile:
                 assert lo < profile.q <= hi
 
     def test_matches_loop(self):
-        # pools of one, so each draw may take another class count
+        # pools of one, so each draw may take another class count; each pool
+        # reads its block's two doubles, of which the loop replays what it needs
         dist = EHS(0.3, 0.4, 0.3)
-        fast, slow = stream(16, "one"), stream(16, "one")
+        rng = stream(16, "one")
+        copied = copy.deepcopy(rng)
         for k in range(2, 60):
-            (profile,), _ = sample_annotator_pool(dist, 1, 2 + k % 9, fast)
-            assert profile == loop_annotators.sample_profile(dist, 2 + k % 9, slow)
-        assert fast.random() == slow.random()
+            (profile,), _ = sample_annotator_pool(dist, 1, 2 + k % 9, rng)
+            replay = loop_annotators.Replay(copied.random(block_size(1, 0)))
+            assert profile == loop_annotators.sample_profile(dist, 2 + k % 9, replay)
+        assert rng.random() == copied.random()
 
     def test_too_few_classes(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -171,6 +176,15 @@ class TestAnnotate:
             annotate(np.zeros(3, dtype=int), [np.eye(2)], stream(11, "bad"),
                      label_fraction=0.0)
 
+    @pytest.mark.parametrize("truth, bad", [([0, -2, 1, 5], -2), ([0, 1, 3, -1], 3)])
+    def test_true_labels_outside_the_classes_rejected_before_drawing(self, truth, bad):
+        # a negative label would index a confusion column from the end
+        rng = stream(11, "bad")
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"^true label {bad} is outside 0\.\.2$"):
+            annotate(np.array(truth), [np.eye(3)] * 2, rng)
+        assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("label_fraction", [np.nan, 2.0, 0.0, -0.5])
     def test_fraction_outside_unit_interval_rejected_before_drawing(self, label_fraction):
         rng = stream(11, "bad")
@@ -206,6 +220,10 @@ class TestPseudoAnnotate:
         _, c2 = pseudo_annotate(truth, 3, dist, 3, stream(14, "fresh", 2))
         assert any(not np.array_equal(x, y) for x, y in zip(c1, c2))
 
+    def test_true_labels_outside_the_classes_rejected(self):
+        with pytest.raises(ValueError, match=r"^true label -2 is outside 0\.\.2$"):
+            pseudo_annotate([-2, 0], 2, EHS(0.1, 0.7, 0.2), 3, stream(12, "bad"))
+
     def test_profiles_serialize(self):
         profiles, _ = sample_annotator_pool(EHS(0.3, 0.4, 0.3), 6, 4, stream(15, "ser"))
         for profile in profiles:
@@ -215,7 +233,12 @@ class TestPseudoAnnotate:
 
 
 class TestMatchesLoops:
-    """Sampling against the ``Generator.choice`` / per-annotator loops of ``loop_annotators``."""
+    """Per-task sampling against the per-annotator loops of ``loop_annotators``.
+
+    Each package call reads one block of doubles; the loops replay them
+    (``loop_annotators.Replay``), one ``Generator.choice`` per kind and one
+    ``random`` per accuracy and per annotator's labels.
+    """
 
     DISTS = (
         EHS(0.25, 0.25, 0.5),
@@ -233,9 +256,11 @@ class TestMatchesLoops:
         for seed in range(300):
             dist = self.DISTS[seed % len(self.DISTS)]
             k, r, n = 2 + seed % 5, 1 + seed % 7, 1 + seed % 15
-            fast, slow = stream(seed, "oracle"), stream(seed, "oracle")
+            fast = stream(seed, "oracle")
+            slow = copy.deepcopy(fast)
             profiles, confusions = sample_annotator_pool(dist, r, k, fast)
-            expected = [loop_annotators.sample_profile(dist, k, slow) for _ in range(r)]
+            replay = loop_annotators.Replay(slow.random(block_size(r, 0)))
+            expected = [loop_annotators.sample_profile(dist, k, replay) for _ in range(r)]
             assert list(profiles) == expected
             for alpha, profile in zip(confusions, expected):
                 np.testing.assert_array_equal(alpha, profile_to_confusion(profile, k))
@@ -255,9 +280,11 @@ class TestMatchesLoops:
             dist = self.DISTS[seed % len(self.DISTS)]
             k, r = 2 + seed % 5, 1 + seed % 7
             truth = np.arange(1 + seed % 15) % k
-            fast, slow = stream(seed, "pseudo-oracle"), stream(seed, "pseudo-oracle")
+            fast = stream(seed, "pseudo-oracle")
+            slow = copy.deepcopy(fast)
             labels, confusions = pseudo_annotate(truth, r, dist, k, fast)
-            expected_labels, expected = loop_annotators.pseudo_annotate(truth, r, dist, k, slow)
+            replay = loop_annotators.Replay(slow.random(block_size(r, len(truth))))
+            expected_labels, expected = loop_annotators.pseudo_annotate(truth, r, dist, k, replay)
             np.testing.assert_array_equal(labels, em.label_matrix(expected_labels, r))
             assert type(confusions) is tuple and len(confusions) == r
             for alpha, oracle in zip(confusions, expected):
@@ -275,13 +302,14 @@ class TestSimulateAnnotators:
     The chunk pass decodes blocks of uniforms: a block read from the
     tasks' generators against the oracle drawing from those generators,
     and a block of :func:`crowdmeta.seeding.uniforms`, as meta-training
-    and evaluation draw it, against the oracle replaying that block.
+    and evaluation draw it, against the oracle replaying that block.  The
+    per-task functions are the chunk pass of their generator's next block.
     """
 
     DISTS = TestMatchesLoops.DISTS + (
         EHS(0.0, 0.0, 1.0),  # spammers only
         EHS(1.0, 0.0, 0.0),  # experts only
-        EHS(0.0, 1.0, 0.0),  # hammers only: no spammer, nothing to move back
+        EHS(0.0, 1.0, 0.0),  # hammers only: no spammer, no unused uniform
     )
 
     @staticmethod
@@ -310,21 +338,50 @@ class TestSimulateAnnotators:
             kinds.update(KINDS[c] for c in got.kinds.ravel().tolist())
         assert kinds == set(AnnotatorKind)
 
+    @pytest.mark.parametrize("bit_generator", ["PCG64", "MT19937"])
+    def test_per_task_is_the_chunk_decode_of_its_doubles(self, bit_generator):
+        # any numpy Generator serves: the per-task functions read its doubles alone
+        kinds = set()
+        for seed in range(60):
+            dist = self.DISTS[seed % len(self.DISTS)]
+            k, r, n = 2 + seed % 9, (*range(1, 9), 25)[seed % 9], 1 + seed % 13
+            truth = stream(seed, "one-truth").integers(k, size=(1, n))
+            rng = np.random.Generator(getattr(np.random, bit_generator)(stream_seed(seed, "one")))
+            copied = copy.deepcopy(rng)
+            labels, confusions = pseudo_annotate(truth[0], r, dist, k, rng)
+            expected = simulate_annotators(truth, r, dist, k, copied.random((1, block_size(r, n))))
+            assert labels.dtype == expected.labels.dtype
+            assert labels.tobytes() == expected.labels[0].tobytes()
+            assert np.stack(confusions).tobytes() == expected.confusions[0].tobytes()
+            profiles, pool = sample_annotator_pool(dist, r, k, rng)
+            expected = simulate_annotators(np.empty((1, 0), dtype=np.intp), r, dist, k,
+                                           copied.random((1, block_size(r, 0))))
+            got_kinds, got_q = loop_annotators.profile_arrays([profiles])
+            np.testing.assert_array_equal(got_kinds, expected.kinds)
+            np.testing.assert_array_equal(got_q, expected.q)
+            assert np.stack(pool).tobytes() == expected.confusions[0].tobytes()
+            assert rng.random() == copied.random()  # each left just after its block
+            kinds.update(KINDS[c] for c in expected.kinds.ravel().tolist())
+        assert kinds == set(AnnotatorKind)
+
     def test_pools_and_sparse_labels_share_a_generator(self):
         # pools, sparse labels and 32-bit integer draws interleaved on one
-        # generator: moving back must keep the half-used 64-bit draw that
+        # generator: a pool reads its block's 2R doubles, which the loop
+        # replays, and leaves the half-used 64-bit draw that
         # Generator.integers buffers
         for seed in range(60):
             dist = self.DISTS[seed % len(self.DISTS)]
             k, r = 2 + seed % 9, (*range(1, 9), 25)[seed % 9]
-            fast, slow = stream(seed, "shared"), stream(seed, "shared")
+            fast = stream(seed, "shared")
+            slow = copy.deepcopy(fast)
             for _ in range(4):
                 n = 1 + int(fast.integers(25))
                 assert n == 1 + int(slow.integers(25))
                 truth = fast.integers(k, size=n)
                 np.testing.assert_array_equal(truth, slow.integers(k, size=n))
                 profiles, confusions = sample_annotator_pool(dist, r, k, fast)
-                expected, oracle = loop_annotators.sample_annotator_pool(dist, r, k, slow)
+                replay = loop_annotators.Replay(slow.random(block_size(r, 0)))
+                expected, oracle = loop_annotators.sample_annotator_pool(dist, r, k, replay)
                 assert profiles == expected
                 assert np.stack(confusions).tobytes() == np.stack(oracle).tobytes()
                 labels = annotate(truth, confusions, fast, label_fraction=0.3)
@@ -334,13 +391,11 @@ class TestSimulateAnnotators:
             assert fast.integers(1000, size=3).tolist() == slow.integers(1000, size=3).tolist()
             assert fast.random(3).tobytes() == slow.random(3).tobytes()
 
-    def test_needs_a_pcg64_generator(self):
-        # the per-task functions move their generator back, which needs PCG64's advance
-        rng = np.random.Generator(np.random.MT19937(0))
-        with pytest.raises(TypeError, match="PCG64"):
-            pseudo_annotate(np.zeros(3, dtype=int), 2, EHS(0.1, 0.7, 0.2), 2, rng)
-        with pytest.raises(TypeError, match="PCG64"):
-            sample_annotator_pool(EHS(0.1, 0.7, 0.2), 2, 2, rng)
+    @pytest.mark.parametrize("truth, bad", [([[0, 1], [-2, 5]], -2), ([[0, 3], [1, -1]], 3)])
+    def test_true_labels_outside_the_classes_rejected(self, truth, bad):
+        with pytest.raises(ValueError, match=rf"^true label {bad} is outside 0\.\.2$"):
+            simulate_annotators(np.array(truth), 2, EHS(0.1, 0.7, 0.2), 3,
+                                np.zeros((2, block_size(2, 2))))
 
     def test_true_labels_must_stack_the_tasks(self):
         with pytest.raises(ValueError, match="stack 2 tasks"):

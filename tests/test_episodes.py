@@ -1,5 +1,6 @@
 """Synthetic data, class splits, episode sampling, CSV ingestion."""
 
+import copy
 from dataclasses import fields
 
 import numpy as np
@@ -24,7 +25,7 @@ class TestGenerateSynthetic:
     def test_zero_spread_collapses_to_centers(self):
         data = generate_synthetic(3, 4, 0.0, 5, seed=0)
         for c in data.class_ids:
-            rows = data.features[data.examples_of(c)]
+            rows = data.features[data.labels == c]
             np.testing.assert_array_equal(rows, np.broadcast_to(rows[0], rows.shape))
 
     def test_deterministic(self):
@@ -117,7 +118,7 @@ class TestSampleEpisode:
         episode = sample_episode(data, 4, 1, 2, stream(4, "remap"))
         assert episode.class_ids == tuple(sorted(episode.class_ids))
         for new_label, class_id in enumerate(episode.class_ids):
-            original = data.features[data.examples_of(class_id)]
+            original = data.features[data.labels == class_id]
             for row in episode.support_x[episode.support_y == new_label]:
                 assert any(np.array_equal(row, orig) for orig in original)
 
@@ -172,7 +173,7 @@ class TestStackEpisodes:
 
 
 class TestMatchesLoop:
-    """Sampling against the class-by-class loop of ``loop_episodes``."""
+    """One episode against the class-by-class row decode of ``loop_episodes``."""
 
     @staticmethod
     def uneven_dataset():
@@ -189,26 +190,21 @@ class TestMatchesLoop:
         cases = [(3, 2, 3), (3, 4, 6), (4, 1, 4), (2, 7, 3)]
         for seed in range(200):
             ways, shots, query = cases[seed % len(cases)]
-            fast, slow = stream(seed, "oracle"), stream(seed, "oracle")
-            got = sample_episode(data, ways, shots, query, fast)
-            expected = loop_episodes.sample_episode(data, ways, shots, query, slow)
-            assert got.class_ids == expected.class_ids
+            rng = stream(seed, "oracle")
+            copied = copy.deepcopy(rng)
+            doubles = copied.random(ways + 2 * ways * (shots + query))
+            got = sample_episode(data, ways, shots, query, rng)
+            expected = loop_episodes.decode_row(data, ways, shots, query, doubles)
+            assert type(got.class_ids) is tuple
+            assert all(type(c) is int for c in got.class_ids)
+            assert got.class_ids == tuple(expected.class_ids.tolist())
             for name in ("support_x", "support_y", "query_x", "query_y"):
                 a, b = getattr(got, name), getattr(expected, name)
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)
-            assert fast.random() == slow.random()
+            assert rng.random() == copied.random()  # left just after the decoded doubles
         assert data.eligible_classes(5) == (0, 2, 3, 4, 5, 6)
         assert data.eligible_classes(10) == (0, 2, 4)
-
-    def test_same_errors(self):
-        data = self.uneven_dataset()
-        for args in [(4, 7, 3), (2, 0, 2), (2, 1, 0)]:
-            with pytest.raises(DataError) as fast:
-                sample_episode(data, *args, stream(1, "err"))
-            with pytest.raises(DataError) as slow:
-                loop_episodes.sample_episode(data, *args, stream(1, "err"))
-            assert str(fast.value) == str(slow.value)
 
 
 class TestSampleEpisodes:

@@ -11,6 +11,7 @@ import math
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from crowdmeta import cli, em, encoder, episodes, metatrain, seeding
@@ -26,8 +27,8 @@ import workload  # noqa: E402
 ROUND_DIGESTS = {
     workload.Train: "9a4b350587b9c39047ef7de39fa0ac2e06df963e5481fb32910d21c3a5872c81",
     workload.EvalGrid: "e8e76b11b047af3228c1f67de5005093e10d0c6253c8dc4204e903fbc551f3d4",
-    workload.Crowd: "[0.84, 0.84, 0.68, 0.77, 0.72, 0.75, 0.76, 0.8, 0.81, 0.82, 0.73, 0.7, "
-                    "0.72, 0.76, 0.72, 0.73, 0.81, 0.77, 0.81, 0.82]",
+    workload.Crowd: "[0.86, 0.76, 0.79, 0.8, 0.71, 0.83, 0.82, 0.76, 0.8, 0.67, 0.86, 0.8, "
+                    "0.79, 0.81, 0.8, 0.7, 0.73, 0.69, 0.76, 0.72]",
 }
 
 
@@ -134,6 +135,30 @@ def test_adapts_per_chunk_not_per_task(tmp_path, monkeypatch):
     assert len(adapts) == 9 * chunks
     assert max(adapts) <= metatrain.EVAL_CHUNK
     assert len(streams) == (9 + 3) * chunks
+
+
+def test_crowd_decodes_each_task_like_a_chunk_row(tmp_path, monkeypatch):
+    # each of a crowd round's tasks decodes its episode's doubles with
+    # sample_episodes' code, Floyd's algorithm once for the classes and once
+    # for their examples, and draws nothing by Generator.choice
+    bench = workload.Crowd(7919, str(tmp_path))
+    chooses, choices = [], []
+    choose, derive = episodes.choose, seeding.stream
+
+    class Counting(np.random.Generator):
+        def choice(self, *args, **kwargs):
+            choices.append(1)
+            return super().choice(*args, **kwargs)
+
+    def counting_choose(*args):
+        chooses.append(1)
+        return choose(*args)
+
+    monkeypatch.setattr(episodes, "choose", counting_choose)
+    monkeypatch.setattr(seeding, "stream", lambda *args: Counting(derive(*args).bit_generator))
+    rnd = bench.round(workload.Timer(None, workload.HostSpeed()))
+    assert rnd.failed == 0 and rnd.digest == ROUND_DIGESTS[workload.Crowd]
+    assert len(chooses) == 2 * bench.TASKS and choices == []
 
 
 def test_checks_per_block_not_per_iteration(train_bench, monkeypatch):

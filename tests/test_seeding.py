@@ -1,6 +1,5 @@
 """Stream derivation and the chunk draws against the loop forms of ``loop_seeding``."""
 
-import ast
 import re
 from pathlib import Path
 
@@ -166,16 +165,11 @@ class TestChoose:
         assert choose(np.zeros((1, 4)), np.array([9]), 4).tolist() == [[0, 6, 7, 8]]
 
 
-def test_only_seeding_reads_bit_generator_internals():
-    # the chunk draws need nothing of numpy's Generator algorithms: rewinding
-    # a per-task generator is the one place that reads a bit generator's state
+def test_no_module_reads_bit_generator_internals():
+    # the chunk draws read crowdmeta's own generator, and the per-task paths
+    # decode their numpy generator's doubles: nothing reads a bit generator's state
     package = Path(seeding.__file__).parent
-    internals = re.compile(r"random_raw|advance\(|has_uint32|\.state\b")
+    internals = re.compile(r"random_raw|advance\(|has_uint32|uinteger|\.state\b")
     readers = {path.name for path in package.glob("*.py")
                if internals.search(path.read_text(encoding="utf-8"))}
-    assert readers == {"seeding.py"}
-    source = Path(seeding.__file__).read_text(encoding="utf-8")
-    tree = ast.parse(source)
-    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
-                 and internals.search(ast.get_source_segment(source, node))}
-    assert functions == {"move_back"}
+    assert readers == set()
