@@ -126,12 +126,18 @@ def _draw_labels(confusions: np.ndarray, true_labels: np.ndarray, draws: np.ndar
     """
     cum = np.cumsum(confusions, axis=-2).transpose(0, 3, 1, 2)  # (B, column, R, K)
     columns = cum[np.arange(len(cum))[:, None], true_labels]  # (B, N, R, K)
-    labels = (draws.swapaxes(-1, -2)[..., None] > columns).sum(axis=-1)
-    return np.minimum(labels, confusions.shape[-1] - 1)
+    k = confusions.shape[-1]
+    below = draws.swapaxes(-1, -2)[..., None] > columns
+    # a count of 0/1 terms is exact in any order; taken over bytes, since a float
+    # product would first copy ``below`` to eight bytes a term
+    counts = below.view(np.uint8) @ np.ones(k, dtype=np.min_scalar_type(k))
+    return np.minimum(counts, k - 1).astype(np.intp)
 
 
 def _check_true_labels(true_labels: np.ndarray, num_classes: int) -> None:
-    """Reject true labels outside ``0..num_classes - 1``, naming the first."""
+    """Reject fewer than 2 classes, and name the first true label outside ``0..num_classes - 1``."""
+    if num_classes < 2:
+        raise ValueError("annotator simulation needs at least 2 classes")
     if true_labels.size and (true_labels.min() < 0 or true_labels.max() >= num_classes):
         bad = true_labels[(true_labels < 0) | (true_labels >= num_classes)][0]
         raise ValueError(f"true label {bad} is outside 0..{num_classes - 1}")
@@ -172,8 +178,6 @@ def simulate_annotators(
     true_labels = np.asarray(true_labels, dtype=np.intp)
     if true_labels.ndim != 2 or len(true_labels) != len(block):
         raise ValueError(f"true labels {true_labels.shape} do not stack {len(block)} tasks")
-    if num_classes < 2:
-        raise ValueError("annotator simulation needs at least 2 classes")
     _check_true_labels(true_labels, num_classes)
     (b, n), r, head = true_labels.shape, num_annotators, 2 * num_annotators
     if block.shape != (b, block_size(r, n)):
@@ -203,10 +207,16 @@ def simulate_annotators(
 
 def _simulate_one(true_labels: np.ndarray, num_annotators: int, dist: AnnotatorDistribution,
                   num_classes: int, rng: np.random.Generator) -> SimulatedAnnotators:
-    """:func:`simulate_annotators` for one task, its block the next doubles of ``rng``."""
-    true_labels = np.asarray(true_labels)[None]
-    block = rng.random((1, block_size(num_annotators, true_labels.shape[1])))
-    return simulate_annotators(true_labels, num_annotators, dist, num_classes, block)
+    """:func:`simulate_annotators` for one task, its block the next doubles of ``rng``.
+
+    The labels are checked before the draw, so a rejected call leaves ``rng`` as it was.
+    """
+    true_labels = np.asarray(true_labels, dtype=np.intp)
+    if true_labels.ndim != 1:
+        raise ValueError(f"true labels {true_labels.shape} are not one task's (N,) vector")
+    _check_true_labels(true_labels, num_classes)
+    block = rng.random((1, block_size(num_annotators, len(true_labels))))
+    return simulate_annotators(true_labels[None], num_annotators, dist, num_classes, block)
 
 
 def sample_annotator_pool(
@@ -247,7 +257,10 @@ def annotate(
         raise ValueError(f"label_fraction must be in (0, 1], got {label_fraction}")
     true_labels = np.asarray(true_labels, dtype=np.intp)
     n = len(true_labels)
-    alpha = np.asarray(confusions, dtype=np.float64)  # (R, K, K)
+    alpha = np.asarray(confusions, dtype=np.float64)
+    if alpha.ndim != 3 or len(alpha) < 1 or not 2 <= alpha.shape[1] == alpha.shape[2]:
+        raise ValueError(f"confusions must be an (R, K, K) stack with R >= 1 and K >= 2, "
+                         f"got shape {alpha.shape}")
     _check_true_labels(true_labels, alpha.shape[-1])
     num_annotators = len(alpha)
     # annotator r takes the r-th n draws

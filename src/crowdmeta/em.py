@@ -45,6 +45,53 @@ import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# An axis of fewer than SHORT_AXIS entries, over at least SHORT_AXIS_ROWS
+# rows, is reduced by one ufunc call per entry over its slices: numpy's
+# reduce costs tens of nanoseconds per row on so short an axis, a call over
+# a slice a few microseconds in all.  Below that many rows numpy's is faster.
+SHORT_AXIS = 8
+SHORT_AXIS_ROWS = 128
+
+
+def _by_slices(x: np.ndarray, axis: int) -> bool:
+    """Whether :func:`_reduce` and :func:`_argmax` take ``x``'s ``axis`` slice by slice."""
+    k = x.shape[axis]
+    return 1 < k < SHORT_AXIS and x.size >= SHORT_AXIS_ROWS * k
+
+
+def _reduce(ufunc: np.ufunc, x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``ufunc.reduce(x, axis, keepdims=True)`` for ``np.add`` or ``np.maximum``, bit for bit.
+
+    A short axis is folded over its slices left to right, the order numpy's
+    reduce takes on fewer than 8 entries; a sum then adds numpy's starting
+    value 0, which turns an all -0.0 row's -0.0 into its +0.0.  Fixing the
+    order here keeps every sum's bits whatever numpy's reduce does.
+    """
+    if not _by_slices(x, axis):
+        return ufunc.reduce(x, axis=axis, keepdims=True)
+    slices = np.moveaxis(x, axis, 0)
+    out = ufunc(slices[0], slices[1])
+    for s in slices[2:]:
+        ufunc(out, s, out=out)
+    if ufunc.identity is not None:
+        ufunc(out, ufunc.identity, out=out)
+    return np.expand_dims(out, axis)
+
+
+def _argmax(x: np.ndarray) -> np.ndarray:
+    """``np.argmax(x, axis=-1)``: each row's first maximum, or its first NaN if it holds one."""
+    if not _by_slices(x, -1):
+        return np.argmax(x, axis=-1)
+    best = x[..., 0].copy()
+    index = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, x.shape[-1]):
+        column = x[..., j]
+        np.putmask(index, column > best, j)  # strictly greater: the first maximum stays
+        np.maximum(best, column, out=best)  # NaN propagates
+    if np.isnan(best).any():  # a NaN compares false with everything; numpy's rule picks it
+        return np.argmax(x, axis=-1)
+    return index
+
 
 class UnannotatedExampleError(ValueError):
     """A support example has no annotations at all."""
@@ -224,8 +271,8 @@ def init_responsibilities(onehot: np.ndarray) -> np.ndarray:
 
     ``lam_nk = (votes for k) / (labels given to n)``.
     """
-    votes = onehot.sum(axis=-2)
-    return votes / votes.sum(axis=-1, keepdims=True)
+    votes = np.ones(onehot.shape[-2]) @ onehot  # counts of 0/1 values: exact in any order
+    return votes / _reduce(np.add, votes)
 
 
 def prototype_update(lam: np.ndarray, embeddings: np.ndarray, tau: float,
@@ -263,7 +310,7 @@ def confusion_update(lam: np.ndarray, onehot: np.ndarray, c: float) -> np.ndarra
     k = onehot.shape[-1]
     counts = onehot.reshape(onehot.shape[:-2] + (-1,)).swapaxes(-1, -2) @ lam
     counts = counts.reshape(onehot.shape[:-3] + (-1, k, k))  # (..., r, label l, class k)
-    return (counts + c) / (counts.sum(axis=-2, keepdims=True) + k * c)
+    return (counts + c) / (_reduce(np.add, counts, -2) + k * c)
 
 
 def m_step(
@@ -376,10 +423,10 @@ def e_step(
     ``log_a`` is :func:`annotation_log_likelihood` of ``confusions`` when the caller has it.
     """
     scores = _posterior_log_scores(support, prototypes, class_prior, confusions, log_a)
-    shift = scores.max(axis=-1, keepdims=True)  # log-sum-exp shift, finite once checked
+    shift = _reduce(np.maximum, scores)  # log-sum-exp shift, finite once checked
     if not np.isfinite(shift).all():
         raise ValueError("no class has positive posterior mass for some example")
-    log_norm = shift + np.log(np.exp(scores - shift).sum(axis=-1, keepdims=True))
+    log_norm = shift + np.log(_reduce(np.add, np.exp(scores - shift)))
     return np.exp(scores - log_norm)
 
 
@@ -619,5 +666,5 @@ def predict_labels(u: np.ndarray, classifier: AdaptedClassifier) -> np.ndarray:
     :func:`predict_log_probs` up to a rounding tie, without the normalizing.
     """
     scores, single = _query_scores(u, classifier)
-    labels = np.argmax(scores, axis=-1)
+    labels = _argmax(scores)
     return labels[..., 0] if single else labels

@@ -138,11 +138,11 @@ def forward_recorded(
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i < last:
-            mask = h > 0.0
-            masks.append(mask)
-            h = h * mask
+            masks.append(h > 0.0)
+            np.maximum(h, 0.0, out=h)
     return h, ActivationRecord(params=params, inputs=inputs, masks=masks)
 
 

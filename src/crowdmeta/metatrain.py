@@ -312,7 +312,7 @@ def adapt_and_score(episodes: Episode, labels: np.ndarray, hyper: em.PriorHyperp
     scored as given: embedded by :func:`embed_episodes`, or raw features.
     """
     classifier = fit(episodes.support_x, labels, episodes.num_classes, hyper)
-    recovered = np.argmax(classifier.responsibilities, axis=-1) == episodes.support_y
+    recovered = em._argmax(classifier.responsibilities) == episodes.support_y
     predicted = em.predict_labels(episodes.query_x, classifier)
     return np.mean(predicted == episodes.query_y, axis=-1), np.mean(recovered, axis=-1)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import loop_annotators
-from crowdmeta import em
+from crowdmeta import annotators, em
 from crowdmeta.annotators import (
     ACCURACY_RANGES,
     KINDS,
@@ -185,6 +185,21 @@ class TestAnnotate:
             annotate(np.array(truth), [np.eye(3)] * 2, rng)
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("confusions, shape", [
+        ([], r"\(0,\)"),
+        ([np.eye(2)[0]], r"\(1, 2\)"),
+        (np.ones((2, 3, 2)) / 3, r"\(2, 3, 2\)"),
+        ([np.ones((1, 1))], r"\(1, 1, 1\)"),
+        (np.empty((0, 2, 2)), r"\(0, 2, 2\)"),
+    ], ids=["empty", "matrix", "not-square", "one-class", "no-annotator"])
+    def test_confusions_not_an_annotator_stack_rejected_before_drawing(self, confusions, shape):
+        rng = stream(11, "bad")
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"^confusions must be an \(R, K, K\) stack .* "
+                                             rf"got shape {shape}$"):
+            annotate(np.array([0, 1]), confusions, rng)
+        assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("label_fraction", [np.nan, 2.0, 0.0, -0.5])
     def test_fraction_outside_unit_interval_rejected_before_drawing(self, label_fraction):
         rng = stream(11, "bad")
@@ -221,8 +236,20 @@ class TestPseudoAnnotate:
         assert any(not np.array_equal(x, y) for x, y in zip(c1, c2))
 
     def test_true_labels_outside_the_classes_rejected(self):
+        rng = stream(12, "bad")
+        before = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"^true label -2 is outside 0\.\.2$"):
-            pseudo_annotate([-2, 0], 2, EHS(0.1, 0.7, 0.2), 3, stream(12, "bad"))
+            pseudo_annotate([-2, 0], 2, EHS(0.1, 0.7, 0.2), 3, rng)
+        assert rng.bit_generator.state == before  # checked before the block is drawn
+
+    def test_too_few_classes_rejected_before_drawing(self):
+        for call in (lambda rng: pseudo_annotate([0, 0], 2, EHS(0.1, 0.7, 0.2), 1, rng),
+                     lambda rng: sample_annotator_pool(EHS(0.1, 0.7, 0.2), 3, 1, rng)):
+            rng = stream(12, "bad")
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match="at least 2 classes"):
+                call(rng)
+            assert rng.bit_generator.state == before
 
     def test_profiles_serialize(self):
         profiles, _ = sample_annotator_pool(EHS(0.3, 0.4, 0.3), 6, 4, stream(15, "ser"))
@@ -294,6 +321,24 @@ class TestMatchesLoops:
             probe = stream(seed, "pseudo-oracle")  # the annotators both drew
             kinds.update(loop_annotators.sample_profile(dist, k, probe).kind for _ in range(r))
         assert kinds == set(AnnotatorKind)
+
+
+def test_label_counts_match_the_bool_sum():
+    # a label is a count of cumulative probabilities below its draw; a draw
+    # equal to one counts it as not below
+    rng = np.random.default_rng(7)
+    # a count above 255 needs more than the byte the product takes for smaller k
+    for b, n, r, k in [(1, 100, 25, 10), (64, 12, 3, 4), (128, 20, 7, 4), (3, 1, 1, 2),
+                       (1, 4, 2, 300)]:
+        confusions = rng.dirichlet(np.ones(k), (b, r, k)).swapaxes(-1, -2)
+        truth = rng.integers(k, size=(b, n))
+        cum = np.cumsum(confusions, axis=-2).transpose(0, 3, 1, 2)
+        columns = cum[np.arange(b)[:, None], truth]  # (B, N, R, K)
+        draws = rng.random((b, r, n))
+        draws[..., ::3] = columns[..., 0].swapaxes(-1, -2)[..., ::3]  # ties
+        labels = annotators._draw_labels(confusions, truth, draws)
+        expected = np.minimum((draws.swapaxes(-1, -2)[..., None] > columns).sum(axis=-1), k - 1)
+        assert labels.dtype == np.intp and labels.tobytes() == expected.tobytes()
 
 
 class TestSimulateAnnotators:

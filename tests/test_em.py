@@ -79,6 +79,111 @@ class TestInitResponsibilities:
         np.testing.assert_allclose(lam.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestShortAxes:
+    """The slice-by-slice reductions equal numpy's reduce bitwise, on both sides of the floors."""
+
+    ROWS = (3, em.SHORT_AXIS_ROWS - 1, em.SHORT_AXIS_ROWS, 2560)
+
+    @staticmethod
+    def stack(rng, rows, k, axis, dtype):
+        # ``rows`` rows of k entries along ``axis``; for axis -2, in stacks of 4 columns
+        if axis == -1:
+            shape = (rows, k)
+        else:
+            shape = (rows // 4, k, 4) if rows % 4 == 0 else (rows, k, 1)
+        if dtype is np.intp:
+            return rng.integers(-50, 50, shape)
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+        x[rng.random(shape) < 0.05] = 0.0
+        x[rng.random(shape) < 0.05] = -0.0
+        x.reshape(-1, *shape[-1:])[1] = -0.0  # an all -0.0 row for axis -1
+        return x
+
+    def test_floors(self):
+        assert em._by_slices(np.empty((em.SHORT_AXIS_ROWS, 4)), -1)
+        assert not em._by_slices(np.empty((em.SHORT_AXIS_ROWS - 1, 4)), -1)
+        assert em._by_slices(np.empty((32, 4, 4)), -2)
+        assert not em._by_slices(np.empty((4096, em.SHORT_AXIS)), -1)
+        assert not em._by_slices(np.empty((4096, 1)), -1)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.intp], ids=["float", "int"])
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum], ids=["add", "maximum"])
+    def test_reduce_matches_numpy(self, ufunc, dtype):
+        rng = np.random.default_rng(0)
+        for k in range(1, 13):
+            for rows in self.ROWS:
+                for axis in (-1, -2):
+                    x = self.stack(rng, rows, k, axis, dtype)
+                    want = ufunc.reduce(x, axis=axis, keepdims=True)
+                    assert same_bits(em._reduce(ufunc, x, axis), want), (k, rows, axis)
+
+    def test_reduce_propagates_nan(self):
+        x = np.random.default_rng(1).standard_normal((em.SHORT_AXIS_ROWS, 4))
+        x[5, 2] = x[9, 0] = np.nan
+        for ufunc in (np.add, np.maximum):
+            assert same_bits(em._reduce(ufunc, x), ufunc.reduce(x, axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.intp], ids=["float", "int"])
+    def test_argmax_matches_numpy_with_ties(self, dtype):
+        # entries from {0, 1, 2} tie often: the first maximum wins
+        rng = np.random.default_rng(2)
+        for k in range(1, 13):
+            for rows in self.ROWS:
+                x = rng.integers(0, 3, (rows, k)).astype(dtype)
+                assert same_bits(em._argmax(x), np.argmax(x, axis=-1)), (k, rows)
+                if rows % 4 == 0:
+                    stacked = x.reshape(4, rows // 4, k)
+                    assert same_bits(em._argmax(stacked), np.argmax(stacked, axis=-1))
+
+    def test_argmax_matches_numpy_on_nan_and_infinite_rows(self):
+        # a row holding a NaN gives its first NaN's index, as np.argmax does
+        rng = np.random.default_rng(3)
+        for k in range(1, 13):
+            for rows in self.ROWS:
+                x = rng.choice([-np.inf, -1.0, 0.0, 1.0, np.inf], (rows, k))
+                x[rng.random((rows, k)) < 0.1] = np.nan
+                x[0] = -np.inf
+                assert same_bits(em._argmax(x), np.argmax(x, axis=-1)), (k, rows)
+
+    def test_stacked_em_updates_keep_their_bits(self):
+        # a stack of evaluation's shape: 128 tasks, 20 examples, 7 annotators, 4 classes
+        rng = np.random.default_rng(6)
+        labels = rng.integers(0, 4, (128, 20, 7))
+        support = em.SupportSet(rng.standard_normal((128, 20, 5)), labels, 4, 7)
+        lam = rng.dirichlet(np.ones(4), (128, 20))
+        counts = support.onehot.reshape(128, 20, 28).swapaxes(-1, -2) @ lam
+        counts = counts.reshape(128, 7, 4, 4)
+        confusions = (counts + 1.0) / (counts.sum(axis=-2, keepdims=True) + 4.0)
+        assert same_bits(em.confusion_update(lam, support.onehot, 1.0), confusions)
+        protos, pi = rng.standard_normal((128, 4, 5)), rng.dirichlet(np.ones(4), 128)
+        scores = em._posterior_log_scores(support, protos, pi, confusions)
+        shift = scores.max(axis=-1, keepdims=True)
+        log_norm = shift + np.log(np.exp(scores - shift).sum(axis=-1, keepdims=True))
+        assert same_bits(em.e_step(support, protos, pi, confusions), np.exp(scores - log_norm))
+
+    def test_vote_counts_as_products(self):
+        rng = np.random.default_rng(4)
+        for r in range(1, 65):
+            onehot = (rng.random((3, 5, r, 4)) < 0.4).astype(np.float64)
+            assert same_bits(np.ones(r) @ onehot, onehot.sum(axis=-2)), r
+
+    def test_vote_fractions_keep_their_bits(self):
+        rng = np.random.default_rng(5)
+        for r in (1, 3, 7, 25):
+            labels = rng.integers(0, 4, (128, 20, r))
+            labels[rng.random(labels.shape) < 0.3] = -1
+            labels[..., 0] = rng.integers(0, 4, (128, 20))
+            onehot = em.one_hot_labels(labels, 4)
+            votes = onehot.sum(axis=-2)
+            assert same_bits(em.init_responsibilities(onehot),
+                             votes / votes.sum(axis=-1, keepdims=True)), r
+
+
 class TestLabelMatrix:
     """The label matrix and its one-hot tensor against the annotation-map loop of ``loop_em``."""
 

@@ -101,6 +101,31 @@ class TestForward:
         np.testing.assert_array_equal(tape_forward(x, params)[0].data, forward(x, params))
 
 
+def test_relu_in_place_matches_the_mask_multiply():
+    # integer weights and inputs make many pre-activations exactly 0; the mask
+    # multiply leaves -0.0 where the in-place maximum leaves +0.0, equal values
+    rng = np.random.default_rng(4)
+    dims = [(5, 8), (8, 6), (6, 3)]
+    params = EncoderParams(weights=[rng.integers(-2, 3, d).astype(float) for d in dims],
+                           biases=[rng.integers(-1, 2, d[1]).astype(float) for d in dims])
+    x = rng.integers(-1, 2, (40, 5)).astype(float)
+    h, inputs, masks = x, [], []
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        inputs.append(h)
+        h = h @ w + b
+        if i < len(dims) - 1:
+            masks.append(h > 0.0)
+            assert np.any(h == 0.0) and np.any(h < 0.0)
+            h = h * masks[-1]
+    out, record = forward_recorded(x, params)
+    np.testing.assert_array_equal(out, h)
+    assert len(record.inputs) == len(inputs) and len(record.masks) == len(masks)
+    for got, want in zip(record.inputs + record.masks, inputs + masks):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert not any(np.signbit(a).any() for a in record.inputs[1:])
+
+
 class TestBackward:
     def test_linear_adjoint_is_outer_product(self):
         params = init_params(EncoderConfig(3, (), 2, init_seed=4))

@@ -235,19 +235,23 @@ def test_label_only_work_per_block(train_bench, monkeypatch):
     assert calls["confusion_update"] == blocks + iterations * (steps - 2) + chunks * steps
 
 
-def test_trace_audit_matches_code_calls(train_bench):
+@pytest.mark.parametrize("workload_class", list(ROUND_DIGESTS),
+                         ids=["train", "eval-grid", "crowd"])
+def test_trace_audit_matches_code_calls(workload_class, train_bench, tmp_path):
     # every execution of a listed function's code passes through its span: a
     # function reference captured before the tracer installed would miss it
     import spans
 
+    bench = (train_bench if workload_class is workload.Train
+             else workload_class(7919, str(tmp_path)))
     tracer = spans.Tracer()
     tracer.install()
     try:
         with tracer.audit() as seen:
-            rnd = train_bench.round(workload.Timer(tracer, workload.HostSpeed()))
+            rnd = bench.round(workload.Timer(tracer, workload.HostSpeed()))
     finally:
         tracer.uninstall()
-    assert rnd.failed == 0 and rnd.digest == ROUND_DIGESTS[workload.Train]
+    assert rnd.failed == 0 and rnd.digest == ROUND_DIGESTS[workload_class]
     calls = {name: span["calls"] for name, span in workload.span_table(tracer).items()
              if name != spans.ROOT}
     assert "em.confusion_update" in calls and calls == dict(seen)
