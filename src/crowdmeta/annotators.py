@@ -122,16 +122,29 @@ def _draw_labels(confusions: np.ndarray, true_labels: np.ndarray, draws: np.ndar
     """``(B, N, R)`` labels of ``(B, R, K, K)`` confusions for ``(B, N)`` true classes.
 
     Annotator r labels example n with the first class whose cumulative
-    probability in column ``true_labels[n]`` exceeds ``draws[r, n]``.
+    probability in column ``true_labels[n]`` exceeds ``draws[r, n]``.  The
+    labels take the smallest unsigned type that holds K, a byte for K up to
+    256, so that a chunk's labels are small while its fit holds them.
     """
     cum = np.cumsum(confusions, axis=-2).transpose(0, 3, 1, 2)  # (B, column, R, K)
     columns = cum[np.arange(len(cum))[:, None], true_labels]  # (B, N, R, K)
+    del cum  # peak memory: freed before the comparison
     k = confusions.shape[-1]
     below = draws.swapaxes(-1, -2)[..., None] > columns
     # a count of 0/1 terms is exact in any order; taken over bytes, since a float
     # product would first copy ``below`` to eight bytes a term
     counts = below.view(np.uint8) @ np.ones(k, dtype=np.min_scalar_type(k))
-    return np.minimum(counts, k - 1).astype(np.intp)
+    return np.minimum(counts, k - 1, out=counts)
+
+
+def _one_task_labels(true_labels) -> np.ndarray:
+    """One task's true labels as an intp ``(N,)`` vector; reject other shapes and non-integers."""
+    labels = np.asarray(true_labels)
+    if labels.ndim != 1:
+        raise ValueError(f"true labels {labels.shape} are not one task's (N,) vector")
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValueError(f"true labels must be integers, got {labels.dtype}")
+    return labels.astype(np.intp, copy=False)
 
 
 def _check_true_labels(true_labels: np.ndarray, num_classes: int) -> None:
@@ -150,7 +163,7 @@ class SimulatedAnnotators:
     kinds: np.ndarray  # (B, R) kind codes, indices into KINDS
     q: np.ndarray  # (B, R) accuracies, NaN for spammers
     confusions: np.ndarray  # (B, R, K, K)
-    labels: np.ndarray  # (B, N, R) int
+    labels: np.ndarray  # (B, N, R) unsigned, the smallest type that holds K
 
 
 def block_size(num_annotators: int, num_examples: int) -> int:
@@ -209,11 +222,12 @@ def _simulate_one(true_labels: np.ndarray, num_annotators: int, dist: AnnotatorD
                   num_classes: int, rng: np.random.Generator) -> SimulatedAnnotators:
     """:func:`simulate_annotators` for one task, its block the next doubles of ``rng``.
 
-    The labels are checked before the draw, so a rejected call leaves ``rng`` as it was.
+    The annotator count and the labels are checked before the draw, so a
+    rejected call leaves ``rng`` as it was.
     """
-    true_labels = np.asarray(true_labels, dtype=np.intp)
-    if true_labels.ndim != 1:
-        raise ValueError(f"true labels {true_labels.shape} are not one task's (N,) vector")
+    if not isinstance(num_annotators, (int, np.integer)) or num_annotators < 1:
+        raise ValueError(f"num_annotators must be an integer >= 1, got {num_annotators!r}")
+    true_labels = _one_task_labels(true_labels)
     _check_true_labels(true_labels, num_classes)
     block = rng.random((1, block_size(num_annotators, len(true_labels))))
     return simulate_annotators(true_labels[None], num_annotators, dist, num_classes, block)
@@ -241,6 +255,31 @@ def profile_to_confusion(profile: AnnotatorProfile, num_classes: int) -> np.ndar
     return _confusion_stack(np.array(q), num_classes)
 
 
+# how far a caller's confusion column may sum from 1: room for the rounding of
+# probabilities normalised in float32
+COLUMN_SUM_TOLERANCE = 1e-6
+
+
+def _check_confusions(alpha: np.ndarray) -> None:
+    """Reject an ``(R, K, K)`` stack with a column that is not a distribution, naming its first.
+
+    A column's entries must be finite and non-negative, and sum to 1
+    within :data:`COLUMN_SUM_TOLERANCE`.
+    """
+    # NaN fails both comparisons, and an infinite entry makes its sum fail the
+    # second; the sums are a product, as numpy's reduce costs per column
+    if (alpha.min() >= 0.0
+            and np.abs(np.ones(alpha.shape[-1]) @ alpha - 1.0).max() <= COLUMN_SUM_TOLERANCE):
+        return
+    with np.errstate(invalid="ignore"):  # a column holding inf and -inf sums to NaN
+        valid = ((alpha.min(axis=-2) >= 0.0)
+                 & (np.abs(alpha.sum(axis=-2) - 1.0) <= COLUMN_SUM_TOLERANCE))
+    r, k = np.argwhere(~valid)[0]
+    raise ValueError(f"annotator {r}'s confusion column {k} is not a distribution: its "
+                     f"entries must be finite and >= 0 and sum to 1 within "
+                     f"{COLUMN_SUM_TOLERANCE:g}, got {alpha[r, :, k].tolist()}")
+
+
 def annotate(
     true_labels: np.ndarray,
     confusions: Sequence[np.ndarray],
@@ -252,19 +291,24 @@ def annotate(
     Returns the int ``(N, R)`` label matrix, -1 where annotator r gave no
     label for example n.  ``label_fraction``, in (0, 1], below 1 keeps each
     pair independently with that probability, but at least one per example.
+    The true labels must be one task's integer ``(N,)`` vector, and each
+    confusion column a distribution (:func:`_check_confusions`); every
+    check runs before ``rng`` draws.
     """
     if not 0.0 < label_fraction <= 1.0:  # NaN fails this too
         raise ValueError(f"label_fraction must be in (0, 1], got {label_fraction}")
-    true_labels = np.asarray(true_labels, dtype=np.intp)
+    true_labels = _one_task_labels(true_labels)
     n = len(true_labels)
     alpha = np.asarray(confusions, dtype=np.float64)
     if alpha.ndim != 3 or len(alpha) < 1 or not 2 <= alpha.shape[1] == alpha.shape[2]:
         raise ValueError(f"confusions must be an (R, K, K) stack with R >= 1 and K >= 2, "
                          f"got shape {alpha.shape}")
+    _check_confusions(alpha)
     _check_true_labels(true_labels, alpha.shape[-1])
     num_annotators = len(alpha)
     # annotator r takes the r-th n draws
-    labels = _draw_labels(alpha[None], true_labels[None], rng.random((1, num_annotators, n)))[0]
+    labels = _draw_labels(alpha[None], true_labels[None],
+                          rng.random((1, num_annotators, n)))[0].astype(np.intp)
     if label_fraction == 1.0:
         return labels
     keep = rng.random((n, num_annotators)) < label_fraction
@@ -280,10 +324,10 @@ def pseudo_annotate(
     num_classes: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Noisy ``(N, R)`` labels for clean support data from freshly sampled annotators.
+    """Noisy int ``(N, R)`` labels for clean support data from freshly sampled annotators.
 
     :func:`simulate_annotators` for one task, whose block of
     ``2R + R·N`` doubles (:func:`block_size`) is read from ``rng``.
     """
     drawn = _simulate_one(support_truth, num_annotators, dist, num_classes, rng)
-    return drawn.labels[0], tuple(drawn.confusions[0])
+    return drawn.labels[0].astype(np.intp), tuple(drawn.confusions[0])

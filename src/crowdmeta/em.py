@@ -310,7 +310,10 @@ def confusion_update(lam: np.ndarray, onehot: np.ndarray, c: float) -> np.ndarra
     k = onehot.shape[-1]
     counts = onehot.reshape(onehot.shape[:-2] + (-1,)).swapaxes(-1, -2) @ lam
     counts = counts.reshape(onehot.shape[:-3] + (-1, k, k))  # (..., r, label l, class k)
-    return (counts + c) / (_reduce(np.add, counts, -2) + k * c)
+    denom = _reduce(np.add, counts, -2) + k * c
+    counts += c  # in place, as ``counts`` is this call's own array: peak memory
+    counts /= denom
+    return counts
 
 
 def m_step(

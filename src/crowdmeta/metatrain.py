@@ -246,8 +246,12 @@ def mean_and_stderr(accuracies: Sequence[float]) -> tuple[float, float]:
 
 
 # tasks per stacked adaptation: the EM's working set grows per task, so the
-# chunk keeps evaluation memory flat in the task count
-EVAL_CHUNK = 128
+# chunk keeps evaluation memory flat in the task count.  Each stack also pays
+# a fixed cost of numpy calls, which 256 tasks spread until the per-task time
+# barely falls, and a 200-task grid cell is one stack.  A stack of 4-way
+# 5-shot tasks with 7 annotators holds about 9.4 KB a task while it is drawn
+# and fitted, 2.4 MB at 256
+EVAL_CHUNK = 256
 # rows per encoder pass: the hidden activations grow per row and outweigh the
 # EM's working set, so :func:`embed_episodes` splits a chunk by rows too
 ENCODE_ROWS = 2048
@@ -365,11 +369,12 @@ def evaluate(
     annotator instead.  The episodes are scored as given, embedded or raw.  Each
     chunk takes one annotator draw and one :func:`adapt_and_score` call.
 
-    ``draws``, when given, keeps each chunk's labels and annotators from one
-    call to the next on the same chunks: a chunk it holds is scored on them
-    without a draw, and a chunk it lacks is drawn and appended, its labels
-    checked as :class:`crowdmeta.em.CheckedLabels`, which ``fit`` must take,
-    as :func:`fit_em` does.
+    ``draws``, when given, keeps each chunk's labels and its annotators'
+    kinds and accuracies from one call to the next on the same chunks: a
+    chunk it holds is scored on them without a draw, and a chunk it lacks
+    is drawn and appended, its labels checked as
+    :class:`crowdmeta.em.CheckedLabels`, which ``fit`` must take, as
+    :func:`fit_em` does.
     """
     if not chunks:
         raise ValueError("evaluate needs at least one episode (got an empty episode list)")
@@ -383,16 +388,18 @@ def evaluate(
         tasks = slice(stop, stop + len(chunk.support_y))
         stop = tasks.stop
         if draws is not None and i < len(draws):
-            labels, drawn = draws[i]
+            labels, profiles = draws[i]
         else:
             labels, drawn = _draw_annotators(chunk.support_y, dist, num_annotators,
                                              chunk.num_classes, master_seed, stream_label,
                                              np.arange(tasks.start, tasks.stop)[:, None])
+            profiles = None if drawn is None else (drawn.kinds, drawn.q)
+            del drawn  # peak memory: the confusions are freed before the fit
             if draws is not None:
                 labels = em.CheckedLabels.check(labels, chunk.num_classes)
-                draws.append((labels, drawn))
-        if drawn is not None:
-            kinds[tasks], q[tasks] = drawn.kinds, drawn.q
+                draws.append((labels, profiles))
+        if profiles is not None:
+            kinds[tasks], q[tasks] = profiles
         accuracies[tasks], recovery[tasks] = adapt_and_score(chunk, labels, hyper, fit)
     mean, stderr = mean_and_stderr(accuracies)
     return EvalResult(accuracies=accuracies, mean=mean, stderr=stderr, recovery=recovery,

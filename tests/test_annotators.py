@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,58 @@ class TestAnnotate:
             annotate(np.array([0, 1]), confusions, rng)
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("confusions, r, k", [
+        ([np.eye(2) * np.nan], 0, 0),
+        ([np.full((2, 2), -1.0)], 0, 0),
+        ([np.eye(2), [[1.0, 0.5], [np.inf, 0.5]]], 1, 0),
+        ([[[np.inf, 0.5], [-np.inf, 0.5]]], 0, 0),
+        ([[[1.0, -0.5], [0.0, 1.5]]], 0, 1),
+        ([np.eye(3), np.eye(3), [[0.5, 0.2, 0.3], [0.5, 0.2, 0.3], [0.0, 0.5, 0.4]]], 2, 1),
+    ], ids=["nan", "negative", "infinite", "inf-and-minus-inf", "negative-summing-to-1",
+            "sum-0.9"])
+    def test_confusion_column_not_a_distribution_rejected_before_drawing(self, confusions, r,
+                                                                          k):
+        # a NaN column labels every example 0, a column of -1 every example 1
+        rng = stream(11, "bad")
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"^annotator {r}'s confusion column {k} is not "
+                                             rf"a distribution"):
+            annotate(np.array([0, 1]), confusions, rng)
+        assert rng.bit_generator.state == before
+
+    def test_column_sums_within_the_tolerance_accepted(self):
+        tol = annotators.COLUMN_SUM_TOLERANCE
+        alpha = np.array([[0.75, 0.25], [0.25, 0.75]])
+        rng = stream(11, "tolerance")
+        annotate(np.array([0, 1]), [alpha + [[0.0, 0.0], [0.0, tol / 2]]], rng)
+        # probabilities rounded to float32: a column sums to 1 + 1.5e-8
+        annotate(np.array([0, 1]), [np.array([[0.7, 0.2], [0.3, 0.8]], dtype=np.float32)], rng)
+        with pytest.raises(ValueError, match="^annotator 0's confusion column 1 "):
+            annotate(np.array([0, 1]), [alpha + [[0.0, 0.0], [0.0, 2 * tol]]], rng)
+
+    @pytest.mark.parametrize("truth, message", [
+        ([0.7, 1.2], "true labels must be integers, got float64"),
+        (np.array([True, False]), "true labels must be integers, got bool"),
+        ([[0, 1]], r"true labels \(1, 2\) are not one task's \(N,\) vector"),
+        (1, r"true labels \(\) are not one task's \(N,\) vector"),
+    ], ids=["float", "bool", "2-d", "scalar"])
+    def test_true_labels_not_an_integer_vector_rejected_before_drawing(self, truth, message):
+        # float labels were truncated, and a (1, N) matrix gave a (1, N, 1) result
+        for call in (lambda rng: annotate(truth, [np.eye(2)], rng),
+                     lambda rng: pseudo_annotate(truth, 2, EHS(0.1, 0.7, 0.2), 2, rng)):
+            rng = stream(11, "bad")
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match=rf"^{message}$"):
+                call(rng)
+            assert rng.bit_generator.state == before
+
+    def test_any_integer_type_and_no_labels_accepted(self):
+        rng = stream(11, "types")
+        for truth in (np.array([1, 0], dtype=np.uint8), np.array([1, 0], dtype=np.int32)):
+            labels = annotate(truth, [np.eye(2)], rng)
+            assert labels.dtype == np.intp and labels.tolist() == [[1], [0]]
+        assert annotate([], [np.eye(2)], rng).shape == (0, 1)  # no values to truncate
+
     @pytest.mark.parametrize("label_fraction", [np.nan, 2.0, 0.0, -0.5])
     def test_fraction_outside_unit_interval_rejected_before_drawing(self, label_fraction):
         rng = stream(11, "bad")
@@ -250,6 +303,23 @@ class TestPseudoAnnotate:
             with pytest.raises(ValueError, match="at least 2 classes"):
                 call(rng)
             assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("r", [-1, 0, 2.0, "3"])
+    def test_annotator_count_not_a_positive_integer_rejected_before_drawing(self, r):
+        # -1 failed inside numpy, and 0 gave an empty pool
+        for call in (lambda rng: pseudo_annotate([0, 1], r, EHS(0.1, 0.7, 0.2), 3, rng),
+                     lambda rng: sample_annotator_pool(EHS(0.1, 0.7, 0.2), r, 3, rng)):
+            rng = stream(12, "bad")
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match=rf"^num_annotators must be an integer >= 1, "
+                                                 rf"got {re.escape(repr(r))}$"):
+                call(rng)
+            assert rng.bit_generator.state == before
+
+    def test_numpy_integer_annotator_count_accepted(self):
+        labels, confusions = pseudo_annotate([0, 1], np.int64(2), EHS(0.1, 0.7, 0.2), 3,
+                                             stream(12, "count"))
+        assert labels.shape == (2, 2) and len(confusions) == 2
 
     def test_profiles_serialize(self):
         profiles, _ = sample_annotator_pool(EHS(0.3, 0.4, 0.3), 6, 4, stream(15, "ser"))
@@ -338,7 +408,8 @@ def test_label_counts_match_the_bool_sum():
         draws[..., ::3] = columns[..., 0].swapaxes(-1, -2)[..., ::3]  # ties
         labels = annotators._draw_labels(confusions, truth, draws)
         expected = np.minimum((draws.swapaxes(-1, -2)[..., None] > columns).sum(axis=-1), k - 1)
-        assert labels.dtype == np.intp and labels.tobytes() == expected.tobytes()
+        # the smallest unsigned type that holds k: a byte a label up to k = 256
+        assert labels.dtype == np.min_scalar_type(k) and np.array_equal(labels, expected)
 
 
 class TestSimulateAnnotators:
@@ -359,10 +430,14 @@ class TestSimulateAnnotators:
 
     @staticmethod
     def assert_same(got, expected):
-        for name in ("kinds", "q", "confusions", "labels"):
+        for name in ("kinds", "q", "confusions"):
             a, e = getattr(got, name), getattr(expected, name)
             assert a.dtype == e.dtype and a.shape == e.shape, name
             assert a.tobytes() == np.ascontiguousarray(e).tobytes(), name
+        # the chunk's labels take the smallest unsigned type that holds K, the loop's intp
+        assert got.labels.dtype == np.min_scalar_type(got.confusions.shape[-1])
+        assert got.labels.shape == expected.labels.shape
+        assert np.array_equal(got.labels, expected.labels)
 
     def test_same_draws_as_per_task_loop(self):
         kinds = set()
@@ -395,8 +470,8 @@ class TestSimulateAnnotators:
             copied = copy.deepcopy(rng)
             labels, confusions = pseudo_annotate(truth[0], r, dist, k, rng)
             expected = simulate_annotators(truth, r, dist, k, copied.random((1, block_size(r, n))))
-            assert labels.dtype == expected.labels.dtype
-            assert labels.tobytes() == expected.labels[0].tobytes()
+            assert labels.dtype == np.intp
+            assert labels.tobytes() == expected.labels[0].astype(np.intp).tobytes()
             assert np.stack(confusions).tobytes() == expected.confusions[0].tobytes()
             profiles, pool = sample_annotator_pool(dist, r, k, rng)
             expected = simulate_annotators(np.empty((1, 0), dtype=np.intp), r, dist, k,

@@ -189,6 +189,25 @@ class TestMatchesLoop:
         assert result.recovery.tobytes() == recovery.tobytes()
 
 
+class TestStackSize:
+    """A task's results do not depend on the size of the stack it is scored in."""
+
+    @pytest.mark.parametrize("fit", [mt.fit_em, baselines.fit_majority_vote,
+                                     baselines.fit_dawid_skene], ids=["em", "mv", "ds"])
+    def test_stack_size_changes_no_output_bit(self, fit, monkeypatch):
+        episodes = make_episodes(200, shots=5, query=10)
+        results = []
+        for size, stacks in ((128, 2), (256, 1)):
+            monkeypatch.setattr(mt, "EVAL_CHUNK", size)
+            chunks = chunks_of(episodes)
+            assert len(chunks) == stacks
+            results.append(mt.evaluate(chunks, DIST, HYPER, 7, master_seed=5,
+                                       stream_label="stack", fit=fit))
+        split, whole = results
+        for name in ("accuracies", "recovery", "annotator_kinds", "annotator_q"):
+            assert getattr(split, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
 def transient_peak(num_tasks):
     """Traced peak of one ``evaluate`` call above the memory its result still holds."""
     chunks = chunks_of(make_episodes(num_tasks, shots=5, query=10))
@@ -222,6 +241,9 @@ class TestMemory:
     # chunk's arrays, whatever the task count.  Unchunked, 8 chunks of tasks
     # hold about 8 times the one-chunk peak.
     TOLERANCE = 1.25
+    # traced transient per task of one full stack at 5 shots and 7 annotators,
+    # as measured at EVAL_CHUNK = 256 with numpy 2.4
+    STACK_BYTES_PER_TASK = 6055
 
     def test_transient_peak_flat_in_task_count(self):
         one = transient_peak(mt.EVAL_CHUNK)
@@ -235,3 +257,8 @@ class TestMemory:
         eight = transient_embed_peak(8 * mt.EVAL_CHUNK)
         assert eight <= self.TOLERANCE * one, (one, eight)
 
+    def test_transient_per_task_of_a_full_stack(self):
+        # the tests above compare chunk counts at one stack size, so they cannot
+        # see a stack whose working set grows
+        per_task = transient_peak(mt.EVAL_CHUNK) / mt.EVAL_CHUNK
+        assert per_task <= self.TOLERANCE * self.STACK_BYTES_PER_TASK, per_task

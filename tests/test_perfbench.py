@@ -112,8 +112,8 @@ def test_audit_encodes_per_cell_not_per_task(tmp_path, monkeypatch):
 def test_adapts_per_chunk_not_per_task(tmp_path, monkeypatch):
     # each of the 9 cells adapts its 200 tasks in stacks of at most
     # EVAL_CHUNK, and draws their annotators' doubles once per stack; each
-    # shots value's episodes are drawn once per stack too.  At 128 tasks a
-    # stack, that is 18 adaptations and 24 draws a round.
+    # shots value's episodes are drawn once per stack too.  At 256 tasks a
+    # stack, each cell is one stack: 9 adaptations and 12 draws a round.
     bench = workload.EvalGrid(7919, str(tmp_path))
     adapts, streams = [], []
     adapt, derive = em.adapt, seeding.uniforms
