@@ -6,14 +6,16 @@ wrong label uniformly; spammers label uniformly at random.  The same
 machinery produces pseudo-annotations for meta-training and simulated
 target-task annotators for evaluation.
 
-A pool of R annotators draws a kind per annotator and an accuracy per
-expert or hammer, R to 2R uniforms, then R·N label uniforms.  A task's
-draws are one block of ``2R + R·N`` uniforms (:func:`block_size`), and
-:func:`simulate_annotators` decodes a chunk of tasks' blocks at once: each
-uniform is the one a draw per annotator would take in turn.  The per-task
-functions decode the block of their generator's next doubles with that
-same code and leave the generator after it, whatever the pool used, so
-any numpy ``Generator`` serves.
+A task's draws are one block of ``2R + R·N`` uniforms
+(:func:`block_size`) with two fixed slots per annotator: annotator r's
+kind reads uniform ``2r`` and its accuracy ``2r + 1``, which a spammer
+leaves unread, and its labels read the r-th N uniforms after the pool's
+2R.  :func:`simulate_annotators` decodes a chunk of tasks' blocks at once
+by slicing them.  The per-task functions decode the block of their
+generator's next doubles with that same code and leave the generator
+after it, so any numpy ``Generator`` serves, and a pool drawn by
+:func:`sample_annotator_pool` then labelled by :func:`annotate` reads the
+doubles :func:`pseudo_annotate` reads.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ class SimulatedAnnotators:
 
 
 def block_size(num_annotators: int, num_examples: int) -> int:
-    """Uniforms in a task's block: up to two per annotator for its pool, then its labels."""
+    """Uniforms in a task's block: two per annotator for its pool, then its labels."""
     return num_annotators * (2 + num_examples)
 
 
@@ -183,39 +185,25 @@ def simulate_annotators(
     ``true_labels`` is ``(B, N)`` and ``block`` the ``(B, 2R + R·N)``
     uniforms (:func:`block_size`) of the B tasks, in [0, 1) as
     ``Generator.random`` draws them.  Task b's pool is drawn from ``dist``
-    with row b: each annotator in turn takes a uniform for its kind, and an
-    expert or hammer the next for its accuracy; then annotator r labels
-    with the r-th N uniforms after the pool's.  The uniforms the pool
-    leaves unused, one per spammer, end the block.
+    with row b: annotator r's kind from uniform ``2r``, and an expert's
+    or hammer's accuracy from uniform ``2r + 1``; then annotator r labels
+    with the r-th N uniforms after the pool's 2R.
     """
     true_labels = np.asarray(true_labels, dtype=np.intp)
     if true_labels.ndim != 2 or len(true_labels) != len(block):
         raise ValueError(f"true labels {true_labels.shape} do not stack {len(block)} tasks")
     _check_true_labels(true_labels, num_classes)
-    (b, n), r, head = true_labels.shape, num_annotators, 2 * num_annotators
+    (b, n), r = true_labels.shape, num_annotators
     if block.shape != (b, block_size(r, n)):
         raise ValueError(f"{r} annotators of {n} examples need a ({b}, {block_size(r, n)}) "
                          f"uniform block, got {block.shape}")
-    # the kind each of the first 2R uniforms would give as a kind draw; the
-    # next kind draw comes 1 later, or 2 after an accuracy draw
-    heads = block[:, :head].ravel()
-    kind_at = dist.codes[dist.cdf.searchsorted(heads, side="right")]
-    following = np.arange(len(heads)) + 1 + ~np.isnan(_Q_LO[kind_at])
-    starts = np.arange(b) * head
-    positions = np.empty((b, r), dtype=np.intp)
-    p = starts
-    for a in range(r):
-        positions[:, a] = p
-        p = following[p]
-    used = p - starts
-    kinds = kind_at[positions]
+    kinds = dist.codes[dist.cdf.searchsorted(block[:, 0 : 2 * r : 2], side="right")]
     hi = _Q_HI[kinds]
-    q = hi - heads[positions + 1] * (hi - _Q_LO[kinds])  # uniform over (lo, hi]
-    # annotator r labels with the r-th n uniforms after its pool's
-    draws = block[np.arange(b)[:, None], used[:, None] + np.arange(r * n)].reshape(b, r, n)
+    q = hi - block[:, 1 : 2 * r : 2] * (hi - _Q_LO[kinds])  # uniform over (lo, hi]
     confusions = _confusion_stack(q, num_classes)
     return SimulatedAnnotators(kinds=kinds, q=q, confusions=confusions,
-                               labels=_draw_labels(confusions, true_labels, draws))
+                               labels=_draw_labels(confusions, true_labels,
+                                                   block[:, 2 * r :].reshape(b, r, n)))
 
 
 def _simulate_one(true_labels: np.ndarray, num_annotators: int, dist: AnnotatorDistribution,
@@ -225,7 +213,8 @@ def _simulate_one(true_labels: np.ndarray, num_annotators: int, dist: AnnotatorD
     The annotator count and the labels are checked before the draw, so a
     rejected call leaves ``rng`` as it was.
     """
-    if not isinstance(num_annotators, (int, np.integer)) or num_annotators < 1:
+    if (not isinstance(num_annotators, (int, np.integer)) or isinstance(num_annotators, bool)
+            or num_annotators < 1):
         raise ValueError(f"num_annotators must be an integer >= 1, got {num_annotators!r}")
     true_labels = _one_task_labels(true_labels)
     _check_true_labels(true_labels, num_classes)

@@ -32,8 +32,8 @@ reads θ through views of the flat parameter vector, without the copy and
 finiteness scan of :class:`~crowdmeta.encoder.EncoderParams`, since
 :func:`adam_update` rejects a non-finite gradient.  Evaluation and
 validation episodes are drawn in stacked chunks of up to
-:data:`EVAL_CHUNK` tasks (:func:`episode_chunks`); the validation
-annotators are drawn at the first validation and kept for the later ones.
+:data:`EVAL_CHUNK` tasks (:func:`episode_chunks`), and every validation
+draws its annotators from the same rows, so each scores the same labels.
 :func:`embed_episodes` embeds a chunk in encoder passes of whole tasks, at
 most :data:`ENCODE_ROWS` rows each; :func:`evaluate` then walks the
 chunks, draws each chunk's annotators, and adapts and scores each chunk as
@@ -358,23 +358,16 @@ def evaluate(
     master_seed: int,
     stream_label: str = "eval-annotators",
     fit: Fit = fit_em,
-    draws: list | None = None,
 ) -> EvalResult:
     """Simulate annotators per task from its own row of doubles, fit, and score query accuracy.
 
     ``chunks`` are stacked episodes; the task index runs across them, so
     task i's annotators come from the row ``(i,)`` of ``stream_label``'s
-    doubles, drawn for a chunk at once by :func:`_draw_annotators`.
-    ``dist=None`` labels each support with its clean labels as one perfect
-    annotator instead.  The episodes are scored as given, embedded or raw.  Each
+    doubles, drawn for a chunk at once by :func:`_draw_annotators`: a call
+    on the same chunks draws the same annotators and labels.  ``dist=None``
+    labels each support with its clean labels as one perfect annotator
+    instead.  The episodes are scored as given, embedded or raw.  Each
     chunk takes one annotator draw and one :func:`adapt_and_score` call.
-
-    ``draws``, when given, keeps each chunk's labels and its annotators'
-    kinds and accuracies from one call to the next on the same chunks: a
-    chunk it holds is scored on them without a draw, and a chunk it lacks
-    is drawn and appended, its labels checked as
-    :class:`crowdmeta.em.CheckedLabels`, which ``fit`` must take, as
-    :func:`fit_em` does.
     """
     if not chunks:
         raise ValueError("evaluate needs at least one episode (got an empty episode list)")
@@ -384,22 +377,15 @@ def evaluate(
     kinds = np.empty((simulated, num_annotators), dtype=np.intp)
     q = np.empty((simulated, num_annotators))
     stop = 0
-    for i, chunk in enumerate(chunks):
+    for chunk in chunks:
         tasks = slice(stop, stop + len(chunk.support_y))
         stop = tasks.stop
-        if draws is not None and i < len(draws):
-            labels, profiles = draws[i]
-        else:
-            labels, drawn = _draw_annotators(chunk.support_y, dist, num_annotators,
-                                             chunk.num_classes, master_seed, stream_label,
-                                             np.arange(tasks.start, tasks.stop)[:, None])
-            profiles = None if drawn is None else (drawn.kinds, drawn.q)
-            del drawn  # peak memory: the confusions are freed before the fit
-            if draws is not None:
-                labels = em.CheckedLabels.check(labels, chunk.num_classes)
-                draws.append((labels, profiles))
-        if profiles is not None:
-            kinds[tasks], q[tasks] = profiles
+        labels, drawn = _draw_annotators(chunk.support_y, dist, num_annotators,
+                                         chunk.num_classes, master_seed, stream_label,
+                                         np.arange(tasks.start, tasks.stop)[:, None])
+        if drawn is not None:
+            kinds[tasks], q[tasks] = drawn.kinds, drawn.q
+        del drawn  # peak memory: the confusions are freed before the fit
         accuracies[tasks], recovery[tasks] = adapt_and_score(chunk, labels, hyper, fit)
     mean, stderr = mean_and_stderr(accuracies)
     return EvalResult(accuracies=accuracies, mean=mean, stderr=stderr, recovery=recovery,
@@ -429,17 +415,16 @@ class MetaTrainResult:
 
 
 def _validation_accuracy(
-    params: EncoderParams, val_episodes: Sequence[Episode], config: MetaConfig,
-    draws: list | None = None,
+    params: EncoderParams, val_episodes: Sequence[Episode], config: MetaConfig
 ) -> float:
     """Mean adaptation accuracy on the fixed, stacked validation episodes.
 
     The main path simulates target annotators from the validation
     distribution; the no-pseudo-annotation ablation validates on clean
     single-annotator labels to stay a fully noise-free meta-learner
-    (unless a validation distribution is set explicitly).  Given a
-    ``draws`` list, the labels are drawn and checked at the first
-    validation and kept there for the later ones (:func:`evaluate`).
+    (unless a validation distribution is set explicitly).  The annotators
+    come from the same rows of the ``"val-annotators"`` doubles at every
+    validation, so each scores the same labels (:func:`evaluate`).
     """
     dist = config.val_dist
     if dist is None and config.pseudo_annotation:
@@ -451,7 +436,6 @@ def _validation_accuracy(
         config.num_annotators,
         config.master_seed,
         stream_label="val-annotators",
-        draws=draws,
     ).mean
 
 
@@ -503,7 +487,7 @@ def meta_train(
 
     ``source_tasks`` and ``val_tasks`` each hold exactly one dataset; the
     tasks are the episodes drawn from its classes.  Validation episodes and
-    their simulated annotators are fixed once from the master seed, so
+    their simulated annotators are fixed by the master seed, so
     successive validation scores are comparable and the whole run is
     reproducible.  The training inputs, episodes and pseudo-annotated
     support labels, are drawn a block of up to :data:`TRAIN_BLOCK` episodes
@@ -523,7 +507,6 @@ def meta_train(
     params = init_params(config.encoder)
     state = TrainState.from_params(params)
     val_episodes = _validation_episodes(val, config)
-    val_draws: list = []  # the validation labels, drawn at the first validation
 
     log: list[TrainingLogRow] = []
     val_history: list[tuple[int, float]] = []
@@ -560,7 +543,7 @@ def meta_train(
 
         if iteration % config.validation_interval == 0:
             current = encoder._read_layout(config.encoder, state.theta)
-            val_score = _validation_accuracy(current, val_episodes, config, val_draws)
+            val_score = _validation_accuracy(current, val_episodes, config)
             val_history.append((iteration, val_score))
             if val_score > state.best_score:
                 state.best_score = val_score

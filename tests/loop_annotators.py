@@ -4,9 +4,10 @@ The package draws a whole chunk of tasks' annotators in one pass: one
 block of uniforms per task, decoded into kinds, accuracies and labels with
 array operations, and a single task's as a chunk of one.  These are the
 earlier forms, one ``Generator.choice`` call per kind, one
-``Generator.random()`` call per accuracy and one ``Generator.random(N)``
-call per annotator's labels, so the tests can check that both decode the
-same uniforms into the same profiles and labels.
+``Generator.random()`` call per accuracy slot, which a spammer discards,
+and one ``Generator.random(N)`` call per annotator's labels, so the tests
+can check that both decode the same uniforms into the same profiles and
+labels.
 ``profile_to_confusion`` builds each matrix kind by kind, and
 ``pseudo_annotate`` goes through profiles.  The loops return per-example
 annotation maps where the package returns the ``(N, R)`` label matrix;
@@ -60,6 +61,7 @@ def sample_profile(dist, num_classes, rng):
     kinds = [kind for kind, _ in dist.weights]
     kind = kinds[rng.choice(len(kinds), p=dist.probabilities())]
     if kind is AnnotatorKind.SPAMMER:
+        rng.random()  # the accuracy slot, which a spammer discards
         return AnnotatorProfile(kind=kind)
     lo, hi = RANGES[kind]
     return AnnotatorProfile(kind=kind, q=hi - rng.random() * (hi - lo))

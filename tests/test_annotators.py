@@ -304,9 +304,10 @@ class TestPseudoAnnotate:
                 call(rng)
             assert rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("r", [-1, 0, 2.0, "3"])
+    @pytest.mark.parametrize("r", [-1, 0, 2.0, "3", True])
     def test_annotator_count_not_a_positive_integer_rejected_before_drawing(self, r):
-        # -1 failed inside numpy, and 0 gave an empty pool
+        # -1 failed inside numpy, 0 gave an empty pool, and True, an int to
+        # isinstance, failed inside numpy after the draw
         for call in (lambda rng: pseudo_annotate([0, 1], r, EHS(0.1, 0.7, 0.2), 3, rng),
                      lambda rng: sample_annotator_pool(EHS(0.1, 0.7, 0.2), r, 3, rng)):
             rng = stream(12, "bad")
@@ -425,7 +426,7 @@ class TestSimulateAnnotators:
     DISTS = TestMatchesLoops.DISTS + (
         EHS(0.0, 0.0, 1.0),  # spammers only
         EHS(1.0, 0.0, 0.0),  # experts only
-        EHS(0.0, 1.0, 0.0),  # hammers only: no spammer, no unused uniform
+        EHS(0.0, 1.0, 0.0),  # hammers only: no spammer, every accuracy slot read
     )
 
     @staticmethod
@@ -483,6 +484,36 @@ class TestSimulateAnnotators:
             assert rng.random() == copied.random()  # each left just after its block
             kinds.update(KINDS[c] for c in expected.kinds.ravel().tolist())
         assert kinds == set(AnnotatorKind)
+
+    def test_pool_then_annotate_is_pseudo_annotate(self):
+        # a pool's 2R doubles then its labels' R·N are the block pseudo_annotate
+        # reads, whatever kinds the pool drew
+        spammers = 0
+        for seed in range(120):
+            dist = self.DISTS[seed % 3]  # each has spammers
+            k, r, n = 2 + seed % 9, (*range(1, 9), 25)[seed % 9], 1 + seed % 13
+            truth = stream(seed, "pool-truth").integers(k, size=n)
+            rng = stream(seed, "pool")
+            copied = copy.deepcopy(rng)
+            labels, confusions = pseudo_annotate(truth, r, dist, k, rng)
+            profiles, pool = sample_annotator_pool(dist, r, k, copied)
+            assert labels.tobytes() == annotate(truth, pool, copied).tobytes()
+            assert np.stack(confusions).tobytes() == np.stack(pool).tobytes()
+            assert rng.bit_generator.state == copied.bit_generator.state
+            spammers += sum(p.kind is AnnotatorKind.SPAMMER for p in profiles)
+        assert spammers > 0
+
+    def test_two_fixed_slots_per_annotator(self):
+        # annotator r's kind reads slot 2r and its accuracy slot 2r + 1, which
+        # a spammer leaves unread; the labels start at slot 2R
+        block = np.array([[0.9, 0.5,  # a spammer, its accuracy slot unread
+                           0.05, 0.5,  # an expert of accuracy 1 - 0.5 · (1 - 0.8)
+                           0.1, 0.5, 0.9,  # the spammer's labels: thirds of [0, 1)
+                           0.5, 0.97, 0.01]])  # the expert's: right, then two wrong
+        got = simulate_annotators(np.array([[0, 1, 2]]), 2, EHS(0.1, 0.7, 0.2), 3, block)
+        assert [KINDS[c] for c in got.kinds[0]] == [AnnotatorKind.SPAMMER, AnnotatorKind.EXPERT]
+        np.testing.assert_array_equal(got.q, [[np.nan, 1.0 - 0.5 * (1.0 - 0.8)]])
+        np.testing.assert_array_equal(got.labels, [[[0, 0], [1, 2], [2, 0]]])
 
     def test_pools_and_sparse_labels_share_a_generator(self):
         # pools, sparse labels and 32-bit integer draws interleaved on one

@@ -25,16 +25,16 @@ import workload  # noqa: E402
 # ``metrics.json`` of ``eval-grid`` (both SHA-256) and the per-task accuracies
 # of ``crowd``.  A refactor that keeps every output byte keeps these.
 ROUND_DIGESTS = {
-    workload.Train: "9a4b350587b9c39047ef7de39fa0ac2e06df963e5481fb32910d21c3a5872c81",
-    workload.EvalGrid: "e8e76b11b047af3228c1f67de5005093e10d0c6253c8dc4204e903fbc551f3d4",
-    workload.Crowd: "[0.86, 0.76, 0.79, 0.8, 0.71, 0.83, 0.82, 0.76, 0.8, 0.67, 0.86, 0.8, "
-                    "0.79, 0.81, 0.8, 0.7, 0.73, 0.69, 0.76, 0.72]",
+    workload.Train: "44b292bf4a62cb8bd45318e9db6c668081492e16ad226874bbd39618fc27ba73",
+    workload.EvalGrid: "80b439dbff7c9ca569ceb61354ce4b867c72eb2d1b0e48e98788d5d35c1940bc",
+    workload.Crowd: "[0.86, 0.74, 0.78, 0.8, 0.68, 0.84, 0.79, 0.76, 0.78, 0.67, 0.85, 0.81, "
+                    "0.79, 0.81, 0.8, 0.72, 0.74, 0.68, 0.75, 0.72]",
 }
 
 
 # SHA-256 of the ``annotator_audit.jsonl`` that ``eval-grid``'s round writes
 # beside its ``metrics.json`` on seed 7919: 9 cells of 200 tasks, one line each.
-AUDIT_DIGEST = "bb8b1e873527b6e3b4ec2fdf9cb28ec9a111717a32ae40eb3b477f3a2320f9f3"
+AUDIT_DIGEST = "78b80f25a1e9ca99984911b0c10dd7732496923aa0968cbebb76252ed04759e6"
 
 
 @pytest.mark.parametrize("workload_class", list(ROUND_DIGESTS),
@@ -57,7 +57,7 @@ def test_one_round_without_failures(workload_class, tmp_path):
 # without pseudo-annotation.  ``ROUND_DIGESTS`` pins the final parameters
 # alone; these pin every iteration's loss and pseudo-annotation digest.
 TRAINING_LOG_DIGESTS = {
-    True: "07b86fce9ae663d0f445d3d5b5a112333ee26865d337daceb76b7144eaec99c9",
+    True: "e91f63c1dee35e40325a0cb931b404c4bca303949135c7156eec3c57c5385e8a",
     False: "f7f99dd72ce58fa68029640736db46a6e5d60851c2d02060469d6a1115ea6d54",
 }
 
@@ -188,11 +188,18 @@ def test_checks_per_block_not_per_iteration(train_bench, monkeypatch):
     assert (len(one_hot), len(builds)) == (3, 3)  # 3 blocks, no validation
 
 
-def test_validation_annotators_drawn_once(train_bench, monkeypatch):
-    # two validations score the same 25 validation episodes, one chunk: its
-    # annotators are drawn and its labels checked at the first validation alone
-    streams, one_hot = [], []
-    derive, validate = metatrain.uniforms, em.one_hot_labels
+# the validation scores of ``train``'s configuration on seed 7919 validated
+# every 60 iterations
+VAL_HISTORY_EVERY_60 = [(60, 0.40199999999999997), (120, 0.468)]
+
+
+def test_validations_score_the_same_labels(train_bench, monkeypatch):
+    # two validations score the same 25 validation episodes, one chunk: each
+    # draws its annotators from the same rows and checks their labels, both
+    # score the same label bytes, and each reads what a run validating there
+    # alone reads
+    streams, one_hot, val_labels = [], [], []
+    derive, validate, draw = metatrain.uniforms, em.one_hot_labels, metatrain._draw_annotators
 
     def counting_streams(master_seed, label, *args):
         streams.append(label)
@@ -202,14 +209,29 @@ def test_validation_annotators_drawn_once(train_bench, monkeypatch):
         one_hot.append(1)
         return validate(*args)
 
+    def recording_draw(*args):
+        labels, drawn = draw(*args)
+        if args[5] == "val-annotators":
+            val_labels.append(labels)
+        return labels, drawn
+
     monkeypatch.setattr(metatrain, "uniforms", counting_streams)
     monkeypatch.setattr(em, "one_hot_labels", counting_one_hot)
+    monkeypatch.setattr(metatrain, "_draw_annotators", recording_draw)
     config = dataclasses.replace(train_bench.config, validation_interval=60)
     result = metatrain.meta_train(train_bench.source, train_bench.val, config)
-    assert [iteration for iteration, _ in result.val_history] == [60, 120]
-    assert streams.count("val-annotators") == 1
+    assert result.val_history == VAL_HISTORY_EVERY_60
+    assert streams.count("val-annotators") == 2
     assert streams.count("pseudo-annotate") == 8
-    assert len(one_hot) == 8 + 1  # 8 blocks and 1 validation chunk
+    assert len(one_hot) == 8 + 2  # 8 blocks and 1 validation chunk twice
+    first, second = val_labels
+    assert (first.dtype, first.shape) == (second.dtype, second.shape)
+    assert first.tobytes() == second.tobytes()
+    alone = [metatrain.meta_train(train_bench.source, train_bench.val,
+                                  dataclasses.replace(config, max_iterations=stop,
+                                                      validation_interval=stop)).val_history[0]
+             for stop in (60, 120)]
+    assert alone == VAL_HISTORY_EVERY_60
 
 
 def test_label_only_work_per_block(train_bench, monkeypatch):
