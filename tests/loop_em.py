@@ -6,7 +6,9 @@ confusion update and the annotation likelihood as matrix products over
 that tensor.  These are the same steps written one label or one annotator
 at a time: the one-hot tensor from annotation maps, and the updates from
 the label matrix's columns, never from the package's tensor, so the tests
-can check the dense forms against them.
+can check the dense forms against them.  The E step and the query
+log-softmax here score classes by their full squared distances, the form
+the package's class scores equal up to a row constant.
 
 :func:`dawid_skene` is the labels-only EM written as its own loop over the
 class prior and confusion updates, which the package runs as
@@ -75,12 +77,22 @@ def annotation_log_likelihood(labels, confusions, num_classes):
     return log_a
 
 
+def gaussian_log_scores(embeddings, prototypes, class_prior):
+    """``-0.5 |u_n - mu_k|^2 + log pi_k`` from the squared distances, row constant kept."""
+    return -0.5 * em.squared_distances(embeddings, prototypes) + np.log(class_prior)[None, :]
+
+
 def e_step(embeddings, labels, prototypes, class_prior, confusions):
     """Responsibilities from the loop likelihood, normalized in log space."""
-    scores = (-0.5 * em.squared_distances(embeddings, prototypes)
-              + np.log(class_prior)[None, :]
+    scores = (gaussian_log_scores(embeddings, prototypes, class_prior)
               + annotation_log_likelihood(labels, confusions, len(class_prior)))
     return np.exp(scores - em.logsumexp(scores, axis=1, keepdims=True))
+
+
+def predict_log_probs(embeddings, prototypes, class_prior):
+    """One episode's query log-softmax over the Gaussian class log scores."""
+    scores = gaussian_log_scores(embeddings, prototypes, class_prior)
+    return scores - em.logsumexp(scores, axis=1, keepdims=True)
 
 
 def with_silent_annotators(labels, num_annotators):

@@ -150,6 +150,37 @@ class TestShortAxes:
                 x[0] = -np.inf
                 assert same_bits(em._argmax(x), np.argmax(x, axis=-1)), (k, rows)
 
+    @staticmethod
+    def views(rng, rows, k):
+        """``(name, view, axis)``: views whose ``axis`` has k entries over ``rows`` rows or more."""
+        labels = rng.integers(-1, k, (2 * rows, 1, 3))
+        labels[..., 0] = rng.integers(0, k, (2 * rows, 1))
+        checked = em.CheckedLabels.check(labels, k)
+        start = em.LabelStart.of(checked, HYPER)[::2]
+        wide = TestShortAxes.stack(rng, 2 * rows, k, -1, np.float64)
+        tall = wide.reshape(k, 2 * rows)
+        return [("every other row", wide[::2], -1), ("every other column", tall[:, ::2], -2),
+                ("swapaxes", tall[:, :rows].swapaxes(-1, -2), -1),
+                ("swapaxes", wide[:rows].swapaxes(-1, -2), -2),
+                ("LabelStart slice", start.responsibilities, -1),
+                ("LabelStart slice", start.confusions, -2),
+                ("CheckedLabels slice", checked[1::2].onehot, -1),
+                ("CheckedLabels slice", checked[1::2].onehot, -2)]
+
+    @pytest.mark.parametrize("rows", ROWS[1:])
+    def test_fold_matches_numpy_on_views(self, rows):
+        rng = np.random.default_rng(7)
+        for k in range(2, em.SHORT_AXIS):
+            for name, x, axis in self.views(rng, rows, k):
+                assert not x.flags.c_contiguous, name
+                if name in ("every other row", "every other column", "swapaxes"):
+                    assert em._by_slices(x, axis) == (rows >= em.SHORT_AXIS_ROWS), (name, axis)
+                for ufunc in (np.add, np.maximum):
+                    want = ufunc.reduce(x, axis=axis, keepdims=True)
+                    assert same_bits(em._reduce(ufunc, x, axis), want), (name, k, axis, ufunc)
+                if axis == -1:
+                    assert same_bits(em._argmax(x), np.argmax(x, axis=-1)), (name, k)
+
     def test_stacked_em_updates_keep_their_bits(self):
         # a stack of evaluation's shape: 128 tasks, 20 examples, 7 annotators, 4 classes
         rng = np.random.default_rng(6)
@@ -986,6 +1017,107 @@ class TestPredict:
         np.testing.assert_array_equal(scores[0, :, 0], scores[0, :, 1])
         np.testing.assert_array_equal(scores[1, :, 1], scores[1, :, 2])
         np.testing.assert_array_equal(em.predict_labels(queries, classifier), [[0, 0], [1, 1]])
+
+
+class TestClassScores:
+    """The class scores drop the row constant ``-0.5 |u_n|^2``, which no softmax or argmax sees."""
+
+    @staticmethod
+    def exact_log_scores(u, protos, pi, log_a=0.0):
+        # the Gaussian scores from direct differences in long double: no digits lost far out
+        u, protos, pi = (x.astype(np.longdouble) for x in (u, protos, pi))
+        diff = u[..., :, None, :] - protos[..., None, :, :]
+        return -0.5 * (diff * diff).sum(axis=-1) + np.log(pi)[..., None, :] + log_a
+
+    @staticmethod
+    def exact_softmax(scores):
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        return weights / weights.sum(axis=-1, keepdims=True)
+
+    @staticmethod
+    def episodes(offset, batch=4, ways=3, size=9, num_annotators=4):
+        tasks = [random_task(70 + b, ways, size, num_annotators, dim=5) for b in range(batch)]
+        support = make_support(np.stack([t.embeddings for t in tasks]) + offset,
+                               np.stack([t.annotations for t in tasks]), ways, num_annotators)
+        rng = stream(71, "class-scores")
+        protos = rng.standard_normal((batch, ways, 5)) + offset
+        pi = rng.dirichlet(np.ones(ways), batch)
+        lam = rng.dirichlet(np.ones(ways), (batch, size))
+        return support, protos, pi, em.confusion_update(lam, support.onehot, 1.0)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
+    def test_adding_the_row_constant_gives_the_gaussian_scores(self, lead):
+        rng = stream(72, "class-scores", len(lead))
+        u, protos = rng.standard_normal(lead + (7, 5)), rng.standard_normal(lead + (4, 5))
+        pi = rng.dirichlet(np.ones(4), lead or None)
+        scores = em.class_log_scores(u, protos, pi)
+        assert scores.shape == lead + (7, 4)
+        oracle = -0.5 * em.squared_distances(u, protos) + np.log(pi)[..., None, :]
+        np.testing.assert_allclose(scores - 0.5 * (u * u).sum(axis=-1)[..., None], oracle,
+                                   rtol=1e-12, atol=0)
+
+    def test_e_step_matches_loop_oracle_on_stacks(self):
+        support, protos, pi, confusions = self.episodes(0.0)
+        oracle = [loop_em.e_step(support.embeddings[b], support.annotations[b], protos[b], pi[b],
+                                 list(confusions[b])) for b in range(len(protos))]
+        np.testing.assert_allclose(em.e_step(support, protos, pi, confusions), np.stack(oracle),
+                                   rtol=0, atol=1e-12)
+
+    @staticmethod
+    def assert_same_order_of_error(got, oracle, exact):
+        # 1e4 out, both forms round sums of size |u| |mu| ~ 5e8, so neither keeps all digits.
+        # The E step's scores keep that size through adding log a and subtracting the log
+        # normalizer, two more roundings: over 20 other draws its error measured 1.1 to 1.7
+        # times the expanded form's, and the log-softmax's 0.9 to 1.1 times.  Same digits.
+        rms, oracle_rms = (float(np.sqrt(np.mean((x - exact) ** 2))) for x in (got, oracle))
+        assert rms <= 2.0 * oracle_rms and np.abs(got - exact).max() < 1e-6, (rms, oracle_rms)
+
+    def test_e_step_far_from_the_origin(self):
+        support, protos, pi, confusions = self.episodes(1e4, batch=16, size=20)
+        log_a = em.annotation_log_likelihood(support, confusions)
+        exact = self.exact_softmax(self.exact_log_scores(support.embeddings, protos, pi, log_a))
+        oracle = np.stack([loop_em.e_step(support.embeddings[b], support.annotations[b], protos[b],
+                                          pi[b], list(confusions[b])) for b in range(len(protos))])
+        self.assert_same_order_of_error(em.e_step(support, protos, pi, confusions), oracle, exact)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_predictions_match_loop_oracle_on_stacks(self, offset):
+        _, protos, pi, _ = self.episodes(offset)
+        queries = stream(73, "class-scores-queries").standard_normal((len(protos), 40, 5)) + offset
+        classifier = em.AdaptedClassifier(protos, pi, np.zeros((len(protos), 0, 3, 3)), None)
+        log_probs = em.predict_log_probs(queries, classifier)
+        labels = em.predict_labels(queries, classifier)
+        oracle = np.stack([loop_em.predict_log_probs(*task) for task in zip(queries, protos, pi)])
+        exact = np.log(self.exact_softmax(self.exact_log_scores(queries, protos, pi)))
+        if offset == 0.0:
+            np.testing.assert_allclose(log_probs, oracle, rtol=1e-12, atol=1e-12)
+        else:
+            self.assert_same_order_of_error(log_probs, oracle, exact)
+        top = np.sort(exact, axis=-1)
+        clear = top[..., -1] - top[..., -2] > 1e-6  # no rounding tie
+        assert clear.mean() > 0.9
+        want = np.argmax(exact, axis=-1)
+        np.testing.assert_array_equal(labels[clear], want[clear])
+        np.testing.assert_array_equal(np.argmax(oracle, axis=-1)[clear], want[clear])
+
+    def test_vjp_matches_finite_differences_for_any_row_sums(self):
+        rng = stream(74, "class-scores-vjp")
+        u, protos = rng.standard_normal((2, 5, 3)), rng.standard_normal((2, 4, 3))
+        pi = rng.dirichlet(np.ones(4), 2)
+        weights = rng.standard_normal((2, 5, 4)) + 1.0
+        assert np.abs(weights.sum(axis=-1)).min() > 0.1  # not the gradient of a softmax input
+        grads = em.class_log_scores_vjp(weights, u, protos, pi)
+        args = [u, protos, pi]
+        for i, grad in enumerate(grads):
+            numeric = np.zeros_like(args[i])
+            for idx in np.ndindex(args[i].shape):
+                values = []
+                for h in (1e-6, -1e-6):
+                    moved = [a.copy() for a in args]
+                    moved[i][idx] += h
+                    values.append(np.sum(weights * em.class_log_scores(*moved)))
+                numeric[idx] = (values[0] - values[1]) / 2e-6
+            np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8, err_msg=str(i))
 
 
 @settings(max_examples=25, deadline=None)

@@ -25,7 +25,7 @@ import workload  # noqa: E402
 # ``metrics.json`` of ``eval-grid`` (both SHA-256) and the per-task accuracies
 # of ``crowd``.  A refactor that keeps every output byte keeps these.
 ROUND_DIGESTS = {
-    workload.Train: "44b292bf4a62cb8bd45318e9db6c668081492e16ad226874bbd39618fc27ba73",
+    workload.Train: "6f316a42bdc5633d3ba77652e45888fafc223d49c5051e37c313e2527abb5f5f",
     workload.EvalGrid: "80b439dbff7c9ca569ceb61354ce4b867c72eb2d1b0e48e98788d5d35c1940bc",
     workload.Crowd: "[0.86, 0.74, 0.78, 0.8, 0.68, 0.84, 0.79, 0.76, 0.78, 0.67, 0.85, 0.81, "
                     "0.79, 0.81, 0.8, 0.72, 0.74, 0.68, 0.75, 0.72]",
@@ -57,8 +57,8 @@ def test_one_round_without_failures(workload_class, tmp_path):
 # without pseudo-annotation.  ``ROUND_DIGESTS`` pins the final parameters
 # alone; these pin every iteration's loss and pseudo-annotation digest.
 TRAINING_LOG_DIGESTS = {
-    True: "e91f63c1dee35e40325a0cb931b404c4bca303949135c7156eec3c57c5385e8a",
-    False: "f7f99dd72ce58fa68029640736db46a6e5d60851c2d02060469d6a1115ea6d54",
+    True: "391f7acfffa4445ea3f0bce694dad3305ab7f24bf590915a76ed138aeb5908bc",
+    False: "773e29a65324fbe15e30112ef99c6a09f731084ade141070f4c39b9847ca6385",
 }
 
 
